@@ -12,6 +12,17 @@ key(a*b) = key(a) + key(b) - C for an order-dependent constant C. The
 reduction loops in the Groebner engine exploit this to shift whole
 polynomials with one integer addition per term instead of re-deriving
 tuple comparisons.
+
+Divisibility has its own packed form, PackedMonomials: exponent i sits
+in field i of EXP_BITS bits, and the top bit of every field is a guard
+that stays clear. Multiplication is then an int add, exact division an
+int sub, and b | a iff ((a | G) - b) & G == G for the guard mask G:
+with every guard of a set, each field borrows only from its own guard,
+which survives iff a_i >= b_i. The test is exact only while every
+exponent stays below EXP_GUARD = 2^(EXP_BITS-1); a larger one would
+borrow into its neighbour and corrupt divisibility silently. So packing
+refuses exponents above EXP_CAP, and the Groebner engine bounds the
+degree of everything it reduces (see groebner.py).
 """
 
 from __future__ import annotations
@@ -32,17 +43,16 @@ __all__ = [
     "is_prime",
     "mon_mul",
     "mon_div",
-    "mon_divides",
-    "mon_lcm",
-    "mon_gcd",
-    "mon_deg",
     "mon_pow",
+    "PackedMonomials",
 ]
 
 # Packed-key layout. Exponents are capped well below the field width so
 # that total degrees (<= MAX_VARS * EXP_CAP) can never overflow a field.
 EXP_BITS = 24
 EXP_CAP = 1 << 20
+# packed monomials keep every exponent below the guard bit of its field
+EXP_GUARD = 1 << (EXP_BITS - 1)
 MAX_VARS = 12
 _FMAX = (1 << EXP_BITS) - 1
 
@@ -143,7 +153,7 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# monomials (exponent tuples)
+# monomials: exponent tuples and their packed form
 
 
 def mon_mul(a: tuple, b: tuple) -> tuple:
@@ -161,32 +171,65 @@ def mon_div(a: tuple, b: tuple) -> tuple | None:
     return tuple(out)
 
 
-def mon_divides(b: tuple, a: tuple) -> bool:
-    """True when b | a componentwise."""
-    for x, y in zip(b, a):
-        if x > y:
-            return False
-    return True
-
-
-def mon_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mon_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x < y else y for x, y in zip(a, b))
-
-
-def mon_deg(a: tuple) -> int:
-    return sum(a)
-
-
 def mon_pow(a: tuple, k: int) -> tuple:
     out = tuple(x * k for x in a)
     for x in out:
         if x > EXP_CAP:
             raise GhkError(f"monomial exponent {x} exceeds the supported cap {EXP_CAP}")
     return out
+
+
+class PackedMonomials:
+    """Guard-bit packing of exponent tuples with nvars entries.
+
+    pack/unpack convert at the boundary; in between, a*b is a + b, a/b
+    is a - b and divides/lcm/degree are a few int operations. guard is
+    the mask G of the module docstring; hot loops inline its test.
+    Every method assumes its arguments' exponents stay below EXP_GUARD.
+    """
+
+    __slots__ = ("guard", "_shifts", "_ones", "_top")
+
+    def __init__(self, nvars: int):
+        self._shifts = tuple(EXP_BITS * i for i in range(nvars))
+        self.guard = sum(EXP_GUARD << s for s in self._shifts)
+        self._ones = sum(1 << s for s in self._shifts)
+        self._top = EXP_BITS * (nvars - 1)
+
+    def pack(self, m: tuple, cap: int = EXP_CAP) -> int:
+        """Packed form of an exponent tuple; exponents above cap raise.
+
+        Input monomials are held to EXP_CAP. A caller repacking leads of
+        a finished basis may pass EXP_GUARD - 1, the engine's own bound.
+        """
+        pk = 0
+        for e, s in zip(m, self._shifts):
+            if e > cap:
+                raise GhkError(f"monomial exponent {e} exceeds the supported cap {cap}")
+            pk |= e << s
+        return pk
+
+    def unpack(self, pk: int) -> tuple:
+        return tuple([(pk >> s) & _FMAX for s in self._shifts])
+
+    def divides(self, b: int, a: int) -> bool:
+        """True when b | a."""
+        g = self.guard
+        return ((a | g) - b) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        g = self.guard
+        ge = ((a | g) - b) & g  # the guard of field i survives iff a_i >= b_i
+        mask = ge - (ge >> (EXP_BITS - 1))  # the low bits of those fields
+        return (a & mask) | (b & ~mask)
+
+    def degree(self, pk: int) -> int:
+        """Total degree, exact while it stays below 2^EXP_BITS.
+
+        Multiplying by a 1 in every field sums the fields into the top
+        one; partial sums below the total cannot carry.
+        """
+        return (pk * self._ones >> self._top) & _FMAX
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,23 @@ monomial first (component 0 wins ties), "pot" compares the component
 first (component 0 largest), which is what block elimination uses.
 Shifting a vector by a monomial adds a constant to every packed key, so
 the reducer does one integer add per term.
+
+Inside the engine a term's monomial is a PackedMonomials int from
+arith.py (exponent i in field i, a guard bit on top of each field), so
+a product is an int add and a divisibility test is
+((a | G) - b) & G == G. Terms and basis records are packed from the
+first vec_to_terms to the last terms_to_vec; lead_terms and
+lead_monomials_by_component unpack, and Poly and the public API keep
+exponent tuples. The test is only exact while every exponent stays
+below EXP_GUARD, so the engine checks the bound where it can first be
+broken: packing refuses exponents above EXP_CAP, every input vector
+needs deg - min(twists) < EXP_GUARD, and so does every S-pair before it
+is reduced. All terms of a homogeneous reduction share that degree, and
+exponents cannot exceed it.
+
+Pairs are kept in a dict for the chain criterion and picked from a heap
+of (degree, i, j) with lazy deletion; a pair key is never reinserted,
+so the heap reproduces the degree-then-index order exactly.
 """
 
 from __future__ import annotations
@@ -25,16 +42,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .arith import (
-    EXP_BITS,
-    Poly,
-    PolyRing,
-    mon_deg,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-)
+from .arith import EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -176,7 +184,7 @@ class ModVector:
 class _Ctx:
     """Key packing for module terms at a fixed rank and position rule."""
 
-    __slots__ = ("ring", "rank", "twists", "position", "p", "term_key", "ring_key_of")
+    __slots__ = ("ring", "rank", "twists", "position", "p", "pm", "term_key", "ring_key_of")
 
     def __init__(self, ring: PolyRing, rank: int, twists: tuple, position: str):
         if rank < 1 or rank > _CMAX:
@@ -188,6 +196,7 @@ class _Ctx:
         self.twists = twists
         self.position = position
         self.p = ring.p
+        self.pm = PackedMonomials(ring.nvars)
         if position == "top":
 
             def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX):
@@ -208,12 +217,23 @@ class _Ctx:
         self.term_key = term_key
         self.ring_key_of = ring_key_of
 
+    def check_degree(self, deg: int) -> None:
+        """Refuse work of module degree deg that could reach a guard bit."""
+        if deg - min(self.twists) >= EXP_GUARD:
+            raise GhkError(
+                f"module degree {deg} is too large for packed monomials "
+                f"(degree minus the smallest twist must stay below {EXP_GUARD})"
+            )
+
     def vec_to_terms(self, v: ModVector) -> tuple:
         tk = self.term_key
+        pack = self.pm.pack
         terms = []
         for j, f in enumerate(v.components):
+            if f._t:
+                self.check_degree(f.degree() + self.twists[j])
             for k, m, c in f._t:
-                terms.append((tk(j, k), j, m, c))
+                terms.append((tk(j, k), j, pack(m), c))
         terms.sort(reverse=True)
         return tuple(terms)
 
@@ -221,8 +241,9 @@ class _Ctx:
         ring = self.ring
         per: list = [[] for _ in range(self.rank)]
         rko = self.ring_key_of
+        unpack = self.pm.unpack
         for k, cp, m, c in terms:
-            per[cp].append((rko(k), m, c))
+            per[cp].append((rko(k), unpack(m), c))
         comps = []
         for lst in per:
             lst.sort(reverse=True)
@@ -234,47 +255,43 @@ class _Ctx:
 # the reduction loop
 
 # A basis record is (ltkey, ltcomp, ltmon, tail, moddeg) with the element
-# monic and tail the non-lead terms; terms are (key, comp, mon, coeff).
+# monic and tail the non-lead terms; terms are (key, comp, mon, coeff)
+# with mon a packed monomial.
 
 
-def _reduce(seeds, by_comp, p, full=True):
+def _reduce(seeds, by_comp, p, guard, full=True):
     """Reduce a seeded combination modulo monic basis records.
 
-    seeds: iterable of (terms, mult, delta, shiftmon) contributions; each
-    term (k, comp, mon, c) enters as key k+delta, monomial mon*shiftmon,
-    coefficient c*mult. shiftmon None means "no shift".
+    seeds: iterable of (terms, mult, delta, shift) contributions; each
+    term (k, comp, mon, c) enters as key k+delta, packed monomial
+    mon+shift, coefficient c*mult. guard is the packing's guard mask.
 
     With full=True returns the complete normal form (terms descending).
     With full=False stops at the first irreducible term, which is enough
     for membership tests.
     """
-    acc: dict = {}
-    info: dict = {}
+    acc: dict = {}  # key -> [coeff, comp, mon]
     heap: list = []
-    for terms, mult, delta, shiftmon in seeds:
+    for terms, mult, delta, shift in seeds:
         for k, cp, m, c in terms:
             nk = k + delta
-            prev = acc.get(nk)
-            if prev is None:
-                acc[nk] = c * mult
-                info[nk] = (cp, m, shiftmon)
+            entry = acc.get(nk)
+            if entry is None:
+                acc[nk] = [c * mult, cp, m + shift]
                 heappush(heap, -nk)
             else:
-                acc[nk] = prev + c * mult
+                entry[0] += c * mult
     out = []
     while heap:
         k = -heappop(heap)
-        c = acc.pop(k, None)
-        if c is None:
-            continue
+        c, cp, mon = acc.pop(k)
         c %= p
-        cp, m0, sh = info.pop(k)
         if c == 0:
             continue
-        mon = mon_mul(m0, sh) if sh is not None else m0
+        mg = mon | guard
         red = None
         for g in by_comp.get(cp, ()):
-            if mon_divides(g[2], mon):
+            if (mg - g[2]) & guard == guard:
                 red = g
                 break
         if red is None:
@@ -283,16 +300,15 @@ def _reduce(seeds, by_comp, p, full=True):
                 break
             continue
         delta = k - red[0]
-        shiftmon = mon_div(mon, red[2])
+        shift = mon - red[2]
         for tk, tcp, tm, tc in red[3]:
             nk = tk + delta
-            prev = acc.get(nk)
-            if prev is None:
-                acc[nk] = -(tc * c)
-                info[nk] = (tcp, tm, shiftmon)
+            entry = acc.get(nk)
+            if entry is None:
+                acc[nk] = [-(tc * c), tcp, tm + shift]
                 heappush(heap, -nk)
             else:
-                acc[nk] = prev - tc * c
+                entry[0] -= tc * c
     return tuple(out)
 
 
@@ -302,8 +318,8 @@ def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
         inv = ctx.ring.field.inv(c)
         p = ctx.p
         terms = tuple((tk, tcp, tm, tc * inv % p) for tk, tcp, tm, tc in terms)
-    moddeg = mon_deg(terms[0][2]) + ctx.twists[cp]
-    return (terms[0][0], cp, terms[0][2], terms[1:], moddeg)
+    moddeg = ctx.pm.degree(m) + ctx.twists[cp]
+    return (k, cp, m, terms[1:], moddeg)
 
 
 def _record_terms(rec: tuple) -> tuple:
@@ -314,82 +330,97 @@ def _record_terms(rec: tuple) -> tuple:
 # Buchberger driver with Gebauer-Moller pair filters
 
 
-def _update_pairs(G: list, P: dict, t: int, twists: tuple, rank: int) -> None:
-    """Install pairs (i, t); apply lcm, duplicate, product, chain filters."""
+def _update_pairs(
+    G: list, P: dict, heap: list, t: int, twists: tuple, rank: int, pm: PackedMonomials
+) -> None:
+    """Install pairs (i, t); apply lcm, duplicate, product, chain filters.
+
+    P maps a live pair (i, j) to its packed lcm; heap gets (degree, i, j)
+    for each new pair. Of the pairs (i, t), one per minimal lcm survives
+    (the smallest i). The minimal lcms come from one pass over the
+    distinct lcms in ascending packed value, each tested only against
+    the minimal ones kept so far: a strict divisor is a smaller int (no
+    field of it is larger), and if a non-minimal lcm divides L, so does
+    a minimal one.
+    """
+    guard = pm.guard
     hrec = G[t]
     hc, hm = hrec[1], hrec[2]
-    cand = [i for i in range(t) if G[i][1] == hc]
-    if cand:
-        lcms = {i: mon_lcm(G[i][2], hm) for i in cand}
-        keep = []
-        for i in cand:
-            li = lcms[i]
-            drop = False
-            for j in cand:
-                if j == i:
-                    continue
-                lj = lcms[j]
-                if lj != li and mon_divides(lj, li):
-                    drop = True
-                    break
-                if lj == li and j < i:
-                    drop = True
-                    break
-            if not drop:
-                keep.append(i)
-        if rank == 1:
+    lcm_of = pm.lcm
+    lcms: dict = {}
+    first: dict = {}  # distinct lcm -> smallest i with that lcm
+    coprime: set = set()
+    for i in range(t):
+        gi = G[i]
+        if gi[1] != hc:
+            continue
+        gm = gi[2]
+        lcm = lcm_of(hm, gm)
+        lcms[i] = lcm
+        if lcm not in first:
+            first[lcm] = i
+        if lcm == gm + hm:
+            coprime.add(lcm)
+    minimal: list = []
+    for lcm in sorted(first):
+        lg = lcm | guard
+        for m in minimal:
+            if (lg - m) & guard == guard:
+                break
+        else:
+            minimal.append(lcm)
             # coprime-lead criterion is sound only for ideals: if any
             # member of an equal-lcm class has lcm == product, the whole
             # class reduces to zero.
-            coprime_lcms = {
-                lcms[j] for j in cand if lcms[j] == mon_mul(G[j][2], hm)
-            }
-            keep = [i for i in keep if lcms[i] not in coprime_lcms]
-        for i in keep:
-            li = lcms[i]
-            P[(i, t)] = (mon_deg(li) + twists[hc], li)
-    else:
-        lcms = {}
-    # chain criterion against existing pairs
-    if P:
-        dead = []
-        for ij, (_, lij) in P.items():
-            i, j = ij
-            if j == t or G[i][1] != hc:
+            if rank == 1 and lcm in coprime:
                 continue
-            if mon_divides(hm, lij) and lcms.get(i) != lij and lcms.get(j) != lij:
-                dead.append(ij)
-        for ij in dead:
-            del P[ij]
+            i = first[lcm]
+            P[(i, t)] = lcm
+            heappush(heap, (pm.degree(lcm) + twists[hc], i, t))
+    # chain criterion against existing pairs
+    dead = []
+    for ij, lij in P.items():
+        if ((lij | guard) - hm) & guard != guard:
+            continue
+        i, j = ij
+        if j != t and G[i][1] == hc and lcms[i] != lij and lcms[j] != lij:
+            dead.append(ij)
+    for ij in dead:
+        del P[ij]
 
 
 def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
     """Run Buchberger to completion; return reduced monic records ascending."""
     p = ctx.p
     ring = ctx.ring
+    pm = ctx.pm
+    guard = pm.guard
     max_degree = budget.max_degree if budget else None
     max_pairs = budget.max_pairs if budget else None
     G: list = []
     by_comp: dict = {}
     P: dict = {}
+    heap: list = []
 
     def install(terms: tuple) -> None:
         rec = _monic_record(ctx, terms)
         G.append(rec)
         by_comp.setdefault(rec[1], []).append(rec)
-        _update_pairs(G, P, len(G) - 1, ctx.twists, ctx.rank)
+        _update_pairs(G, P, heap, len(G) - 1, ctx.twists, ctx.rank, pm)
 
     for terms in vec_terms:
         if not terms:
             continue
-        red = _reduce([(terms, 1, 0, None)], by_comp, p)
+        red = _reduce([(terms, 1, 0, 0)], by_comp, p, guard)
         if red:
             install(red)
 
     pairs_done = 0
-    while P:
-        ij = min(P, key=lambda key: (P[key][0], key))
-        deg, tau = P.pop(ij)
+    while heap:
+        deg, i, j = heappop(heap)
+        tau = P.pop((i, j), None)
+        if tau is None:
+            continue  # dropped by the chain criterion
         if max_degree is not None and deg > max_degree:
             raise BudgetExceededError(
                 f"S-pair degree {deg} exceeds budget {max_degree}",
@@ -404,24 +435,30 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
                 limit=max_pairs,
                 reached=pairs_done + 1,
             )
+        ctx.check_degree(deg)
         pairs_done += 1
-        gi, gj = G[ij[0]], G[ij[1]]
-        ktau = ctx.term_key(gi[1], ring.key(tau))
+        gi, gj = G[i], G[j]
+        ktau = ctx.term_key(gi[1], ring.key(pm.unpack(tau)))
         seeds = [
-            (gi[3], 1, ktau - gi[0], mon_div(tau, gi[2])),
-            (gj[3], p - 1, ktau - gj[0], mon_div(tau, gj[2])),
+            (gi[3], 1, ktau - gi[0], tau - gi[2]),
+            (gj[3], p - 1, ktau - gj[0], tau - gj[2]),
         ]
-        red = _reduce(seeds, by_comp, p)
+        red = _reduce(seeds, by_comp, p, guard)
         if red:
             install(red)
 
     # minimal lead set: keep records whose lead no earlier-kept lead divides
-    ordered = sorted(G, key=lambda rec: rec[0])
     keep: list = []
-    for rec in ordered:
-        if any(k[1] == rec[1] and mon_divides(k[2], rec[2]) for k in keep):
-            continue
-        keep.append(rec)
+    kept_leads: dict = {}
+    for rec in sorted(G, key=lambda rec: rec[0]):
+        leads = kept_leads.setdefault(rec[1], [])
+        mg = rec[2] | guard
+        for m in leads:
+            if (mg - m) & guard == guard:
+                break
+        else:
+            leads.append(rec[2])
+            keep.append(rec)
     # interreduce tails against the whole minimal set; an element's own
     # lead can never divide its tail monomials (divisibility implies
     # order-greater), so one shared lookup table is safe.
@@ -430,7 +467,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
         final_by_comp.setdefault(rec[1], []).append(rec)
     out = []
     for rec in keep:
-        tail = _reduce([(rec[3], 1, 0, None)], final_by_comp, p)
+        tail = _reduce([(rec[3], 1, 0, 0)], final_by_comp, p, guard)
         out.append((rec[0], rec[1], rec[2], tail, rec[4]))
     out.sort(key=lambda rec: rec[0])
     return out
@@ -445,10 +482,11 @@ class GroebnerBasis:
 
     Elements are monic, no term of any element is divisible by the lead
     of another, and vectors are sorted by ascending lead. Reusable as a
-    reducer via normal_form/contains.
+    reducer via normal_form/contains. The vectors are unpacked from the
+    engine's records on first use; many callers only reduce or read leads.
     """
 
-    __slots__ = ("ring", "rank", "twists", "position", "vectors", "_records", "_by_comp", "_ctx")
+    __slots__ = ("ring", "rank", "twists", "position", "_vectors", "_records", "_by_comp", "_ctx")
 
     def __init__(self, ctx: _Ctx, records: list):
         self.ring = ctx.ring
@@ -461,7 +499,14 @@ class GroebnerBasis:
         for rec in records:
             by_comp.setdefault(rec[1], []).append(rec)
         self._by_comp = by_comp
-        self.vectors = tuple(ctx.terms_to_vec(_record_terms(rec)) for rec in records)
+        self._vectors = None
+
+    @property
+    def vectors(self) -> tuple:
+        if self._vectors is None:
+            to_vec = self._ctx.terms_to_vec
+            self._vectors = tuple(to_vec(_record_terms(rec)) for rec in self._records)
+        return self._vectors
 
     def __len__(self) -> int:
         return len(self._records)
@@ -471,12 +516,14 @@ class GroebnerBasis:
 
     def lead_terms(self) -> tuple:
         """(component, monomial) of each element, ascending order."""
-        return tuple((rec[1], rec[2]) for rec in self._records)
+        unpack = self._ctx.pm.unpack
+        return tuple((rec[1], unpack(rec[2])) for rec in self._records)
 
     def lead_monomials_by_component(self) -> dict:
+        unpack = self._ctx.pm.unpack
         out: dict = {j: [] for j in range(self.rank)}
         for rec in self._records:
-            out[rec[1]].append(rec[2])
+            out[rec[1]].append(unpack(rec[2]))
         return out
 
     def _coerce(self, v) -> ModVector:
@@ -494,19 +541,20 @@ class GroebnerBasis:
         """The unique reduced remainder of v modulo the submodule."""
         v = self._coerce(v)
         terms = self._ctx.vec_to_terms(v)
-        red = _reduce([(terms, 1, 0, None)], self._by_comp, self.ring.p)
+        red = _reduce([(terms, 1, 0, 0)], self._by_comp, self.ring.p, self._ctx.pm.guard)
         return self._ctx.terms_to_vec(red)
 
     def contains(self, v) -> bool:
         v = self._coerce(v)
         terms = self._ctx.vec_to_terms(v)
-        red = _reduce([(terms, 1, 0, None)], self._by_comp, self.ring.p, full=False)
+        red = _reduce(
+            [(terms, 1, 0, 0)], self._by_comp, self.ring.p, self._ctx.pm.guard, full=False
+        )
         return not red
 
     def is_full_module(self) -> bool:
         """True when the basis generates all of R^rank (unit columns)."""
-        zero_mon = (0,) * self.ring.nvars
-        seen = {rec[1] for rec in self._records if rec[2] == zero_mon}
+        seen = {rec[1] for rec in self._records if rec[2] == 0}
         return len(seen) == self.rank
 
     def __repr__(self) -> str:
@@ -660,17 +708,12 @@ def _trusted_reduced_basis(
 
 
 def buchberger(U: Submodule, budget: GbBudget | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of U's spanning set (gens + relation columns)."""
-    if budget is not None:
-        # budgeted runs bypass the cache so an aborted attempt cannot
-        # poison it, but a successful budgeted run seeds it
-        ctx = _Ctx(U.ring, U.rank, U.twists, U.position)
-        records = _engine([ctx.vec_to_terms(v) for v in U.spanning()], ctx, budget)
-        gb = GroebnerBasis(ctx, records)
-        if U._gb is None:
-            U._gb = gb
-        return gb
-    return U.groebner()
+    """Reduced Groebner basis of U's spanning set (gens + relation columns).
+
+    A cached basis is returned whatever the budget; a budgeted run seeds
+    the cache only when it completes, so an aborted one cannot poison it.
+    """
+    return U.groebner(budget)
 
 
 def normal_form(v, gb) -> ModVector:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import MonomialOrder, Poly, PolyRing, frobenius_power
+from .arith import EXP_GUARD, MonomialOrder, PackedMonomials, Poly, PolyRing, frobenius_power
 from .errors import (
     GhkError,
     GhkHypothesisError,
@@ -156,13 +156,24 @@ def _divide_by_one_minus_t(d: dict) -> dict | None:
     return out
 
 
-def _minimalize_monomials(mons: Iterable[tuple]) -> tuple:
-    """Drop monomials that are multiples of another in the list."""
+def _minimalize_monomials(mons: Iterable[tuple], pm: PackedMonomials) -> tuple:
+    """Drop monomials that are multiples of another in the list.
+
+    The divisibility test runs on guard-bit packed monomials (arith.py).
+    """
     uniq = sorted(set(mons), key=lambda m: (sum(m), m))
+    guard = pm.guard
     keep: list = []
+    packed: list = []
     for m in uniq:
-        if not any(all(a <= b for a, b in zip(k, m)) for k in keep):
+        pk = pm.pack(m, EXP_GUARD - 1)
+        mg = pk | guard
+        for k in packed:
+            if (mg - k) & guard == guard:
+                break
+        else:
             keep.append(m)
+            packed.append(pk)
     return tuple(keep)
 
 
@@ -186,7 +197,7 @@ def _coprime_product_numer(mons: Sequence[tuple]) -> dict:
     return out
 
 
-def _monomial_numerator(mons: tuple, memo: dict) -> dict:
+def _monomial_numerator(mons: tuple, memo: dict, pm: PackedMonomials) -> dict:
     """Numerator K(t) of HS(S/(mons)) = K / (1-t)^nvars.
 
     Pivot recursion: split on a median power of the most shared
@@ -194,7 +205,7 @@ def _monomial_numerator(mons: tuple, memo: dict) -> dict:
     colon the pivot. Pairwise coprime sets terminate as complete
     intersections.
     """
-    mons = _minimalize_monomials(mons)
+    mons = _minimalize_monomials(mons, pm)
     if not mons:
         return {0: 1}
     if any(sum(m) == 0 for m in mons):
@@ -224,8 +235,8 @@ def _monomial_numerator(mons: tuple, memo: dict) -> dict:
         tuple(max(e - piv_exp, 0) if i == piv_var else e for i, e in enumerate(m))
         for m in mons
     )
-    n_plus = _monomial_numerator(plus, memo)
-    n_quo = _monomial_numerator(quo, memo)
+    n_plus = _monomial_numerator(plus, memo, pm)
+    n_quo = _monomial_numerator(quo, memo, pm)
     out = dict(n_plus)
     for e, c in n_quo.items():
         out[e + piv_exp] = out.get(e + piv_exp, 0) + c
@@ -243,9 +254,10 @@ def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSerie
     gb = buchberger(U, budget)
     memo: dict = {}
     total: dict = {}
+    pm = PackedMonomials(U.ring.nvars)
     by_comp = gb.lead_monomials_by_component()
     for j in range(U.rank):
-        numer = _monomial_numerator(tuple(by_comp.get(j, ())), memo)
+        numer = _monomial_numerator(tuple(by_comp.get(j, ())), memo, pm)
         e = U.twists[j]
         for d, c in numer.items():
             k = d + e
@@ -470,8 +482,7 @@ def saturate(
         jgens = [g for g in _ideal_generators(ring, J, U.relations) if not g.is_zero()]
         if not jgens:
             raise GhkHypothesisError("saturation by the zero ideal is not defined")
-        vargens = [ring.variable(i) for i in range(ring.nvars)]
-        irrelevant = sorted(str(g) for g in jgens) == sorted(str(g) for g in vargens)
+        irrelevant = {g.monic() for g in jgens} == set(ring.gens())
     else:
         jgens = [ring.variable(i) for i in range(ring.nvars)]
 

@@ -11,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghk.arith import (
+    EXP_CAP,
     MonomialOrder,
+    PackedMonomials,
     Poly,
     PolyRing,
     PrimeField,
     frobenius_power,
     is_prime,
     mon_div,
-    mon_divides,
-    mon_lcm,
     mon_mul,
     parse_poly,
 )
@@ -84,9 +84,39 @@ def test_mon_helpers():
     assert mon_mul((1, 2), (3, 0)) == (4, 2)
     assert mon_div((4, 2), (3, 0)) == (1, 2)
     assert mon_div((1, 2), (3, 0)) is None
-    assert mon_divides((1, 0), (4, 2))
-    assert not mon_divides((1, 3), (4, 2))
-    assert mon_lcm((1, 3), (4, 2)) == (4, 3)
+    pm = PackedMonomials(2)
+    assert pm.divides(pm.pack((1, 0)), pm.pack((4, 2)))
+    assert not pm.divides(pm.pack((1, 3)), pm.pack((4, 2)))
+    assert pm.unpack(pm.lcm(pm.pack((1, 3)), pm.pack((4, 2)))) == (4, 3)
+
+
+_exponent = st.one_of(st.integers(0, 9), st.integers(EXP_CAP - 3, EXP_CAP))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.tuples(_exponent, _exponent)] * n)))
+def test_packed_monomials_match_tuples(cols):
+    # cols[i] = (a_i, b_i); the tuple definitions are the reference
+    a = tuple(x for x, _ in cols)
+    b = tuple(y for _, y in cols)
+    pm = PackedMonomials(len(a))
+    pa, pb = pm.pack(a), pm.pack(b)
+    assert pm.unpack(pa) == a
+    assert pm.divides(pb, pa) == all(y <= x for x, y in zip(a, b))
+    assert pm.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert pm.unpack(pa + pb) == mon_mul(a, b)
+    if pm.divides(pb, pa):
+        assert pm.unpack(pa - pb) == mon_div(a, b)
+    lcm = tuple(max(x, y) for x, y in zip(a, b))
+    assert pm.unpack(pm.lcm(pa, pb)) == lcm
+    assert pm.degree(pm.lcm(pa, pb)) == sum(lcm)
+
+
+def test_packing_enforces_the_exponent_cap():
+    pm = PackedMonomials(3)
+    assert pm.unpack(pm.pack((EXP_CAP, 0, EXP_CAP))) == (EXP_CAP, 0, EXP_CAP)
+    with pytest.raises(GhkError):
+        pm.pack((0, EXP_CAP + 1, 0))
 
 
 # ---------------------------------------------------------------------------

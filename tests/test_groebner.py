@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ghk.arith import MonomialOrder, PolyRing
+from ghk.arith import EXP_CAP, MonomialOrder, PackedMonomials, PolyRing
 from ghk.errors import BudgetExceededError, GhkError, HomogeneityError, RingMismatchError
 from ghk.groebner import (
     GbBudget,
@@ -12,6 +12,7 @@ from ghk.groebner import (
     ModVector,
     Submodule,
     buchberger,
+    _update_pairs,
     is_member,
     normal_form,
 )
@@ -270,6 +271,107 @@ def test_budget_failure_does_not_poison_cache():
     with pytest.raises(BudgetExceededError):
         buchberger(U, GbBudget(max_pairs=0))
     assert [str(v[0]) for v in buchberger(U).vectors] == ["x*y", "x^2 + y^2", "y^3"]
+
+
+def test_budgeted_run_reuses_cached_basis():
+    ring = PolyRing(7, ["x", "y"])
+    U = Submodule.ideal(ring, [ring.parse("x^2 + y^2"), ring.parse("x*y")])
+    gb = U.groebner()
+    assert buchberger(U, GbBudget(max_pairs=10**6)) is gb
+    # a cached basis needs no pairs, so even a zero budget is met
+    assert buchberger(U, GbBudget(max_pairs=0)) is gb
+
+
+def test_budgeted_run_seeds_cache():
+    ring = PolyRing(7, ["x", "y"])
+    U = Submodule.ideal(ring, [ring.parse("x^2 + y^2"), ring.parse("x*y")])
+    gb = buchberger(U, GbBudget(max_pairs=10**6))
+    assert U.groebner() is gb
+
+
+# ---------------------------------------------------------------------------
+# packed-monomial guard
+
+
+def test_exponent_above_cap_is_refused():
+    ring = PolyRing(7, ["x", "y"])
+    x, y = ring.gens()
+    big = ring.monomial((EXP_CAP, 0)) * x  # multiplication does not check the cap
+    assert big.lm() == (EXP_CAP + 1, 0)
+    with pytest.raises(GhkError):
+        buchberger(Submodule.ideal(ring, [big, y]))
+    with pytest.raises(GhkError):
+        buchberger(Submodule.ideal(ring, [y])).contains(big)
+
+
+def test_degree_that_could_reach_a_guard_bit_is_refused():
+    # exponents within the cap, but an S-pair lcm of degree 8*EXP_CAP =
+    # 2^23 would carry into the guard bits
+    ring = PolyRing(7, [f"v{i}" for i in range(9)])
+    C = EXP_CAP
+    a = ring.monomial((C, C, C, C, 0, 0, 0, 0, 0))
+    b = ring.monomial((0, 0, 0, 1, C, C, C, C, 0))
+    with pytest.raises(GhkError):
+        buchberger(Submodule.ideal(ring, [a, b]))
+    # an input vector of that degree is refused before it is reduced
+    with pytest.raises(GhkError):
+        buchberger(Submodule.ideal(ring, [ring.monomial((C,) * 8 + (0,))]))
+    # just below the bound everything works
+    assert len(buchberger(Submodule.ideal(ring, [ring.monomial((C,) * 7 + (C - 1, 0))]))) == 1
+
+
+def _reference_update_pairs(leads, P, t, rank):
+    """The quadratic Gebauer-Moller filter on (component, exponent tuple) leads."""
+
+    def divides(b, a):
+        return all(x <= y for x, y in zip(b, a))
+
+    hc, hm = leads[t]
+    cand = [i for i in range(t) if leads[i][0] == hc]
+    lcms = {i: tuple(max(x, y) for x, y in zip(leads[i][1], hm)) for i in cand}
+    keep = [
+        i
+        for i in cand
+        if not any(
+            (lcms[j] != lcms[i] and divides(lcms[j], lcms[i])) or (lcms[j] == lcms[i] and j < i)
+            for j in cand
+            if j != i
+        )
+    ]
+    if rank == 1:
+        coprime = {
+            lcms[j] for j in cand if lcms[j] == tuple(x + y for x, y in zip(leads[j][1], hm))
+        }
+        keep = [i for i in keep if lcms[i] not in coprime]
+    for i in keep:
+        P[(i, t)] = lcms[i]
+    for (i, j), lij in list(P.items()):
+        if j != t and leads[i][0] == hc and divides(hm, lij):
+            if lcms.get(i) != lij and lcms.get(j) != lij:
+                del P[(i, j)]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_linear_pass_pair_filter_matches_quadratic_definition(rank):
+    rng = random.Random(20 + rank)
+    pm = PackedMonomials(3)
+    twists = tuple(range(rank))
+    for trial in range(12):
+        leads = [
+            (rng.randrange(rank), tuple(rng.randrange(5) for _ in range(3)))
+            for _ in range(rng.randrange(2, 30))
+        ]
+        G, P, heap, ref = [], {}, [], {}
+        for t, (comp, mon) in enumerate(leads):
+            G.append((0, comp, pm.pack(mon), (), 0))
+            before = set(P)
+            _update_pairs(G, P, heap, t, twists, rank, pm)
+            _reference_update_pairs(leads, ref, t, rank)
+            assert {ij: pm.unpack(lcm) for ij, lcm in P.items()} == ref, (trial, t)
+            new = {(i, j): d for d, i, j in heap if (i, j) not in before and (i, j) in P}
+            assert new == {
+                (i, j): sum(lcm) + twists[comp] for (i, j), lcm in ref.items() if j == t
+            }
 
 
 # ---------------------------------------------------------------------------

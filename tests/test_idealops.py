@@ -409,6 +409,15 @@ def test_saturate_divide_guard_unequal_twists():
     saturate(U)  # iterated colon path still works
 
 
+def test_saturate_scaled_variables_are_the_irrelevant_ideal():
+    # (2x, y, z) is the irrelevant ideal, so the divide route applies
+    ring = PolyRing(7, ["x", "y", "z"])
+    rel = ring.parse("x^3 + y^3 + z^3")
+    I = Submodule.ideal(ring, [ring.parse("z^7"), ring.parse("x^7 + 6*y^7")], relations=[rel])
+    J = [ring.parse("2*x"), ring.parse("y"), ring.parse("3*z")]
+    assert saturate(I, J=J, method="divide") == saturate(I, J=J, method="colon")
+
+
 def test_saturate_custom_ideal():
     # sat((x^2*y), (x)) = (y): divide out all x-power torsion
     ring = PolyRing(7, ["x", "y"])
