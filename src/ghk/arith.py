@@ -34,6 +34,7 @@ from .errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
 
 __all__ = [
     "Rat",
+    "rat_str",
     "PrimeField",
     "MonomialOrder",
     "PolyRing",
@@ -55,6 +56,11 @@ EXP_CAP = 1 << 20
 EXP_GUARD = 1 << (EXP_BITS - 1)
 MAX_VARS = 12
 _FMAX = (1 << EXP_BITS) - 1
+
+
+def rat_str(x: Rat) -> str:
+    """A rational as "num" or "num/den", the form every report uses."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------

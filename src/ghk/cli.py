@@ -15,7 +15,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .arith import Rat
+from .arith import Rat, rat_str
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -148,8 +148,9 @@ PROBLEM_SCHEMA = {
 }
 
 
-def _rat_str(x: Rat) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+# built once: jsonschema.validate would check PROBLEM_SCHEMA against its
+# metaschema on every call (tests/test_cli.py checks the schema instead)
+_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
 
 
 class _Cli:
@@ -275,11 +276,11 @@ class _Cli:
                 value = e_ghk_closed_form(
                     syz, section["twists"], quo, section.get("degY")
                 )
-                detail = {"kind": kind, "mu_syzygy": _rat_str(hk_slope(syz)), "mu_quotient": _rat_str(hk_slope(quo))}
+                detail = {"kind": kind, "mu_syzygy": rat_str(hk_slope(syz)), "mu_quotient": rat_str(hk_slope(quo))}
             elif kind == "classical":
                 syz = HNData.from_json_obj(section["syzygy"])
                 value = e_hk_closed_form(syz, section["twists"], section.get("degY"))
-                detail = {"kind": kind, "mu_syzygy": _rat_str(hk_slope(syz))}
+                detail = {"kind": kind, "mu_syzygy": rat_str(hk_slope(syz))}
             elif kind == "two_generated":
                 value = e_ghk_two_generated(
                     section["a"], section["b"], section["d"], section["degY"]
@@ -307,9 +308,9 @@ class _Cli:
         value, detail, notes = self._closed_form_value()
         self.write_json(
             "closed-form-report.json",
-            {"value": _rat_str(value), "detail": detail, "warnings": notes},
+            {"value": rat_str(value), "detail": detail, "warnings": notes},
         )
-        print(f"closed form: {_rat_str(value)}")
+        print(f"closed form: {rat_str(value)}")
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
         return 0
@@ -336,7 +337,7 @@ class _Cli:
         payload = {"table": table.to_json_dict()}
         e_exact = self._exact_multiplicity()
         if e_exact is not None:
-            payload["closed_form_value"] = _rat_str(e_exact)
+            payload["closed_form_value"] = rat_str(e_exact)
         fit = None
         if len(table.rows) >= 2 or (e_exact is not None and table.rows):
             gamma_bound = self.task.get("gamma_bound")
@@ -353,7 +354,7 @@ class _Cli:
         for skip in table.skipped:
             print(f"e={skip.e} skipped: {skip.reason}")
         if fit is not None:
-            print(f"estimate: {_rat_str(fit.estimate)}")
+            print(f"estimate: {rat_str(fit.estimate)}")
         return 3 if table.skipped else 0
 
     def cmd_hk(self) -> int:
@@ -369,8 +370,8 @@ class _Cli:
         payload = {"table": table.to_json_dict()}
         if len(table.rows) >= 2:
             estimate, bound = estimate_multiplicity(table)
-            payload["estimate"] = _rat_str(estimate)
-            payload["estimate_error_bound"] = _rat_str(bound)
+            payload["estimate"] = rat_str(estimate)
+            payload["estimate_error_bound"] = rat_str(bound)
         self.write_json("hk-report.json", payload)
         for row in rows:
             print(f"e={row.e} q={row.q} length={row.length}")
@@ -400,7 +401,7 @@ class _Cli:
         self.write_text("gamma-plot.csv", report.to_csv())
         print(
             f"max |gamma| = "
-            + ("n/a" if report.max_abs_gamma is None else _rat_str(report.max_abs_gamma))
+            + ("n/a" if report.max_abs_gamma is None else rat_str(report.max_abs_gamma))
             + f"; periodicity: {report.periodicity}"
         )
         return 3 if table.skipped else 0
@@ -424,10 +425,10 @@ class _Cli:
         self.write_json("sweep-report.json", {"sweep": report.to_json_dict()})
         self.write_text("sweep-summary.csv", report.to_csv())
         for row in report.rows:
-            est = "-" if row.estimate is None else _rat_str(row.estimate)
+            est = "-" if row.estimate is None else rat_str(row.estimate)
             flag = "ok" if row.validated else f"flagged ({row.reason})"
             print(f"p={row.p}: {flag} estimate={est}")
-        spread = "n/a" if report.spread is None else _rat_str(report.spread)
+        spread = "n/a" if report.spread is None else rat_str(report.spread)
         print(f"top-half spread: {spread}")
         budget_trouble = any("budget" in row.reason for row in report.rows) or any(
             row.table and row.table.skipped for row in report.rows
@@ -480,9 +481,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as ex:
         print(f"problem file is not valid JSON: {ex}", file=sys.stderr)
         return 2
-    try:
-        jsonschema.validate(problem, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as ex:
+    ex = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(problem))
+    if ex is not None:
         where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
         print(f"problem file invalid at {where}: {ex.message}", file=sys.stderr)
         return 2

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Rat, is_prime
+from .arith import Rat, is_prime, rat_str
 from .errors import BudgetExceededError, GhkError
 from .frobmod import GHKTable, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
 from .idealops import RingSpec
 
 
-def _rat_str(x: Rat) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _opt_rat_str(x):
-    return None if x is None else _rat_str(x)
+    return None if x is None else rat_str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +72,10 @@ class FitReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "estimate": _rat_str(self.estimate),
+            "estimate": rat_str(self.estimate),
             "error_bound": _opt_rat_str(self.error_bound),
             "gamma": [
-                {"e": e, "q": q, "length": length, "gamma": _rat_str(g)}
+                {"e": e, "q": q, "length": length, "gamma": rat_str(g)}
                 for e, q, length, g in self.gamma
             ],
             "max_abs_gamma": _opt_rat_str(self.max_abs_gamma),
@@ -91,7 +87,7 @@ class FitReport:
         lines = ["e,q,length,e_q2,gamma"]
         for e, q, length, g in self.gamma:
             lines.append(
-                f"{e},{q},{length},{_rat_str(self.estimate * q * q)},{_rat_str(g)}"
+                f"{e},{q},{length},{rat_str(self.estimate * q * q)},{rat_str(g)}"
             )
         return "\n".join(lines) + "\n"
 

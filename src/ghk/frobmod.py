@@ -20,8 +20,18 @@ from .errors import (
     HomogeneityError,
     RingMismatchError,
 )
+# buchberger, saturate and colength_difference are module globals here
+# so that bench/tracer.py can wrap them on this module too
 from .groebner import GbBudget, ModVector, Submodule, buchberger
-from .idealops import RingSpec, bracket_power, colength_difference, saturate
+from .idealops import (
+    SATURATION_METHODS,
+    RingSpec,
+    bracket_power,
+    certify_saturation,
+    colength_difference,
+    hilbert_series,
+    saturate,
+)
 
 
 class Presentation:
@@ -189,18 +199,30 @@ def ghk_value(
     supported at the irrelevant ideal: the length of sat(U)/U. Finite
     exactly when the module is torsion-free in codimension <= 1 territory,
     which the dimension-2 precondition guarantees for saturations.
+
+    Unless method is "colon", the length is read from the certified
+    Hilbert series difference of certify_saturation (one basis of U);
+    when no variable certifies, or for "colon", it is the colength of U
+    in its colon-route saturation.
     """
+    if method not in SATURATION_METHODS:
+        raise GhkError(f"unknown saturation method {method!r}")
     P.rspec.require_dim2()
     U = frobenius_pullback(P, e).image_submodule()
-    V = saturate(U, method=method, budget=budget)
+    if method != "colon":
+        cert = certify_saturation(U, budget)
+        if cert is not None:
+            return cert.length
+    V = saturate(U, method="colon", budget=budget)
     return colength_difference(U, V, budget)
 
 
 def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     """Classical length l(R/I^[q]) for an irrelevant-primary ideal I.
 
-    Deliberately a separate code path from ghk_value: the bracket power
-    is never saturated here, the length comes straight from the Hilbert
+    Deliberately a separate code path from ghk_value: nothing is
+    saturated here. I is irrelevant-primary iff R/I has finite length
+    (pole order 0), and the length comes straight from the Hilbert
     series of the bracket ideal. Acceptance pins the two paths to agree
     on primary inputs.
     """
@@ -208,8 +230,7 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
         raise GhkError("hk_value needs an ideal (rank-1 submodule)")
     if not isinstance(e, int) or e < 0:
         raise GhkHypothesisError(f"Frobenius exponent must be a non-negative integer, got {e!r}")
-    sat = saturate(I, method="auto", budget=budget)
-    if not buchberger(sat, budget).is_full_module():
+    if hilbert_series(I, budget).pole_order() != 0:
         raise GhkHypothesisError(
             "hk_value needs an irrelevant-primary ideal; the input does not saturate "
             "to the unit ideal"

@@ -12,11 +12,17 @@ generator list stays separate so that operations which must distinguish
 generators from relations (bracket powers) can do so.
 
 Module terms are packed into single integers, extending the ring's
-monomial keys by a component field: "top" order compares the ring
-monomial first (component 0 wins ties), "pot" compares the component
-first (component 0 largest), which is what block elimination uses.
-Shifting a vector by a monomial adds a constant to every packed key, so
-the reducer does one integer add per term.
+monomial keys by a component field. "top" order compares the module
+degree deg(m) + twists[j] first, then the ring monomial (component 0
+wins ties): the key of component j carries twists[j] - min(twists) in
+the ring key's top field. With equal twists that is the plain ring
+order. Under a grevlex ring order the module-degree rule gives the
+revlex property for any twists: if the last variable divides the lead
+of a homogeneous vector, it divides every term, which the certified
+saturation in idealops relies on. "pot" compares the component first
+(component 0 largest), which is what block elimination uses. Shifting
+a vector by a monomial adds a constant to every packed key, so the
+reducer does one integer add per term.
 
 Inside the engine a term's monomial is a PackedMonomials int from
 arith.py (exponent i in field i, a guard bit on top of each field), so
@@ -198,12 +204,16 @@ class _Ctx:
         self.p = ring.p
         self.pm = PackedMonomials(ring.nvars)
         if position == "top":
+            # module degree first: component j's twist excess goes into
+            # the ring key's top (degree) field; equal twists add 0
+            low = min(twists)
+            offs = tuple((e - low) << (ring.nvars * EXP_BITS) for e in twists)
 
-            def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX):
-                return (rk << _cb) | (_cm - comp)
+            def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
+                return ((rk + _offs[comp]) << _cb) | (_cm - comp)
 
-            def ring_key_of(k, _cb=COMP_BITS):
-                return k >> _cb
+            def ring_key_of(k, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
+                return (k >> _cb) - _offs[_cm - (k & _cm)]
 
         else:
             rb = (ring.nvars + 1) * EXP_BITS

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import Rat
+from .arith import Rat, rat_str
 from .errors import GhkHypothesisError, GhkHypothesisWarning
 
 
@@ -86,16 +86,12 @@ class HNData:
 
     def to_json_obj(self) -> dict:
         out = {
-            "quotients": [[r, _rat_str(mu)] for r, mu in self.quotients],
+            "quotients": [[r, rat_str(mu)] for r, mu in self.quotients],
             "degY": self.degY,
         }
         if self.total_degree is not None:
-            out["total_degree"] = _rat_str(self.total_degree)
+            out["total_degree"] = rat_str(self.total_degree)
         return out
-
-
-def _rat_str(x: Rat) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def hk_slope(H: HNData) -> Rat:

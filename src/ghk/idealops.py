@@ -13,10 +13,13 @@ Design rules enforced here:
   results in the same representation.
 * Lengths are read off exact Hilbert series differences (numerator
   polynomials over (1-t)^n), never by scanning graded pieces.
-* Saturation defaults to iterated colon by the irrelevant ideal; the
-  single-basis divide-by-last-variable route is available as an
-  explicit method ("divide", or "auto" to pick it when valid) and is
-  required by tests to agree with the default.
+* Saturation defaults to iterated colon by the irrelevant ideal, the
+  reference route. The certified one-basis route (method "divide", or
+  "auto" to pick it for the irrelevant ideal) works for any twists:
+  certify_saturation looks for a variable l whose grevlex basis with l
+  last proves U : l^inf = sat(U) by a pole-order-0 Hilbert series
+  difference, and the route falls back to colon when no variable
+  does. Tests require it to agree with the default.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
     "intersect",
     "colon",
     "saturate",
+    "certify_saturation",
+    "SaturationCertificate",
     "reflexive_hull",
     "hilbert_series",
     "colength_difference",
@@ -245,6 +250,21 @@ def _monomial_numerator(mons: tuple, memo: dict, pm: PackedMonomials) -> dict:
     return out
 
 
+def _lead_series(leads: dict, twists: tuple, nvars: int, memo: dict, pm: PackedMonomials) -> HilbertSeries:
+    """Hilbert series of F/(leads), F = sum_j S(-twists[j]).
+
+    leads maps a component to the lead monomials of a Groebner basis in
+    it; memo caches monomial-ideal numerators and may be shared by calls.
+    """
+    total: dict = {}
+    for j, e in enumerate(twists):
+        numer = _monomial_numerator(tuple(leads.get(j, ())), memo, pm)
+        for d, c in numer.items():
+            k = d + e
+            total[k] = total.get(k, 0) + c
+    return HilbertSeries.from_dict(total, nvars)
+
+
 def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSeries:
     """Hilbert series of F/U, F = sum_j S(-twists[j]), U given by spanning set.
 
@@ -252,17 +272,10 @@ def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSerie
     exact integer numerator over (1-t)^nvars.
     """
     gb = buchberger(U, budget)
-    memo: dict = {}
-    total: dict = {}
-    pm = PackedMonomials(U.ring.nvars)
-    by_comp = gb.lead_monomials_by_component()
-    for j in range(U.rank):
-        numer = _monomial_numerator(tuple(by_comp.get(j, ())), memo, pm)
-        e = U.twists[j]
-        for d, c in numer.items():
-            k = d + e
-            total[k] = total.get(k, 0) + c
-    return HilbertSeries.from_dict(total, U.ring.nvars)
+    nvars = U.ring.nvars
+    return _lead_series(
+        gb.lead_monomials_by_component(), U.twists, nvars, {}, PackedMonomials(nvars)
+    )
 
 
 def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> int:
@@ -455,6 +468,74 @@ def _ideal_generators(ring: PolyRing, J, relations) -> list:
 # saturation
 
 
+SATURATION_METHODS = ("colon", "divide", "auto")
+
+
+@dataclass(frozen=True)
+class SaturationCertificate:
+    """Proof that U : x_var^inf = sat(U), read off one Groebner basis.
+
+    gb is U's basis in grevlex with x_var last (over that reordering of
+    U's ring); torsion is HS(sat(U)/U), reduced to pole order 0.
+    """
+
+    var: int
+    gb: GroebnerBasis
+    torsion: HilbertSeries
+
+    @property
+    def length(self) -> int:
+        """Length of sat(U)/U."""
+        return self.torsion.numer_at_one()
+
+
+def _basis_with_last(U: Submodule, i: int, budget: GbBudget | None) -> GroebnerBasis:
+    """U's basis in "top" grevlex with variable i last; U's own cached
+    basis when that is already its order."""
+    ring = U.ring
+    varseq = ring.order.resolved_varseq(ring.nvars)
+    seq = tuple(j for j in varseq if j != i) + (i,)
+    if ring.order.kind == "grevlex" and seq == varseq and U.position == "top":
+        return buchberger(U, budget)
+    ring_i = ring.with_order(MonomialOrder("grevlex", varseq=seq))
+    conv = [ModVector(tuple(ring_i.convert(f) for f in v.components)) for v in U.spanning()]
+    return buchberger(Submodule(ring_i, U.rank, conv, twists=U.twists), budget)
+
+
+def certify_saturation(
+    U: Submodule, budget: GbBudget | None = None
+) -> SaturationCertificate | None:
+    """Find a variable l with U : l^inf = sat(U), or None.
+
+    Tries the ring order's last variable first (U's cached basis), then
+    the others. In grevlex with l last, in(U : l^inf) = in(U) : l^inf
+    (Bayer-Stillman), so one basis gives HS(F/U) from its leads and
+    HS(F/(U : l^inf)) from the same leads with the l-exponent set to 0.
+    U : l^inf contains sat(U); when the difference has pole order 0,
+    (U : l^inf)/U has finite length, so it lies in sat(U) and the two
+    are equal.
+    """
+    ring = U.ring
+    nvars = ring.nvars
+    varseq = ring.order.resolved_varseq(nvars)
+    pm = PackedMonomials(nvars)
+    memo: dict = {}
+    for i in varseq[-1:] + varseq[:-1]:
+        gb = _basis_with_last(U, i, budget)
+        leads = gb.lead_monomials_by_component()
+        cut = {
+            j: [m[:i] + (0,) + m[i + 1:] for m in mons] for j, mons in leads.items()
+        }
+        diff = _lead_series(leads, U.twists, nvars, memo, pm).sub(
+            _lead_series(cut, U.twists, nvars, memo, pm)
+        ).reduced()
+        if diff.denom_power == 0:
+            if diff.numer_at_one() < 0:
+                raise GhkError("internal error: negative saturation length")
+            return SaturationCertificate(i, gb, diff)
+    return None
+
+
 def saturate(
     U: Submodule,
     J=None,
@@ -466,15 +547,16 @@ def saturate(
     method "colon" (default): iterate W <- (W : J) until stable. This is
     the reference semantics.
 
-    method "divide": per-variable single-basis route, valid when J is
-    the irrelevant ideal and all ambient twists are equal: a basis in a
-    degree-order whose tie-break favors dividing by the chosen last
-    variable stays a basis after each element is divided by the largest
-    power of that variable dividing it; the full saturation is the
-    intersection of the per-variable saturations. Much faster on
-    Frobenius-power workloads; tests pin it to the "colon" answer.
+    method "divide": the certified one-basis route, for J the
+    irrelevant ideal and any ambient twists. certify_saturation finds a
+    variable l with U : l^inf = sat(U); each element of the basis with
+    l last is divided by the largest power of l dividing its lead, which
+    divides the whole vector (the module-degree "top" order of
+    groebner.py), and those quotients span sat(U). When no variable
+    certifies, the result comes from the "colon" route. Tests pin it to
+    the "colon" answer.
 
-    method "auto": "divide" when applicable, else "colon".
+    method "auto": "divide" for the irrelevant ideal, else "colon".
     """
     ring = U.ring
     irrelevant = J is None
@@ -486,103 +568,36 @@ def saturate(
     else:
         jgens = [ring.variable(i) for i in range(ring.nvars)]
 
-    if method not in ("colon", "divide", "auto"):
+    if method not in SATURATION_METHODS:
         raise GhkError(f"unknown saturation method {method!r}")
-    divisible = irrelevant and len(set(U.twists)) == 1
-    if method == "divide" and not divisible:
-        raise GhkError(
-            "saturation method 'divide' needs the irrelevant ideal and equal twists"
-        )
-    if method == "auto":
-        method = "divide" if divisible else "colon"
+    if method == "divide" and not irrelevant:
+        raise GhkError("saturation method 'divide' needs the irrelevant ideal")
+    if method != "colon" and irrelevant:
+        cert = certify_saturation(U, budget)
+        if cert is not None:
+            return _divide_out(U, cert)
 
-    if method == "colon":
-        W = U
-        while True:
-            W2 = colon(W, jgens, budget)
-            if _contains_with_budget(W, W2, budget):
-                return W
-            W = W2
-
-    return _saturate_by_division(U, budget)
+    W = U
+    while True:
+        W2 = colon(W, jgens, budget)
+        if _contains_with_budget(W, W2, budget):
+            return W
+        W = W2
 
 
-def _saturate_by_division(U: Submodule, budget: GbBudget | None) -> Submodule:
-    ring = U.ring
-    n = ring.nvars
-    gbU = buchberger(U, budget)
-    # try variables carrying the least lead-monomial weight first: a
-    # variable absent from the staircase is the likeliest to certify
-    # that U is already saturated, ending the whole computation after a
-    # single basis
-    load = [0] * n
-    for _comp, mon in gbU.lead_terms():
-        for j in range(n):
-            load[j] += mon[j]
-    order = sorted(range(n), key=lambda j: (load[j], j))
-    per_variable: list = []
-    for i in order:
-        sat_i, changed = _saturate_one_variable(U, i, gbU, budget)
-        # early exit: if a single-variable saturation adds nothing, U is
-        # already saturated (U <= sat(U, R+) <= sat(U, x_i) = U)
-        if not changed or all(gbU.contains(v) for v in sat_i.gens):
-            return U
-        per_variable.append(sat_i)
-    result = per_variable[0]
-    for sat_i in per_variable[1:]:
-        if _contains_with_budget(sat_i, result, budget):
-            continue
-        if _contains_with_budget(result, sat_i, budget):
-            result = sat_i
-            continue
-        result = intersect(result, sat_i, budget)
-    return result
-
-
-def _saturate_one_variable(U, i, gbU, budget) -> tuple:
-    """sat(U, x_i) by the divide trick in a degree order ending at x_i.
-
-    Returns (submodule, changed); changed False means no generator was
-    divisible by x_i, so the result is U itself verbatim.
-    """
-    ring, rank = U.ring, U.rank
-    seq = tuple(j for j in range(ring.nvars) if j != i) + (i,)
-    ambient_varseq = ring.order.varseq or tuple(range(ring.nvars))
-    if ring.order.kind == "grevlex" and seq == ambient_varseq:
-        ring_i, gb = ring, gbU
-    else:
-        ring_i = ring.with_order(MonomialOrder("grevlex", varseq=seq))
-        conv = [
-            ModVector(tuple(ring_i.convert(f) for f in v.components))
-            for v in U.spanning()
-        ]
-        gb = buchberger(
-            Submodule(ring_i, rank, conv, twists=U.twists, position=U.position), budget
-        )
-    changed = False
-    back = []
-    for vec in gb.vectors:
-        mult = min(
-            (f.variable_multiplicity(i) for f in vec.components if not f.is_zero()),
-            default=0,
-        )
-        if mult == 0 and ring_i is ring:
-            back.append(vec)
-            continue
-        changed = changed or mult > 0
-        comps = []
-        for f in vec.components:
-            if f.is_zero():
-                comps.append(ring.zero)
-            else:
-                comps.append(ring.convert(f.divide_by_variable_power(i, mult)))
-        back.append(ModVector(comps))
-    if not changed:
-        return U, False
-    sub = Submodule(
-        ring, rank, back, twists=U.twists, relations=U.relations, position=U.position
+def _divide_out(U: Submodule, cert: SaturationCertificate) -> Submodule:
+    """sat(U) from a certificate: each basis element over x_var^a, a the
+    x_var-exponent of its lead."""
+    if cert.torsion.is_zero():
+        return U
+    ring, i = U.ring, cert.var
+    back = [
+        ModVector(tuple(ring.convert(f.divide_by_variable_power(i, lead[i])) for f in vec.components))
+        for vec, (_, lead) in zip(cert.gb.vectors, cert.gb.lead_terms())
+    ]
+    return Submodule(
+        ring, U.rank, back, twists=U.twists, relations=U.relations, position=U.position
     )
-    return sub, True
 
 
 # ---------------------------------------------------------------------------

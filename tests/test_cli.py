@@ -6,9 +6,10 @@ tmp_path so every test sees a fresh directory.
 
 import json
 
+import jsonschema
 import pytest
 
-from ghk.cli import main
+from ghk.cli import PROBLEM_SCHEMA, main
 
 FERMAT_RING = {
     "prime": 7,
@@ -54,6 +55,29 @@ def test_schema_violation_is_path_addressed(tmp_path, capsys):
     assert main([write_problem(tmp_path, problem)]) == 2
     err = capsys.readouterr().err
     assert "module" in err
+
+
+def test_problem_schema_is_valid():
+    # main validates with a validator built once, without the metaschema check
+    jsonschema.validators.validator_for(PROBLEM_SCHEMA).check_schema(PROBLEM_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"ring": FERMAT_RING, "module": {"ideal": ["x"], "presentation": {}}},
+        {"ring": {"prime": 1, "variables": []}},
+        {"ring": FERMAT_RING, "task": {"command": "ghk", "jobs": 0}, "extra": 1},
+        [],
+    ],
+)
+def test_schema_errors_match_jsonschema_validate(tmp_path, capsys, problem):
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(problem, PROBLEM_SCHEMA)
+    ex = info.value
+    where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
+    assert main([write_problem(tmp_path, problem)]) == 2
+    assert capsys.readouterr().err == f"problem file invalid at {where}: {ex.message}\n"
 
 
 def test_unknown_command_in_file_exits_2(tmp_path):

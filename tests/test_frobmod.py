@@ -17,7 +17,7 @@ from ghk.frobmod import (
     presentation_of_quotient,
 )
 from ghk.groebner import GbBudget, ModVector, Submodule
-from ghk.idealops import RingSpec
+from ghk.idealops import RingSpec, certify_saturation
 
 from naive_curve import CurveRing, cubic_point_torsion_length, finite_colength
 from naive_poly import NaivePoly
@@ -169,6 +169,58 @@ def test_sweep_curve_values():
     g1 = NaivePoly(5, 3, {(5, 0, 0): 1, (0, 5, 0): 4})
     g2 = NaivePoly(5, 3, {(0, 5, 0): 1, (0, 0, 5): 4})
     assert cubic_point_torsion_length(curve, [g1, g2], 5) == 32
+
+
+def test_certified_length_on_a_coordinate_line(fermat7):
+    # the point [1:-1:0] lies on z = 0: the certificate rejects z (tried
+    # first, as the ring order's last variable) and certifies with x
+    P = presentation_of_quotient(fermat7.ideal(["z", "x + y"]), fermat7)
+    cert = certify_saturation(frobenius_pullback(P, 1).image_submodule())
+    assert cert.var == 0
+    p = 7
+    curve = CurveRing(p, 3, reducer=(2, 3, NaivePoly(p, 3, {(3, 0, 0): 6, (0, 3, 0): 6})))
+    g1 = NaivePoly(p, 3, {(0, 0, 7): 1})
+    g2 = NaivePoly(p, 3, {(7, 0, 0): 1, (0, 7, 0): 1})
+    oracle = cubic_point_torsion_length(curve, [g1, g2], 7)
+    assert cert.length == oracle == ghk_value(P, 1) == ghk_value(P, 1, method="colon")
+
+
+def test_certified_length_off_the_coordinate_lines():
+    # the point [1:1:1] avoids z = 0, so the basis U already has certifies
+    R = RingSpec(5, ["x", "y", "z"], ["x^3 + y^3 - 2*z^3"])
+    P = presentation_of_quotient(R.ideal(["x - y", "y - z"]), R)
+    U = frobenius_pullback(P, 1).image_submodule()
+    cert = certify_saturation(U)
+    assert cert.var == 2
+    assert cert.gb is U.groebner()
+    curve = CurveRing(5, 3, reducer=(2, 3, NaivePoly(5, 3, {(3, 0, 0): 3, (0, 3, 0): 3})))
+    g1 = NaivePoly(5, 3, {(5, 0, 0): 1, (0, 5, 0): 4})
+    g2 = NaivePoly(5, 3, {(0, 5, 0): 1, (0, 0, 5): 4})
+    assert cert.length == cubic_point_torsion_length(curve, [g1, g2], 5) == 32
+    assert ghk_value(P, 1, method="colon") == 32
+
+
+def test_uncertified_length_falls_back_to_colon(plane7):
+    # R/(x^2*y, x*y^2): its torsion sits at [1:0] and [0:1], one on each
+    # coordinate line, so no variable certifies; sat(U)/U is
+    # (xy)^q * k[x, y]/(x^q, y^q), of length q^2
+    P = presentation_of_quotient(plane7.ideal(["x^2*y", "x*y^2"]), plane7)
+    assert certify_saturation(frobenius_pullback(P, 1).image_submodule()) is None
+    assert ghk_value(P, 1) == ghk_value(P, 1, method="colon") == 49
+
+
+def test_unequal_row_twists_take_the_certified_route(fermat7):
+    point = fermat7.ideal(["z", "x + y"])
+    A = presentation_of_quotient(point, fermat7)
+    B = Presentation(fermat7, (1,), (2, 2), [ModVector((g[0],)) for g in point.gens])
+    P = direct_sum(A, B)
+    assert certify_saturation(frobenius_pullback(P, 1).image_submodule()) is not None
+    assert ghk_value(P, 1) == ghk_value(P, 1, method="colon") == 2 * ghk_value(A, 1)
+
+
+def test_ghk_value_rejects_unknown_method(fermat7):
+    with pytest.raises(GhkError):
+        ghk_value(point_presentation(fermat7), 1, method="guess")
 
 
 # ---------------------------------------------------------------------------

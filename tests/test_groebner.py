@@ -392,6 +392,21 @@ def test_homogeneity_enforced():
     Submodule(ring, 2, [v], twists=(0, 1))  # deg 2 both ways
 
 
+def test_top_order_compares_module_degree_first():
+    # (y^3, x) with twists (0, 2): both terms have module degree 3, and
+    # grevlex then prefers x (no y) to y^3, so y divides no lead of a
+    # vector it does not divide; ring degree first would pick y^3
+    ring = PolyRing(7, ["x", "y"])
+    x, y = ring.gens()
+    v = ModVector((y**3, x))
+    gb = buchberger(Submodule(ring, 2, [v], twists=(0, 2)))
+    assert gb.lead_terms() == ((1, (1, 0)),)
+    assert gb.vectors == (v,)
+    # (0, xy + y^2) - y*v = (-y^4, y^2), whose lead (1, y^2) is irreducible
+    w = ModVector((ring.zero, x * y + y * y))
+    assert normal_form(w, gb) == ModVector((-(y**4), y * y))
+
+
 def test_ambient_mismatch_rejected():
     r1 = PolyRing(7, ["x", "y"])
     r2 = PolyRing(5, ["x", "y"])

@@ -18,6 +18,7 @@ from ghk.idealops import (
     HilbertSeries,
     RingSpec,
     bracket_power,
+    certify_saturation,
     colength_difference,
     colon,
     degree_of_proj,
@@ -400,13 +401,42 @@ def test_saturate_module_equal_twists_both_methods():
     assert buchberger(a).is_full_module()
 
 
-def test_saturate_divide_guard_unequal_twists():
-    ring = PolyRing(5, ["x", "y"])
-    x, y = ring.gens()
-    U = Submodule(ring, 2, [ModVector((x * x, y))], twists=(0, 1))
-    with pytest.raises(GhkError):
-        saturate(U, method="divide")
-    saturate(U)  # iterated colon path still works
+@pytest.mark.parametrize(
+    "twists, gens",
+    [
+        ((0, 1), [("x^2", "y")]),
+        ((0, 1), [("x^3", "x*y"), ("x^2*y", "y^2")]),
+        ((0, 2), [("3*y^3", "4*y"), ("2*x*y^2", "5*x")]),
+        # non-split: the certificate needs the module-degree "top" order
+        # (without it the first certifies a length of 9, the second 16)
+        ((0, 2), [("4*x*y^3", "3*x^2 + 5*y^2"), ("4*x^3*y + 3*x*y^3 + 6*y^4", "6*x^2 + y^2")]),
+        ((0, 2), [("x^4 + y^4", "x^2"), ("x^3*y", "x*y + y^2")]),
+    ],
+)
+def test_saturate_divide_equals_colon_unequal_twists(twists, gens):
+    ring = PolyRing(7, ["x", "y"])
+    vecs = [ModVector((ring.parse(a), ring.parse(b))) for a, b in gens]
+    U = Submodule(ring, 2, vecs, twists=twists)
+    ref = saturate(U, method="colon")
+    assert saturate(U, method="divide") == ref
+    cert = certify_saturation(U)
+    assert cert is not None
+    assert cert.length == colength_difference(U, ref)
+
+
+def test_certified_saturation_falls_back_on_coordinate_triangle():
+    # sat = (xy, yz, xz): every variable vanishes on one of its three
+    # points, so no variable certifies and the divide route uses colon
+    ring = PolyRing(7, ["x", "y", "z"])
+    m = ["x", "y", "z"]
+    triangle = ["x*y", "y*z", "x*z"]
+    I = Submodule.ideal(ring, [ring.parse(f"{a}*{b}") for a in m for b in triangle])
+    assert certify_saturation(I) is None
+    expect = Submodule.ideal(ring, [ring.parse(f) for f in triangle])
+    assert saturate(I, method="colon") == expect
+    S = saturate(I, method="divide")
+    assert S == expect
+    assert colength_difference(I, S) == 3
 
 
 def test_saturate_scaled_variables_are_the_irrelevant_ideal():
