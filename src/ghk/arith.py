@@ -120,21 +120,6 @@ class PrimeField:
         else:
             self._inv_table = None
 
-    def reduce(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -439,6 +424,10 @@ class PolyRing:
 
     def __hash__(self) -> int:
         return hash((self.p, self.variables, self.order))
+
+    def __reduce__(self):
+        # the key closures do not pickle; rebuild them from the order
+        return (PolyRing, (self.p, self.variables, self.order))
 
     def __repr__(self) -> str:
         return f"PolyRing(F_{self.p}, {list(self.variables)}, {self.order!r})"

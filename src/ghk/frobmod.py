@@ -235,10 +235,12 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
             "hk_value needs an irrelevant-primary ideal; the input does not saturate "
             "to the unit ideal"
         )
-    q = I.ring.p ** e
-    B = bracket_power(I, q)
-    unit = Submodule.ideal(I.ring, [I.ring.one], relations=I.relations)
-    return colength_difference(B, unit, budget)
+    hs = hilbert_series(bracket_power(I, I.ring.p ** e), budget).reduced()
+    if hs.denom_power > 0:
+        raise GhkHypothesisError(
+            f"R/I^[q] has dimension {hs.denom_power} > 0; its length is infinite"
+        )
+    return hs.numer_at_one()
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +313,13 @@ class GHKTable:
         }
 
 
-def _presentation_task(P: Presentation, e: int, budget, method: str) -> tuple:
-    rspec = P.rspec
-    cols = [[str(f) for f in v.components] for v in P.columns]
-    rels = [str(r) for r in rspec.relations]
-    bud = (budget.max_degree, budget.max_pairs) if budget else None
-    return (
-        rspec.p,
-        tuple(rspec.ring.variables),
-        tuple(rels),
-        P.row_twists,
-        P.col_twists,
-        tuple(tuple(c) for c in cols),
-        e,
-        bud,
-        method,
-    )
-
-
 def _run_row(task: tuple) -> tuple:
     """Worker for one table row; must stay importable at module top level
-    so tasks can cross process boundaries."""
-    p, variables, rels, row_twists, col_twists, cols, e, bud, method = task
-    rspec = RingSpec(p, list(variables), list(rels))
-    columns = [ModVector(tuple(rspec.parse(s) for s in col)) for col in cols]
-    P = Presentation(rspec, row_twists, col_twists, columns)
-    budget = GbBudget(*bud) if bud else None
+    so tasks can cross process boundaries. A task is (P, e, budget,
+    method); P pickles with its ring, monomial order included."""
+    P, e, budget, method = task
     try:
-        return ("ok", e, p ** e, ghk_value(P, e, budget=budget, method=method))
+        return ("ok", e, P.rspec.p ** e, ghk_value(P, e, budget=budget, method=method))
     except BudgetExceededError as ex:
         return ("skipped", e, str(ex))
 
@@ -369,15 +350,11 @@ def ghk_table(
     if jobs > 1 and len(exponents) > 1:
         import concurrent.futures
 
-        tasks = [_presentation_task(P, e, budget, method) for e in exponents]
+        tasks = [(P, e, budget, method) for e in exponents]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_row, tasks))
     else:
-        for e in exponents:
-            try:
-                results.append(("ok", e, P.rspec.p ** e, ghk_value(P, e, budget=budget, method=method)))
-            except BudgetExceededError as ex:
-                results.append(("skipped", e, str(ex)))
+        results = [_run_row((P, e, budget, method)) for e in exponents]
 
     rows = []
     skipped = []

@@ -3,7 +3,11 @@
 Buchberger's algorithm with the Gebauer-Moller pair filters, normal
 (degree-first) pair selection with ties broken by input index, and
 canonical reduced output: the reduced basis of a submodule is unique
-for a fixed order, so results are reproducible across strategies.
+for a fixed order, so results are reproducible across strategies. The
+engine stops at a minimal basis; its tails are reduced against the
+whole basis only when GroebnerBasis.vectors is first read. Leads,
+membership and normal forms are read without that pass, and a Hilbert
+series needs only the leads.
 
 Quotient rings R = S/(relations) are never represented directly. A
 submodule of a free R-module is stored over the polynomial ring S with
@@ -108,6 +112,9 @@ class ModVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModVector is immutable")
+
+    def __reduce__(self):
+        return (ModVector, (self.components,))
 
     @property
     def rank(self) -> int:
@@ -400,7 +407,13 @@ def _update_pairs(
 
 
 def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
-    """Run Buchberger to completion; return reduced monic records ascending."""
+    """Run Buchberger to completion; return a minimal basis, ascending.
+
+    The records are monic with pairwise non-dividing leads. Each tail
+    was reduced against the basis as it stood when its record was
+    installed, so a later element may still divide a tail term; the
+    leads are final, and _interreduce makes the basis reduced.
+    """
     p = ctx.p
     ring = ctx.ring
     pm = ctx.pm
@@ -469,18 +482,25 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
         else:
             leads.append(rec[2])
             keep.append(rec)
-    # interreduce tails against the whole minimal set; an element's own
-    # lead can never divide its tail monomials (divisibility implies
-    # order-greater), so one shared lookup table is safe.
-    final_by_comp: dict = {}
-    for rec in keep:
-        final_by_comp.setdefault(rec[1], []).append(rec)
-    out = []
-    for rec in keep:
-        tail = _reduce([(rec[3], 1, 0, 0)], final_by_comp, p, guard)
-        out.append((rec[0], rec[1], rec[2], tail, rec[4]))
-    out.sort(key=lambda rec: rec[0])
-    return out
+    return keep
+
+
+def _interreduce(records: list, p: int, guard: int) -> list:
+    """Reduce every tail of a minimal basis against the whole basis.
+
+    records: monic records of a minimal Groebner basis, ascending. Leads
+    and order are kept, so the result is the reduced basis, ascending.
+    An element's own lead can never divide its tail monomials
+    (divisibility implies order-greater), so one shared lookup table is
+    safe.
+    """
+    by_comp: dict = {}
+    for rec in records:
+        by_comp.setdefault(rec[1], []).append(rec)
+    return [
+        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0, 0)], by_comp, p, guard), rec[4])
+        for rec in records
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +512,44 @@ class GroebnerBasis:
 
     Elements are monic, no term of any element is divisible by the lead
     of another, and vectors are sorted by ascending lead. Reusable as a
-    reducer via normal_form/contains. The vectors are unpacked from the
-    engine's records on first use; many callers only reduce or read leads.
+    reducer via normal_form/contains.
+
+    The engine hands over a minimal basis; its tails are reduced the
+    first time vectors (or iteration) is read, and the vectors are
+    unpacked then. Leads, membership and normal forms are read from the
+    records as they stand: they depend only on the leads and on the
+    module, so that pass never changes them, and callers that only
+    reduce or read leads never pay for it.
     """
 
-    __slots__ = ("ring", "rank", "twists", "position", "_vectors", "_records", "_by_comp", "_ctx")
+    __slots__ = (
+        "ring", "rank", "twists", "position", "_vectors", "_records", "_by_comp", "_ctx",
+        "_reduced",
+    )
 
-    def __init__(self, ctx: _Ctx, records: list):
+    def __init__(self, ctx: _Ctx, records: list, reduced: bool = False):
         self.ring = ctx.ring
         self.rank = ctx.rank
         self.twists = ctx.twists
         self.position = ctx.position
         self._ctx = ctx
+        self._set_records(records)
+        self._reduced = reduced
+        self._vectors = None
+
+    def _set_records(self, records: list) -> None:
         self._records = tuple(records)
         by_comp: dict = {}
         for rec in records:
             by_comp.setdefault(rec[1], []).append(rec)
         self._by_comp = by_comp
-        self._vectors = None
 
     @property
     def vectors(self) -> tuple:
         if self._vectors is None:
+            if not self._reduced:
+                self._set_records(_interreduce(self._records, self.ring.p, self._ctx.pm.guard))
+                self._reduced = True
             to_vec = self._ctx.terms_to_vec
             self._vectors = tuple(to_vec(_record_terms(rec)) for rec in self._records)
         return self._vectors
@@ -714,7 +750,7 @@ def _trusted_reduced_basis(
         (_monic_record(ctx, ctx.vec_to_terms(v)) for v in vectors if not v.is_zero()),
         key=lambda rec: rec[0],
     )
-    return GroebnerBasis(ctx, records)
+    return GroebnerBasis(ctx, records, reduced=True)
 
 
 def buchberger(U: Submodule, budget: GbBudget | None = None) -> GroebnerBasis:

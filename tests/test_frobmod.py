@@ -1,8 +1,11 @@
 """Presentation/pullback mechanics and the two length routes, pinned to
 linear-algebra oracle values on small Frobenius powers."""
 
+import pickle
+
 import pytest
 
+from ghk.arith import MonomialOrder
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, RingMismatchError
 from ghk.frobmod import (
     GHKRow,
@@ -368,3 +371,21 @@ def test_table_parallel_matches_serial(fermat7):
     serial = ghk_table(P, 2)
     parallel = ghk_table(P, 2, jobs=2)
     assert serial == parallel
+
+
+@pytest.fixture(scope="module")
+def fermat7_reordered():
+    return RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"], order=MonomialOrder("grevlex", (2, 0, 1)))
+
+
+def test_presentation_pickles_with_its_order(fermat7_reordered):
+    P = point_presentation(fermat7_reordered)
+    Q = pickle.loads(pickle.dumps(P))
+    assert Q == P
+    assert Q.rspec.ring.order == MonomialOrder("grevlex", (2, 0, 1))
+    assert ghk_value(Q, 1) == ghk_value(P, 1)
+
+
+def test_table_parallel_matches_serial_under_a_reordered_ring(fermat7_reordered):
+    P = point_presentation(fermat7_reordered)
+    assert ghk_table(P, 2, jobs=2) == ghk_table(P, 2)

@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ghk.groebner as groebner
 from ghk.arith import EXP_CAP, MonomialOrder, PackedMonomials, PolyRing
 from ghk.errors import BudgetExceededError, GhkError, HomogeneityError, RingMismatchError
+from ghk.frobmod import hk_value
 from ghk.groebner import (
     GbBudget,
     GroebnerBasis,
@@ -16,6 +20,7 @@ from ghk.groebner import (
     is_member,
     normal_form,
 )
+from ghk.idealops import RingSpec, certify_saturation, hilbert_series
 
 from naive_modules import naive_member
 from naive_poly import monomials_of_degree
@@ -234,6 +239,93 @@ def test_basis_cached_on_submodule():
     ring = PolyRing(7, ["x", "y"])
     U = Submodule.ideal(ring, [ring.parse("x^2 + y^2")])
     assert U.groebner() is U.groebner()
+
+
+# ---------------------------------------------------------------------------
+# lazy tail interreduction
+
+
+@pytest.fixture
+def interreduce_calls(monkeypatch):
+    calls = []
+    real = groebner._interreduce
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_interreduce", counting)
+    return calls
+
+
+def test_interreduction_runs_once_on_first_read_of_vectors(interreduce_calls):
+    # xy + y^2 is installed before y^2, so its tail is reducible until
+    # the basis vectors are read
+    ring = PolyRing(7, ["x", "y"])
+    U = Submodule.ideal(ring, [ring.parse("x*y + y^2"), ring.parse("y^2")])
+    gb = buchberger(U)
+    assert gb.lead_terms() == ((0, (0, 2)), (0, (1, 1)))
+    assert gb.contains(ring.parse("x*y"))
+    assert gb.normal_form(ring.parse("x^2 + x*y")) == ModVector((ring.parse("x^2"),))
+    assert gb.is_full_module() is False
+    assert len(gb._records[1][3]) == 1  # x*y still carries the tail y^2
+    assert interreduce_calls == []
+    assert [str(v[0]) for v in gb.vectors] == ["y^2", "x*y"]
+    assert interreduce_calls == [2]
+    assert [str(v[0]) for v in gb] == ["y^2", "x*y"]
+    assert gb.vectors is gb.vectors
+    assert interreduce_calls == [2]
+
+
+def test_leads_only_callers_never_interreduce(interreduce_calls):
+    R = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    I = R.ideal(["z", "3*x - y"])
+    assert hilbert_series(I).pole_order() == 1
+    assert I.contains(R.parse("z*x"))
+    assert not I.contains(R.parse("x"))
+    point = R.ideal(["z^7", "3*x^7 - y^7"])
+    cert = certify_saturation(point)
+    assert cert is not None and cert.length > 0
+    assert hk_value(R.ideal(["x", "y", "z"]), 1) == 109
+    assert interreduce_calls == []
+
+
+@st.composite
+def homogeneous_polys(draw, ring, deg):
+    if deg < 0:
+        return ring.zero
+    mons = monomials_of_degree(ring.nvars, deg)
+    coeffs = st.integers(1, ring.p - 1)
+    return ring.from_pairs(draw(st.lists(st.tuples(st.sampled_from(mons), coeffs), max_size=4)))
+
+
+@st.composite
+def module_vectors(draw, ring, twists, deg):
+    return ModVector(tuple(draw(homogeneous_polys(ring, deg - e)) for e in twists))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), twists=st.sampled_from([(0,), (0, 1)]))
+def test_normal_forms_do_not_depend_on_the_lazy_pass(data, p, twists):
+    ring = PolyRing(p, ["x", "y"])
+
+    def draw_vec(deg):
+        return data.draw(module_vectors(ring, twists, deg))
+
+    gens = [draw_vec(data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(1, 3)))]
+    rels = [data.draw(homogeneous_polys(ring, 2))] if data.draw(st.booleans()) else []
+    U = Submodule(ring, len(twists), gens, twists=twists, relations=rels)
+    gb = buchberger(U)
+    probes = [draw_vec(data.draw(st.integers(2, 5))) for _ in range(4)] + list(U.gens)
+    before = [(gb.normal_form(v), gb.contains(v)) for v in probes]
+    gb.vectors
+    after = [(gb.normal_form(v), gb.contains(v)) for v in probes]
+    assert before == after
+    span = spanning_dicts(U)
+    for v, (nf, member) in zip(probes, after):
+        assert member == nf.is_zero()
+        assert member == naive_member(to_dict(v), span, twists, 2, p)
+        assert naive_member(to_dict(v - nf), span, twists, 2, p)
 
 
 # ---------------------------------------------------------------------------
