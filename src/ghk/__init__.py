@@ -66,7 +66,6 @@ from .idealops import (
     bracket_power,
     colength_difference,
     colon,
-    degree_of_proj,
     hilbert_series,
     intersect,
     reflexive_hull,
@@ -107,7 +106,6 @@ __all__ = [
     "buchberger",
     "colength_difference",
     "colon",
-    "degree_of_proj",
     "direct_sum",
     "e_ghk_closed_form",
     "e_ghk_point",

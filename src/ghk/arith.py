@@ -635,33 +635,6 @@ class Poly:
                 base = base * base
         return result
 
-    def exact_divide(self, divisor: "Poly") -> "Poly":
-        """Quotient self/divisor; raises GhkError when division is not exact."""
-        _same_ring(self, divisor)
-        if not divisor._t:
-            raise ZeroDivisionError("division by the zero polynomial")
-        ring = self.ring
-        p = ring.p
-        dk, dm, dc = divisor._t[0]
-        dcinv = ring.field.inv(dc)
-        rem = self
-        qterms = []
-        while rem._t:
-            k, m, c = rem._t[0]
-            qm = mon_div(m, dm)
-            if qm is None:
-                raise GhkError(f"{divisor} does not divide {self} exactly")
-            qc = c * dcinv % p
-            qterms.append((ring.key(qm), qm, qc))
-            rem = rem - divisor.mul_monomial(qm, qc)
-        return Poly(ring, tuple(qterms))
-
-    def variable_multiplicity(self, i: int) -> int:
-        """Largest a with x_i^a dividing self (min exponent of x_i)."""
-        if not self._t:
-            raise GhkError("the zero polynomial is divisible by every power")
-        return min(m[i] for _, m, c in self._t)
-
     def divide_by_variable_power(self, i: int, a: int) -> "Poly":
         """self / x_i^a; requires x_i^a to divide every term."""
         if a == 0:

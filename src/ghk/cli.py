@@ -140,7 +140,6 @@ PROBLEM_SCHEMA = {
                     },
                 },
                 "jobs": {"type": "integer", "minimum": 1},
-                "method": {"enum": ["auto", "colon", "divide"]},
                 "out": {"type": "string"},
             },
         },
@@ -175,9 +174,6 @@ class _Cli:
 
     def jobs(self) -> int:
         return self.args.jobs or self.task.get("jobs", 1)
-
-    def method(self) -> str:
-        return self.task.get("method", "auto")
 
     def e_max(self) -> int:
         return self.task.get("e_max", 2)
@@ -331,7 +327,6 @@ class _Cli:
             P,
             self.e_max(),
             budget=self.budget(),
-            method=self.method(),
             jobs=self.jobs(),
         )
         payload = {"table": table.to_json_dict()}
@@ -390,7 +385,6 @@ class _Cli:
             P,
             self.e_max(),
             budget=self.budget(),
-            method=self.method(),
             jobs=self.jobs(),
         )
         report = gamma_analysis(table, e_exact)
@@ -419,7 +413,6 @@ class _Cli:
             self.sweep_primes(),
             self.e_max(),
             budget=self.budget(),
-            method=self.method(),
             jobs=self.jobs(),
         )
         self.write_json("sweep-report.json", {"sweep": report.to_json_dict()})

@@ -223,7 +223,7 @@ class SweepReport:
 
 def _sweep_row(task: tuple) -> dict:
     """One prime specialization; top-level so tasks survive pickling."""
-    variables, relations, generators, denominators, p, e_max, bud, method = task
+    variables, relations, generators, denominators, p, e_max, bud = task
     family = FamilySpec(variables, relations, generators, denominators)
     budget = GbBudget(*bud) if bud else None
     if not is_prime(p):
@@ -243,7 +243,7 @@ def _sweep_row(task: tuple) -> dict:
         return {"p": p, "validated": False, "reason": "a generator degenerates to zero mod p"}
     P = presentation_of_quotient(rspec.ideal(gens), rspec)
     try:
-        table = ghk_table(P, e_max, budget=budget, method=method)
+        table = ghk_table(P, e_max, budget=budget)
     except BudgetExceededError as ex:
         return {"p": p, "validated": True, "reason": f"budget exceeded: {ex}", "table": None}
     out = {"p": p, "validated": True, "reason": "", "table": table}
@@ -261,7 +261,6 @@ def prime_sweep(
     primes,
     e_max: int,
     budget: GbBudget | None = None,
-    method: str = "auto",
     jobs: int = 1,
 ) -> SweepReport:
     """Specialize the family at each prime, compute the length table and
@@ -288,7 +287,6 @@ def prime_sweep(
             p,
             e_max,
             bud,
-            method,
         )
         for p in primes
     ]

@@ -20,17 +20,16 @@ from .errors import (
     HomogeneityError,
     RingMismatchError,
 )
-# buchberger, saturate and colength_difference are module globals here
-# so that bench/tracer.py can wrap them on this module too
+# buchberger and colength_difference are module globals here so that
+# bench/tracer.py can wrap them on this module too
 from .groebner import GbBudget, ModVector, Submodule, buchberger
 from .idealops import (
-    SATURATION_METHODS,
     RingSpec,
     bracket_power,
     certify_saturation,
     colength_difference,
     hilbert_series,
-    saturate,
+    saturate_by_colon,
 )
 
 
@@ -186,12 +185,7 @@ def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
 # the length computations
 
 
-def ghk_value(
-    P: Presentation,
-    e: int,
-    budget: GbBudget | None = None,
-    method: str = "auto",
-) -> int:
+def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
     """Torsion length of the e-th Frobenius pullback of coker(P).
 
     Pull the presentation back, take the image U of its columns (plus
@@ -200,21 +194,16 @@ def ghk_value(
     exactly when the module is torsion-free in codimension <= 1 territory,
     which the dimension-2 precondition guarantees for saturations.
 
-    Unless method is "colon", the length is read from the certified
-    Hilbert series difference of certify_saturation (one basis of U);
-    when no variable certifies, or for "colon", it is the colength of U
-    in its colon-route saturation.
+    The length is read from the certified Hilbert series difference of
+    certify_saturation (one basis of U); when no variable certifies, it
+    is the colength of U in saturate_by_colon(U).
     """
-    if method not in SATURATION_METHODS:
-        raise GhkError(f"unknown saturation method {method!r}")
     P.rspec.require_dim2()
     U = frobenius_pullback(P, e).image_submodule()
-    if method != "colon":
-        cert = certify_saturation(U, budget)
-        if cert is not None:
-            return cert.length
-    V = saturate(U, method="colon", budget=budget)
-    return colength_difference(U, V, budget)
+    cert = certify_saturation(U, budget)
+    if cert is not None:
+        return cert.length
+    return colength_difference(U, saturate_by_colon(U, budget=budget), budget)
 
 
 def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
@@ -315,11 +304,11 @@ class GHKTable:
 
 def _run_row(task: tuple) -> tuple:
     """Worker for one table row; must stay importable at module top level
-    so tasks can cross process boundaries. A task is (P, e, budget,
-    method); P pickles with its ring, monomial order included."""
-    P, e, budget, method = task
+    so tasks can cross process boundaries. A task is (P, e, budget); P
+    pickles with its ring, monomial order included."""
+    P, e, budget = task
     try:
-        return ("ok", e, P.rspec.p ** e, ghk_value(P, e, budget=budget, method=method))
+        return ("ok", e, P.rspec.p ** e, ghk_value(P, e, budget=budget))
     except BudgetExceededError as ex:
         return ("skipped", e, str(ex))
 
@@ -328,7 +317,6 @@ def ghk_table(
     P: Presentation,
     e_max: int,
     budget: GbBudget | None = None,
-    method: str = "auto",
     jobs: int = 1,
     exponents=None,
 ) -> GHKTable:
@@ -350,11 +338,11 @@ def ghk_table(
     if jobs > 1 and len(exponents) > 1:
         import concurrent.futures
 
-        tasks = [(P, e, budget, method) for e in exponents]
+        tasks = [(P, e, budget) for e in exponents]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_row, tasks))
     else:
-        results = [_run_row((P, e, budget, method)) for e in exponents]
+        results = [_run_row((P, e, budget)) for e in exponents]
 
     rows = []
     skipped = []

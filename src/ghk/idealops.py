@@ -13,13 +13,12 @@ Design rules enforced here:
   results in the same representation.
 * Lengths are read off exact Hilbert series differences (numerator
   polynomials over (1-t)^n), never by scanning graded pieces.
-* Saturation defaults to iterated colon by the irrelevant ideal, the
-  reference route. The certified one-basis route (method "divide", or
-  "auto" to pick it for the irrelevant ideal) works for any twists:
-  certify_saturation looks for a variable l whose grevlex basis with l
-  last proves U : l^inf = sat(U) by a pole-order-0 Hilbert series
-  difference, and the route falls back to colon when no variable
-  does. Tests require it to agree with the default.
+* Saturation by the irrelevant ideal takes one certified basis, for
+  any twists: certify_saturation looks for a variable l whose grevlex
+  basis with l last proves U : l^inf = sat(U) by a pole-order-0
+  Hilbert series difference. Any other ideal, or no certifying
+  variable, falls back to saturate_by_colon, the reference route that
+  tests pin saturate against.
 """
 
 from __future__ import annotations
@@ -54,12 +53,12 @@ __all__ = [
     "intersect",
     "colon",
     "saturate",
+    "saturate_by_colon",
     "certify_saturation",
     "SaturationCertificate",
     "reflexive_hull",
     "hilbert_series",
     "colength_difference",
-    "degree_of_proj",
     "smoothness_check",
     "sheaf_degree",
 ]
@@ -343,14 +342,25 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
 # intersection and colon via block elimination
 
 
-def _doubled(U_vecs, V_vecs, ring, rank, twists, position="pot"):
-    zero = ring.zero
-    gens = []
-    for u in U_vecs:
-        gens.append(ModVector(tuple(u.components) + tuple(u.components)))
-    for v in V_vecs:
-        gens.append(ModVector(tuple(v.components) + (zero,) * rank))
-    return Submodule(ring, 2 * rank, gens, twists=twists + twists, position=position)
+def _second_block_of_kernel(U: Submodule, gens: list, twists: tuple, budget: GbBudget | None) -> Submodule:
+    """Second blocks of the POT basis elements of the doubled module
+    spanned by gens (ambient twists `twists`) whose first block
+    vanishes, as a submodule of U's ambient module."""
+    ring, rank = U.ring, U.rank
+    W = Submodule(ring, 2 * rank, gens, twists=twists, position="pot")
+    extracted = [
+        ModVector(vec.components[rank:])
+        for vec in buchberger(W, budget).vectors
+        if all(f.is_zero() for f in vec.components[:rank])
+    ]
+    result = Submodule(
+        ring, rank, extracted, twists=U.twists, relations=U.relations, position=U.position
+    )
+    if rank == 1 and U.position == "top" and result._gb is None:
+        # the extracted block is itself a reduced basis when the target
+        # ambient has a single component
+        result._gb = _trusted_reduced_basis(ring, 1, U.twists, "top", extracted)
+    return result
 
 
 def intersect(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> Submodule:
@@ -363,22 +373,10 @@ def intersect(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> Sub
     territory.
     """
     _check_same_ambient(U, V)
-    ring, rank = U.ring, U.rank
-    W = _doubled(U.spanning(), V.spanning(), ring, rank, U.twists)
-    gb = buchberger(W, budget)
-    zero = ring.zero
-    extracted = []
-    for vec in gb.vectors:
-        if all(f.is_zero() for f in vec.components[:rank]):
-            extracted.append(ModVector(vec.components[rank:]))
-    result = Submodule(
-        ring, rank, extracted, twists=U.twists, relations=U.relations, position=U.position
-    )
-    if rank == 1 and U.position == "top" and result._gb is None:
-        # the extracted block is itself a reduced basis when the target
-        # ambient has a single component
-        result._gb = _trusted_reduced_basis(ring, 1, U.twists, "top", extracted)
-    return result
+    pad = (U.ring.zero,) * U.rank
+    gens = [ModVector(tuple(u.components) * 2) for u in U.spanning()]
+    gens += [ModVector(tuple(v.components) + pad) for v in V.spanning()]
+    return _second_block_of_kernel(U, gens, U.twists * 2, budget)
 
 
 def _colon_by_element(U: Submodule, g: Poly, budget: GbBudget | None) -> Submodule:
@@ -405,18 +403,7 @@ def _colon_by_element(U: Submodule, g: Poly, budget: GbBudget | None) -> Submodu
     for u in U.spanning():
         gens.append(ModVector(tuple(u.components) + (zero,) * rank))
     tag_twists = tuple(e + dg for e in U.twists)
-    W = Submodule(ring, 2 * rank, gens, twists=U.twists + tag_twists, position="pot")
-    gb = buchberger(W, budget)
-    extracted = []
-    for vec in gb.vectors:
-        if all(f.is_zero() for f in vec.components[:rank]):
-            extracted.append(ModVector(vec.components[rank:]))
-    result = Submodule(
-        ring, rank, extracted, twists=U.twists, relations=U.relations, position=U.position
-    )
-    if rank == 1 and U.position == "top" and result._gb is None:
-        result._gb = _trusted_reduced_basis(ring, 1, U.twists, "top", extracted)
-    return result
+    return _second_block_of_kernel(U, gens, U.twists + tag_twists, budget)
 
 
 def colon(U: Submodule, J, budget: GbBudget | None = None) -> Submodule:
@@ -466,9 +453,6 @@ def _ideal_generators(ring: PolyRing, J, relations) -> list:
 
 # ---------------------------------------------------------------------------
 # saturation
-
-
-SATURATION_METHODS = ("colon", "divide", "auto")
 
 
 @dataclass(frozen=True)
@@ -536,47 +520,39 @@ def certify_saturation(
     return None
 
 
-def saturate(
-    U: Submodule,
-    J=None,
-    method: str = "colon",
-    budget: GbBudget | None = None,
-) -> Submodule:
+def _saturation_generators(U: Submodule, J) -> list:
+    """Nonzero generators of J (default: the variables)."""
+    if J is None:
+        return list(U.ring.gens())
+    jgens = [g for g in _ideal_generators(U.ring, J, U.relations) if not g.is_zero()]
+    if not jgens:
+        raise GhkHypothesisError("saturation by the zero ideal is not defined")
+    return jgens
+
+
+def saturate(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
     """Saturation of U with respect to J (default: the irrelevant ideal).
 
-    method "colon" (default): iterate W <- (W : J) until stable. This is
-    the reference semantics.
-
-    method "divide": the certified one-basis route, for J the
-    irrelevant ideal and any ambient twists. certify_saturation finds a
+    For the irrelevant ideal (J None, or generated by nonzero multiples
+    of the variables) and any ambient twists, certify_saturation finds a
     variable l with U : l^inf = sat(U); each element of the basis with
     l last is divided by the largest power of l dividing its lead, which
     divides the whole vector (the module-degree "top" order of
-    groebner.py), and those quotients span sat(U). When no variable
-    certifies, the result comes from the "colon" route. Tests pin it to
-    the "colon" answer.
-
-    method "auto": "divide" for the irrelevant ideal, else "colon".
+    groebner.py), and those quotients span sat(U). Any other J, or no
+    certifying variable, takes saturate_by_colon.
     """
-    ring = U.ring
-    irrelevant = J is None
-    if J is not None:
-        jgens = [g for g in _ideal_generators(ring, J, U.relations) if not g.is_zero()]
-        if not jgens:
-            raise GhkHypothesisError("saturation by the zero ideal is not defined")
-        irrelevant = {g.monic() for g in jgens} == set(ring.gens())
-    else:
-        jgens = [ring.variable(i) for i in range(ring.nvars)]
-
-    if method not in SATURATION_METHODS:
-        raise GhkError(f"unknown saturation method {method!r}")
-    if method == "divide" and not irrelevant:
-        raise GhkError("saturation method 'divide' needs the irrelevant ideal")
-    if method != "colon" and irrelevant:
+    jgens = _saturation_generators(U, J)
+    if {g.monic() for g in jgens} == set(U.ring.gens()):
         cert = certify_saturation(U, budget)
         if cert is not None:
             return _divide_out(U, cert)
+    return saturate_by_colon(U, jgens, budget)
 
+
+def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
+    """Saturation by iterating W <- (W : J) until stable: the reference
+    route that tests pin saturate against."""
+    jgens = _saturation_generators(U, J)
     W = U
     while True:
         W2 = colon(W, jgens, budget)
@@ -724,9 +700,6 @@ class RingSpec:
     def submodule(self, rank: int, gens: Iterable, twists: Sequence[int] | None = None) -> Submodule:
         return Submodule(self.ring, rank, gens, twists=twists, relations=self.relations)
 
-    def unit_ideal(self) -> Submodule:
-        return Submodule.ideal(self.ring, [self.ring.one], relations=self.relations)
-
     def hilbert_series(self) -> HilbertSeries:
         """Hilbert series of R itself (as S / relation ideal)."""
         if self._hs is None:
@@ -787,11 +760,6 @@ class RingSpec:
     def __repr__(self) -> str:
         rels = ", ".join(str(r) for r in self.relations)
         return f"<RingSpec F_{self.p}[{', '.join(self.variables)}]/({rels})>"
-
-
-def degree_of_proj(rspec: RingSpec) -> int:
-    """Degree of the projective curve Proj R; requires Krull dimension 2."""
-    return rspec.proj_degree()
 
 
 def _poly_matrix_det(rows: list) -> Poly:
@@ -867,7 +835,7 @@ def sheaf_degree(rspec: RingSpec, I: Submodule, budget: GbBudget | None = None) 
         raise GhkError("sheaf degrees are defined for ideals (rank-1 submodules)")
     if I.relations != rspec.relations:
         raise RingMismatchError("ideal does not live over the given ring")
-    sat = saturate(I, method="auto", budget=budget)
+    sat = saturate(I, budget=budget)
     gb = buchberger(sat, budget)
     if gb.is_full_module():
         return 0

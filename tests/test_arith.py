@@ -266,26 +266,9 @@ def test_lead_term_and_degree():
         ring.zero.lt()
 
 
-def test_exact_divide():
-    ring = PolyRing(7, ["x", "y"])
-    rng = random.Random(99)
-    for _ in range(40):
-        da = _random_pair(rng, 7, 2)
-        db = _random_pair(rng, 7, 2)
-        f, g = _to_ghk(ring, da), _to_ghk(ring, db)
-        if g.is_zero():
-            continue
-        assert (f * g).exact_divide(g) == f
-    f = ring.parse("x^2 + y")
-    with pytest.raises(GhkError):
-        f.exact_divide(ring.parse("x"))
-
-
 def test_variable_power_division():
     ring = PolyRing(7, ["x", "y"])
     f = ring.parse("x^3*y + 2*x^2*y^2")
-    assert f.variable_multiplicity(0) == 2
-    assert f.variable_multiplicity(1) == 1
     g = f.divide_by_variable_power(0, 2)
     assert g == ring.parse("x*y + 2*y^2")
     with pytest.raises(GhkError):

@@ -69,6 +69,8 @@ def test_problem_schema_is_valid():
         {"ring": {"prime": 1, "variables": []}},
         {"ring": FERMAT_RING, "task": {"command": "ghk", "jobs": 0}, "extra": 1},
         [],
+        # task.method is no longer a key: one saturation route
+        {"ring": FERMAT_RING, "module": {"ideal": ["z", "x + y"]}, "task": {"command": "ghk", "method": "colon"}},
     ],
 )
 def test_schema_errors_match_jsonschema_validate(tmp_path, capsys, problem):

@@ -1,9 +1,12 @@
 """Presentation/pullback mechanics and the two length routes, pinned to
 linear-algebra oracle values on small Frobenius powers."""
 
+import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghk.arith import MonomialOrder
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, RingMismatchError
@@ -20,7 +23,7 @@ from ghk.frobmod import (
     presentation_of_quotient,
 )
 from ghk.groebner import GbBudget, ModVector, Submodule
-from ghk.idealops import RingSpec, certify_saturation
+from ghk.idealops import RingSpec, certify_saturation, colength_difference, saturate_by_colon
 
 from naive_curve import CurveRing, cubic_point_torsion_length, finite_colength
 from naive_poly import NaivePoly
@@ -38,6 +41,12 @@ def plane7():
 
 def point_presentation(R):
     return presentation_of_quotient(R.ideal(["z", "3*x - y"]), R)
+
+
+def colon_route_length(P, e):
+    """Length of sat(U)/U by the reference route, U the pulled-back image."""
+    U = frobenius_pullback(P, e).image_submodule()
+    return colength_difference(U, saturate_by_colon(U))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +194,7 @@ def test_certified_length_on_a_coordinate_line(fermat7):
     g1 = NaivePoly(p, 3, {(0, 0, 7): 1})
     g2 = NaivePoly(p, 3, {(7, 0, 0): 1, (0, 7, 0): 1})
     oracle = cubic_point_torsion_length(curve, [g1, g2], 7)
-    assert cert.length == oracle == ghk_value(P, 1) == ghk_value(P, 1, method="colon")
+    assert cert.length == oracle == ghk_value(P, 1) == colon_route_length(P, 1)
 
 
 def test_certified_length_off_the_coordinate_lines():
@@ -200,7 +209,7 @@ def test_certified_length_off_the_coordinate_lines():
     g1 = NaivePoly(5, 3, {(5, 0, 0): 1, (0, 5, 0): 4})
     g2 = NaivePoly(5, 3, {(0, 5, 0): 1, (0, 0, 5): 4})
     assert cert.length == cubic_point_torsion_length(curve, [g1, g2], 5) == 32
-    assert ghk_value(P, 1, method="colon") == 32
+    assert colon_route_length(P, 1) == 32
 
 
 def test_uncertified_length_falls_back_to_colon(plane7):
@@ -209,7 +218,7 @@ def test_uncertified_length_falls_back_to_colon(plane7):
     # (xy)^q * k[x, y]/(x^q, y^q), of length q^2
     P = presentation_of_quotient(plane7.ideal(["x^2*y", "x*y^2"]), plane7)
     assert certify_saturation(frobenius_pullback(P, 1).image_submodule()) is None
-    assert ghk_value(P, 1) == ghk_value(P, 1, method="colon") == 49
+    assert ghk_value(P, 1) == colon_route_length(P, 1) == 49
 
 
 def test_unequal_row_twists_take_the_certified_route(fermat7):
@@ -218,12 +227,49 @@ def test_unequal_row_twists_take_the_certified_route(fermat7):
     B = Presentation(fermat7, (1,), (2, 2), [ModVector((g[0],)) for g in point.gens])
     P = direct_sum(A, B)
     assert certify_saturation(frobenius_pullback(P, 1).image_submodule()) is not None
-    assert ghk_value(P, 1) == ghk_value(P, 1, method="colon") == 2 * ghk_value(A, 1)
+    assert ghk_value(P, 1) == colon_route_length(P, 1) == 2 * ghk_value(A, 1)
 
 
-def test_ghk_value_rejects_unknown_method(fermat7):
-    with pytest.raises(GhkError):
-        ghk_value(point_presentation(fermat7), 1, method="guess")
+def _fermat_points(p):
+    """(p, point) for every F_p-rational point of x^3 + y^3 + z^3,
+    scaled so that its last nonzero coordinate is 1."""
+    out = []
+    for pt in itertools.product(range(p), repeat=3):
+        nonzero = [c for c in pt if c]
+        if nonzero and nonzero[-1] == 1 and sum(c**3 for c in pt) % p == 0:
+            out.append((p, pt))
+    return out
+
+
+# 15 points; for each of x, y and z some lie on its zero line
+FERMAT_POINTS = _fermat_points(5) + _fermat_points(7)
+
+
+@settings(max_examples=2 * len(FERMAT_POINTS), deadline=None)
+@given(case=st.sampled_from(FERMAT_POINTS))
+def test_point_lengths_agree_with_the_oracle(case):
+    # points on x = 0, y = 0 or z = 0 make the certificate reject a
+    # variable; every route must still give 4(q^2 - 1)/3
+    p, pt = case
+    R = RingSpec(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    k = max(i for i, c in enumerate(pt) if c)
+    # the linear forms pt[k]*x_i - pt[i]*x_k, i != k, cut out the point
+    forms = []
+    for i in range(3):
+        if i != k:
+            form = [0, 0, 0]
+            form[i], form[k] = pt[k], -pt[i] % p
+            forms.append(form)
+    P = presentation_of_quotient(
+        R.ideal([" + ".join(f"{c}*{v}" for c, v in zip(f, "xyz") if c) for f in forms]), R
+    )
+    curve = CurveRing(p, 3, reducer=(2, 3, NaivePoly(p, 3, {(3, 0, 0): p - 1, (0, 3, 0): p - 1})))
+    pulled = [
+        NaivePoly(p, 3, {tuple(p * (i == j) for i in range(3)): c for j, c in enumerate(f) if c})
+        for f in forms
+    ]
+    oracle = cubic_point_torsion_length(curve, pulled, p)
+    assert ghk_value(P, 1) == oracle == colon_route_length(P, 1) == 4 * (p * p - 1) // 3
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from ghk.idealops import (
     certify_saturation,
     colength_difference,
     colon,
-    degree_of_proj,
     hilbert_series,
     intersect,
     reflexive_hull,
     saturate,
+    saturate_by_colon,
     sheaf_degree,
     smoothness_check,
 )
@@ -344,24 +344,23 @@ def test_saturate_strips_irrelevant_component():
     ring = PolyRing(7, ["x", "y"])
     I = Submodule.ideal(ring, [ring.parse("x^2"), ring.parse("x*y")])  # x*(x,y)
     expect = Submodule.ideal(ring, [ring.parse("x")])
+    assert saturate_by_colon(I) == expect
     assert saturate(I) == expect
-    assert saturate(I, method="divide") == expect
-    assert saturate(I, method="auto") == expect
 
 
 def test_saturate_mprimary_gives_unit():
     ring = PolyRing(7, ["x", "y"])
     I = Submodule.ideal(ring, [ring.parse("x^2"), ring.parse("x*y"), ring.parse("y^3")])
-    for method in ("colon", "divide"):
-        S = saturate(I, method=method)
+    for route in (saturate_by_colon, saturate):
+        S = route(I)
         assert buchberger(S).is_full_module()
 
 
 def test_saturate_already_saturated():
     ring = PolyRing(7, ["x", "y", "z"])
     I = Submodule.ideal(ring, [ring.parse("x"), ring.parse("y")])
+    assert saturate_by_colon(I) == I
     assert saturate(I) == I
-    assert saturate(I, method="divide") == I
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -372,15 +371,15 @@ def test_saturate_methods_agree_random(p):
         gens = [random_homog_poly(ring, rng, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 3))]
         rels = [random_homog_poly(ring, rng, 3)] if trial % 3 == 0 else []
         I = Submodule.ideal(ring, gens, relations=rels)
-        assert saturate(I, method="colon") == saturate(I, method="divide")
+        assert saturate_by_colon(I) == saturate(I)
 
 
 def test_saturate_methods_agree_on_quotient_ring():
     ring = PolyRing(7, ["x", "y", "z"])
     rel = ring.parse("x^3 + y^3 + z^3")
     I = Submodule.ideal(ring, [ring.parse("z^7"), ring.parse("x^7 + 6*y^7")], relations=[rel])
-    a = saturate(I, method="colon")
-    b = saturate(I, method="divide")
+    a = saturate_by_colon(I)
+    b = saturate(I)
     assert a == b
 
 
@@ -395,8 +394,8 @@ def test_saturate_module_equal_twists_both_methods():
         ModVector((zero, y)),
     ]
     U = Submodule(ring, 2, gens, twists=(1, 1))
-    a = saturate(U, method="colon")
-    b = saturate(U, method="divide")
+    a = saturate_by_colon(U)
+    b = saturate(U)
     assert a == b
     assert buchberger(a).is_full_module()
 
@@ -417,8 +416,8 @@ def test_saturate_divide_equals_colon_unequal_twists(twists, gens):
     ring = PolyRing(7, ["x", "y"])
     vecs = [ModVector((ring.parse(a), ring.parse(b))) for a, b in gens]
     U = Submodule(ring, 2, vecs, twists=twists)
-    ref = saturate(U, method="colon")
-    assert saturate(U, method="divide") == ref
+    ref = saturate_by_colon(U)
+    assert saturate(U) == ref
     cert = certify_saturation(U)
     assert cert is not None
     assert cert.length == colength_difference(U, ref)
@@ -426,26 +425,26 @@ def test_saturate_divide_equals_colon_unequal_twists(twists, gens):
 
 def test_certified_saturation_falls_back_on_coordinate_triangle():
     # sat = (xy, yz, xz): every variable vanishes on one of its three
-    # points, so no variable certifies and the divide route uses colon
+    # points, so no variable certifies and saturate falls back to colon
     ring = PolyRing(7, ["x", "y", "z"])
     m = ["x", "y", "z"]
     triangle = ["x*y", "y*z", "x*z"]
     I = Submodule.ideal(ring, [ring.parse(f"{a}*{b}") for a in m for b in triangle])
     assert certify_saturation(I) is None
     expect = Submodule.ideal(ring, [ring.parse(f) for f in triangle])
-    assert saturate(I, method="colon") == expect
-    S = saturate(I, method="divide")
+    assert saturate_by_colon(I) == expect
+    S = saturate(I)
     assert S == expect
     assert colength_difference(I, S) == 3
 
 
 def test_saturate_scaled_variables_are_the_irrelevant_ideal():
-    # (2x, y, z) is the irrelevant ideal, so the divide route applies
+    # (2x, y, z) is the irrelevant ideal, so the certified route applies
     ring = PolyRing(7, ["x", "y", "z"])
     rel = ring.parse("x^3 + y^3 + z^3")
     I = Submodule.ideal(ring, [ring.parse("z^7"), ring.parse("x^7 + 6*y^7")], relations=[rel])
     J = [ring.parse("2*x"), ring.parse("y"), ring.parse("3*z")]
-    assert saturate(I, J=J, method="divide") == saturate(I, J=J, method="colon")
+    assert saturate(I, J=J) == saturate_by_colon(I, J=J)
 
 
 def test_saturate_custom_ideal():
@@ -455,8 +454,6 @@ def test_saturate_custom_ideal():
     J = [ring.parse("x")]
     S = saturate(I, J=J)
     assert S == Submodule.ideal(ring, [ring.parse("y")])
-    with pytest.raises(GhkError):
-        saturate(I, J=J, method="divide")
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +494,7 @@ def test_reflexive_hull_on_curve_is_saturated():
         ring, [ring.parse("x*z + 6*y^2"), ring.parse("x^2 + 3*y*z")], relations=[rel]
     )
     hull = reflexive_hull(I)
-    sat = saturate(hull, method="auto")
+    sat = saturate(hull)
     assert colength_difference(hull, sat) == 0
 
 
@@ -508,7 +505,7 @@ def test_reflexive_hull_on_curve_is_saturated():
 def test_ringspec_free_plane():
     R = RingSpec(7, ["x", "y"])
     assert R.krull_dimension() == 2
-    assert degree_of_proj(R) == 1
+    assert R.proj_degree() == 1
     rep = R.validate()
     assert rep.ok and rep.smooth and rep.degree == 1 and rep.dimension == 2
 
@@ -516,7 +513,7 @@ def test_ringspec_free_plane():
 def test_ringspec_fermat_cubic():
     R = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
     assert R.krull_dimension() == 2
-    assert degree_of_proj(R) == 3
+    assert R.proj_degree() == 3
     rep = R.validate()
     assert rep.ok and rep.smooth and rep.hypersurface
     assert rep.degree == 3 and not rep.warnings
@@ -537,7 +534,7 @@ def test_ringspec_cuspidal_cubic_singular():
 
 def test_ringspec_conic():
     R = RingSpec(7, ["x", "y", "z"], ["x*y - z^2"])
-    assert degree_of_proj(R) == 2
+    assert R.proj_degree() == 2
     assert R.validate().ok
 
 
@@ -545,7 +542,7 @@ def test_ringspec_wrong_dimension():
     R3 = RingSpec(7, ["x", "y", "z"])
     assert R3.krull_dimension() == 3
     with pytest.raises(GhkHypothesisError):
-        degree_of_proj(R3)
+        R3.proj_degree()
     with pytest.raises(GhkHypothesisError):
         R3.require_dim2()
     rep = R3.validate()
@@ -616,8 +613,9 @@ def test_sheaf_degree_saturation_invariance():
 def test_budget_threads_through_saturate():
     ring = PolyRing(7, ["x", "y"])
     I = Submodule.ideal(ring, [ring.parse("x^2"), ring.parse("x*y"), ring.parse("y^3")])
-    with pytest.raises(BudgetExceededError):
-        saturate(I, method="colon", budget=GbBudget(max_pairs=1))
+    for route in (saturate, saturate_by_colon):
+        with pytest.raises(BudgetExceededError):
+            route(I, budget=GbBudget(max_pairs=1))
 
 
 def test_smoothness_report_shape():
