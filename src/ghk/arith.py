@@ -18,11 +18,14 @@ in field i of EXP_BITS bits, and the top bit of every field is a guard
 that stays clear. Multiplication is then an int add, exact division an
 int sub, and b | a iff ((a | G) - b) & G == G for the guard mask G:
 with every guard of a set, each field borrows only from its own guard,
-which survives iff a_i >= b_i. The test is exact only while every
-exponent stays below EXP_GUARD = 2^(EXP_BITS-1); a larger one would
-borrow into its neighbour and corrupt divisibility silently. So packing
-refuses exponents above EXP_CAP, and the Groebner engine bounds the
-degree of everything it reduces (see groebner.py).
+which survives iff a_i >= b_i. The surviving guards also select the
+fields of lcm and gcd. A strict divisor is a smaller int, so one pass
+over an ascending list keeps a monomial ideal's minimal generators
+(minimal). The test is exact only while every exponent stays below
+EXP_GUARD = 2^(EXP_BITS-1); a larger one would borrow into its
+neighbour and corrupt divisibility silently. So packing refuses
+exponents above EXP_CAP, and the Groebner engine bounds the degree of
+everything it reduces (see groebner.py).
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ class PackedMonomials:
     """Guard-bit packing of exponent tuples with nvars entries.
 
     pack/unpack convert at the boundary; in between, a*b is a + b, a/b
-    is a - b and divides/lcm/degree are a few int operations. guard is
-    the mask G of the module docstring; hot loops inline its test.
+    is a - b and divides/lcm/gcd/degree are a few int operations. guard
+    is the mask G of the module docstring; hot loops inline its test.
     Every method assumes its arguments' exponents stay below EXP_GUARD.
     """
 
@@ -187,16 +190,12 @@ class PackedMonomials:
         self._ones = sum(1 << s for s in self._shifts)
         self._top = EXP_BITS * (nvars - 1)
 
-    def pack(self, m: tuple, cap: int = EXP_CAP) -> int:
-        """Packed form of an exponent tuple; exponents above cap raise.
-
-        Input monomials are held to EXP_CAP. A caller repacking leads of
-        a finished basis may pass EXP_GUARD - 1, the engine's own bound.
-        """
+    def pack(self, m: tuple) -> int:
+        """Packed form of an exponent tuple; exponents above EXP_CAP raise."""
         pk = 0
         for e, s in zip(m, self._shifts):
-            if e > cap:
-                raise GhkError(f"monomial exponent {e} exceeds the supported cap {cap}")
+            if e > EXP_CAP:
+                raise GhkError(f"monomial exponent {e} exceeds the supported cap {EXP_CAP}")
             pk |= e << s
         return pk
 
@@ -213,6 +212,33 @@ class PackedMonomials:
         ge = ((a | g) - b) & g  # the guard of field i survives iff a_i >= b_i
         mask = ge - (ge >> (EXP_BITS - 1))  # the low bits of those fields
         return (a & mask) | (b & ~mask)
+
+    def gcd(self, a: int, b: int) -> int:
+        """The mirror of lcm: the smaller field of each pair. gcd(a, b) == 0
+        iff a and b share no variable."""
+        g = self.guard
+        ge = ((a | g) - b) & g
+        mask = ge - (ge >> (EXP_BITS - 1))
+        return (b & mask) | (a & ~mask)
+
+    def minimal(self, ascending: Iterable[int]) -> list:
+        """The elements that no earlier kept element divides, in order.
+
+        Given ascending packed values this is the minimal generating set
+        of the monomial ideal they span, ascending: a strict divisor is a
+        smaller int (no field of it is larger), so only earlier elements
+        can divide a later one, and a repeat is dropped as a multiple.
+        """
+        g = self.guard
+        keep: list = []
+        for m in ascending:
+            mg = m | g
+            for k in keep:
+                if (mg - k) & g == g:
+                    break
+            else:
+                keep.append(m)
+        return keep
 
     def degree(self, pk: int) -> int:
         """Total degree, exact while it stays below 2^EXP_BITS.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .arith import Rat, is_prime, rat_str
 from .errors import BudgetExceededError, GhkError
-from .frobmod import GHKTable, ghk_table, presentation_of_quotient
+from .frobmod import GHKTable, _map_rows, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
 from .idealops import RingSpec
 
@@ -222,10 +222,9 @@ class SweepReport:
 
 
 def _sweep_row(task: tuple) -> dict:
-    """One prime specialization; top-level so tasks survive pickling."""
-    variables, relations, generators, denominators, p, e_max, bud = task
-    family = FamilySpec(variables, relations, generators, denominators)
-    budget = GbBudget(*bud) if bud else None
+    """One prime specialization; top-level so tasks survive pickling. A
+    task is (family, p, e_max, budget); FamilySpec and GbBudget pickle."""
+    family, p, e_max, budget = task
     if not is_prime(p):
         return {"p": p, "validated": False, "reason": f"{p} is not prime"}
     if any(d % p == 0 for d in family.denominators):
@@ -277,27 +276,7 @@ def prime_sweep(
         raise GhkError("prime sweep needs at least one prime")
     if e_max < 1:
         raise GhkError("e_max must be at least 1")
-    bud = (budget.max_degree, budget.max_pairs) if budget else None
-    tasks = [
-        (
-            family.variables,
-            family.relations,
-            family.generators,
-            family.denominators,
-            p,
-            e_max,
-            bud,
-        )
-        for p in primes
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_sweep_row, tasks))
-    else:
-        raw = [_sweep_row(t) for t in tasks]
-
+    raw = _map_rows(_sweep_row, [(family, p, e_max, budget) for p in primes], jobs)
     rows = tuple(
         SweepRow(
             p=r["p"],

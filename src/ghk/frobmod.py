@@ -20,9 +20,9 @@ from .errors import (
     HomogeneityError,
     RingMismatchError,
 )
-# buchberger and colength_difference are module globals here so that
-# bench/tracer.py can wrap them on this module too
-from .groebner import GbBudget, ModVector, Submodule, buchberger
+from .groebner import GbBudget, ModVector, Submodule
+# colength_difference is called through this module's global, which
+# bench/tracer.py wraps here too
 from .idealops import (
     RingSpec,
     bracket_power,
@@ -302,6 +302,17 @@ class GHKTable:
         }
 
 
+def _map_rows(fn, tasks: list, jobs: int) -> list:
+    """[fn(t) for t in tasks], in a pool of jobs processes when jobs > 1
+    and there are several tasks; fn and the tasks must then pickle."""
+    if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _run_row(task: tuple) -> tuple:
     """Worker for one table row; must stay importable at module top level
     so tasks can cross process boundaries. A task is (P, e, budget); P
@@ -334,16 +345,7 @@ def ghk_table(
     if any(e < 1 for e in exponents):
         raise GhkError("table exponents must be positive")
 
-    results = []
-    if jobs > 1 and len(exponents) > 1:
-        import concurrent.futures
-
-        tasks = [(P, e, budget) for e in exponents]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_row, tasks))
-    else:
-        results = [_run_row((P, e, budget)) for e in exponents]
-
+    results = _map_rows(_run_row, [(P, e, budget) for e in exponents], jobs)
     rows = []
     skipped = []
     for res in results:

@@ -32,13 +32,14 @@ Inside the engine a term's monomial is a PackedMonomials int from
 arith.py (exponent i in field i, a guard bit on top of each field), so
 a product is an int add and a divisibility test is
 ((a | G) - b) & G == G. Terms and basis records are packed from the
-first vec_to_terms to the last terms_to_vec; lead_terms and
-lead_monomials_by_component unpack, and Poly and the public API keep
-exponent tuples. The test is only exact while every exponent stays
-below EXP_GUARD, so the engine checks the bound where it can first be
-broken: packing refuses exponents above EXP_CAP, every input vector
-needs deg - min(twists) < EXP_GUARD, and so does every S-pair before it
-is reduced. All terms of a homogeneous reduction share that degree, and
+first vec_to_terms to the last terms_to_vec; lead_terms unpacks,
+packed_leads hands the leads on packed to the Hilbert series in
+idealops, and Poly and the public API keep exponent tuples. The test
+is only exact while every exponent stays below EXP_GUARD, so the
+engine checks the bound where it can first be broken: packing refuses
+exponents above EXP_CAP, every input vector needs
+deg - min(twists) < EXP_GUARD, and so does every S-pair before it is
+reduced. All terms of a homogeneous reduction share that degree, and
 exponents cannot exceed it.
 
 Pairs are kept in a dict for the chain criterion and picked from a heap
@@ -354,11 +355,8 @@ def _update_pairs(
 
     P maps a live pair (i, j) to its packed lcm; heap gets (degree, i, j)
     for each new pair. Of the pairs (i, t), one per minimal lcm survives
-    (the smallest i). The minimal lcms come from one pass over the
-    distinct lcms in ascending packed value, each tested only against
-    the minimal ones kept so far: a strict divisor is a smaller int (no
-    field of it is larger), and if a non-minimal lcm divides L, so does
-    a minimal one.
+    (the smallest i); PackedMonomials.minimal finds the minimal lcms in
+    one pass over the distinct ones in ascending packed value.
     """
     guard = pm.guard
     hrec = G[t]
@@ -378,22 +376,15 @@ def _update_pairs(
             first[lcm] = i
         if lcm == gm + hm:
             coprime.add(lcm)
-    minimal: list = []
-    for lcm in sorted(first):
-        lg = lcm | guard
-        for m in minimal:
-            if (lg - m) & guard == guard:
-                break
-        else:
-            minimal.append(lcm)
-            # coprime-lead criterion is sound only for ideals: if any
-            # member of an equal-lcm class has lcm == product, the whole
-            # class reduces to zero.
-            if rank == 1 and lcm in coprime:
-                continue
-            i = first[lcm]
-            P[(i, t)] = lcm
-            heappush(heap, (pm.degree(lcm) + twists[hc], i, t))
+    for lcm in pm.minimal(sorted(first)):
+        # coprime-lead criterion is sound only for ideals: if any member
+        # of an equal-lcm class has lcm == product, the whole class
+        # reduces to zero.
+        if rank == 1 and lcm in coprime:
+            continue
+        i = first[lcm]
+        P[(i, t)] = lcm
+        heappush(heap, (pm.degree(lcm) + twists[hc], i, t))
     # chain criterion against existing pairs
     dead = []
     for ij, lij in P.items():
@@ -470,19 +461,12 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
         if red:
             install(red)
 
-    # minimal lead set: keep records whose lead no earlier-kept lead divides
-    keep: list = []
-    kept_leads: dict = {}
-    for rec in sorted(G, key=lambda rec: rec[0]):
-        leads = kept_leads.setdefault(rec[1], [])
-        mg = rec[2] | guard
-        for m in leads:
-            if (mg - m) & guard == guard:
-                break
-        else:
-            leads.append(rec[2])
-            keep.append(rec)
-    return keep
+    # minimal lead set: the leads are distinct, so keep the records
+    # whose lead is a minimal generator of its component's lead ideal
+    minimal = {
+        cp: set(pm.minimal(sorted(rec[2] for rec in recs))) for cp, recs in by_comp.items()
+    }
+    return sorted((rec for rec in G if rec[2] in minimal[rec[1]]), key=lambda rec: rec[0])
 
 
 def _interreduce(records: list, p: int, guard: int) -> list:
@@ -565,12 +549,16 @@ class GroebnerBasis:
         unpack = self._ctx.pm.unpack
         return tuple((rec[1], unpack(rec[2])) for rec in self._records)
 
-    def lead_monomials_by_component(self) -> dict:
-        unpack = self._ctx.pm.unpack
+    def packed_leads(self) -> dict:
+        """Component -> its lead monomials as packed ints, ascending.
+
+        They are the minimal generators of the lead module there: no
+        lead of a minimal basis divides another.
+        """
         out: dict = {j: [] for j in range(self.rank)}
         for rec in self._records:
-            out[rec[1]].append(unpack(rec[2]))
-        return out
+            out[rec[1]].append(rec[2])
+        return {j: tuple(sorted(mons)) for j, mons in out.items()}
 
     def _coerce(self, v) -> ModVector:
         if isinstance(v, Poly):

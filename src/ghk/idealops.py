@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import EXP_GUARD, MonomialOrder, PackedMonomials, Poly, PolyRing, frobenius_power
+from .arith import EXP_BITS, MonomialOrder, PackedMonomials, Poly, PolyRing, frobenius_power
 from .errors import (
     GhkError,
     GhkHypothesisError,
@@ -160,39 +160,10 @@ def _divide_by_one_minus_t(d: dict) -> dict | None:
     return out
 
 
-def _minimalize_monomials(mons: Iterable[tuple], pm: PackedMonomials) -> tuple:
-    """Drop monomials that are multiples of another in the list.
-
-    The divisibility test runs on guard-bit packed monomials (arith.py).
-    """
-    uniq = sorted(set(mons), key=lambda m: (sum(m), m))
-    guard = pm.guard
-    keep: list = []
-    packed: list = []
-    for m in uniq:
-        pk = pm.pack(m, EXP_GUARD - 1)
-        mg = pk | guard
-        for k in packed:
-            if (mg - k) & guard == guard:
-                break
-        else:
-            keep.append(m)
-            packed.append(pk)
-    return tuple(keep)
-
-
-def _pairwise_coprime(mons: Sequence[tuple]) -> bool:
-    for i in range(len(mons)):
-        for j in range(i):
-            if any(a and b for a, b in zip(mons[i], mons[j])):
-                return False
-    return True
-
-
-def _coprime_product_numer(mons: Sequence[tuple]) -> dict:
+def _coprime_product_numer(degrees: Iterable[int]) -> dict:
+    """prod (1 - t^d) over the generator degrees of a complete intersection."""
     out = {0: 1}
-    for m in mons:
-        d = sum(m)
+    for d in degrees:
         nxt: dict = {}
         for e, c in out.items():
             nxt[e] = nxt.get(e, 0) + c
@@ -204,41 +175,51 @@ def _coprime_product_numer(mons: Sequence[tuple]) -> dict:
 def _monomial_numerator(mons: tuple, memo: dict, pm: PackedMonomials) -> dict:
     """Numerator K(t) of HS(S/(mons)) = K / (1-t)^nvars.
 
-    Pivot recursion: split on a median power of the most shared
-    variable; the branches are the ideal plus the pivot and the ideal
-    colon the pivot. Pairwise coprime sets terminate as complete
-    intersections.
+    mons are the minimal generators of a monomial ideal, packed by pm
+    and in ascending packed value; each branch hands its recursive calls
+    the same form. Pivot recursion (Bigatti): split on the lower median
+    power of the most shared variable; the branches are the ideal plus
+    the pivot and the ideal colon the pivot, whose generators are
+    m - gcd(m, pivot). Pairwise coprime sets, where each generator
+    shares no variable with the lcm of those before it, terminate as
+    complete intersections.
     """
-    mons = _minimalize_monomials(mons, pm)
     if not mons:
         return {0: 1}
-    if any(sum(m) == 0 for m in mons):
+    if mons[0] == 0:
         return {}
     cached = memo.get(mons)
     if cached is not None:
         return cached
-    if _pairwise_coprime(mons):
-        out = _coprime_product_numer(mons)
+    gcd = pm.gcd
+    acc = 0
+    for m in mons:
+        if gcd(acc, m):
+            break
+        acc += m
+    else:
+        out = _coprime_product_numer(pm.degree(m) for m in mons)
         memo[mons] = out
         return out
-    nvars = len(mons[0])
+    exps = [pm.unpack(m) for m in mons]
+    nvars = len(exps[0])
     counts = [0] * nvars
-    for m in mons:
+    for m in exps:
         for i, e in enumerate(m):
             if e:
                 counts[i] += 1
     piv_var = max(range(nvars), key=lambda i: counts[i])
-    exps = sorted(m[piv_var] for m in mons if m[piv_var])
-    piv_exp = exps[len(exps) // 2]
-    if piv_exp == exps[-1] and piv_exp > 1:
-        # ensure the "plus pivot" branch strictly tightens
-        piv_exp -= 1
-    pivot = tuple(piv_exp if i == piv_var else 0 for i in range(nvars))
-    plus = mons + (pivot,)
-    quo = tuple(
-        tuple(max(e - piv_exp, 0) if i == piv_var else e for i, e in enumerate(m))
-        for m in mons
-    )
+    # The set is not coprime, so piv_var is in at least two generators
+    # and the lower median of its exponents is below their largest. A
+    # pure power of piv_var among minimal generators would hold the
+    # unique largest, so the pivot is not in the ideal: both branches
+    # strictly grow it, and each drops or shortens about half of the
+    # generators in piv_var, so the depth does not grow with exponents.
+    piv_exps = sorted(m[piv_var] for m in exps if m[piv_var])
+    piv_exp = piv_exps[(len(piv_exps) - 1) // 2]
+    pivot = piv_exp << (EXP_BITS * piv_var)
+    plus = tuple(pm.minimal(sorted(mons + (pivot,))))
+    quo = tuple(pm.minimal(sorted(m - gcd(m, pivot) for m in mons)))
     n_plus = _monomial_numerator(plus, memo, pm)
     n_quo = _monomial_numerator(quo, memo, pm)
     out = dict(n_plus)
@@ -252,13 +233,13 @@ def _monomial_numerator(mons: tuple, memo: dict, pm: PackedMonomials) -> dict:
 def _lead_series(leads: dict, twists: tuple, nvars: int, memo: dict, pm: PackedMonomials) -> HilbertSeries:
     """Hilbert series of F/(leads), F = sum_j S(-twists[j]).
 
-    leads maps a component to the lead monomials of a Groebner basis in
-    it; memo caches monomial-ideal numerators and may be shared by calls.
+    leads maps each component to the minimal generators of a lead
+    module there, packed by pm and ascending (GroebnerBasis.packed_leads);
+    memo caches monomial-ideal numerators and may be shared by calls.
     """
     total: dict = {}
     for j, e in enumerate(twists):
-        numer = _monomial_numerator(tuple(leads.get(j, ())), memo, pm)
-        for d, c in numer.items():
+        for d, c in _monomial_numerator(leads[j], memo, pm).items():
             k = d + e
             total[k] = total.get(k, 0) + c
     return HilbertSeries.from_dict(total, nvars)
@@ -272,9 +253,7 @@ def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSerie
     """
     gb = buchberger(U, budget)
     nvars = U.ring.nvars
-    return _lead_series(
-        gb.lead_monomials_by_component(), U.twists, nvars, {}, PackedMonomials(nvars)
-    )
+    return _lead_series(gb.packed_leads(), U.twists, nvars, {}, PackedMonomials(nvars))
 
 
 def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> int:
@@ -506,10 +485,10 @@ def certify_saturation(
     memo: dict = {}
     for i in varseq[-1:] + varseq[:-1]:
         gb = _basis_with_last(U, i, budget)
-        leads = gb.lead_monomials_by_component()
-        cut = {
-            j: [m[:i] + (0,) + m[i + 1:] for m in mons] for j, mons in leads.items()
-        }
+        leads = gb.packed_leads()
+        # set the l-exponent to 0: mask off l's field
+        keep = ~(((1 << EXP_BITS) - 1) << (EXP_BITS * i))
+        cut = {j: tuple(pm.minimal(sorted(m & keep for m in mons))) for j, mons in leads.items()}
         diff = _lead_series(leads, U.twists, nvars, memo, pm).sub(
             _lead_series(cut, U.twists, nvars, memo, pm)
         ).reduced()

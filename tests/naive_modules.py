@@ -115,3 +115,24 @@ def free_module_dimension(twists, nvars, degree):
         if d >= 0:
             total += len(monomials_of_degree(nvars, d))
     return total
+
+
+def taylor_numerator(gens, nvars):
+    """K(t) with HS(S/(gens)) = K(t) / (1-t)^nvars for a monomial ideal.
+
+    gens are exponent tuples. The Taylor resolution gives
+    K(t) = sum over subsets T of gens of (-1)^|T| t^deg lcm(T), the
+    empty subset contributing 1; returned as {degree: coeff} without
+    zero coefficients. Exponential in len(gens).
+    """
+    out = {}
+    for mask in range(1 << len(gens)):
+        lcm = [0] * nvars
+        sign = 1
+        for k, g in enumerate(gens):
+            if mask >> k & 1:
+                sign = -sign
+                lcm = [max(a, b) for a, b in zip(lcm, g)]
+        d = sum(lcm)
+        out[d] = out.get(d, 0) + sign
+    return {d: c for d, c in out.items() if c}

@@ -231,6 +231,13 @@ def test_sweep_parallel_matches_serial():
     serial = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=2)
     parallel = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=2, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
+    # the budget crosses to the workers inside the task: it skips q = 49
+    budget = GbBudget(max_pairs=60)
+    budgeted = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=2, budget=budget, jobs=2)
+    assert [s.e for s in budgeted.rows[1].table.skipped] == [2]
+    assert budgeted.to_json_dict() == prime_sweep(
+        CUBIC_FAMILY, [5, 7], e_max=2, budget=budget
+    ).to_json_dict()
 
 
 def test_sweep_empty_primes():

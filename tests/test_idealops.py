@@ -5,6 +5,8 @@ validation, sheaf degrees."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghk.arith import MonomialOrder, PolyRing
 from ghk.errors import (
@@ -30,7 +32,7 @@ from ghk.idealops import (
     smoothness_check,
 )
 
-from naive_modules import free_module_dimension, naive_graded_dimension
+from naive_modules import free_module_dimension, naive_graded_dimension, taylor_numerator
 from naive_poly import monomials_of_degree
 
 
@@ -125,6 +127,37 @@ def test_series_bruteforce_module_case():
         free = free_module_dimension(twists, nvars, d)
         used = naive_graded_dimension(span, twists, nvars, p, d)
         assert hs.coefficient(d) == free - used
+
+
+# exponents past 343 = 7^3; half of them small, so that generators share variables
+_monomial_ideals = st.integers(2, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 400))] * n),
+        min_size=1,
+        max_size=7,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_ideals)
+def test_monomial_ideal_series_match_the_taylor_oracle(gens):
+    nvars = len(gens[0])
+    ring = PolyRing(7, [f"v{i}" for i in range(nvars)])
+    hs = hilbert_series(Submodule.ideal(ring, [ring.monomial(m) for m in gens]))
+    assert hs.denom_power == nvars
+    assert hs.as_dict() == taylor_numerator(gens, nvars)
+
+
+def test_numerator_recursion_depth_does_not_grow_with_exponents():
+    # A pivot rule that steps down one exponent per level recursed 1153
+    # deep on this ideal. Outside Hypothesis, which raises the recursion
+    # limit while it runs a test, that is a RecursionError.
+    gens = [(0, 297, 3, 400), (400, 5, 1, 1), (2, 1, 362, 1), (400, 51, 1, 0),
+            (400, 1, 1, 2), (1, 2, 355, 0), (0, 332, 1, 2)]
+    ring = PolyRing(7, ["a", "b", "c", "d"])
+    hs = hilbert_series(Submodule.ideal(ring, [ring.monomial(m) for m in gens]))
+    assert hs.as_dict() == taylor_numerator(gens, 4)
 
 
 def test_colength_infinite_detected():
