@@ -45,8 +45,6 @@ from .groebner import (
     ModVector,
     Submodule,
     buchberger,
-    is_member,
-    normal_form,
 )
 from .hnform import (
     HNData,
@@ -123,8 +121,6 @@ __all__ = [
     "hn_rank1_syzygy",
     "hn_sum_line_bundles",
     "intersect",
-    "is_member",
-    "normal_form",
     "presentation_of_quotient",
     "prime_sweep",
     "reflexive_hull",

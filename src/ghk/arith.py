@@ -514,9 +514,6 @@ class Poly:
     def lm(self) -> tuple:
         return self.lt()[0]
 
-    def lc(self) -> int:
-        return self.lt()[1]
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._t:

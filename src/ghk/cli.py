@@ -423,10 +423,18 @@ class _Cli:
             print(f"p={row.p}: {flag} estimate={est}")
         spread = "n/a" if report.spread is None else rat_str(report.spread)
         print(f"top-half spread: {spread}")
-        budget_trouble = any("budget" in row.reason for row in report.rows) or any(
-            row.table and row.table.skipped for row in report.rows
-        )
-        return 3 if budget_trouble else 0
+        return 3 if any(row.table and row.table.skipped for row in report.rows) else 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count N >= 1, the problem file's minimum."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer N >= 1, got {text!r}")
+    return n
 
 
 def _parse_args(argv):
@@ -446,18 +454,18 @@ def _parse_args(argv):
     parser.add_argument("--out", help="output directory (default: task.out or '.')")
     parser.add_argument(
         "--budget-gb-degree",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="abort any basis computation beyond this degree",
     )
     parser.add_argument(
         "--budget-pairs",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="abort any basis computation beyond this many reduced pairs",
     )
     parser.add_argument(
-        "--jobs", type=int, metavar="N", help="parallel worker processes"
+        "--jobs", type=_positive_int, metavar="N", help="parallel worker processes"
     )
     return parser.parse_args(argv)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Rat, is_prime, rat_str
-from .errors import BudgetExceededError, GhkError
+from .errors import GhkError
 from .frobmod import GHKTable, _map_rows, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
 from .idealops import RingSpec
@@ -241,10 +241,7 @@ def _sweep_row(task: tuple) -> dict:
     if any(g.is_zero() for g in gens):
         return {"p": p, "validated": False, "reason": "a generator degenerates to zero mod p"}
     P = presentation_of_quotient(rspec.ideal(gens), rspec)
-    try:
-        table = ghk_table(P, e_max, budget=budget)
-    except BudgetExceededError as ex:
-        return {"p": p, "validated": True, "reason": f"budget exceeded: {ex}", "table": None}
+    table = ghk_table(P, e_max, budget=budget)
     out = {"p": p, "validated": True, "reason": "", "table": table}
     try:
         estimate, bound = estimate_multiplicity(table)

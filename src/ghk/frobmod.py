@@ -94,7 +94,7 @@ class Presentation:
 
     def image_submodule(self) -> Submodule:
         """Submodule of the free module generated by the matrix columns,
-        with the ring relations adjoined in every position."""
+        with the ring relations adjoined in every component."""
         return Submodule(
             self.rspec.ring,
             self.num_rows,

@@ -23,10 +23,12 @@ the ring key's top field. With equal twists that is the plain ring
 order. Under a grevlex ring order the module-degree rule gives the
 revlex property for any twists: if the last variable divides the lead
 of a homogeneous vector, it divides every term, which the certified
-saturation in idealops relies on. "pot" compares the component first
-(component 0 largest), which is what block elimination uses. Shifting
-a vector by a monomial adds a constant to every packed key, so the
-reducer does one integer add per term.
+saturation in idealops relies on. Every Submodule basis is in "top"
+order. "pot" compares the component first (component 0 largest); it
+is private to block elimination (_second_block_of_kernel, which
+intersect and colon in idealops call). Shifting a vector by a monomial
+adds a constant to every packed key, so the reducer does one integer
+add per term.
 
 Inside the engine a term's monomial is a PackedMonomials int from
 arith.py (exponent i in field i, a guard bit on top of each field), so
@@ -67,8 +69,6 @@ __all__ = [
     "Submodule",
     "GroebnerBasis",
     "buchberger",
-    "normal_form",
-    "is_member",
 ]
 
 COMP_BITS = 16
@@ -196,19 +196,17 @@ class ModVector:
 
 
 class _Ctx:
-    """Key packing for module terms at a fixed rank and position rule."""
+    """Key packing for module terms at a fixed rank and position rule
+    ("top" or "pot")."""
 
-    __slots__ = ("ring", "rank", "twists", "position", "p", "pm", "term_key", "ring_key_of")
+    __slots__ = ("ring", "rank", "twists", "p", "pm", "term_key", "ring_key_of")
 
     def __init__(self, ring: PolyRing, rank: int, twists: tuple, position: str):
         if rank < 1 or rank > _CMAX:
             raise GhkError(f"rank {rank} out of supported range [1, {_CMAX}]")
-        if position not in ("top", "pot"):
-            raise GhkError(f"position rule must be 'top' or 'pot', got {position!r}")
         self.ring = ring
         self.rank = rank
         self.twists = twists
-        self.position = position
         self.p = ring.p
         self.pm = PackedMonomials(ring.nvars)
         if position == "top":
@@ -272,7 +270,7 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 # the reduction loop
 
-# A basis record is (ltkey, ltcomp, ltmon, tail, moddeg) with the element
+# A basis record is (ltkey, ltcomp, ltmon, tail) with the element
 # monic and tail the non-lead terms; terms are (key, comp, mon, coeff)
 # with mon a packed monomial.
 
@@ -336,8 +334,7 @@ def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
         inv = ctx.ring.field.inv(c)
         p = ctx.p
         terms = tuple((tk, tcp, tm, tc * inv % p) for tk, tcp, tm, tc in terms)
-    moddeg = ctx.pm.degree(m) + ctx.twists[cp]
-    return (k, cp, m, terms[1:], moddeg)
+    return (k, cp, m, terms[1:])
 
 
 def _record_terms(rec: tuple) -> tuple:
@@ -482,7 +479,7 @@ def _interreduce(records: list, p: int, guard: int) -> list:
     for rec in records:
         by_comp.setdefault(rec[1], []).append(rec)
     return [
-        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0, 0)], by_comp, p, guard), rec[4])
+        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0, 0)], by_comp, p, guard))
         for rec in records
     ]
 
@@ -506,16 +503,12 @@ class GroebnerBasis:
     reduce or read leads never pay for it.
     """
 
-    __slots__ = (
-        "ring", "rank", "twists", "position", "_vectors", "_records", "_by_comp", "_ctx",
-        "_reduced",
-    )
+    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_by_comp", "_ctx", "_reduced")
 
     def __init__(self, ctx: _Ctx, records: list, reduced: bool = False):
         self.ring = ctx.ring
         self.rank = ctx.rank
         self.twists = ctx.twists
-        self.position = ctx.position
         self._ctx = ctx
         self._set_records(records)
         self._reduced = reduced
@@ -605,7 +598,7 @@ class Submodule:
     R and is what bracket-power style operations transform.
     """
 
-    __slots__ = ("ring", "rank", "twists", "gens", "relations", "position", "_gb")
+    __slots__ = ("ring", "rank", "twists", "gens", "relations", "_gb")
 
     def __init__(
         self,
@@ -614,7 +607,6 @@ class Submodule:
         gens: Iterable,
         twists: Sequence[int] | None = None,
         relations: Iterable[Poly] = (),
-        position: str = "top",
     ):
         if rank < 1 or rank > _CMAX:
             raise GhkError(f"rank {rank} out of supported range")
@@ -623,9 +615,6 @@ class Submodule:
         self.twists = tuple(int(e) for e in twists) if twists is not None else (0,) * rank
         if len(self.twists) != rank:
             raise GhkError(f"{len(self.twists)} twists for rank {rank}")
-        if position not in ("top", "pot"):
-            raise GhkError(f"position rule must be 'top' or 'pot', got {position!r}")
-        self.position = position
 
         rels = []
         for r in relations:
@@ -689,17 +678,16 @@ class Submodule:
 
     def groebner(self, budget: GbBudget | None = None) -> GroebnerBasis:
         if self._gb is None:
-            ctx = _Ctx(self.ring, self.rank, self.twists, self.position)
-            records = _engine([ctx.vec_to_terms(v) for v in self.spanning()], ctx, budget)
-            self._gb = GroebnerBasis(ctx, records)
+            self._gb = _basis(self.ring, self.twists, self.spanning(), "top", budget)
         return self._gb
 
     def contains(self, v) -> bool:
         return self.groebner().contains(v)
 
-    def contains_submodule(self, other: "Submodule") -> bool:
+    def contains_submodule(self, other: "Submodule", budget: GbBudget | None = None) -> bool:
+        """other <= self, through self's basis (built within budget)."""
         self._check_ambient(other)
-        gb = self.groebner()
+        gb = self.groebner(budget)
         return all(gb.contains(v) for v in other.spanning())
 
     def _check_ambient(self, other: "Submodule") -> None:
@@ -724,21 +712,40 @@ class Submodule:
         )
 
 
-def _trusted_reduced_basis(
-    ring: PolyRing, rank: int, twists: tuple, position: str, vectors: Sequence[ModVector]
+def _basis(
+    ring: PolyRing, twists: tuple, vectors: Iterable, position: str, budget: GbBudget | None
 ) -> GroebnerBasis:
-    """Wrap vectors already known to form a reduced monic basis.
+    """Basis of the span of vectors in F = sum_j R(-twists[j]), in the
+    given position rule."""
+    ctx = _Ctx(ring, len(twists), twists, position)
+    return GroebnerBasis(ctx, _engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
 
-    Internal. Used when a reduced basis falls out of a larger
-    elimination computation (block extraction preserves reducedness for
-    rank-1 targets) so the engine need not rediscover it.
+
+def _second_block_of_kernel(
+    U: Submodule, gens: list, twists: tuple, budget: GbBudget | None
+) -> Submodule:
+    """Second blocks of the POT basis elements of the doubled module
+    spanned by gens (ambient twists `twists`) whose first block
+    vanishes, as a submodule of U's ambient module.
+
+    Internal to intersect and colon in idealops. For rank 1 the
+    extracted block is itself the reduced basis of the result, already
+    ascending: the POT basis lists its last-component elements first,
+    by ring order, and "top" order on one component is the ring order.
+    It is installed as such, so the engine need not rediscover it.
     """
-    ctx = _Ctx(ring, rank, twists, position)
-    records = sorted(
-        (_monic_record(ctx, ctx.vec_to_terms(v)) for v in vectors if not v.is_zero()),
-        key=lambda rec: rec[0],
-    )
-    return GroebnerBasis(ctx, records, reduced=True)
+    ring, rank = U.ring, U.rank
+    extracted = [
+        ModVector(vec.components[rank:])
+        for vec in _basis(ring, twists, gens, "pot", budget).vectors
+        if all(f.is_zero() for f in vec.components[:rank])
+    ]
+    result = Submodule(ring, rank, extracted, twists=U.twists, relations=U.relations)
+    if rank == 1:
+        ctx = _Ctx(ring, 1, U.twists, "top")
+        records = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in extracted]
+        result._gb = GroebnerBasis(ctx, records, reduced=True)
+    return result
 
 
 def buchberger(U: Submodule, budget: GbBudget | None = None) -> GroebnerBasis:
@@ -749,16 +756,3 @@ def buchberger(U: Submodule, budget: GbBudget | None = None) -> GroebnerBasis:
     """
     return U.groebner(budget)
 
-
-def normal_form(v, gb) -> ModVector:
-    """Reduced remainder of v modulo a submodule or prepared basis."""
-    if isinstance(gb, Submodule):
-        gb = gb.groebner()
-    return gb.normal_form(v)
-
-
-def is_member(v, U) -> bool:
-    """Membership test; accepts a Submodule or a GroebnerBasis."""
-    if isinstance(U, Submodule):
-        U = U.groebner()
-    return U.contains(v)

@@ -13,12 +13,16 @@ Design rules enforced here:
   results in the same representation.
 * Lengths are read off exact Hilbert series differences (numerator
   polynomials over (1-t)^n), never by scanning graded pieces.
+* Every submodule is built and queried one way: Submodule's "top"
+  basis, through Submodule.groebner, contains and contains_submodule.
+  Intersections and colons eliminate through groebner's private
+  _second_block_of_kernel, the one user of a POT order.
 * Saturation by the irrelevant ideal takes one certified basis, for
   any twists: certify_saturation looks for a variable l whose grevlex
   basis with l last proves U : l^inf = sat(U) by a pole-order-0
-  Hilbert series difference. Any other ideal, or no certifying
-  variable, falls back to saturate_by_colon, the reference route that
-  tests pin saturate against.
+  Hilbert series difference. When no variable certifies, saturate
+  falls back to saturate_by_colon, the reference route that tests pin
+  saturate against and the only route for any other ideal.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .groebner import (
     GroebnerBasis,
     ModVector,
     Submodule,
-    _trusted_reduced_basis,
+    _second_block_of_kernel,
     buchberger,
 )
 
@@ -265,7 +269,7 @@ def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = No
     enumerated.
     """
     _check_same_ambient(U, V)
-    if not _contains_with_budget(V, U, budget):
+    if not V.contains_submodule(U, budget):
         raise GhkHypothesisError("colength_difference needs U <= V; U is not contained in V")
     diff = hilbert_series(U, budget).sub(hilbert_series(V, budget))
     red = diff.reduced()
@@ -292,11 +296,6 @@ def _check_same_ambient(U: Submodule, V: Submodule) -> None:
         raise RingMismatchError("submodules live over different quotient rings")
 
 
-def _contains_with_budget(big: Submodule, small: Submodule, budget: GbBudget | None) -> bool:
-    gb = buchberger(big, budget)
-    return all(gb.contains(v) for v in small.spanning())
-
-
 # ---------------------------------------------------------------------------
 # bracket powers
 
@@ -312,34 +311,11 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
     if I.rank != 1:
         raise GhkError("bracket powers are defined for ideals (rank-1 submodules)")
     gens = [frobenius_power(v[0], q) for v in I.gens]
-    return Submodule(
-        I.ring, 1, gens, twists=I.twists, relations=I.relations, position=I.position
-    )
+    return Submodule(I.ring, 1, gens, twists=I.twists, relations=I.relations)
 
 
 # ---------------------------------------------------------------------------
 # intersection and colon via block elimination
-
-
-def _second_block_of_kernel(U: Submodule, gens: list, twists: tuple, budget: GbBudget | None) -> Submodule:
-    """Second blocks of the POT basis elements of the doubled module
-    spanned by gens (ambient twists `twists`) whose first block
-    vanishes, as a submodule of U's ambient module."""
-    ring, rank = U.ring, U.rank
-    W = Submodule(ring, 2 * rank, gens, twists=twists, position="pot")
-    extracted = [
-        ModVector(vec.components[rank:])
-        for vec in buchberger(W, budget).vectors
-        if all(f.is_zero() for f in vec.components[:rank])
-    ]
-    result = Submodule(
-        ring, rank, extracted, twists=U.twists, relations=U.relations, position=U.position
-    )
-    if rank == 1 and U.position == "top" and result._gb is None:
-        # the extracted block is itself a reduced basis when the target
-        # ambient has a single component
-        result._gb = _trusted_reduced_basis(ring, 1, U.twists, "top", extracted)
-    return result
 
 
 def intersect(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> Submodule:
@@ -400,9 +376,9 @@ def colon(U: Submodule, J, budget: GbBudget | None = None) -> Submodule:
     for g in gens[1:]:
         nxt = _colon_by_element(U, g, budget)
         # cheap containment shortcuts before a full elimination
-        if _contains_with_budget(nxt, result, budget):
+        if nxt.contains_submodule(result, budget):
             continue
-        if _contains_with_budget(result, nxt, budget):
+        if result.contains_submodule(nxt, budget):
             result = nxt
             continue
         result = intersect(result, nxt, budget)
@@ -458,7 +434,7 @@ def _basis_with_last(U: Submodule, i: int, budget: GbBudget | None) -> GroebnerB
     ring = U.ring
     varseq = ring.order.resolved_varseq(ring.nvars)
     seq = tuple(j for j in varseq if j != i) + (i,)
-    if ring.order.kind == "grevlex" and seq == varseq and U.position == "top":
+    if ring.order.kind == "grevlex" and seq == varseq:
         return buchberger(U, budget)
     ring_i = ring.with_order(MonomialOrder("grevlex", varseq=seq))
     conv = [ModVector(tuple(ring_i.convert(f) for f in v.components)) for v in U.spanning()]
@@ -499,43 +475,33 @@ def certify_saturation(
     return None
 
 
-def _saturation_generators(U: Submodule, J) -> list:
-    """Nonzero generators of J (default: the variables)."""
-    if J is None:
-        return list(U.ring.gens())
-    jgens = [g for g in _ideal_generators(U.ring, J, U.relations) if not g.is_zero()]
-    if not jgens:
-        raise GhkHypothesisError("saturation by the zero ideal is not defined")
-    return jgens
+def saturate(U: Submodule, budget: GbBudget | None = None) -> Submodule:
+    """Saturation of U with respect to the irrelevant ideal.
 
-
-def saturate(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
-    """Saturation of U with respect to J (default: the irrelevant ideal).
-
-    For the irrelevant ideal (J None, or generated by nonzero multiples
-    of the variables) and any ambient twists, certify_saturation finds a
-    variable l with U : l^inf = sat(U); each element of the basis with
-    l last is divided by the largest power of l dividing its lead, which
-    divides the whole vector (the module-degree "top" order of
-    groebner.py), and those quotients span sat(U). Any other J, or no
-    certifying variable, takes saturate_by_colon.
+    For any ambient twists, certify_saturation finds a variable l with
+    U : l^inf = sat(U); each element of the basis with l last is divided
+    by the largest power of l dividing its lead, which divides the whole
+    vector (the module-degree "top" order of groebner.py), and those
+    quotients span sat(U). When no variable certifies, this is
+    saturate_by_colon(U).
     """
-    jgens = _saturation_generators(U, J)
-    if {g.monic() for g in jgens} == set(U.ring.gens()):
-        cert = certify_saturation(U, budget)
-        if cert is not None:
-            return _divide_out(U, cert)
-    return saturate_by_colon(U, jgens, budget)
+    cert = certify_saturation(U, budget)
+    if cert is not None:
+        return _divide_out(U, cert)
+    return saturate_by_colon(U, budget=budget)
 
 
 def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
-    """Saturation by iterating W <- (W : J) until stable: the reference
-    route that tests pin saturate against."""
-    jgens = _saturation_generators(U, J)
+    """Saturation of U with respect to J (default: the irrelevant ideal)
+    by iterating W <- (W : J) until stable: the reference route that
+    tests pin saturate against, and the route for any other ideal. J is
+    given as for colon."""
+    if J is None:
+        J = U.ring.gens()
     W = U
     while True:
-        W2 = colon(W, jgens, budget)
-        if _contains_with_budget(W, W2, budget):
+        W2 = colon(W, J, budget)
+        if W.contains_submodule(W2, budget):
             return W
         W = W2
 
@@ -550,9 +516,7 @@ def _divide_out(U: Submodule, cert: SaturationCertificate) -> Submodule:
         ModVector(tuple(ring.convert(f.divide_by_variable_power(i, lead[i])) for f in vec.components))
         for vec, (_, lead) in zip(cert.gb.vectors, cert.gb.lead_terms())
     ]
-    return Submodule(
-        ring, U.rank, back, twists=U.twists, relations=U.relations, position=U.position
-    )
+    return Submodule(ring, U.rank, back, twists=U.twists, relations=U.relations)
 
 
 # ---------------------------------------------------------------------------

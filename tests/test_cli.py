@@ -93,6 +93,30 @@ def test_no_command_anywhere_exits_2(tmp_path, capsys):
     assert "task.command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--budget-pairs", "0"),
+        ("--budget-pairs", "-1"),
+        ("--budget-gb-degree", "0"),
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
+    ],
+)
+def test_count_flags_below_one_exit_2(tmp_path, capsys, flag, value):
+    # the problem file's schema requires minimum 1 for the same keys
+    problem = {
+        "ring": FERMAT_RING,
+        "module": {"ideal": ["x"]},
+        "task": {"command": "ghk", "e_max": 1},
+    }
+    with pytest.raises(SystemExit) as ex:
+        run(tmp_path, problem, flag, value)
+    assert ex.value.code == 2
+    assert "N >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_command_needing_single_prime_rejects_prime_list(tmp_path, capsys):
     problem = {
         "ring": {"primes": [5, 7], "variables": ["x", "y"], "relations": []},

@@ -16,9 +16,8 @@ from ghk.groebner import (
     ModVector,
     Submodule,
     buchberger,
+    _basis,
     _update_pairs,
-    is_member,
-    normal_form,
 )
 from ghk.idealops import RingSpec, certify_saturation, hilbert_series
 
@@ -59,8 +58,8 @@ def test_hand_quotient_ring_ideal():
     U = Submodule.ideal(ring, [ring.parse("x")], relations=[ring.parse("x^2 + y^2")])
     gb = buchberger(U)
     assert [str(v[0]) for v in gb.vectors] == ["x", "y^2"]
-    assert is_member(ring.parse("y^2"), U)
-    assert not is_member(ring.parse("y"), U)
+    assert U.contains(ring.parse("y^2"))
+    assert not U.contains(ring.parse("y"))
 
 
 def test_hand_module_top_vs_pot():
@@ -74,9 +73,9 @@ def test_hand_module_top_vs_pot():
     # ascending key order: component 1 sorts below component 0 for the
     # same ring monomial under TOP
     assert gbt.lead_terms() == ((1, (1, 0)), (0, (1, 0)))
-    # POT: both leads in component 0, S-pair leaves (0, x^2 - y^2)
-    pot = Submodule(ring, 2, gens, position="pot")
-    gbp = buchberger(pot)
+    # POT (private to block elimination): both leads in component 0,
+    # S-pair leaves (0, x^2 - y^2)
+    gbp = _basis(ring, (0, 0), gens, "pot", None)
     strs = [str(v) for v in gbp.vectors]
     assert "(0, x^2 + 2*y^2)" in strs  # x^2 - y^2 over F_3
     assert len(gbp) == 3
@@ -217,7 +216,7 @@ def test_normal_form_respects_input_when_reduced():
     ring = PolyRing(7, ["x", "y"])
     U = Submodule.ideal(ring, [ring.parse("x^2")])
     f = ring.parse("y^3 + x*y")
-    assert normal_form(f, U)[0] == f
+    assert U.groebner().normal_form(f)[0] == f
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +495,7 @@ def test_top_order_compares_module_degree_first():
     assert gb.vectors == (v,)
     # (0, xy + y^2) - y*v = (-y^4, y^2), whose lead (1, y^2) is irreducible
     w = ModVector((ring.zero, x * y + y * y))
-    assert normal_form(w, gb) == ModVector((-(y**4), y * y))
+    assert gb.normal_form(w) == ModVector((-(y**4), y * y))
 
 
 def test_ambient_mismatch_rejected():
@@ -508,7 +507,7 @@ def test_ambient_mismatch_rejected():
     with pytest.raises(RingMismatchError):
         U1.contains_submodule(Submodule.ideal(r2, [r2.parse("x")]))
     with pytest.raises(RingMismatchError):
-        is_member(r2.parse("x"), U1)
+        U1.contains(r2.parse("x"))
 
 
 def test_semantic_equality():
