@@ -1,17 +1,19 @@
-"""Exact arithmetic over prime fields: monomials, term orders, sparse polynomials.
+"""Exact arithmetic over prime fields: monomials, grevlex keys, sparse polynomials.
 
 Everything downstream (Groebner engines, Hilbert series, Frobenius
 pullbacks) reduces to the operations defined here. Coefficients are
 Python ints in [0, p) tied to a PrimeField handle; a monomial is a plain
 exponent tuple; a polynomial is an immutable sequence of terms sorted
-descending in the ring's monomial order.
+descending in grevlex.
 
-Order comparisons are packed into single integers: each monomial gets a
-key such that key(a) > key(b) iff a > b in the order, and
-key(a*b) = key(a) + key(b) - C for an order-dependent constant C. The
-reduction loops in the Groebner engine exploit this to shift whole
-polynomials with one integer addition per term instead of re-deriving
-tuple comparisons.
+Grevlex is the one term order. Its comparisons are packed into single
+integers: grevlex_key(nvars, last) gives each monomial a key such that
+key(a) > key(b) iff a > b in grevlex with variable `last` compared last,
+and key(a*b) = key(a) + key(b) - C for C = grevlex_shift(nvars), the
+same for every `last`. Polynomials use the default last variable; the
+Groebner engine chooses another per basis. The reduction loops there
+exploit the shift rule to move whole polynomials with one integer
+addition per term instead of re-deriving tuple comparisons.
 
 Divisibility has its own packed form, PackedMonomials: exponent i sits
 in field i of EXP_BITS bits, and the top bit of every field is a guard
@@ -39,7 +41,8 @@ __all__ = [
     "Rat",
     "rat_str",
     "PrimeField",
-    "MonomialOrder",
+    "grevlex_key",
+    "grevlex_shift",
     "PolyRing",
     "Poly",
     "parse_poly",
@@ -250,89 +253,37 @@ class PackedMonomials:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the term order: grevlex keys
 
 
-class MonomialOrder:
-    """A named total order on monomials, realized as packed integer keys.
+def grevlex_key(nvars: int, last: int | None = None) -> Callable[[tuple], int]:
+    """Packed grevlex key on exponent tuples with nvars entries.
 
-    kind is one of "grevlex" (degree, ties by smallest exponent on the
-    last variable of varseq), "lex", or "deglex". varseq is a
-    permutation of variable indices listed most-significant first; None
-    means the natural sequence. Saturation routines use grevlex orders
-    whose varseq ends at a chosen variable.
+    Degree first, ties broken by the smallest exponent of variable
+    `last` (default: the last variable), then of the others from the
+    highest index down. Every Poly is sorted by the default key; the
+    Groebner engine picks `last` for a basis (see groebner.py).
     """
+    if last is None:
+        last = nvars - 1
+    if not (isinstance(last, int) and 0 <= last < nvars):
+        raise GhkError(f"last variable {last!r} is not in range({nvars})")
+    # fields, most significant first: total degree, then complemented
+    # exponents of `last` and of the others from the highest index down
+    rev = (last,) + tuple(i for i in reversed(range(nvars)) if i != last)
 
-    __slots__ = ("kind", "varseq")
+    def key(m, _rev=rev, _B=EXP_BITS, _F=_FMAX):
+        k = sum(m)
+        for i in _rev:
+            k = (k << _B) | (_F - m[i])
+        return k
 
-    KINDS = ("grevlex", "lex", "deglex")
+    return key
 
-    def __init__(self, kind: str = "grevlex", varseq: tuple | None = None):
-        if kind not in self.KINDS:
-            raise GhkError(f"unknown monomial order {kind!r}; choose from {self.KINDS}")
-        self.kind = kind
-        self.varseq = None if varseq is None else tuple(varseq)
 
-    def resolved_varseq(self, nvars: int) -> tuple:
-        seq = self.varseq if self.varseq is not None else tuple(range(nvars))
-        if sorted(seq) != list(range(nvars)):
-            raise GhkError(f"varseq {seq} is not a permutation of range({nvars})")
-        return seq
-
-    def key_func(self, nvars: int) -> Callable[[tuple], int]:
-        """Packed-key closure for monomials with nvars exponents."""
-        seq = self.resolved_varseq(nvars)
-        B = EXP_BITS
-        if self.kind == "grevlex":
-            # fields, most significant first: total degree, then
-            # complemented exponents from the last varseq entry down.
-            rev = tuple(reversed(seq))
-
-            def key(m, _rev=rev, _B=B, _F=_FMAX):
-                k = sum(m)
-                for i in _rev:
-                    k = (k << _B) | (_F - m[i])
-                return k
-
-            return key
-        if self.kind == "lex":
-
-            def key(m, _seq=seq, _B=B):
-                k = 0
-                for i in _seq:
-                    k = (k << _B) | m[i]
-                return k
-
-            return key
-
-        def key(m, _seq=seq, _B=B):  # deglex
-            k = sum(m)
-            for i in _seq:
-                k = (k << _B) | m[i]
-            return k
-
-        return key
-
-    def shift_const(self, nvars: int) -> int:
-        """C with key(a*b) = key(a) + key(b) - C."""
-        if self.kind == "grevlex":
-            return (1 << (EXP_BITS * nvars)) - 1
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialOrder)
-            and other.kind == self.kind
-            and other.varseq == self.varseq
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.varseq))
-
-    def __repr__(self) -> str:
-        if self.varseq is None:
-            return f"MonomialOrder({self.kind!r})"
-        return f"MonomialOrder({self.kind!r}, varseq={self.varseq})"
+def grevlex_shift(nvars: int) -> int:
+    """C with key(a*b) = key(a) + key(b) - C for every grevlex_key(nvars, last)."""
+    return (1 << (EXP_BITS * nvars)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +291,15 @@ class MonomialOrder:
 
 
 class PolyRing:
-    """F_p[variables] with a fixed monomial order.
+    """F_p[variables]; its polynomials are sorted by grevlex_key(nvars).
 
-    Rings compare by value (characteristic, variable names, order), so
+    Rings compare by value (characteristic, variable names), so
     independently constructed copies of the same ring interoperate.
     """
 
-    __slots__ = ("field", "p", "variables", "nvars", "order", "key", "shiftc", "_vindex")
+    __slots__ = ("field", "p", "variables", "nvars", "key", "shiftc", "_vindex")
 
-    def __init__(self, field: PrimeField | int, variables: Iterable[str], order: MonomialOrder | None = None):
+    def __init__(self, field: PrimeField | int, variables: Iterable[str]):
         if isinstance(field, int):
             field = PrimeField(field)
         if not isinstance(field, PrimeField):
@@ -367,9 +318,8 @@ class PolyRing:
         self.p = field.p
         self.variables = names
         self.nvars = len(names)
-        self.order = order if order is not None else MonomialOrder("grevlex")
-        self.key = self.order.key_func(self.nvars)
-        self.shiftc = self.order.shift_const(self.nvars)
+        self.key = grevlex_key(self.nvars)
+        self.shiftc = grevlex_shift(self.nvars)
         self._vindex = {v: i for i, v in enumerate(names)}
 
     # -- builders ----------------------------------------------------
@@ -425,19 +375,6 @@ class PolyRing:
     def parse(self, text: str) -> "Poly":
         return parse_poly(text, self)
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        """Same field and variables, different monomial order."""
-        return PolyRing(self.field, self.variables, order)
-
-    def convert(self, f: "Poly") -> "Poly":
-        """Re-sort a polynomial from an equal-up-to-order ring into this one."""
-        if f.ring is self:
-            return f
-        if (f.ring.p, f.ring.variables) != (self.p, self.variables):
-            raise GhkError("cannot convert between rings with different fields or variables")
-        terms = sorted(((self.key(m), m, c) for _, m, c in f._t), reverse=True)
-        return Poly(self, tuple(terms))
-
     # -- value semantics ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -445,18 +382,17 @@ class PolyRing:
             isinstance(other, PolyRing)
             and other.p == self.p
             and other.variables == self.variables
-            and other.order == self.order
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.variables, self.order))
+        return hash((self.p, self.variables))
 
     def __reduce__(self):
-        # the key closures do not pickle; rebuild them from the order
-        return (PolyRing, (self.p, self.variables, self.order))
+        # the key closure does not pickle; rebuild it
+        return (PolyRing, (self.p, self.variables))
 
     def __repr__(self) -> str:
-        return f"PolyRing(F_{self.p}, {list(self.variables)}, {self.order!r})"
+        return f"PolyRing(F_{self.p}, {list(self.variables)})"
 
 
 def _same_ring(a: "Poly", b: "Poly") -> None:
@@ -688,11 +624,6 @@ class Poly:
             out.append((ring.key(nm), nm, nc))
         out.sort(reverse=True)
         return Poly(ring, tuple(out))
-
-    def monic(self) -> "Poly":
-        if not self._t:
-            return self
-        return self.scale(self.ring.field.inv(self._t[0][2]))
 
     # -- value semantics ----------------------------------------------
 

@@ -32,6 +32,7 @@ from .frobmod import (
     GHKRow,
     GHKTable,
     Presentation,
+    SkippedRow,
     ghk_table,
     hk_value,
     presentation_of_quotient,
@@ -357,10 +358,15 @@ class _Cli:
         I = rspec.ideal([rspec.parse(g) for g in self.ideal_generators()])
         budget = self.budget()
         rows = []
+        skipped = []
         for e in range(1, self.e_max() + 1):
-            rows.append(GHKRow(e, rspec.p**e, hk_value(I, e, budget=budget)))
+            # a budget overrun skips its row, as in ghk_table
+            try:
+                rows.append(GHKRow(e, rspec.p**e, hk_value(I, e, budget=budget)))
+            except BudgetExceededError as ex:
+                skipped.append(SkippedRow(e, str(ex)))
         gens = ", ".join(self.ideal_generators())
-        table = GHKTable(rspec.p, f"classical R/({gens})", tuple(rows))
+        table = GHKTable(rspec.p, f"classical R/({gens})", tuple(rows), tuple(skipped))
         self.write_text("hk-table.csv", table.to_csv())
         payload = {"table": table.to_json_dict()}
         if len(table.rows) >= 2:
@@ -370,7 +376,9 @@ class _Cli:
         self.write_json("hk-report.json", payload)
         for row in rows:
             print(f"e={row.e} q={row.q} length={row.length}")
-        return 0
+        for skip in skipped:
+            print(f"e={skip.e} skipped: {skip.reason}")
+        return 3 if skipped else 0
 
     def cmd_gamma(self) -> int:
         e_exact = self._exact_multiplicity()

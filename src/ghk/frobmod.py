@@ -129,7 +129,7 @@ def presentation_of_quotient(I: Submodule, rspec: RingSpec | None = None) -> Pre
     if I.rank != 1:
         raise GhkError("quotient presentations need an ideal (rank-1 submodule)")
     if rspec is None:
-        rspec = RingSpec(I.ring.p, list(I.ring.variables), I.relations, order=I.ring.order)
+        rspec = RingSpec(I.ring.p, list(I.ring.variables), I.relations)
     else:
         if rspec.ring != I.ring:
             raise RingMismatchError("ideal lives over a different ring than rspec")
@@ -315,8 +315,7 @@ def _map_rows(fn, tasks: list, jobs: int) -> list:
 
 def _run_row(task: tuple) -> tuple:
     """Worker for one table row; must stay importable at module top level
-    so tasks can cross process boundaries. A task is (P, e, budget); P
-    pickles with its ring, monomial order included."""
+    so tasks can cross process boundaries. A task is (P, e, budget)."""
     P, e, budget = task
     try:
         return ("ok", e, P.rspec.p ** e, ghk_value(P, e, budget=budget))

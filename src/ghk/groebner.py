@@ -3,8 +3,8 @@
 Buchberger's algorithm with the Gebauer-Moller pair filters, normal
 (degree-first) pair selection with ties broken by input index, and
 canonical reduced output: the reduced basis of a submodule is unique
-for a fixed order, so results are reproducible across strategies. The
-engine stops at a minimal basis; its tails are reduced against the
+for a fixed term order, so results are reproducible across strategies.
+The engine stops at a minimal basis; its tails are reduced against the
 whole basis only when GroebnerBasis.vectors is first read. Leads,
 membership and normal forms are read without that pass, and a Hilbert
 series needs only the leads.
@@ -15,20 +15,23 @@ the relation columns adjoined to its spanning set; the user-level
 generator list stays separate so that operations which must distinguish
 generators from relations (bracket powers) can do so.
 
-Module terms are packed into single integers, extending the ring's
-monomial keys by a component field. "top" order compares the module
-degree deg(m) + twists[j] first, then the ring monomial (component 0
+The engine, not the ring, chooses the term order of a basis: ring
+monomials compare in grevlex with a chosen variable `last` compared
+last (arith.grevlex_key; by default the ring's last variable, the
+order every Poly is sorted in), and Submodule.groebner keeps one basis
+per `last`. Module terms are packed into single integers, extending
+those monomial keys by a component field. "top" order compares the
+module degree deg(m) + twists[j] first, then the monomial (component 0
 wins ties): the key of component j carries twists[j] - min(twists) in
-the ring key's top field. With equal twists that is the plain ring
-order. Under a grevlex ring order the module-degree rule gives the
-revlex property for any twists: if the last variable divides the lead
-of a homogeneous vector, it divides every term, which the certified
-saturation in idealops relies on. Every Submodule basis is in "top"
-order. "pot" compares the component first (component 0 largest); it
-is private to block elimination (_second_block_of_kernel, which
-intersect and colon in idealops call). Shifting a vector by a monomial
-adds a constant to every packed key, so the reducer does one integer
-add per term.
+the monomial key's top field. With equal twists that is plain grevlex.
+The module-degree rule gives the revlex property for any twists: if
+`last` divides the lead of a homogeneous vector, it divides every
+term, which the certified saturation in idealops relies on. Every
+Submodule basis is in "top" order. "pot" compares the component first
+(component 0 largest); it is private to block elimination
+(_second_block_of_kernel, which intersect and colon in idealops call).
+Shifting a vector by a monomial adds a constant to every packed key,
+so the reducer does one integer add per term.
 
 Inside the engine a term's monomial is a PackedMonomials int from
 arith.py (exponent i in field i, a guard bit on top of each field), so
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .arith import EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing
+from .arith import EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing, grevlex_key
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -130,19 +133,9 @@ class ModVector:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __add__(self, other: "ModVector") -> "ModVector":
-        self._check_ambient(other)
-        return ModVector(tuple(a + b for a, b in zip(self.components, other.components)))
-
     def __sub__(self, other: "ModVector") -> "ModVector":
         self._check_ambient(other)
         return ModVector(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "ModVector":
-        return ModVector(tuple(-a for a in self.components))
-
-    def scale(self, c: int) -> "ModVector":
-        return ModVector(tuple(a.scale(c) for a in self.components))
 
     def poly_mul(self, f: Poly) -> "ModVector":
         return ModVector(tuple(f * a for a in self.components))
@@ -196,12 +189,14 @@ class ModVector:
 
 
 class _Ctx:
-    """Key packing for module terms at a fixed rank and position rule
-    ("top" or "pot")."""
+    """Key packing for module terms at a fixed rank, position rule
+    ("top" or "pot") and grevlex last variable."""
 
-    __slots__ = ("ring", "rank", "twists", "p", "pm", "term_key", "ring_key_of")
+    __slots__ = ("ring", "rank", "twists", "p", "pm", "key", "term_key")
 
-    def __init__(self, ring: PolyRing, rank: int, twists: tuple, position: str):
+    def __init__(
+        self, ring: PolyRing, rank: int, twists: tuple, position: str, last: int | None = None
+    ):
         if rank < 1 or rank > _CMAX:
             raise GhkError(f"rank {rank} out of supported range [1, {_CMAX}]")
         self.ring = ring
@@ -209,6 +204,7 @@ class _Ctx:
         self.twists = twists
         self.p = ring.p
         self.pm = PackedMonomials(ring.nvars)
+        self.key = grevlex_key(ring.nvars, last)
         if position == "top":
             # module degree first: component j's twist excess goes into
             # the ring key's top (degree) field; equal twists add 0
@@ -218,20 +214,13 @@ class _Ctx:
             def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
                 return ((rk + _offs[comp]) << _cb) | (_cm - comp)
 
-            def ring_key_of(k, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
-                return (k >> _cb) - _offs[_cm - (k & _cm)]
-
         else:
             rb = (ring.nvars + 1) * EXP_BITS
 
             def term_key(comp, rk, _rb=rb, _cm=_CMAX):
                 return ((_cm - comp) << _rb) | rk
 
-            def ring_key_of(k, _rb=rb):
-                return k & ((1 << _rb) - 1)
-
         self.term_key = term_key
-        self.ring_key_of = ring_key_of
 
     def check_degree(self, deg: int) -> None:
         """Refuse work of module degree deg that could reach a guard bit."""
@@ -243,23 +232,25 @@ class _Ctx:
 
     def vec_to_terms(self, v: ModVector) -> tuple:
         tk = self.term_key
+        key = self.key
         pack = self.pm.pack
         terms = []
         for j, f in enumerate(v.components):
             if f._t:
                 self.check_degree(f.degree() + self.twists[j])
-            for k, m, c in f._t:
-                terms.append((tk(j, k), j, pack(m), c))
+            for _, m, c in f._t:
+                terms.append((tk(j, key(m)), j, pack(m), c))
         terms.sort(reverse=True)
         return tuple(terms)
 
     def terms_to_vec(self, terms: Iterable[tuple]) -> ModVector:
         ring = self.ring
         per: list = [[] for _ in range(self.rank)]
-        rko = self.ring_key_of
+        key = ring.key
         unpack = self.pm.unpack
-        for k, cp, m, c in terms:
-            per[cp].append((rko(k), unpack(m), c))
+        for _, cp, m, c in terms:
+            mon = unpack(m)
+            per[cp].append((key(mon), mon, c))
         comps = []
         for lst in per:
             lst.sort(reverse=True)
@@ -403,7 +394,6 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
     leads are final, and _interreduce makes the basis reduced.
     """
     p = ctx.p
-    ring = ctx.ring
     pm = ctx.pm
     guard = pm.guard
     max_degree = budget.max_degree if budget else None
@@ -449,7 +439,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
         ctx.check_degree(deg)
         pairs_done += 1
         gi, gj = G[i], G[j]
-        ktau = ctx.term_key(gi[1], ring.key(pm.unpack(tau)))
+        ktau = ctx.term_key(gi[1], ctx.key(pm.unpack(tau)))
         seeds = [
             (gi[3], 1, ktau - gi[0], tau - gi[2]),
             (gj[3], p - 1, ktau - gj[0], tau - gj[2]),
@@ -489,11 +479,13 @@ def _interreduce(records: list, p: int, guard: int) -> list:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of a submodule: unique for (module, order).
+    """Reduced Groebner basis of a submodule: unique for (module, last).
 
     Elements are monic, no term of any element is divisible by the lead
     of another, and vectors are sorted by ascending lead. Reusable as a
-    reducer via normal_form/contains.
+    reducer via normal_form/contains. The vectors' polynomials are
+    sorted in the ring's own grevlex, so with another `last` their lm()
+    need not be the basis lead; lead_terms gives the leads.
 
     The engine hands over a minimal basis; its tails are reduced the
     first time vectors (or iteration) is read, and the vectors are
@@ -640,7 +632,7 @@ class Submodule:
                 )
             vecs.append(v)
         self.gens = tuple(vecs)
-        self._gb = None
+        self._gb: dict = {}  # last variable -> basis
 
     def _coerce_gen(self, g) -> ModVector:
         if isinstance(g, ModVector):
@@ -676,10 +668,16 @@ class Submodule:
         """Generators plus relation columns: what the engine consumes."""
         return self.gens + self.relation_columns()
 
-    def groebner(self, budget: GbBudget | None = None) -> GroebnerBasis:
-        if self._gb is None:
-            self._gb = _basis(self.ring, self.twists, self.spanning(), "top", budget)
-        return self._gb
+    def groebner(self, budget: GbBudget | None = None, last: int | None = None) -> GroebnerBasis:
+        """The basis in "top" grevlex with variable `last` compared last
+        (default: the ring's last variable), built once per `last`."""
+        if last is None:
+            last = self.ring.nvars - 1
+        gb = self._gb.get(last)
+        if gb is None:
+            gb = _basis(self.ring, self.twists, self.spanning(), "top", budget, last)
+            self._gb[last] = gb
+        return gb
 
     def contains(self, v) -> bool:
         return self.groebner().contains(v)
@@ -713,11 +711,16 @@ class Submodule:
 
 
 def _basis(
-    ring: PolyRing, twists: tuple, vectors: Iterable, position: str, budget: GbBudget | None
+    ring: PolyRing,
+    twists: tuple,
+    vectors: Iterable,
+    position: str,
+    budget: GbBudget | None,
+    last: int | None = None,
 ) -> GroebnerBasis:
     """Basis of the span of vectors in F = sum_j R(-twists[j]), in the
-    given position rule."""
-    ctx = _Ctx(ring, len(twists), twists, position)
+    given position rule and grevlex last variable."""
+    ctx = _Ctx(ring, len(twists), twists, position, last)
     return GroebnerBasis(ctx, _engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
 
 
@@ -731,8 +734,9 @@ def _second_block_of_kernel(
     Internal to intersect and colon in idealops. For rank 1 the
     extracted block is itself the reduced basis of the result, already
     ascending: the POT basis lists its last-component elements first,
-    by ring order, and "top" order on one component is the ring order.
-    It is installed as such, so the engine need not rediscover it.
+    in the default grevlex, and "top" order on one component is that
+    grevlex. It is installed as such, so the engine need not rediscover
+    it.
     """
     ring, rank = U.ring, U.rank
     extracted = [
@@ -744,7 +748,7 @@ def _second_block_of_kernel(
     if rank == 1:
         ctx = _Ctx(ring, 1, U.twists, "top")
         records = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in extracted]
-        result._gb = GroebnerBasis(ctx, records, reduced=True)
+        result._gb[ring.nvars - 1] = GroebnerBasis(ctx, records, reduced=True)
     return result
 
 

@@ -18,11 +18,13 @@ Design rules enforced here:
   Intersections and colons eliminate through groebner's private
   _second_block_of_kernel, the one user of a POT order.
 * Saturation by the irrelevant ideal takes one certified basis, for
-  any twists: certify_saturation looks for a variable l whose grevlex
-  basis with l last proves U : l^inf = sat(U) by a pole-order-0
-  Hilbert series difference. When no variable certifies, saturate
-  falls back to saturate_by_colon, the reference route that tests pin
-  saturate against and the only route for any other ideal.
+  any twists: certify_saturation looks for a variable l whose basis
+  U.groebner(last=l), in grevlex with l compared last, proves
+  U : l^inf = sat(U) by a pole-order-0 Hilbert series difference.
+  Rings carry no term order; a basis is the only place one is chosen.
+  When no variable certifies, saturate falls back to saturate_by_colon,
+  the reference route that tests pin saturate against and the only
+  route for any other ideal.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import EXP_BITS, MonomialOrder, PackedMonomials, Poly, PolyRing, frobenius_power
+from .arith import EXP_BITS, PackedMonomials, Poly, PolyRing, frobenius_power
 from .errors import (
     GhkError,
     GhkHypothesisError,
@@ -414,8 +416,8 @@ def _ideal_generators(ring: PolyRing, J, relations) -> list:
 class SaturationCertificate:
     """Proof that U : x_var^inf = sat(U), read off one Groebner basis.
 
-    gb is U's basis in grevlex with x_var last (over that reordering of
-    U's ring); torsion is HS(sat(U)/U), reduced to pole order 0.
+    gb is U.groebner(last=var), U's basis in grevlex with x_var compared
+    last; torsion is HS(sat(U)/U), reduced to pole order 0.
     """
 
     var: int
@@ -428,39 +430,25 @@ class SaturationCertificate:
         return self.torsion.numer_at_one()
 
 
-def _basis_with_last(U: Submodule, i: int, budget: GbBudget | None) -> GroebnerBasis:
-    """U's basis in "top" grevlex with variable i last; U's own cached
-    basis when that is already its order."""
-    ring = U.ring
-    varseq = ring.order.resolved_varseq(ring.nvars)
-    seq = tuple(j for j in varseq if j != i) + (i,)
-    if ring.order.kind == "grevlex" and seq == varseq:
-        return buchberger(U, budget)
-    ring_i = ring.with_order(MonomialOrder("grevlex", varseq=seq))
-    conv = [ModVector(tuple(ring_i.convert(f) for f in v.components)) for v in U.spanning()]
-    return buchberger(Submodule(ring_i, U.rank, conv, twists=U.twists), budget)
-
-
 def certify_saturation(
     U: Submodule, budget: GbBudget | None = None
 ) -> SaturationCertificate | None:
     """Find a variable l with U : l^inf = sat(U), or None.
 
-    Tries the ring order's last variable first (U's cached basis), then
-    the others. In grevlex with l last, in(U : l^inf) = in(U) : l^inf
+    Tries the ring's last variable first (U's default basis), then the
+    others in index order, each through U.groebner(budget, last=l). In
+    grevlex with l last, in(U : l^inf) = in(U) : l^inf
     (Bayer-Stillman), so one basis gives HS(F/U) from its leads and
     HS(F/(U : l^inf)) from the same leads with the l-exponent set to 0.
     U : l^inf contains sat(U); when the difference has pole order 0,
     (U : l^inf)/U has finite length, so it lies in sat(U) and the two
     are equal.
     """
-    ring = U.ring
-    nvars = ring.nvars
-    varseq = ring.order.resolved_varseq(nvars)
+    nvars = U.ring.nvars
     pm = PackedMonomials(nvars)
     memo: dict = {}
-    for i in varseq[-1:] + varseq[:-1]:
-        gb = _basis_with_last(U, i, budget)
+    for i in (nvars - 1, *range(nvars - 1)):
+        gb = U.groebner(budget, last=i)
         leads = gb.packed_leads()
         # set the l-exponent to 0: mask off l's field
         keep = ~(((1 << EXP_BITS) - 1) << (EXP_BITS * i))
@@ -511,12 +499,12 @@ def _divide_out(U: Submodule, cert: SaturationCertificate) -> Submodule:
     x_var-exponent of its lead."""
     if cert.torsion.is_zero():
         return U
-    ring, i = U.ring, cert.var
+    i = cert.var
     back = [
-        ModVector(tuple(ring.convert(f.divide_by_variable_power(i, lead[i])) for f in vec.components))
+        ModVector(tuple(f.divide_by_variable_power(i, lead[i]) for f in vec.components))
         for vec, (_, lead) in zip(cert.gb.vectors, cert.gb.lead_terms())
     ]
-    return Submodule(ring, U.rank, back, twists=U.twists, relations=U.relations)
+    return Submodule(U.ring, U.rank, back, twists=U.twists, relations=U.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +542,6 @@ def reflexive_hull(I: Submodule, witness: Poly | None = None, budget: GbBudget |
 @dataclass(frozen=True)
 class SmoothnessReport:
     smooth: bool
-    jacobian_codim_met: bool
     singular_locus_dimension: int  # Krull dim of S / (minors + relations); 0 means empty in Proj
     details: str
 
@@ -606,9 +593,8 @@ class RingSpec:
         p: int,
         variables: Sequence[str],
         relations: Iterable = (),
-        order: MonomialOrder | None = None,
     ):
-        self.ring = PolyRing(p, variables, order)
+        self.ring = PolyRing(p, variables)
         rels = []
         for r in relations:
             f = self.ring.parse(r) if isinstance(r, str) else r
@@ -738,7 +724,7 @@ def smoothness_check(rspec: RingSpec) -> SmoothnessReport:
     rels = rspec.relations
     if not rels:
         # a free polynomial ring: Proj is a projective space, smooth
-        return SmoothnessReport(True, True, 0, "no relations; Proj is a projective space")
+        return SmoothnessReport(True, 0, "no relations; Proj is a projective space")
     k = n - 2
     jac = [[f.derivative(i) for i in range(n)] for f in rels]
     minors: list = []
@@ -760,7 +746,7 @@ def smoothness_check(rspec: RingSpec) -> SmoothnessReport:
         if smooth
         else f"Jacobian ideal leaves a singular locus of dimension {dim} in the cone"
     )
-    return SmoothnessReport(smooth, bool(minors), dim, details)
+    return SmoothnessReport(smooth, dim, details)
 
 
 def sheaf_degree(rspec: RingSpec, I: Submodule, budget: GbBudget | None = None) -> int:

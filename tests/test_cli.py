@@ -286,6 +286,22 @@ def test_hk_irrelevant_ideal(tmp_path):
     assert "estimate" not in report  # one row is not enough for a fit
 
 
+def test_hk_budget_exhaustion_exits_3_with_partial_output(tmp_path, capsys):
+    problem = {
+        "ring": FERMAT_RING,
+        "module": {"ideal": ["x", "y", "z"]},
+        "task": {"command": "hk", "e_max": 2},
+    }
+    code, out = run(tmp_path, problem, "--budget-gb-degree", "30")
+    assert code == 3
+    # e=1 fits under the budget, e=2 does not; the finished row still ships
+    assert (out / "hk-table.csv").read_text() == "e,q,length\n1,7,109\n"
+    report = json.loads((out / "hk-report.json").read_text())
+    assert report["table"]["rows"] == [{"e": 1, "q": 7, "length": 109}]
+    assert [s["e"] for s in report["table"]["skipped"]] == [2]
+    assert "e=2 skipped" in capsys.readouterr().out
+
+
 def test_hk_requires_ideal_not_presentation(tmp_path, capsys):
     problem = {
         "ring": FERMAT_RING,

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk.arith import MonomialOrder
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, RingMismatchError
 from ghk.frobmod import (
     GHKRow,
@@ -185,7 +184,7 @@ def test_sweep_curve_values():
 
 def test_certified_length_on_a_coordinate_line(fermat7):
     # the point [1:-1:0] lies on z = 0: the certificate rejects z (tried
-    # first, as the ring order's last variable) and certifies with x
+    # first, as the ring's last variable) and certifies with x
     P = presentation_of_quotient(fermat7.ideal(["z", "x + y"]), fermat7)
     cert = certify_saturation(frobenius_pullback(P, 1).image_submodule())
     assert cert.var == 0
@@ -419,19 +418,9 @@ def test_table_parallel_matches_serial(fermat7):
     assert serial == parallel
 
 
-@pytest.fixture(scope="module")
-def fermat7_reordered():
-    return RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"], order=MonomialOrder("grevlex", (2, 0, 1)))
-
-
-def test_presentation_pickles_with_its_order(fermat7_reordered):
-    P = point_presentation(fermat7_reordered)
+def test_presentation_pickles_with_its_order(fermat7):
+    # the ring's key closure does not pickle; PolyRing.__reduce__ rebuilds it
+    P = point_presentation(fermat7)
     Q = pickle.loads(pickle.dumps(P))
     assert Q == P
-    assert Q.rspec.ring.order == MonomialOrder("grevlex", (2, 0, 1))
     assert ghk_value(Q, 1) == ghk_value(P, 1)
-
-
-def test_table_parallel_matches_serial_under_a_reordered_ring(fermat7_reordered):
-    P = point_presentation(fermat7_reordered)
-    assert ghk_table(P, 2, jobs=2) == ghk_table(P, 2)

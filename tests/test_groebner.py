@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghk.groebner as groebner
-from ghk.arith import EXP_CAP, MonomialOrder, PackedMonomials, PolyRing
+from ghk.arith import EXP_CAP, PackedMonomials, PolyRing
 from ghk.errors import BudgetExceededError, GhkError, HomogeneityError, RingMismatchError
 from ghk.frobmod import hk_value
 from ghk.groebner import (
@@ -19,10 +19,10 @@ from ghk.groebner import (
     _basis,
     _update_pairs,
 )
-from ghk.idealops import RingSpec, certify_saturation, hilbert_series
+from ghk.idealops import RingSpec, _lead_series, certify_saturation, hilbert_series
 
 from naive_modules import naive_member
-from naive_poly import monomials_of_degree
+from naive_poly import monomials_of_degree, ref_order_tuple
 
 
 def to_dict(v: ModVector) -> dict:
@@ -238,6 +238,12 @@ def test_basis_cached_on_submodule():
     ring = PolyRing(7, ["x", "y"])
     U = Submodule.ideal(ring, [ring.parse("x^2 + y^2")])
     assert U.groebner() is U.groebner()
+    # one basis per last variable; the default is the ring's last one
+    assert U.groebner() is U.groebner(last=1)
+    assert U.groebner(last=0) is U.groebner(last=0)
+    assert U.groebner(last=0) is not U.groebner()
+    with pytest.raises(GhkError):
+        U.groebner(last=2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +331,43 @@ def test_normal_forms_do_not_depend_on_the_lazy_pass(data, p, twists):
         assert member == nf.is_zero()
         assert member == naive_member(to_dict(v), span, twists, 2, p)
         assert naive_member(to_dict(v - nf), span, twists, 2, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5]),
+    twists=st.sampled_from([(0,), (0, 1)]),
+    relation=st.booleans(),
+)
+def test_every_last_variable_gives_a_basis_in_its_order(data, p, twists, relation):
+    ring = PolyRing(p, ["x", "y", "z"])
+
+    def draw_vec(deg):
+        return data.draw(module_vectors(ring, twists, deg))
+
+    gens = [draw_vec(data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(1, 3)))]
+    rels = [data.draw(homogeneous_polys(ring, 2))] if relation else []
+    U = Submodule(ring, len(twists), gens, twists=twists, relations=rels)
+    span = spanning_dicts(U)
+    probes = [draw_vec(data.draw(st.integers(1, 4))) for _ in range(3)] + list(U.gens)
+    members = [naive_member(to_dict(v), span, twists, 3, p) for v in probes]
+    series = hilbert_series(U)
+    pm = PackedMonomials(3)
+    for last in range(3):
+        seq = tuple(i for i in range(3) if i != last) + (last,)
+
+        def order(term):
+            # module degree, then grevlex with `last` last, then component 0 first
+            j, m = term
+            return (sum(m) + twists[j],) + ref_order_tuple("grevlex", seq, m)[1:] + (-j,)
+
+        gb = U.groebner(last=last)
+        for vec, lead in zip(gb.vectors, gb.lead_terms()):
+            terms = [(j, m) for j, f in enumerate(vec.components) for m, _ in f.terms()]
+            assert max(terms, key=order) == lead, (last, str(vec))
+        assert _lead_series(gb.packed_leads(), twists, 3, {}, pm) == series, last
+        assert [gb.contains(v) for v in probes] == members, last
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +566,3 @@ def test_bare_poly_gen_rank_guard():
     ring = PolyRing(7, ["x", "y"])
     with pytest.raises(GhkError):
         Submodule(ring, 2, [ring.parse("x")])
-
-
-def test_lex_order_elimination_flavor():
-    # lex basis of (x^2 - y^2... homogeneous variant): x^2 + 6*y^2, x*y
-    ring = PolyRing(7, ["x", "y"], MonomialOrder("lex"))
-    U = Submodule.ideal(ring, [ring.parse("x^2 - y^2"), ring.parse("x*y")])
-    gb = buchberger(U)
-    # y^3 = y*(x^2 - y^2)*(-1) + x*(x*y) belongs and should appear with
-    # a pure-y lead under lex
-    leads = [v[0].lm() for v in gb.vectors]
-    assert (0, 3) in leads

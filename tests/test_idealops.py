@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk.arith import MonomialOrder, PolyRing
+from ghk.arith import PolyRing
 from ghk.errors import (
     BudgetExceededError,
     GhkError,
