@@ -2,9 +2,11 @@
 
 Everything downstream (Groebner engines, Hilbert series, Frobenius
 pullbacks) reduces to the operations defined here. Coefficients are
-Python ints in [0, p) tied to a PrimeField handle; a monomial is a plain
-exponent tuple; a polynomial is an immutable sequence of terms sorted
-descending in grevlex.
+plain Python ints in [0, p), and the field is the int p that the ring
+holds: the Groebner inner loops do millions of coefficient operations,
+and a wrapper type would cost an order of magnitude. A monomial is a
+plain exponent tuple; a polynomial is an immutable sequence of terms
+sorted descending in grevlex.
 
 Grevlex is the one term order. Its comparisons are packed into single
 integers: grevlex_key(nvars, last) gives each monomial a key such that
@@ -40,7 +42,6 @@ from .errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
 __all__ = [
     "Rat",
     "rat_str",
-    "PrimeField",
     "grevlex_key",
     "grevlex_shift",
     "PolyRing",
@@ -96,57 +97,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeField:
-    """The field F_p. Elements are plain ints in [0, p).
-
-    Keeping elements primitive (instead of wrapper objects) matters: the
-    Groebner inner loops do millions of coefficient operations and a
-    wrapper type costs an order of magnitude. The field object owns
-    validation, inversion, and exponentiation.
-    """
-
-    __slots__ = ("p", "_inv_table")
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise GhkHypothesisError(f"characteristic must be an int, got {p!r}")
-        if p < 2 or not is_prime(p):
-            raise GhkHypothesisError(f"characteristic must be prime, got {p}")
-        self.p = p
-        if p <= (1 << 13):
-            # inv[a] = -(p // a) * inv[p % a]  (mod p), the classic O(p) fill
-            inv = [0] * p
-            if p > 1:
-                inv[1 % p] = 1 % p
-            for a in range(2, p):
-                inv[a] = (p - p // a) * inv[p % a] % p
-            self._inv_table = inv
-        else:
-            self._inv_table = None
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return pow(self.inv(a), -k, self.p)
-        return pow(a, k, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +247,13 @@ class PolyRing:
     independently constructed copies of the same ring interoperate.
     """
 
-    __slots__ = ("field", "p", "variables", "nvars", "key", "shiftc", "_vindex")
+    __slots__ = ("p", "variables", "nvars", "key", "shiftc", "_vindex")
 
-    def __init__(self, field: PrimeField | int, variables: Iterable[str]):
-        if isinstance(field, int):
-            field = PrimeField(field)
-        if not isinstance(field, PrimeField):
-            raise GhkError(f"field must be a PrimeField or a prime int, got {field!r}")
+    def __init__(self, p: int, variables: Iterable[str]):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise GhkHypothesisError(f"characteristic must be an int, got {p!r}")
+        if not is_prime(p):
+            raise GhkHypothesisError(f"characteristic must be prime, got {p}")
         names = tuple(variables)
         if not names:
             raise GhkError("a polynomial ring needs at least one variable")
@@ -314,8 +264,7 @@ class PolyRing:
                 raise GhkError(f"variable name {v!r} is not an identifier")
         if len(set(names)) != len(names):
             raise GhkError(f"duplicate variable names in {names}")
-        self.field = field
-        self.p = field.p
+        self.p = p
         self.variables = names
         self.nvars = len(names)
         self.key = grevlex_key(self.nvars)

@@ -27,11 +27,13 @@ the monomial key's top field. With equal twists that is plain grevlex.
 The module-degree rule gives the revlex property for any twists: if
 `last` divides the lead of a homogeneous vector, it divides every
 term, which the certified saturation in idealops relies on. Every
-Submodule basis is in "top" order. "pot" compares the component first
-(component 0 largest); it is private to block elimination
-(_second_block_of_kernel, which intersect and colon in idealops call).
-Shifting a vector by a monomial adds a constant to every packed key,
-so the reducer does one integer add per term.
+basis is in "top" order. Block elimination (_second_block_of_kernel,
+which intersect and colon in idealops call) adds EXP_GUARD to the
+degree field of the eliminated components' offsets: no reduced degree
+reaches EXP_GUARD, so those components form a block above the rest,
+and inside each block the order is still "top". Shifting a vector by a
+monomial adds a constant to every packed key, so the reducer does one
+integer add per term.
 
 Inside the engine a term's monomial is a PackedMonomials int from
 arith.py (exponent i in field i, a guard bit on top of each field), so
@@ -189,14 +191,14 @@ class ModVector:
 
 
 class _Ctx:
-    """Key packing for module terms at a fixed rank, position rule
-    ("top" or "pot") and grevlex last variable."""
+    """Key packing for module terms at fixed twists and grevlex last
+    variable, in "top" order with the first `eliminate` components as a
+    block above the rest."""
 
     __slots__ = ("ring", "rank", "twists", "p", "pm", "key", "term_key")
 
-    def __init__(
-        self, ring: PolyRing, rank: int, twists: tuple, position: str, last: int | None = None
-    ):
+    def __init__(self, ring: PolyRing, twists: tuple, last: int | None = None, eliminate: int = 0):
+        rank = len(twists)
         if rank < 1 or rank > _CMAX:
             raise GhkError(f"rank {rank} out of supported range [1, {_CMAX}]")
         self.ring = ring
@@ -205,20 +207,18 @@ class _Ctx:
         self.p = ring.p
         self.pm = PackedMonomials(ring.nvars)
         self.key = grevlex_key(ring.nvars, last)
-        if position == "top":
-            # module degree first: component j's twist excess goes into
-            # the ring key's top (degree) field; equal twists add 0
-            low = min(twists)
-            offs = tuple((e - low) << (ring.nvars * EXP_BITS) for e in twists)
+        # module degree first: component j's twist excess goes into the
+        # ring key's top (degree) field; equal twists add 0. check_degree
+        # keeps that field below EXP_GUARD, so adding EXP_GUARD lifts the
+        # eliminated components above every other term.
+        low = min(twists)
+        offs = tuple(
+            (e - low + (EXP_GUARD if j < eliminate else 0)) << (ring.nvars * EXP_BITS)
+            for j, e in enumerate(twists)
+        )
 
-            def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
-                return ((rk + _offs[comp]) << _cb) | (_cm - comp)
-
-        else:
-            rb = (ring.nvars + 1) * EXP_BITS
-
-            def term_key(comp, rk, _rb=rb, _cm=_CMAX):
-                return ((_cm - comp) << _rb) | rk
+        def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
+            return ((rk + _offs[comp]) << _cb) | (_cm - comp)
 
         self.term_key = term_key
 
@@ -322,8 +322,8 @@ def _reduce(seeds, by_comp, p, guard, full=True):
 def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
     k, cp, m, c = terms[0]
     if c != 1:
-        inv = ctx.ring.field.inv(c)
         p = ctx.p
+        inv = pow(c, -1, p)
         terms = tuple((tk, tcp, tm, tc * inv % p) for tk, tcp, tm, tc in terms)
     return (k, cp, m, terms[1:])
 
@@ -487,7 +487,8 @@ class GroebnerBasis:
     sorted in the ring's own grevlex, so with another `last` their lm()
     need not be the basis lead; lead_terms gives the leads.
 
-    The engine hands over a minimal basis; its tails are reduced the
+    It is built from a minimal basis, monic and ascending: the engine's,
+    or the block that elimination keeps. Its tails are reduced the
     first time vectors (or iteration) is read, and the vectors are
     unpacked then. Leads, membership and normal forms are read from the
     records as they stand: they depend only on the leads and on the
@@ -495,15 +496,14 @@ class GroebnerBasis:
     reduce or read leads never pay for it.
     """
 
-    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_by_comp", "_ctx", "_reduced")
+    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_by_comp", "_ctx")
 
-    def __init__(self, ctx: _Ctx, records: list, reduced: bool = False):
+    def __init__(self, ctx: _Ctx, records: list):
         self.ring = ctx.ring
         self.rank = ctx.rank
         self.twists = ctx.twists
         self._ctx = ctx
         self._set_records(records)
-        self._reduced = reduced
         self._vectors = None
 
     def _set_records(self, records: list) -> None:
@@ -516,9 +516,7 @@ class GroebnerBasis:
     @property
     def vectors(self) -> tuple:
         if self._vectors is None:
-            if not self._reduced:
-                self._set_records(_interreduce(self._records, self.ring.p, self._ctx.pm.guard))
-                self._reduced = True
+            self._set_records(_interreduce(self._records, self.ring.p, self._ctx.pm.guard))
             to_vec = self._ctx.terms_to_vec
             self._vectors = tuple(to_vec(_record_terms(rec)) for rec in self._records)
         return self._vectors
@@ -675,7 +673,7 @@ class Submodule:
             last = self.ring.nvars - 1
         gb = self._gb.get(last)
         if gb is None:
-            gb = _basis(self.ring, self.twists, self.spanning(), "top", budget, last)
+            gb = _basis(self.ring, self.twists, self.spanning(), budget, last)
             self._gb[last] = gb
         return gb
 
@@ -689,15 +687,20 @@ class Submodule:
         return all(gb.contains(v) for v in other.spanning())
 
     def _check_ambient(self, other: "Submodule") -> None:
+        """Refuse a submodule of another free module or quotient ring."""
         if not isinstance(other, Submodule):
             raise GhkError(f"expected a Submodule, got {other!r}")
         if other.ring != self.ring or other.rank != self.rank or other.twists != self.twists:
             raise RingMismatchError("submodules live in different ambient modules")
+        if other.relations != self.relations:
+            raise RingMismatchError("submodules live over different quotient rings")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Submodule):
             return NotImplemented
-        if other.ring != self.ring or other.rank != self.rank or other.twists != self.twists:
+        try:
+            self._check_ambient(other)
+        except RingMismatchError:
             return False
         return self.contains_submodule(other) and other.contains_submodule(self)
 
@@ -714,41 +717,45 @@ def _basis(
     ring: PolyRing,
     twists: tuple,
     vectors: Iterable,
-    position: str,
     budget: GbBudget | None,
     last: int | None = None,
+    eliminate: int = 0,
 ) -> GroebnerBasis:
-    """Basis of the span of vectors in F = sum_j R(-twists[j]), in the
-    given position rule and grevlex last variable."""
-    ctx = _Ctx(ring, len(twists), twists, position, last)
+    """Basis of the span of vectors in F = sum_j R(-twists[j]), in "top"
+    grevlex with variable `last` compared last and the first `eliminate`
+    components as a block above the rest."""
+    ctx = _Ctx(ring, twists, last, eliminate)
     return GroebnerBasis(ctx, _engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
 
 
 def _second_block_of_kernel(
     U: Submodule, gens: list, twists: tuple, budget: GbBudget | None
 ) -> Submodule:
-    """Second blocks of the POT basis elements of the doubled module
-    spanned by gens (ambient twists `twists`) whose first block
-    vanishes, as a submodule of U's ambient module.
+    """Second blocks of the elements of the doubled module spanned by
+    gens (ambient twists `twists`) whose first block vanishes, as a
+    submodule of U's ambient module, with its basis installed.
 
-    Internal to intersect and colon in idealops. For rank 1 the
-    extracted block is itself the reduced basis of the result, already
-    ascending: the POT basis lists its last-component elements first,
-    in the default grevlex, and "top" order on one component is that
-    grevlex. It is installed as such, so the engine need not rediscover
-    it.
+    Internal to intersect and colon in idealops. The basis eliminates
+    the first block: it lies above the second, so the records whose
+    lead is in the second block have every term there and form a
+    Groebner basis of the result (Elimination Theorem). The second
+    block's twists are U's plus a constant, so inside it the order is
+    U's own "top" order: those records, still minimal and ascending,
+    are the result's basis, for every rank. Their tails are reduced on
+    the first read of the result's vectors.
     """
     ring, rank = U.ring, U.rank
-    extracted = [
-        ModVector(vec.components[rank:])
-        for vec in _basis(ring, twists, gens, "pot", budget).vectors
-        if all(f.is_zero() for f in vec.components[:rank])
+    doubled = _basis(ring, twists, gens, budget, eliminate=rank)
+    to_vec = doubled._ctx.terms_to_vec
+    kept = [
+        ModVector(to_vec(_record_terms(rec)).components[rank:])
+        for rec in doubled._records
+        if rec[1] >= rank
     ]
-    result = Submodule(ring, rank, extracted, twists=U.twists, relations=U.relations)
-    if rank == 1:
-        ctx = _Ctx(ring, 1, U.twists, "top")
-        records = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in extracted]
-        result._gb[ring.nvars - 1] = GroebnerBasis(ctx, records, reduced=True)
+    result = Submodule(ring, rank, kept, twists=U.twists, relations=U.relations)
+    ctx = _Ctx(ring, U.twists)
+    records = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in kept]
+    result._gb[ring.nvars - 1] = GroebnerBasis(ctx, records)
     return result
 
 

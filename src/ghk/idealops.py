@@ -16,7 +16,10 @@ Design rules enforced here:
 * Every submodule is built and queried one way: Submodule's "top"
   basis, through Submodule.groebner, contains and contains_submodule.
   Intersections and colons eliminate through groebner's private
-  _second_block_of_kernel, the one user of a POT order.
+  _second_block_of_kernel: a "top" basis of a doubled module with the
+  first block above the second, whose kept block is installed as the
+  result's basis. Submodule._check_ambient is the one ambient check:
+  ring, rank, twists and relations.
 * Saturation by the irrelevant ideal takes one certified basis, for
   any twists: certify_saturation looks for a variable l whose basis
   U.groebner(last=l), in grevlex with l compared last, proves
@@ -270,7 +273,6 @@ def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = No
     out of the Hilbert-series difference; no graded piece is ever
     enumerated.
     """
-    _check_same_ambient(U, V)
     if not V.contains_submodule(U, budget):
         raise GhkHypothesisError("colength_difference needs U <= V; U is not contained in V")
     diff = hilbert_series(U, budget).sub(hilbert_series(V, budget))
@@ -285,17 +287,6 @@ def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = No
     if length < 0:
         raise GhkError("internal error: negative length from a nested pair")
     return length
-
-
-# ---------------------------------------------------------------------------
-# ambient checks
-
-
-def _check_same_ambient(U: Submodule, V: Submodule) -> None:
-    if U.ring != V.ring or U.rank != V.rank or U.twists != V.twists:
-        raise RingMismatchError("submodules live in different ambient modules")
-    if U.relations != V.relations:
-        raise RingMismatchError("submodules live over different quotient rings")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +320,7 @@ def intersect(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> Sub
     ambient twists), so the graded pipeline never leaves homogeneous
     territory.
     """
-    _check_same_ambient(U, V)
+    U._check_ambient(V)
     pad = (U.ring.zero,) * U.rank
     gens = [ModVector(tuple(u.components) * 2) for u in U.spanning()]
     gens += [ModVector(tuple(v.components) + pad) for v in V.spanning()]

@@ -15,7 +15,6 @@ from ghk.arith import (
     PackedMonomials,
     Poly,
     PolyRing,
-    PrimeField,
     frobenius_power,
     grevlex_key,
     grevlex_shift,
@@ -25,6 +24,7 @@ from ghk.arith import (
     parse_poly,
 )
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
+from ghk.groebner import Submodule, buchberger
 
 from naive_poly import NaivePoly, all_monomials_up_to, ref_order_tuple
 
@@ -45,31 +45,22 @@ def test_is_prime_large():
     assert not is_prime(1)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 13, 101])
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 101, 10007])
 def test_inverse_table_exhaustive(p):
-    F = PrimeField(p)
-    for a in range(1, p):
-        assert a * F.inv(a) % p == 1
-
-
-def test_inverse_large_prime():
-    F = PrimeField(10007)
-    assert F._inv_table is None
-    for a in (1, 2, 5000, 10006):
-        assert a * F.inv(a) % 10007 == 1
+    # the basis of (a*x + y) is monic: x + a^(p-2)*y, every a (a sample
+    # of a for the large prime)
+    ring = PolyRing(p, ["x", "y"])
+    x, y = ring.gens()
+    alphas = range(1, p) if p < 1000 else (1, 2, 5000, p - 1)
+    for a in alphas:
+        (v,) = buchberger(Submodule.ideal(ring, [x * a + y])).vectors
+        assert v[0] == x + y * pow(a, p - 2, p)
 
 
 def test_field_rejects_bad_characteristic():
-    for bad in (0, 1, 4, 9, 15, -7, True):
+    for bad in (0, 1, 4, 9, 15, -7, True, 7.0):
         with pytest.raises(GhkHypothesisError):
-            PrimeField(bad)
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
-
-
-def test_field_ops():
-    F = PrimeField(7)
-    assert F.pow(3, -1) == 5
+            PolyRing(bad, ["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +178,7 @@ def test_ring_validation():
 
 def test_ring_value_equality():
     r1 = PolyRing(7, ["x", "y"])
-    r2 = PolyRing(PrimeField(7), ("x", "y"))
+    r2 = PolyRing(7, ("x", "y"))
     assert r1 == r2 and hash(r1) == hash(r2)
     assert r1 != PolyRing(5, ["x", "y"])
 

@@ -19,7 +19,15 @@ from ghk.groebner import (
     _basis,
     _update_pairs,
 )
-from ghk.idealops import RingSpec, _lead_series, certify_saturation, hilbert_series
+from ghk.idealops import (
+    RingSpec,
+    _lead_series,
+    certify_saturation,
+    colength_difference,
+    colon,
+    hilbert_series,
+    intersect,
+)
 
 from naive_modules import naive_member
 from naive_poly import monomials_of_degree, ref_order_tuple
@@ -62,7 +70,7 @@ def test_hand_quotient_ring_ideal():
     assert not U.contains(ring.parse("y"))
 
 
-def test_hand_module_top_vs_pot():
+def test_hand_module_top_vs_elimination():
     ring = PolyRing(3, ["x", "y"])
     x, y = ring.gens()
     gens = [ModVector((x, y)), ModVector((y, x))]
@@ -73,12 +81,12 @@ def test_hand_module_top_vs_pot():
     # ascending key order: component 1 sorts below component 0 for the
     # same ring monomial under TOP
     assert gbt.lead_terms() == ((1, (1, 0)), (0, (1, 0)))
-    # POT (private to block elimination): both leads in component 0,
-    # S-pair leaves (0, x^2 - y^2)
-    gbp = _basis(ring, (0, 0), gens, "pot", None)
-    strs = [str(v) for v in gbp.vectors]
+    # component 0 eliminated (private to intersect and colon): both
+    # leads in component 0, S-pair leaves (0, x^2 - y^2)
+    gbe = _basis(ring, (0, 0), gens, None, eliminate=1)
+    strs = [str(v) for v in gbe.vectors]
     assert "(0, x^2 + 2*y^2)" in strs  # x^2 - y^2 over F_3
-    assert len(gbp) == 3
+    assert len(gbe) == 3
 
 
 def test_unit_ideal_and_full_module():
@@ -280,6 +288,29 @@ def test_interreduction_runs_once_on_first_read_of_vectors(interreduce_calls):
     assert [str(v[0]) for v in gb] == ["y^2", "x*y"]
     assert gb.vectors is gb.vectors
     assert interreduce_calls == [2]
+
+
+def test_elimination_interreduces_only_its_result_on_first_read(interreduce_calls):
+    # intersect and colon install the kept block unreduced; reading the
+    # result's vectors reduces just those records, once
+    ring = PolyRing(7, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    rel = ring.parse("x^3 + y^3 + z^3")
+    zero = ring.zero
+
+    def module(*gens):
+        return Submodule(ring, 2, [ModVector(g) for g in gens], twists=(0, 1), relations=[rel])
+
+    A = module((x * y, z), (y * y, zero), (zero, x * z))
+    B = module((x * x, y + z), (z * z, x))
+    for W in (intersect(A, B), colon(A, x + y), colon(A, [x + y, z])):
+        assert interreduce_calls == []
+        gb = W.groebner()
+        assert len(gb) > 1
+        gb.vectors
+        gb.vectors
+        assert interreduce_calls == [len(gb)]
+        interreduce_calls.clear()
 
 
 def test_leads_only_callers_never_interreduce(interreduce_calls):
@@ -551,6 +582,24 @@ def test_ambient_mismatch_rejected():
         U1.contains_submodule(Submodule.ideal(r2, [r2.parse("x")]))
     with pytest.raises(RingMismatchError):
         U1.contains(r2.parse("x"))
+
+
+def test_submodules_over_different_quotient_rings_differ():
+    # (f) in S and the zero ideal of S/(f) have the same spanning set
+    # but live over different rings
+    r = PolyRing(7, ["x", "y", "z"])
+    f = r.parse("x^3 + y^3 + z^3")
+    A = Submodule.ideal(r, [f])
+    B = Submodule.ideal(r, [], relations=[f])
+    assert A != B and B != A
+    with pytest.raises(RingMismatchError):
+        A.contains_submodule(B)
+    with pytest.raises(RingMismatchError):
+        B.contains_submodule(A)
+    with pytest.raises(RingMismatchError):
+        colength_difference(A, B)
+    with pytest.raises(RingMismatchError):
+        intersect(A, B)
 
 
 def test_semantic_equality():

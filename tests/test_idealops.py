@@ -369,11 +369,29 @@ def test_colon_zero_divisor_rejected():
         colon(I, [])
 
 
+def random_rank2_module(ring, rng, rels):
+    """1-3 homogeneous generators of module degree 1-3 in S ⊕ S(-1)."""
+    twists = (0, 1)
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        deg = rng.randrange(1, 4)
+        gens.append(
+            ModVector(
+                tuple(
+                    random_homog_poly(ring, rng, deg - e) if rng.random() < 0.7 else ring.zero
+                    for e in twists
+                )
+            )
+        )
+    return Submodule(ring, 2, gens, twists=twists, relations=rels)
+
+
 @pytest.mark.parametrize("relations", [(), ("x^3 + y^3 + z^3",)])
-def test_rank1_elimination_installs_the_reduced_basis(relations):
-    # intersect and colon of ideals install the eliminated block as the
-    # result's reduced basis; it must be the basis the engine computes
-    # from the result's generators
+def test_elimination_installs_the_reduced_basis(relations):
+    # intersect and colon install the kept block of the elimination
+    # basis as the result's basis; it must be the basis the engine
+    # computes from the result's generators, for ideals and for rank 2
+    # with unequal twists
     rng = random.Random(31 + len(relations))
     ring = PolyRing(7, ["x", "y", "z"])
     rels = [ring.parse(r) for r in relations]
@@ -382,12 +400,44 @@ def test_rank1_elimination_installs_the_reduced_basis(relations):
         gens = [random_homog_poly(ring, rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
         return Submodule.ideal(ring, gens, relations=rels)
 
-    for _ in range(4):
-        A, B = ideal(), ideal()
-        g, h = random_homog_poly(ring, rng, 1), random_homog_poly(ring, rng, 2)
-        for W in (intersect(A, B), colon(A, g), colon(A, [g, h])):
-            fresh = Submodule.ideal(ring, W.gens, relations=rels)
-            assert W.groebner().vectors == fresh.groebner().vectors
+    for make in (ideal, lambda: random_rank2_module(ring, rng, rels)):
+        for _ in range(4):
+            A, B = make(), make()
+            g, h = random_homog_poly(ring, rng, 1), random_homog_poly(ring, rng, 2)
+            for W in (intersect(A, B), colon(A, g), colon(A, [g, h])):
+                fresh = Submodule(ring, W.rank, W.gens, twists=W.twists, relations=rels)
+                assert W.groebner().vectors == fresh.groebner().vectors
+
+
+@pytest.mark.parametrize("relations", [(), ("x^3 + y^3 + z^3",)])
+def test_rank2_intersect_and_colon_match_dimension_counts(relations):
+    # dim (A cap B)_d = dim A_d + dim B_d - dim (A + B)_d and
+    # dim (A : g)_d = dim F_d - dim (A + gF)_{d+1} + dim A_{d+1}, over S
+    # with the relation columns inside A and B; right-hand sides by
+    # degreewise linear algebra
+    rng = random.Random(57 + len(relations))
+    ring = PolyRing(7, ["x", "y", "z"])
+    rels = [ring.parse(r) for r in relations]
+    twists = (0, 1)
+
+    def dim(gens, d):
+        return naive_graded_dimension(gens, twists, 3, 7, d)
+
+    for _ in range(20):
+        A, B = random_rank2_module(ring, rng, rels), random_rank2_module(ring, rng, rels)
+        g = random_homog_poly(ring, rng, 1)
+        span_a, span_b = spanning_dicts(A), spanning_dicts(B)
+        g_free = [{(j, m): c for m, c in g.terms()} for j in range(2)]
+        meet = hilbert_series(intersect(A, B))
+        quo = hilbert_series(colon(A, g))
+        for d in range(5):
+            free = free_module_dimension(twists, 3, d)
+            assert free - meet.coefficient(d) == (
+                dim(span_a, d) + dim(span_b, d) - dim(span_a + span_b, d)
+            )
+            assert free - quo.coefficient(d) == (
+                free - dim(span_a + g_free, d + 1) + dim(span_a, d + 1)
+            )
 
 
 # ---------------------------------------------------------------------------
