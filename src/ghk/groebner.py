@@ -49,6 +49,27 @@ deg - min(twists) < EXP_GUARD, and so does every S-pair before it is
 reduced. All terms of a homogeneous reduction share that degree, and
 exponents cannot exceed it.
 
+The reducer finds a divisor of a term's monomial among the leads of its
+component through a _DivisorIndex, never by scanning every lead: most
+terms have none, and their cost sets the reducer's. The index buckets
+the leads on their exponents outside two staircase fields, `last` and
+the variable compared right after it, whose exponents a basis spreads
+widely; the others stay small (with `last` = z on a cubic x^3 + ...,
+the relation's lead caps the x-exponent at 2). With two variables or
+fewer there is one bucket. The bucket keys are kept sorted, and a
+divisor's key is never a larger int, so a query tests the keys up to
+the term's own and visits the buckets whose key divides it. Inside a
+bucket, where divisibility is a 2-D staircase question, the leads are
+sorted by the `last` exponent with a running minimum of the other one:
+one bisect and one compare decide whether a lead there divides the
+term, and the running minimum names it. The engine adds each lead as it
+installs the record, and later inserts recompute the running minimum
+from their position on. Which divisor the query returns is
+deterministic but otherwise arbitrary. The records a run installs may
+depend on it, but the remainder modulo a Groebner basis is unique
+whichever divisor each step uses, so the minimal basis's leads, the
+reduced basis, normal forms and every length do not.
+
 Pairs are kept in a dict for the chain criterion and picked from a heap
 of (degree, i, j) with lazy deletion; a pair key is never reinserted,
 so the heap reproduces the degree-then-index order exactly.
@@ -56,6 +77,7 @@ so the heap reproduces the degree-then-index order exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
@@ -195,7 +217,7 @@ class _Ctx:
     variable, in "top" order with the first `eliminate` components as a
     block above the rest."""
 
-    __slots__ = ("ring", "rank", "twists", "p", "pm", "key", "term_key")
+    __slots__ = ("ring", "rank", "twists", "last", "p", "pm", "key", "term_key")
 
     def __init__(self, ring: PolyRing, twists: tuple, last: int | None = None, eliminate: int = 0):
         rank = len(twists)
@@ -207,6 +229,7 @@ class _Ctx:
         self.p = ring.p
         self.pm = PackedMonomials(ring.nvars)
         self.key = grevlex_key(ring.nvars, last)
+        self.last = ring.nvars - 1 if last is None else last
         # module degree first: component j's twist excess goes into the
         # ring key's top (degree) field; equal twists add 0. check_degree
         # keeps that field below EXP_GUARD, so adding EXP_GUARD lifts the
@@ -259,24 +282,107 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# the reduction loop
+# the divisor index and the reduction loop
 
 # A basis record is (ltkey, ltcomp, ltmon, tail) with the element
 # monic and tail the non-lead terms; terms are (key, comp, mon, coeff)
 # with mon a packed monomial.
 
 
-def _reduce(seeds, by_comp, p, guard, full=True):
+class _DivisorIndex:
+    """The leads of monic basis records, indexed for divisor queries.
+
+    records holds the records in the order added (a list that is never
+    rebound, since divisor reads it) and members maps a component to the
+    positions of its records, ascending. divisor(cp, mon) returns a
+    record of component cp whose lead divides mon, or None.
+
+    Per component the leads are bucketed on their exponents outside the
+    two staircase fields (`last` and the variable compared right after
+    it), the buckets sorted by key. A bucket keeps its leads sorted by
+    the `last` field, with a running minimum of the other field and the
+    position that first attains it.
+    """
+
+    __slots__ = ("records", "members", "divisor", "_comps", "_outer", "_a", "_b")
+
+    def __init__(self, ctx: _Ctx, records: Iterable[tuple] = ()):
+        n = ctx.ring.nvars
+        field = (1 << EXP_BITS) - 1
+        others = [i for i in range(n) if i != ctx.last]  # the highest compares next
+        self._a = field << (EXP_BITS * ctx.last)
+        self._b = field << (EXP_BITS * others[-1]) if others else 0
+        self._outer = ((1 << (EXP_BITS * n)) - 1) ^ self._a ^ self._b
+        self.records: list = []
+        self.members: dict = {}
+        self._comps: dict = {}  # component -> (bucket keys, buckets), parallel
+
+        def divisor(
+            cp, mon, _get=self._comps.get, _g=ctx.pm.guard, _o=self._outer, _a=self._a,
+            _b=self._b, _records=self.records,
+        ):
+            comp = _get(cp)
+            if comp is None:
+                return None
+            outer = mon & _o
+            og = outer | _g
+            a = mon & _a
+            b = mon & _b
+            for key, avals, best, _ in comp[1]:
+                if (og - key) & _g == _g:
+                    i = bisect_right(avals, a)
+                    if i and best[i - 1][0] <= b:
+                        return _records[best[i - 1][1]]
+                elif key > outer:
+                    break  # a dividing key is no larger int, and keys ascend
+            return None
+
+        self.divisor = divisor
+        for rec in records:
+            self.add(rec)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def add(self, rec: tuple) -> None:
+        pos = len(self.records)
+        self.records.append(rec)
+        cp, mon = rec[1], rec[2]
+        self.members.setdefault(cp, []).append(pos)
+        keys, buckets = self._comps.setdefault(cp, ([], []))
+        key = mon & self._outer
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
+            keys.insert(i, key)
+            buckets.insert(i, (key, [], [], []))
+        _, avals, best, items = buckets[i]
+        a = mon & self._a
+        j = bisect_right(avals, a)
+        avals.insert(j, a)
+        items.insert(j, (mon & self._b, pos))
+        # the running minimum changes from the insertion point on
+        cur = best[j - 1] if j else items[j]
+        tail = []
+        for item in items[j:]:
+            if item[0] < cur[0]:
+                cur = item
+            tail.append(cur)
+        best[j:] = tail
+
+
+def _reduce(seeds, index: _DivisorIndex, p, full=True):
     """Reduce a seeded combination modulo monic basis records.
 
     seeds: iterable of (terms, mult, delta, shift) contributions; each
     term (k, comp, mon, c) enters as key k+delta, packed monomial
-    mon+shift, coefficient c*mult. guard is the packing's guard mask.
+    mon+shift, coefficient c*mult. Each term is reduced by the record
+    that index.divisor returns for it.
 
     With full=True returns the complete normal form (terms descending).
     With full=False stops at the first irreducible term, which is enough
     for membership tests.
     """
+    divisor = index.divisor
     acc: dict = {}  # key -> [coeff, comp, mon]
     heap: list = []
     for terms, mult, delta, shift in seeds:
@@ -295,12 +401,7 @@ def _reduce(seeds, by_comp, p, guard, full=True):
         c %= p
         if c == 0:
             continue
-        mg = mon | guard
-        red = None
-        for g in by_comp.get(cp, ()):
-            if (mg - g[2]) & guard == guard:
-                red = g
-                break
+        red = divisor(cp, mon)
         if red is None:
             out.append((k, cp, mon, c))
             if not full:
@@ -337,11 +438,20 @@ def _record_terms(rec: tuple) -> tuple:
 
 
 def _update_pairs(
-    G: list, P: dict, heap: list, t: int, twists: tuple, rank: int, pm: PackedMonomials
+    G: list,
+    P: dict,
+    heap: list,
+    t: int,
+    peers: Iterable[int],
+    twists: tuple,
+    rank: int,
+    pm: PackedMonomials,
 ) -> None:
     """Install pairs (i, t); apply lcm, duplicate, product, chain filters.
 
-    P maps a live pair (i, j) to its packed lcm; heap gets (degree, i, j)
+    peers: the positions i < t of the records in G[t]'s component,
+    ascending, so that the first i seen with an lcm is the smallest. P
+    maps a live pair (i, j) to its packed lcm; heap gets (degree, i, j)
     for each new pair. Of the pairs (i, t), one per minimal lcm survives
     (the smallest i); PackedMonomials.minimal finds the minimal lcms in
     one pass over the distinct ones in ascending packed value.
@@ -353,11 +463,8 @@ def _update_pairs(
     lcms: dict = {}
     first: dict = {}  # distinct lcm -> smallest i with that lcm
     coprime: set = set()
-    for i in range(t):
-        gi = G[i]
-        if gi[1] != hc:
-            continue
-        gm = gi[2]
+    for i in peers:
+        gm = G[i][2]
         lcm = lcm_of(hm, gm)
         lcms[i] = lcm
         if lcm not in first:
@@ -395,24 +502,23 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
     """
     p = ctx.p
     pm = ctx.pm
-    guard = pm.guard
     max_degree = budget.max_degree if budget else None
     max_pairs = budget.max_pairs if budget else None
-    G: list = []
-    by_comp: dict = {}
+    index = _DivisorIndex(ctx)
+    G = index.records
     P: dict = {}
     heap: list = []
 
     def install(terms: tuple) -> None:
         rec = _monic_record(ctx, terms)
-        G.append(rec)
-        by_comp.setdefault(rec[1], []).append(rec)
-        _update_pairs(G, P, heap, len(G) - 1, ctx.twists, ctx.rank, pm)
+        index.add(rec)
+        peers = index.members[rec[1]]
+        _update_pairs(G, P, heap, peers[-1], peers[:-1], ctx.twists, ctx.rank, pm)
 
     for terms in vec_terms:
         if not terms:
             continue
-        red = _reduce([(terms, 1, 0, 0)], by_comp, p, guard)
+        red = _reduce([(terms, 1, 0, 0)], index, p)
         if red:
             install(red)
 
@@ -444,33 +550,32 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
             (gi[3], 1, ktau - gi[0], tau - gi[2]),
             (gj[3], p - 1, ktau - gj[0], tau - gj[2]),
         ]
-        red = _reduce(seeds, by_comp, p, guard)
+        red = _reduce(seeds, index, p)
         if red:
             install(red)
 
     # minimal lead set: the leads are distinct, so keep the records
     # whose lead is a minimal generator of its component's lead ideal
     minimal = {
-        cp: set(pm.minimal(sorted(rec[2] for rec in recs))) for cp, recs in by_comp.items()
+        cp: set(pm.minimal(sorted(G[i][2] for i in peers)))
+        for cp, peers in index.members.items()
     }
     return sorted((rec for rec in G if rec[2] in minimal[rec[1]]), key=lambda rec: rec[0])
 
 
-def _interreduce(records: list, p: int, guard: int) -> list:
+def _interreduce(index: _DivisorIndex, p: int) -> list:
     """Reduce every tail of a minimal basis against the whole basis.
 
-    records: monic records of a minimal Groebner basis, ascending. Leads
-    and order are kept, so the result is the reduced basis, ascending.
-    An element's own lead can never divide its tail monomials
-    (divisibility implies order-greater), so one shared lookup table is
-    safe.
+    index: the records of a minimal Groebner basis, monic and ascending.
+    Leads and order are kept, so the result is the reduced basis,
+    ascending, and index stays valid when it replaces index.records in
+    place. An element's own lead can
+    never divide its tail monomials (divisibility implies
+    order-greater), so one shared index is safe.
     """
-    by_comp: dict = {}
-    for rec in records:
-        by_comp.setdefault(rec[1], []).append(rec)
     return [
-        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0, 0)], by_comp, p, guard))
-        for rec in records
+        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0, 0)], index, p))
+        for rec in index.records
     ]
 
 
@@ -493,30 +598,36 @@ class GroebnerBasis:
     unpacked then. Leads, membership and normal forms are read from the
     records as they stand: they depend only on the leads and on the
     module, so that pass never changes them, and callers that only
-    reduce or read leads never pay for it.
+    reduce or read leads never pay for it. The divisor index that
+    reductions use is built on the first one, so callers that only read
+    leads never build it.
     """
 
-    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_by_comp", "_ctx")
+    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_divisors", "_ctx")
 
     def __init__(self, ctx: _Ctx, records: list):
         self.ring = ctx.ring
         self.rank = ctx.rank
         self.twists = ctx.twists
         self._ctx = ctx
-        self._set_records(records)
+        self._records = records
+        self._divisors = None
         self._vectors = None
 
-    def _set_records(self, records: list) -> None:
-        self._records = tuple(records)
-        by_comp: dict = {}
-        for rec in records:
-            by_comp.setdefault(rec[1], []).append(rec)
-        self._by_comp = by_comp
+    @property
+    def _index(self) -> _DivisorIndex:
+        """The divisor index, built on the first query; from then on
+        _records is its list."""
+        if self._divisors is None:
+            self._divisors = _DivisorIndex(self._ctx, self._records)
+            self._records = self._divisors.records
+        return self._divisors
 
     @property
     def vectors(self) -> tuple:
         if self._vectors is None:
-            self._set_records(_interreduce(self._records, self.ring.p, self._ctx.pm.guard))
+            index = self._index
+            index.records[:] = _interreduce(index, self.ring.p)
             to_vec = self._ctx.terms_to_vec
             self._vectors = tuple(to_vec(_record_terms(rec)) for rec in self._records)
         return self._vectors
@@ -558,15 +669,13 @@ class GroebnerBasis:
         """The unique reduced remainder of v modulo the submodule."""
         v = self._coerce(v)
         terms = self._ctx.vec_to_terms(v)
-        red = _reduce([(terms, 1, 0, 0)], self._by_comp, self.ring.p, self._ctx.pm.guard)
+        red = _reduce([(terms, 1, 0, 0)], self._index, self.ring.p)
         return self._ctx.terms_to_vec(red)
 
     def contains(self, v) -> bool:
         v = self._coerce(v)
         terms = self._ctx.vec_to_terms(v)
-        red = _reduce(
-            [(terms, 1, 0, 0)], self._by_comp, self.ring.p, self._ctx.pm.guard, full=False
-        )
+        red = _reduce([(terms, 1, 0, 0)], self._index, self.ring.p, full=False)
         return not red
 
     def is_full_module(self) -> bool:
@@ -740,21 +849,28 @@ def _second_block_of_kernel(
     lead is in the second block have every term there and form a
     Groebner basis of the result (Elimination Theorem). The second
     block's twists are U's plus a constant, so inside it the order is
-    U's own "top" order: those records, still minimal and ascending,
-    are the result's basis, for every rank. Their tails are reduced on
+    U's own "top" order: those records, re-keyed for it and still
+    minimal and ascending, are the result's basis, for every rank. Their tails are reduced on
     the first read of the result's vectors.
     """
     ring, rank = U.ring, U.rank
     doubled = _basis(ring, twists, gens, budget, eliminate=rank)
-    to_vec = doubled._ctx.terms_to_vec
-    kept = [
-        ModVector(to_vec(_record_terms(rec)).components[rank:])
-        for rec in doubled._records
-        if rec[1] >= rank
-    ]
-    result = Submodule(ring, rank, kept, twists=U.twists, relations=U.relations)
     ctx = _Ctx(ring, U.twists)
-    records = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in kept]
+    # a term of component rank + j moves to component j; its key moves
+    # by a constant per component, since both orders are "top" on it
+    moved = [ctx.term_key(j, 0) - doubled._ctx.term_key(rank + j, 0) for j in range(rank)]
+    records = [
+        (
+            k + moved[cp - rank],
+            cp - rank,
+            m,
+            tuple((tk + moved[tcp - rank], tcp - rank, tm, tc) for tk, tcp, tm, tc in tail),
+        )
+        for k, cp, m, tail in doubled._records
+        if cp >= rank
+    ]
+    kept = [ctx.terms_to_vec(_record_terms(rec)) for rec in records]
+    result = Submodule(ring, rank, kept, twists=U.twists, relations=U.relations)
     result._gb[ring.nvars - 1] = GroebnerBasis(ctx, records)
     return result
 

@@ -8,12 +8,9 @@ oracle in naive_curve.py, never from the engine under test.
 """
 
 import itertools
-import os
 import random
 import time
 import warnings
-
-import pytest
 
 from ghk.arith import Rat
 from ghk.errors import GhkHypothesisWarning
@@ -86,10 +83,6 @@ def test_criterion_2_point_ideal_estimate(capsys):
     assert err <= Rat(1, 20)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("GHK_ACCEPT_FULL"),
-    reason="long leg; set GHK_ACCEPT_FULL=1 to include q = 343",
-)
 def test_criterion_2_point_ideal_estimate_full(capsys):
     start = time.perf_counter()
     T = ghk_table(_point_presentation(fermat()), 3)

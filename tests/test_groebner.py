@@ -530,13 +530,64 @@ def test_linear_pass_pair_filter_matches_quadratic_definition(rank):
         for t, (comp, mon) in enumerate(leads):
             G.append((0, comp, pm.pack(mon), (), 0))
             before = set(P)
-            _update_pairs(G, P, heap, t, twists, rank, pm)
+            peers = [i for i in range(t) if leads[i][0] == comp]
+            _update_pairs(G, P, heap, t, peers, twists, rank, pm)
             _reference_update_pairs(leads, ref, t, rank)
             assert {ij: pm.unpack(lcm) for ij, lcm in P.items()} == ref, (trial, t)
             new = {(i, j): d for d, i, j in heap if (i, j) not in before and (i, j) in P}
             assert new == {
                 (i, j): sum(lcm) + twists[comp] for (i, j), lcm in ref.items() if j == t
             }
+
+
+@st.composite
+def index_runs(draw):
+    """A ring shape, leads added one at a time (an equal lead may go into
+    several components), and the queries made after each add: each near
+    some lead added so far (a multiple, the lead itself or a near miss)."""
+    nvars = draw(st.integers(1, 4))
+    last = draw(st.integers(0, nvars - 1))
+    rank = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    comps = st.integers(0, rank - 1)
+    queries = st.lists(
+        st.tuples(comps, st.integers(0, 15), st.tuples(*[st.integers(-1, 2)] * nvars)),
+        max_size=4,
+    )
+    steps = st.tuples(exps, st.sets(comps, min_size=1), queries)
+    return nvars, last, rank, draw(st.lists(steps, min_size=1, max_size=16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_runs())
+def test_divisor_index_finds_a_divisor_exactly_when_the_scan_does(run):
+    nvars, last, rank, steps = run
+    ring = PolyRing(7, [f"v{i}" for i in range(nvars)])
+    ctx = groebner._Ctx(ring, (0,) * rank, last)
+    pm = ctx.pm
+    index = groebner._DivisorIndex(ctx)
+    added = []  # (component, exponent tuple), in the order added
+    for mon, comps, queries in steps:
+        for cp in sorted(comps):
+            index.add((len(added), cp, pm.pack(mon), ()))
+            added.append((cp, mon))
+        for cp, k, offset in queries:
+            base = added[k % len(added)][1]
+            term = tuple(max(0, e + d) for e, d in zip(base, offset))
+            scan = [
+                r for r, (c, m) in enumerate(added)
+                if c == cp and all(a <= b for a, b in zip(m, term))
+            ]
+            found = index.divisor(cp, pm.pack(term))
+            if not scan:
+                assert found is None
+            else:
+                assert found is not None and found[0] in scan
+                assert found is index.records[found[0]]
+                assert index.divisor(cp, pm.pack(term)) is found
+    assert index.members == {
+        cp: [r for r, (c, _) in enumerate(added) if c == cp] for cp in {c for c, _ in added}
+    }
 
 
 # ---------------------------------------------------------------------------

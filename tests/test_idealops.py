@@ -15,7 +15,7 @@ from ghk.errors import (
     GhkHypothesisError,
     RingMismatchError,
 )
-from ghk.groebner import GbBudget, ModVector, Submodule, buchberger
+from ghk.groebner import GbBudget, ModVector, Submodule, _Ctx, _monic_record, buchberger
 from ghk.idealops import (
     HilbertSeries,
     RingSpec,
@@ -389,9 +389,10 @@ def random_rank2_module(ring, rng, rels):
 @pytest.mark.parametrize("relations", [(), ("x^3 + y^3 + z^3",)])
 def test_elimination_installs_the_reduced_basis(relations):
     # intersect and colon install the kept block of the elimination
-    # basis as the result's basis; it must be the basis the engine
-    # computes from the result's generators, for ideals and for rank 2
-    # with unequal twists
+    # basis as the result's basis, re-keyed for the result's order; it
+    # must equal the records packed afresh from the result's generators,
+    # and be the basis the engine computes from them, for ideals and for
+    # rank 2 with unequal twists
     rng = random.Random(31 + len(relations))
     ring = PolyRing(7, ["x", "y", "z"])
     rels = [ring.parse(r) for r in relations]
@@ -405,6 +406,9 @@ def test_elimination_installs_the_reduced_basis(relations):
             A, B = make(), make()
             g, h = random_homog_poly(ring, rng, 1), random_homog_poly(ring, rng, 2)
             for W in (intersect(A, B), colon(A, g), colon(A, [g, h])):
+                ctx = _Ctx(ring, W.twists)
+                packed = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in W.gens]
+                assert W.groebner()._records == packed
                 fresh = Submodule(ring, W.rank, W.gens, twists=W.twists, relations=rels)
                 assert W.groebner().vectors == fresh.groebner().vectors
 
