@@ -33,6 +33,8 @@ from .frobmod import (
     GHKTable,
     Presentation,
     SkippedRow,
+    _map_rows,
+    _run_row,
     ghk_table,
     hk_value,
     presentation_of_quotient,
@@ -357,16 +359,13 @@ class _Cli:
         rspec = self.ring_spec()
         I = rspec.ideal([rspec.parse(g) for g in self.ideal_generators()])
         budget = self.budget()
-        rows = []
-        skipped = []
-        for e in range(1, self.e_max() + 1):
-            # a budget overrun skips its row, as in ghk_table
-            try:
-                rows.append(GHKRow(e, rspec.p**e, hk_value(I, e, budget=budget)))
-            except BudgetExceededError as ex:
-                skipped.append(SkippedRow(e, str(ex)))
+        tasks = [(hk_value, I, e, budget) for e in range(1, self.e_max() + 1)]
+        # a budget overrun skips its row, as in ghk_table
+        results = _map_rows(_run_row, tasks, self.jobs())
+        rows = tuple(r for r in results if isinstance(r, GHKRow))
+        skipped = tuple(r for r in results if isinstance(r, SkippedRow))
         gens = ", ".join(self.ideal_generators())
-        table = GHKTable(rspec.p, f"classical R/({gens})", tuple(rows), tuple(skipped))
+        table = GHKTable(rspec.p, f"classical R/({gens})", rows, skipped)
         self.write_text("hk-table.csv", table.to_csv())
         payload = {"table": table.to_json_dict()}
         if len(table.rows) >= 2:

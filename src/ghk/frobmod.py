@@ -313,14 +313,17 @@ def _map_rows(fn, tasks: list, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _run_row(task: tuple) -> tuple:
+def _run_row(task: tuple):
     """Worker for one table row; must stay importable at module top level
-    so tasks can cross process boundaries. A task is (P, e, budget)."""
-    P, e, budget = task
+    so tasks can cross process boundaries. A task is (value, subject, e,
+    budget), value being ghk_value or hk_value; a budget overrun gives a
+    SkippedRow."""
+    value, subject, e, budget = task
+    p = subject.ring.p if isinstance(subject, Submodule) else subject.rspec.p
     try:
-        return ("ok", e, P.rspec.p ** e, ghk_value(P, e, budget=budget))
+        return GHKRow(e, p**e, value(subject, e, budget=budget))
     except BudgetExceededError as ex:
-        return ("skipped", e, str(ex))
+        return SkippedRow(e, str(ex))
 
 
 def ghk_table(
@@ -328,29 +331,17 @@ def ghk_table(
     e_max: int,
     budget: GbBudget | None = None,
     jobs: int = 1,
-    exponents=None,
 ) -> GHKTable:
-    """Length values for e = 1..e_max (or an explicit exponent list).
+    """Length values for e = 1..e_max.
 
     Rows are independent; a per-row budget overrun records the row as
     skipped instead of aborting the table, so partial tables from tight
     budgets can be merged with later, better-funded runs.
     """
-    if exponents is None:
-        if e_max < 1:
-            raise GhkError("e_max must be at least 1")
-        exponents = range(1, e_max + 1)
-    exponents = sorted(set(int(e) for e in exponents))
-    if any(e < 1 for e in exponents):
-        raise GhkError("table exponents must be positive")
-
-    results = _map_rows(_run_row, [(P, e, budget) for e in exponents], jobs)
-    rows = []
-    skipped = []
-    for res in results:
-        if res[0] == "ok":
-            rows.append(GHKRow(res[1], res[2], res[3]))
-        else:
-            skipped.append(SkippedRow(res[1], res[2]))
-    rows.sort(key=lambda r: r.e)
-    return GHKTable(P.rspec.p, P.descriptor, tuple(rows), tuple(skipped))
+    if e_max < 1:
+        raise GhkError("e_max must be at least 1")
+    tasks = [(ghk_value, P, e, budget) for e in range(1, e_max + 1)]
+    results = _map_rows(_run_row, tasks, jobs)
+    rows = tuple(r for r in results if isinstance(r, GHKRow))
+    skipped = tuple(r for r in results if isinstance(r, SkippedRow))
+    return GHKTable(P.rspec.p, P.descriptor, rows, skipped)

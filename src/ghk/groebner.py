@@ -27,13 +27,15 @@ the monomial key's top field. With equal twists that is plain grevlex.
 The module-degree rule gives the revlex property for any twists: if
 `last` divides the lead of a homogeneous vector, it divides every
 term, which the certified saturation in idealops relies on. Every
-basis is in "top" order. Block elimination (_second_block_of_kernel,
-which intersect and colon in idealops call) adds EXP_GUARD to the
+basis is in "top" order. Block elimination adds EXP_GUARD to the
 degree field of the eliminated components' offsets: no reduced degree
 reaches EXP_GUARD, so those components form a block above the rest,
-and inside each block the order is still "top". Shifting a vector by a
-monomial adds a constant to every packed key, so the reducer does one
-integer add per term.
+and inside each block the order is still "top". Its one user is
+_preimage, the single elimination behind intersect and colon in
+idealops: {v in a span : g*v in U for each g} from one basis of
+F^(k+1), k multipliers g, whose last block is installed as the result's
+basis. Shifting a vector by a monomial adds a constant to every packed
+key, so the reducer does one integer add per term.
 
 Inside the engine a term's monomial is a PackedMonomials int from
 arith.py (exponent i in field i, a guard bit on top of each field), so
@@ -837,37 +839,52 @@ def _basis(
     return GroebnerBasis(ctx, _engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
 
 
-def _second_block_of_kernel(
-    U: Submodule, gens: list, twists: tuple, budget: GbBudget | None
+def _preimage(
+    U: Submodule, span: Sequence[ModVector], mults: Sequence[Poly], budget: GbBudget | None
 ) -> Submodule:
-    """Second blocks of the elements of the doubled module spanned by
-    gens (ambient twists `twists`) whose first block vanishes, as a
-    submodule of U's ambient module, with its basis installed.
+    """{v in the span of `span` : g*v in U for every g in mults}, as a
+    submodule of U's ambient module F, with its basis installed.
 
-    Internal to intersect and colon in idealops. The basis eliminates
-    the first block: it lies above the second, so the records whose
-    lead is in the second block have every term there and form a
-    Groebner basis of the result (Elimination Theorem). The second
+    Internal to intersect (mults = [1]) and colon (span = the unit
+    vectors) in idealops. One elimination in F^(k+1), k = len(mults):
+    each w in span gives (g_1*w, ..., g_k*w, w), and each u of
+    U.spanning() sits alone in each of the first k blocks. An element
+    whose first k blocks vanish has last block v = sum a_w*w with
+    g_i*v in U for each i, and every such v arises. Block i carries
+    U's twists plus top - deg g_i and the last block U's twists plus
+    top, top = max deg g_i, so every generator is homogeneous. The
+    basis puts the first k blocks above the last: its records whose
+    lead is in the last block have every term there and form a
+    Groebner basis of the result (Elimination Theorem). The last
     block's twists are U's plus a constant, so inside it the order is
     U's own "top" order: those records, re-keyed for it and still
-    minimal and ascending, are the result's basis, for every rank. Their tails are reduced on
-    the first read of the result's vectors.
+    minimal and ascending, are the result's basis, for every rank.
+    Their tails are reduced on the first read of the result's vectors.
     """
     ring, rank = U.ring, U.rank
-    doubled = _basis(ring, twists, gens, budget, eliminate=rank)
+    k = len(mults)
+    degs = [g.homogeneous_degree() for g in mults]
+    top = max(degs)
+    zero = (ring.zero,) * rank
+    gens = [ModVector(tuple(g * f for g in mults for f in w.components) + w.components) for w in span]
+    for i in range(k):
+        gens += [ModVector(zero * i + u.components + zero * (k - i)) for u in U.spanning()]
+    twists = tuple(e + top - d for d in (*degs, 0) for e in U.twists)
+    base = k * rank
+    big = _basis(ring, twists, gens, budget, eliminate=base)
     ctx = _Ctx(ring, U.twists)
-    # a term of component rank + j moves to component j; its key moves
+    # a term of component base + j moves to component j; its key moves
     # by a constant per component, since both orders are "top" on it
-    moved = [ctx.term_key(j, 0) - doubled._ctx.term_key(rank + j, 0) for j in range(rank)]
+    moved = [ctx.term_key(j, 0) - big._ctx.term_key(base + j, 0) for j in range(rank)]
     records = [
         (
-            k + moved[cp - rank],
-            cp - rank,
+            key + moved[cp - base],
+            cp - base,
             m,
-            tuple((tk + moved[tcp - rank], tcp - rank, tm, tc) for tk, tcp, tm, tc in tail),
+            tuple((tk + moved[tcp - base], tcp - base, tm, tc) for tk, tcp, tm, tc in tail),
         )
-        for k, cp, m, tail in doubled._records
-        if cp >= rank
+        for key, cp, m, tail in big._records
+        if cp >= base
     ]
     kept = [ctx.terms_to_vec(_record_terms(rec)) for rec in records]
     result = Submodule(ring, rank, kept, twists=U.twists, relations=U.relations)

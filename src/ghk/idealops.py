@@ -15,11 +15,12 @@ Design rules enforced here:
   polynomials over (1-t)^n), never by scanning graded pieces.
 * Every submodule is built and queried one way: Submodule's "top"
   basis, through Submodule.groebner, contains and contains_submodule.
-  Intersections and colons eliminate through groebner's private
-  _second_block_of_kernel: a "top" basis of a doubled module with the
-  first block above the second, whose kept block is installed as the
-  result's basis. Submodule._check_ambient is the one ambient check:
-  ring, rank, twists and relations.
+  An intersection or a colon is one elimination, through groebner's
+  private _preimage: U cap V is {v in V : 1*v in U} and U : J is
+  {v in F : g*v in U for each generator g of J}, each read from the
+  last block of one "top" basis with the other blocks above it and
+  installed as the result's basis. Submodule._check_ambient is the one
+  ambient check: ring, rank, twists and relations.
 * Saturation by the irrelevant ideal takes one certified basis, for
   any twists: certify_saturation looks for a variable l whose basis
   U.groebner(last=l), in grevlex with l compared last, proves
@@ -49,7 +50,7 @@ from .groebner import (
     GroebnerBasis,
     ModVector,
     Submodule,
-    _second_block_of_kernel,
+    _preimage,
     buchberger,
 )
 
@@ -314,44 +315,13 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
 def intersect(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> Submodule:
     """U cap V inside the shared ambient module, over the shared ring.
 
-    Component-doubling elimination: generators (u, u) and (v, 0) span a
-    module whose elements with vanishing first block have second block
-    in the intersection. Homogeneity is preserved (both blocks keep the
-    ambient twists), so the graded pipeline never leaves homogeneous
-    territory.
+    The elements v of V with 1*v in U: groebner's _preimage eliminates
+    the first block of generators (v, v) and (u, 0). Homogeneity is
+    preserved (both blocks keep the ambient twists), so the graded
+    pipeline never leaves homogeneous territory.
     """
     U._check_ambient(V)
-    pad = (U.ring.zero,) * U.rank
-    gens = [ModVector(tuple(u.components) * 2) for u in U.spanning()]
-    gens += [ModVector(tuple(v.components) + pad) for v in V.spanning()]
-    return _second_block_of_kernel(U, gens, U.twists * 2, budget)
-
-
-def _colon_by_element(U: Submodule, g: Poly, budget: GbBudget | None) -> Submodule:
-    """(U : g) over R, by eliminating the graph of multiplication by g.
-
-    Generators (g*e_j, e_j) and (u, 0): a combination with vanishing
-    first block has second block v satisfying g*v in U (relations
-    included via U's spanning set). Intersect-then-divide would be wrong
-    over a quotient ring: elements of U cap gF need not be divisible by
-    g once relation columns participate.
-    """
-    ring, rank = U.ring, U.rank
-    if g.is_zero():
-        raise GhkHypothesisError("colon by zero is not defined")
-    dg = g.homogeneous_degree()
-    zero = ring.zero
-    gens = []
-    for j in range(rank):
-        first = [zero] * rank
-        second = [zero] * rank
-        first[j] = g
-        second[j] = ring.one
-        gens.append(ModVector(tuple(first) + tuple(second)))
-    for u in U.spanning():
-        gens.append(ModVector(tuple(u.components) + (zero,) * rank))
-    tag_twists = tuple(e + dg for e in U.twists)
-    return _second_block_of_kernel(U, gens, U.twists + tag_twists, budget)
+    return _preimage(U, V.spanning(), [U.ring.one], budget)
 
 
 def colon(U: Submodule, J, budget: GbBudget | None = None) -> Submodule:
@@ -360,22 +330,23 @@ def colon(U: Submodule, J, budget: GbBudget | None = None) -> Submodule:
     J may be a Poly, an iterable of Polys, or a rank-1 Submodule over
     the same ring; only its user-level generators matter (relation
     generators are zero in R and would contribute the full module).
+    One elimination (groebner's _preimage) of the graphs of
+    multiplication by J's nonzero generators g_1..g_k: generators
+    (g_1*e_j, ..., g_k*e_j, e_j) and U's spanning set in each of the
+    first k blocks. Intersect-then-divide would be wrong over a
+    quotient ring: elements of U cap gF need not be divisible by g once
+    relation columns participate.
     """
     gens = _ideal_generators(U.ring, J, U.relations)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise GhkHypothesisError("colon by the zero ideal is not defined")
-    result = _colon_by_element(U, gens[0], budget)
-    for g in gens[1:]:
-        nxt = _colon_by_element(U, g, budget)
-        # cheap containment shortcuts before a full elimination
-        if nxt.contains_submodule(result, budget):
-            continue
-        if result.contains_submodule(nxt, budget):
-            result = nxt
-            continue
-        result = intersect(result, nxt, budget)
-    return result
+    ring, rank = U.ring, U.rank
+    units = [
+        ModVector(tuple(ring.one if i == j else ring.zero for i in range(rank)))
+        for j in range(rank)
+    ]
+    return _preimage(U, units, gens, budget)
 
 
 def _ideal_generators(ring: PolyRing, J, relations) -> list:

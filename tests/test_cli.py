@@ -302,6 +302,36 @@ def test_hk_budget_exhaustion_exits_3_with_partial_output(tmp_path, capsys):
     assert "e=2 skipped" in capsys.readouterr().out
 
 
+def test_hk_jobs_reports_match_serial(tmp_path, monkeypatch):
+    # --jobs reaches the row pool, and two workers write the same bytes
+    # as one, a budget-skipped row included
+    import ghk.cli as cli
+
+    seen = []
+    map_rows = cli._map_rows
+
+    def counted(fn, tasks, jobs):
+        seen.append(jobs)
+        return map_rows(fn, tasks, jobs)
+
+    monkeypatch.setattr(cli, "_map_rows", counted)
+    problem = {
+        "ring": FERMAT_RING,
+        "module": {"ideal": ["x", "y", "z"]},
+        "task": {"command": "hk", "e_max": 2},
+    }
+    path = write_problem(tmp_path, problem)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        assert main([path, "--out", str(out), "--budget-gb-degree", "30", "--jobs", jobs]) == 3
+        outs.append(out)
+    assert seen == [1, 2]
+    for name in ("hk-report.json", "hk-table.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[1] / "hk-report.json").read_text())["table"]["skipped"][0]["e"] == 2
+
+
 def test_hk_requires_ideal_not_presentation(tmp_path, capsys):
     problem = {
         "ring": FERMAT_RING,

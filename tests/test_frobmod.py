@@ -25,6 +25,7 @@ from ghk.groebner import GbBudget, ModVector, Submodule
 from ghk.idealops import RingSpec, certify_saturation, colength_difference, saturate_by_colon
 
 from naive_curve import CurveRing, cubic_point_torsion_length, finite_colength
+from naive_modules import free_module_dimension, naive_graded_dimension
 from naive_poly import NaivePoly
 
 
@@ -229,6 +230,30 @@ def test_unequal_row_twists_take_the_certified_route(fermat7):
     assert ghk_value(P, 1) == colon_route_length(P, 1) == 2 * ghk_value(A, 1)
 
 
+def test_rank2_module_length_is_9q2():
+    # coker of the rows (x, y, z) and (y, z, x), column twists (1, 1, 1),
+    # on x^3 + y^3 + z^3: its 2x2 minors vanish only off the curve, so
+    # the pulled-back cokernel has finite length and L = 9q^2. Oracle:
+    # sum over n of dim F_n - dim U_n by degreewise linear algebra, with
+    # the summand already 0 at n = 3q + 1 and 3q + 2
+    p = q = 5
+    R = RingSpec(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    cols = [ModVector((R.parse(a), R.parse(b))) for a, b in (("x", "y"), ("y", "z"), ("z", "x"))]
+    P = Presentation(R, (0, 0), (1, 1, 1), cols)
+    U = frobenius_pullback(P, 1).image_submodule()
+    span = [
+        {(j, m): c for j, f in enumerate(v.components) for m, c in f.terms()}
+        for v in U.spanning()
+    ]
+
+    def quotient_dim(n):
+        return free_module_dimension((0, 0), 3, n) - naive_graded_dimension(span, (0, 0), 3, p, n)
+
+    assert [quotient_dim(n) for n in (3 * q + 1, 3 * q + 2)] == [0, 0]
+    assert sum(quotient_dim(n) for n in range(3 * q + 1)) == 9 * q * q
+    assert ghk_value(P, 1) == colon_route_length(P, 1) == 9 * q * q
+
+
 def _fermat_points(p):
     """(p, point) for every F_p-rational point of x^3 + y^3 + z^3,
     scaled so that its last nonzero coordinate is 1."""
@@ -382,10 +407,11 @@ def test_table_budget_marks_rows_skipped(fermat7):
 
 def test_table_merge(fermat7):
     P = point_presentation(fermat7)
+    full = ghk_table(P, 2)
     t1 = ghk_table(P, 1)
-    t2 = ghk_table(P, 2, exponents=[2])
+    t2 = GHKTable(7, t1.module, full.rows[1:])
     merged = t1.merged_with(t2)
-    assert merged == ghk_table(P, 2)
+    assert merged == full
     conflicting = GHKTable(7, t1.module, (GHKRow(1, 7, 65),))
     with pytest.raises(GhkError):
         t1.merged_with(conflicting)
@@ -407,8 +433,6 @@ def test_table_exponent_validation(fermat7):
     P = point_presentation(fermat7)
     with pytest.raises(GhkError):
         ghk_table(P, 0)
-    with pytest.raises(GhkError):
-        ghk_table(P, 1, exponents=[0, 1])
 
 
 def test_table_parallel_matches_serial(fermat7):

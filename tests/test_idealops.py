@@ -343,6 +343,48 @@ def test_colon_random_vs_bruteforce(p):
             for _ in range(6):
                 v = random_homog_poly(ring, rng, d) if d else ring.one
                 assert gbc.contains(v) == gbi.contains(v * g)
+        # J of two generators of degrees 1 and 2: one elimination with
+        # the blocks twisted apart
+        J = [random_homog_poly(ring, rng, 1), random_homog_poly(ring, rng, 2)]
+        gbc = buchberger(colon(I, J))
+        for d in range(0, 5):
+            for _ in range(6):
+                v = random_homog_poly(ring, rng, d) if d else ring.one
+                assert gbc.contains(v) == all(gbi.contains(v * g) for g in J)
+    # a rank-2 module with twists (0, 1) and the same J
+    ring3 = PolyRing(p, ["x", "y", "z"])
+    for trial in range(3):
+        U = random_rank2_module(ring3, rng, [])
+        J = [random_homog_poly(ring3, rng, 1), random_homog_poly(ring3, rng, 2)]
+        gbu, gbc = buchberger(U), buchberger(colon(U, J))
+        for d in range(1, 5):
+            for _ in range(6):
+                v = ModVector((random_homog_poly(ring3, rng, d), random_homog_poly(ring3, rng, d - 1)))
+                assert gbc.contains(v) == all(gbu.contains(v.poly_mul(g)) for g in J)
+
+
+def test_intersect_and_colon_are_one_elimination(monkeypatch):
+    # a colon by (x, y, z) and an intersection each build exactly one
+    # Groebner basis: the elimination whose last block is the result
+    import ghk.groebner as groebner
+
+    ring = PolyRing(7, ["x", "y", "z"])
+    rels = [ring.parse("x^3 + y^3 + z^3")]
+    point = Submodule.ideal(ring, [ring.parse("z"), ring.parse("x + y")], relations=rels)
+    A = Submodule.ideal(ring, [ring.parse("x"), ring.parse("y^2")], relations=rels)
+    B = Submodule.ideal(ring, [ring.parse("y"), ring.parse("z^2")], relations=rels)
+    calls = []
+    basis = groebner._basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_basis", counted)
+    colon(point, ring.gens())
+    assert len(calls) == 1
+    intersect(A, B)
+    assert len(calls) == 2
 
 
 def test_colon_module_case():
