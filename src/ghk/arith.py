@@ -8,28 +8,30 @@ and a wrapper type would cost an order of magnitude. A monomial is a
 plain exponent tuple; a polynomial is an immutable sequence of terms
 sorted descending in grevlex.
 
-Grevlex is the one term order. Its comparisons are packed into single
-integers: grevlex_key(nvars, last) gives each monomial a key such that
-key(a) > key(b) iff a > b in grevlex with variable `last` compared last,
-and key(a*b) = key(a) + key(b) - C for C = grevlex_shift(nvars), the
-same for every `last`. Polynomials use the default last variable; the
-Groebner engine chooses another per basis. The reduction loops there
+Grevlex is the one term order, and one packed form, PackedMonomials,
+serves both comparison and divisibility. Each exponent has a field of
+EXP_BITS bits whose top bit is a guard that stays clear, and the
+fields are laid out in the order grevlex compares the variables:
+`last` on top, the others below it from the highest index down. With
+low = 2^(nvars*EXP_BITS) - 1, the key (deg << nvars*EXP_BITS) |
+(low - pk) of a packed monomial pk has key(a) > key(b) iff a > b in
+grevlex with `last` compared last, and key(a*b) = key(a) + key(b) -
+low. Polynomials use the default last variable (grevlex_key); the
+Groebner engine chooses another per basis, and its reduction loops
 exploit the shift rule to move whole polynomials with one integer
 addition per term instead of re-deriving tuple comparisons.
 
-Divisibility has its own packed form, PackedMonomials: exponent i sits
-in field i of EXP_BITS bits, and the top bit of every field is a guard
-that stays clear. Multiplication is then an int add, exact division an
-int sub, and b | a iff ((a | G) - b) & G == G for the guard mask G:
-with every guard of a set, each field borrows only from its own guard,
-which survives iff a_i >= b_i. The surviving guards also select the
-fields of lcm and gcd. A strict divisor is a smaller int, so one pass
-over an ascending list keeps a monomial ideal's minimal generators
-(minimal). The test is exact only while every exponent stays below
-EXP_GUARD = 2^(EXP_BITS-1); a larger one would borrow into its
-neighbour and corrupt divisibility silently. So packing refuses
-exponents above EXP_CAP, and the Groebner engine bounds the degree of
-everything it reduces (see groebner.py).
+Multiplication is an int add, exact division an int sub, and b | a
+iff ((a | G) - b) & G == G for the guard mask G: with every guard of a
+set, each field borrows only from its own guard, which survives iff
+a_i >= b_i. The surviving guards also select the fields of lcm and
+gcd. A strict divisor is a smaller int, so one pass over an ascending
+list keeps a monomial ideal's minimal generators (minimal). The test
+is exact only while every exponent stays below EXP_GUARD =
+2^(EXP_BITS-1); a larger one would borrow into its neighbour and
+corrupt divisibility silently. So packing refuses exponents above
+EXP_CAP, and the Groebner engine bounds the degree of everything it
+reduces (see groebner.py).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "Rat",
     "rat_str",
     "grevlex_key",
-    "grevlex_shift",
     "PolyRing",
     "Poly",
     "parse_poly",
@@ -127,21 +128,31 @@ def mon_pow(a: tuple, k: int) -> tuple:
 
 
 class PackedMonomials:
-    """Guard-bit packing of exponent tuples with nvars entries.
+    """Guard-bit packing of exponent tuples with nvars entries, laid out
+    for grevlex with `last` compared last (default: the last variable).
 
     pack/unpack convert at the boundary; in between, a*b is a + b, a/b
-    is a - b and divides/lcm/gcd/degree are a few int operations. guard
-    is the mask G of the module docstring; hot loops inline its test.
-    Every method assumes its arguments' exponents stay below EXP_GUARD.
+    is a - b and divides/lcm/gcd/degree/key are a few int operations.
+    guard is the mask G of the module docstring; hot loops inline its
+    test. Every method assumes its arguments' exponents stay below
+    EXP_GUARD.
     """
 
-    __slots__ = ("guard", "_shifts", "_ones", "_top")
+    __slots__ = ("guard", "low", "_shifts", "_ones", "_top")
 
-    def __init__(self, nvars: int):
-        self._shifts = tuple(EXP_BITS * i for i in range(nvars))
+    def __init__(self, nvars: int, last: int | None = None):
+        if last is None:
+            last = nvars - 1
+        if not (isinstance(last, int) and 0 <= last < nvars):
+            raise GhkError(f"last variable {last!r} is not in range({nvars})")
+        self._top = EXP_BITS * (nvars - 1)
+        # variable i's field: `last` on top, the others in index order below
+        self._shifts = tuple(
+            self._top if i == last else EXP_BITS * (i - (i > last)) for i in range(nvars)
+        )
         self.guard = sum(EXP_GUARD << s for s in self._shifts)
         self._ones = sum(1 << s for s in self._shifts)
-        self._top = EXP_BITS * (nvars - 1)
+        self.low = (1 << (EXP_BITS * nvars)) - 1
 
     def pack(self, m: tuple) -> int:
         """Packed form of an exponent tuple; exponents above EXP_CAP raise."""
@@ -201,39 +212,21 @@ class PackedMonomials:
         """
         return (pk * self._ones >> self._top) & _FMAX
 
+    def key(self, pk: int) -> int:
+        """The grevlex key of pk; key(a + b) = key(a) + key(b) - low."""
+        return (self.degree(pk) << (self._top + EXP_BITS)) | (self.low - pk)
+
 
 # ---------------------------------------------------------------------------
 # the term order: grevlex keys
 
 
-def grevlex_key(nvars: int, last: int | None = None) -> Callable[[tuple], int]:
-    """Packed grevlex key on exponent tuples with nvars entries.
-
-    Degree first, ties broken by the smallest exponent of variable
-    `last` (default: the last variable), then of the others from the
-    highest index down. Every Poly is sorted by the default key; the
-    Groebner engine picks `last` for a basis (see groebner.py).
-    """
-    if last is None:
-        last = nvars - 1
-    if not (isinstance(last, int) and 0 <= last < nvars):
-        raise GhkError(f"last variable {last!r} is not in range({nvars})")
-    # fields, most significant first: total degree, then complemented
-    # exponents of `last` and of the others from the highest index down
-    rev = (last,) + tuple(i for i in reversed(range(nvars)) if i != last)
-
-    def key(m, _rev=rev, _B=EXP_BITS, _F=_FMAX):
-        k = sum(m)
-        for i in _rev:
-            k = (k << _B) | (_F - m[i])
-        return k
-
-    return key
-
-
-def grevlex_shift(nvars: int) -> int:
-    """C with key(a*b) = key(a) + key(b) - C for every grevlex_key(nvars, last)."""
-    return (1 << (EXP_BITS * nvars)) - 1
+def grevlex_key(nvars: int) -> Callable[[tuple], int]:
+    """Packed grevlex key on exponent tuples with nvars entries, the
+    last variable compared last: the key every Poly is sorted by."""
+    pm = PackedMonomials(nvars)
+    pack, key = pm.pack, pm.key
+    return lambda m: key(pack(m))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +261,7 @@ class PolyRing:
         self.variables = names
         self.nvars = len(names)
         self.key = grevlex_key(self.nvars)
-        self.shiftc = grevlex_shift(self.nvars)
+        self.shiftc = PackedMonomials(self.nvars).low
         self._vindex = {v: i for i, v in enumerate(names)}
 
     # -- builders ----------------------------------------------------

@@ -29,12 +29,8 @@ from .fitlab import (
     prime_sweep,
 )
 from .frobmod import (
-    GHKRow,
-    GHKTable,
     Presentation,
-    SkippedRow,
-    _map_rows,
-    _run_row,
+    _length_table,
     ghk_table,
     hk_value,
     presentation_of_quotient,
@@ -358,26 +354,21 @@ class _Cli:
     def cmd_hk(self) -> int:
         rspec = self.ring_spec()
         I = rspec.ideal([rspec.parse(g) for g in self.ideal_generators()])
-        budget = self.budget()
-        tasks = [(hk_value, I, e, budget) for e in range(1, self.e_max() + 1)]
+        label = f"classical R/({', '.join(self.ideal_generators())})"
         # a budget overrun skips its row, as in ghk_table
-        results = _map_rows(_run_row, tasks, self.jobs())
-        rows = tuple(r for r in results if isinstance(r, GHKRow))
-        skipped = tuple(r for r in results if isinstance(r, SkippedRow))
-        gens = ", ".join(self.ideal_generators())
-        table = GHKTable(rspec.p, f"classical R/({gens})", rows, skipped)
+        table = _length_table(hk_value, I, label, self.e_max(), self.budget(), self.jobs())
         self.write_text("hk-table.csv", table.to_csv())
         payload = {"table": table.to_json_dict()}
         if len(table.rows) >= 2:
-            estimate, bound = estimate_multiplicity(table)
+            estimate, bound = estimate_multiplicity(table, self.task.get("gamma_bound"))
             payload["estimate"] = rat_str(estimate)
             payload["estimate_error_bound"] = rat_str(bound)
         self.write_json("hk-report.json", payload)
-        for row in rows:
+        for row in table.rows:
             print(f"e={row.e} q={row.q} length={row.length}")
-        for skip in skipped:
+        for skip in table.skipped:
             print(f"e={skip.e} skipped: {skip.reason}")
-        return 3 if skipped else 0
+        return 3 if table.skipped else 0
 
     def cmd_gamma(self) -> int:
         e_exact = self._exact_multiplicity()

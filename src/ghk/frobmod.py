@@ -316,14 +316,32 @@ def _map_rows(fn, tasks: list, jobs: int) -> list:
 def _run_row(task: tuple):
     """Worker for one table row; must stay importable at module top level
     so tasks can cross process boundaries. A task is (value, subject, e,
-    budget), value being ghk_value or hk_value; a budget overrun gives a
-    SkippedRow."""
-    value, subject, e, budget = task
-    p = subject.ring.p if isinstance(subject, Submodule) else subject.rspec.p
+    q, budget), value being ghk_value or hk_value; a budget overrun
+    gives a SkippedRow."""
+    value, subject, e, q, budget = task
     try:
-        return GHKRow(e, p**e, value(subject, e, budget=budget))
+        return GHKRow(e, q, value(subject, e, budget=budget))
     except BudgetExceededError as ex:
         return SkippedRow(e, str(ex))
+
+
+def _length_table(value, subject, label: str, e_max: int, budget, jobs: int) -> GHKTable:
+    """The table labelled `label` of value(subject, e) for e = 1..e_max,
+    value being ghk_value or hk_value; ghk_table and the CLI's hk
+    command both build theirs here.
+
+    Rows are independent; a per-row budget overrun records the row as
+    skipped instead of aborting the table, so partial tables from tight
+    budgets can be merged with later, better-funded runs.
+    """
+    if e_max < 1:
+        raise GhkError("e_max must be at least 1")
+    p = subject.ring.p if isinstance(subject, Submodule) else subject.rspec.p
+    tasks = [(value, subject, e, p**e, budget) for e in range(1, e_max + 1)]
+    results = _map_rows(_run_row, tasks, jobs)
+    rows = tuple(r for r in results if isinstance(r, GHKRow))
+    skipped = tuple(r for r in results if isinstance(r, SkippedRow))
+    return GHKTable(p, label, rows, skipped)
 
 
 def ghk_table(
@@ -332,16 +350,6 @@ def ghk_table(
     budget: GbBudget | None = None,
     jobs: int = 1,
 ) -> GHKTable:
-    """Length values for e = 1..e_max.
-
-    Rows are independent; a per-row budget overrun records the row as
-    skipped instead of aborting the table, so partial tables from tight
-    budgets can be merged with later, better-funded runs.
-    """
-    if e_max < 1:
-        raise GhkError("e_max must be at least 1")
-    tasks = [(ghk_value, P, e, budget) for e in range(1, e_max + 1)]
-    results = _map_rows(_run_row, tasks, jobs)
-    rows = tuple(r for r in results if isinstance(r, GHKRow))
-    skipped = tuple(r for r in results if isinstance(r, SkippedRow))
-    return GHKTable(P.rspec.p, P.descriptor, rows, skipped)
+    """Length values for e = 1..e_max, a budget overrun skipping its
+    row (see _length_table)."""
+    return _length_table(ghk_value, P, P.descriptor, e_max, budget, jobs)

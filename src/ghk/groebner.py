@@ -17,8 +17,8 @@ generators from relations (bracket powers) can do so.
 
 The engine, not the ring, chooses the term order of a basis: ring
 monomials compare in grevlex with a chosen variable `last` compared
-last (arith.grevlex_key; by default the ring's last variable, the
-order every Poly is sorted in), and Submodule.groebner keeps one basis
+last (arith.PackedMonomials; by default the ring's last variable,
+the order every Poly is sorted in), and Submodule.groebner keeps one basis
 per `last`. Module terms are packed into single integers, extending
 those monomial keys by a component field. "top" order compares the
 module degree deg(m) + twists[j] first, then the monomial (component 0
@@ -37,40 +37,41 @@ F^(k+1), k multipliers g, whose last block is installed as the result's
 basis. Shifting a vector by a monomial adds a constant to every packed
 key, so the reducer does one integer add per term.
 
-Inside the engine a term's monomial is a PackedMonomials int from
-arith.py (exponent i in field i, a guard bit on top of each field), so
-a product is an int add and a divisibility test is
-((a | G) - b) & G == G. Terms and basis records are packed from the
-first vec_to_terms to the last terms_to_vec; lead_terms unpacks,
-packed_leads hands the leads on packed to the Hilbert series in
-idealops, and Poly and the public API keep exponent tuples. The test
-is only exact while every exponent stays below EXP_GUARD, so the
-engine checks the bound where it can first be broken: packing refuses
-exponents above EXP_CAP, every input vector needs
-deg - min(twists) < EXP_GUARD, and so does every S-pair before it is
-reduced. All terms of a homogeneous reduction share that degree, and
-exponents cannot exceed it.
+Inside the engine a term is its key and a coefficient: the key holds
+the component and the PackedMonomials int of arith.py, laid out for
+the basis's `last`, and _Ctx.split reads them back. A product is an
+int add and a divisibility test is ((a | G) - b) & G == G. Terms and
+basis records are packed from the first vec_to_terms to the last
+terms_to_vec; lead_terms unpacks, packed_leads hands the leads on in
+the basis's layout to the Hilbert series in idealops, and Poly and the
+public API keep exponent tuples. The test is only exact while every
+exponent stays below EXP_GUARD, so the engine checks the bound where
+it can first be broken: packing refuses exponents above EXP_CAP, every
+input vector needs deg - min(twists) < EXP_GUARD, and so does every
+S-pair before it is reduced. All terms of a homogeneous reduction
+share that degree, and exponents cannot exceed it.
 
-The reducer finds a divisor of a term's monomial among the leads of its
-component through a _DivisorIndex, never by scanning every lead: most
-terms have none, and their cost sets the reducer's. The index buckets
-the leads on their exponents outside two staircase fields, `last` and
-the variable compared right after it, whose exponents a basis spreads
-widely; the others stay small (with `last` = z on a cubic x^3 + ...,
-the relation's lead caps the x-exponent at 2). With two variables or
-fewer there is one bucket. The bucket keys are kept sorted, and a
-divisor's key is never a larger int, so a query tests the keys up to
-the term's own and visits the buckets whose key divides it. Inside a
-bucket, where divisibility is a 2-D staircase question, the leads are
-sorted by the `last` exponent with a running minimum of the other one:
-one bisect and one compare decide whether a lead there divides the
-term, and the running minimum names it. The engine adds each lead as it
-installs the record, and later inserts recompute the running minimum
-from their position on. Which divisor the query returns is
-deterministic but otherwise arbitrary. The records a run installs may
-depend on it, but the remainder modulo a Groebner basis is unique
-whichever divisor each step uses, so the minimal basis's leads, the
-reduced basis, normal forms and every length do not.
+The reducer finds a divisor of a term's monomial among the leads of
+its component through a _DivisorIndex, never by scanning every lead:
+most terms have none, and their cost sets the reducer's. The index
+buckets the leads on their exponents outside two staircase fields, the
+top two of the layout: `last` and the variable compared right after
+it, whose exponents a basis spreads widely; the others stay small
+(with `last` = z on a cubic x^3 + ..., the relation's lead caps the
+x-exponent at 2). With two variables or fewer there is one bucket. The
+bucket keys are kept sorted, and a divisor's key is never a larger
+int, so a query tests the keys up to the term's own and visits the
+buckets whose key divides it. Inside a bucket, where divisibility is a
+2-D staircase question, the leads are sorted by the `last` exponent
+with a running minimum of the other one: one bisect and one compare
+decide whether a lead there divides the term, and the running minimum
+names it. The engine adds each lead as it installs the record, and
+later inserts recompute the running minimum from their position on.
+Which divisor the query returns is deterministic but otherwise
+arbitrary. The records a run installs may depend on it, but the
+remainder modulo a Groebner basis is unique whichever divisor each
+step uses, so the minimal basis's leads, the reduced basis, normal
+forms and every length do not.
 
 Pairs are kept in a dict for the chain criterion and picked from a heap
 of (degree, i, j) with lazy deletion; a pair key is never reinserted,
@@ -84,7 +85,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .arith import EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing, grevlex_key
+from .arith import EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -217,9 +218,11 @@ class ModVector:
 class _Ctx:
     """Key packing for module terms at fixed twists and grevlex last
     variable, in "top" order with the first `eliminate` components as a
-    block above the rest."""
+    block above the rest. term_key(comp, mon) puts the grevlex key of a
+    packed monomial (pm, laid out for `last`) above a component field,
+    and split(key) reads (comp, mon) back."""
 
-    __slots__ = ("ring", "rank", "twists", "last", "p", "pm", "key", "term_key")
+    __slots__ = ("ring", "rank", "twists", "p", "pm", "term_key", "split")
 
     def __init__(self, ring: PolyRing, twists: tuple, last: int | None = None, eliminate: int = 0):
         rank = len(twists)
@@ -229,23 +232,26 @@ class _Ctx:
         self.rank = rank
         self.twists = twists
         self.p = ring.p
-        self.pm = PackedMonomials(ring.nvars)
-        self.key = grevlex_key(ring.nvars, last)
-        self.last = ring.nvars - 1 if last is None else last
+        self.pm = pm = PackedMonomials(ring.nvars, last)
         # module degree first: component j's twist excess goes into the
-        # ring key's top (degree) field; equal twists add 0. check_degree
-        # keeps that field below EXP_GUARD, so adding EXP_GUARD lifts the
-        # eliminated components above every other term.
+        # monomial key's top (degree) field; equal twists add 0.
+        # check_degree keeps that field below EXP_GUARD, so adding
+        # EXP_GUARD lifts the eliminated components above every other term.
         low = min(twists)
         offs = tuple(
             (e - low + (EXP_GUARD if j < eliminate else 0)) << (ring.nvars * EXP_BITS)
             for j, e in enumerate(twists)
         )
 
-        def term_key(comp, rk, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
-            return ((rk + _offs[comp]) << _cb) | (_cm - comp)
+        def term_key(comp, mon, _key=pm.key, _cb=COMP_BITS, _cm=_CMAX, _offs=offs):
+            return ((_key(mon) + _offs[comp]) << _cb) | (_cm - comp)
+
+        def split(k, _cb=COMP_BITS, _cm=_CMAX, _low=pm.low):
+            # the monomial key's low fields hold low - mon
+            return _cm - (k & _cm), _low - ((k >> _cb) & _low)
 
         self.term_key = term_key
+        self.split = split
 
     def check_degree(self, deg: int) -> None:
         """Refuse work of module degree deg that could reach a guard bit."""
@@ -257,14 +263,13 @@ class _Ctx:
 
     def vec_to_terms(self, v: ModVector) -> tuple:
         tk = self.term_key
-        key = self.key
         pack = self.pm.pack
         terms = []
         for j, f in enumerate(v.components):
             if f._t:
                 self.check_degree(f.degree() + self.twists[j])
             for _, m, c in f._t:
-                terms.append((tk(j, key(m)), j, pack(m), c))
+                terms.append((tk(j, pack(m)), c))
         terms.sort(reverse=True)
         return tuple(terms)
 
@@ -272,8 +277,10 @@ class _Ctx:
         ring = self.ring
         per: list = [[] for _ in range(self.rank)]
         key = ring.key
+        split = self.split
         unpack = self.pm.unpack
-        for _, cp, m, c in terms:
+        for k, c in terms:
+            cp, m = split(k)
             mon = unpack(m)
             per[cp].append((key(mon), mon, c))
         comps = []
@@ -286,9 +293,10 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 # the divisor index and the reduction loop
 
-# A basis record is (ltkey, ltcomp, ltmon, tail) with the element
-# monic and tail the non-lead terms; terms are (key, comp, mon, coeff)
-# with mon a packed monomial.
+# A term is (key, coeff), its component and packed monomial read off
+# the key (_Ctx.split). A basis record is (ltkey, ltcomp, ltmon, tail)
+# with the element monic, the lead's component and monomial cached for
+# the pair update and the index, and tail the non-lead terms.
 
 
 class _DivisorIndex:
@@ -296,36 +304,37 @@ class _DivisorIndex:
 
     records holds the records in the order added (a list that is never
     rebound, since divisor reads it) and members maps a component to the
-    positions of its records, ascending. divisor(cp, mon) returns a
-    record of component cp whose lead divides mon, or None.
+    positions of its records, ascending. divisor(k) returns a record
+    whose lead divides the term of key k (same component, dividing
+    monomial), or None.
 
     Per component the leads are bucketed on their exponents outside the
-    two staircase fields (`last` and the variable compared right after
-    it), the buckets sorted by key. A bucket keeps its leads sorted by
-    the `last` field, with a running minimum of the other field and the
-    position that first attains it.
+    two staircase fields (the top two: `last` and the variable compared
+    right after it), the buckets sorted by key. A bucket keeps its leads
+    sorted by the `last` field, with a running minimum of the other
+    field and the position that first attains it.
     """
 
     __slots__ = ("records", "members", "divisor", "_comps", "_outer", "_a", "_b")
 
     def __init__(self, ctx: _Ctx, records: Iterable[tuple] = ()):
-        n = ctx.ring.nvars
-        field = (1 << EXP_BITS) - 1
-        others = [i for i in range(n) if i != ctx.last]  # the highest compares next
-        self._a = field << (EXP_BITS * ctx.last)
-        self._b = field << (EXP_BITS * others[-1]) if others else 0
-        self._outer = ((1 << (EXP_BITS * n)) - 1) ^ self._a ^ self._b
+        low = ctx.pm.low
+        # the top field, the one below it (if any) and all the others
+        self._a = low ^ (low >> EXP_BITS)
+        self._b = (low >> EXP_BITS) ^ (low >> 2 * EXP_BITS)
+        self._outer = low >> 2 * EXP_BITS
         self.records: list = []
         self.members: dict = {}
         self._comps: dict = {}  # component -> (bucket keys, buckets), parallel
 
         def divisor(
-            cp, mon, _get=self._comps.get, _g=ctx.pm.guard, _o=self._outer, _a=self._a,
-            _b=self._b, _records=self.records,
+            k, _get=self._comps.get, _g=ctx.pm.guard, _o=self._outer, _a=self._a,
+            _b=self._b, _records=self.records, _cb=COMP_BITS, _cm=_CMAX, _low=low,
         ):
-            comp = _get(cp)
+            comp = _get(_cm - (k & _cm))
             if comp is None:
                 return None
+            mon = _low - ((k >> _cb) & _low)  # as _Ctx.split
             outer = mon & _o
             og = outer | _g
             a = mon & _a
@@ -375,64 +384,63 @@ class _DivisorIndex:
 def _reduce(seeds, index: _DivisorIndex, p, full=True):
     """Reduce a seeded combination modulo monic basis records.
 
-    seeds: iterable of (terms, mult, delta, shift) contributions; each
-    term (k, comp, mon, c) enters as key k+delta, packed monomial
-    mon+shift, coefficient c*mult. Each term is reduced by the record
-    that index.divisor returns for it.
+    seeds: iterable of (terms, mult, delta) contributions; each term
+    (k, c) enters as key k+delta with coefficient c*mult. Adding delta
+    to a key multiplies its monomial by the one delta stands for, so the
+    key is all the reducer moves. Each term is reduced by the record
+    that index.divisor returns for its key.
 
     With full=True returns the complete normal form (terms descending).
     With full=False stops at the first irreducible term, which is enough
     for membership tests.
     """
     divisor = index.divisor
-    acc: dict = {}  # key -> [coeff, comp, mon]
+    acc: dict = {}  # key -> coefficient
     heap: list = []
-    for terms, mult, delta, shift in seeds:
-        for k, cp, m, c in terms:
+    for terms, mult, delta in seeds:
+        for k, c in terms:
             nk = k + delta
-            entry = acc.get(nk)
-            if entry is None:
-                acc[nk] = [c * mult, cp, m + shift]
+            prev = acc.get(nk)
+            if prev is None:
+                acc[nk] = c * mult
                 heappush(heap, -nk)
             else:
-                entry[0] += c * mult
+                acc[nk] = prev + c * mult
     out = []
     while heap:
         k = -heappop(heap)
-        c, cp, mon = acc.pop(k)
-        c %= p
+        c = acc.pop(k) % p
         if c == 0:
             continue
-        red = divisor(cp, mon)
+        red = divisor(k)
         if red is None:
-            out.append((k, cp, mon, c))
+            out.append((k, c))
             if not full:
                 break
             continue
         delta = k - red[0]
-        shift = mon - red[2]
-        for tk, tcp, tm, tc in red[3]:
+        for tk, tc in red[3]:
             nk = tk + delta
-            entry = acc.get(nk)
-            if entry is None:
-                acc[nk] = [-(tc * c), tcp, tm + shift]
+            prev = acc.get(nk)
+            if prev is None:
+                acc[nk] = -(tc * c)
                 heappush(heap, -nk)
             else:
-                entry[0] -= tc * c
+                acc[nk] = prev - tc * c
     return tuple(out)
 
 
 def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
-    k, cp, m, c = terms[0]
+    k, c = terms[0]
     if c != 1:
         p = ctx.p
         inv = pow(c, -1, p)
-        terms = tuple((tk, tcp, tm, tc * inv % p) for tk, tcp, tm, tc in terms)
-    return (k, cp, m, terms[1:])
+        terms = tuple((tk, tc * inv % p) for tk, tc in terms)
+    return (k, *ctx.split(k), terms[1:])
 
 
 def _record_terms(rec: tuple) -> tuple:
-    return ((rec[0], rec[1], rec[2], 1),) + rec[3]
+    return ((rec[0], 1),) + rec[3]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +528,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
     for terms in vec_terms:
         if not terms:
             continue
-        red = _reduce([(terms, 1, 0, 0)], index, p)
+        red = _reduce([(terms, 1, 0)], index, p)
         if red:
             install(red)
 
@@ -547,11 +555,8 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
         ctx.check_degree(deg)
         pairs_done += 1
         gi, gj = G[i], G[j]
-        ktau = ctx.term_key(gi[1], ctx.key(pm.unpack(tau)))
-        seeds = [
-            (gi[3], 1, ktau - gi[0], tau - gi[2]),
-            (gj[3], p - 1, ktau - gj[0], tau - gj[2]),
-        ]
+        ktau = ctx.term_key(gi[1], tau)
+        seeds = [(gi[3], 1, ktau - gi[0]), (gj[3], p - 1, ktau - gj[0])]
         red = _reduce(seeds, index, p)
         if red:
             install(red)
@@ -576,7 +581,7 @@ def _interreduce(index: _DivisorIndex, p: int) -> list:
     order-greater), so one shared index is safe.
     """
     return [
-        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0, 0)], index, p))
+        (rec[0], rec[1], rec[2], _reduce([(rec[3], 1, 0)], index, p))
         for rec in index.records
     ]
 
@@ -649,7 +654,10 @@ class GroebnerBasis:
         """Component -> its lead monomials as packed ints, ascending.
 
         They are the minimal generators of the lead module there: no
-        lead of a minimal basis divides another.
+        lead of a minimal basis divides another. They are packed in the
+        basis's layout, PackedMonomials(nvars, last): read in the default
+        one they are the leads with the variables permuted, which leaves
+        a monomial ideal's Hilbert numerator unchanged.
         """
         out: dict = {j: [] for j in range(self.rank)}
         for rec in self._records:
@@ -671,13 +679,13 @@ class GroebnerBasis:
         """The unique reduced remainder of v modulo the submodule."""
         v = self._coerce(v)
         terms = self._ctx.vec_to_terms(v)
-        red = _reduce([(terms, 1, 0, 0)], self._index, self.ring.p)
+        red = _reduce([(terms, 1, 0)], self._index, self.ring.p)
         return self._ctx.terms_to_vec(red)
 
     def contains(self, v) -> bool:
         v = self._coerce(v)
         terms = self._ctx.vec_to_terms(v)
-        red = _reduce([(terms, 1, 0, 0)], self._index, self.ring.p, full=False)
+        red = _reduce([(terms, 1, 0)], self._index, self.ring.p, full=False)
         return not red
 
     def is_full_module(self) -> bool:
@@ -873,16 +881,12 @@ def _preimage(
     base = k * rank
     big = _basis(ring, twists, gens, budget, eliminate=base)
     ctx = _Ctx(ring, U.twists)
-    # a term of component base + j moves to component j; its key moves
-    # by a constant per component, since both orders are "top" on it
-    moved = [ctx.term_key(j, 0) - big._ctx.term_key(base + j, 0) for j in range(rank)]
+    # a term of component base + j moves to component j, and its key by
+    # one constant for every j: the last block's twists are U's plus
+    # top, so each of its components sits top degrees higher than in U
+    moved = ctx.term_key(0, 0) - big._ctx.term_key(base, 0)
     records = [
-        (
-            key + moved[cp - base],
-            cp - base,
-            m,
-            tuple((tk + moved[tcp - base], tcp - base, tm, tc) for tk, tcp, tm, tc in tail),
-        )
+        (key + moved, cp - base, m, tuple((tk + moved, tc) for tk, tc in tail))
         for key, cp, m, tail in big._records
         if cp >= base
     ]

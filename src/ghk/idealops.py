@@ -409,11 +409,11 @@ def certify_saturation(
     nvars = U.ring.nvars
     pm = PackedMonomials(nvars)
     memo: dict = {}
+    # sets the l-exponent to 0: l has the top field in its basis's layout
+    keep = pm.low >> EXP_BITS
     for i in (nvars - 1, *range(nvars - 1)):
         gb = U.groebner(budget, last=i)
         leads = gb.packed_leads()
-        # set the l-exponent to 0: mask off l's field
-        keep = ~(((1 << EXP_BITS) - 1) << (EXP_BITS * i))
         cut = {j: tuple(pm.minimal(sorted(m & keep for m in mons))) for j, mons in leads.items()}
         diff = _lead_series(leads, U.twists, nvars, memo, pm).sub(
             _lead_series(cut, U.twists, nvars, memo, pm)

@@ -17,7 +17,6 @@ from ghk.arith import (
     PolyRing,
     frobenius_power,
     grevlex_key,
-    grevlex_shift,
     is_prime,
     mon_div,
     mon_mul,
@@ -132,33 +131,38 @@ def test_packed_keys_match_reference(kind, nvars):
     rng = random.Random(12345)
     mons = all_monomials_up_to(nvars, 4 if nvars <= 3 else 3)
     for last in range(nvars):
-        key = grevlex_key(nvars, last)
+        pm = PackedMonomials(nvars, last)
         seq = tuple(i for i in range(nvars) if i != last) + (last,)
         sample = rng.sample(mons, min(60, len(mons)))
         for a in sample:
             for b in sample:
                 ref = ref_order_tuple(kind, seq, a) > ref_order_tuple(kind, seq, b)
-                assert (key(a) > key(b)) == ref, (last, a, b)
+                assert (pm.key(pm.pack(a)) > pm.key(pm.pack(b))) == ref, (last, a, b)
     # the default is the last variable, the order every Poly is sorted in
-    assert all(grevlex_key(nvars)(m) == grevlex_key(nvars, nvars - 1)(m) for m in mons)
+    key = grevlex_key(nvars)
+    for pm in (PackedMonomials(nvars), PackedMonomials(nvars, nvars - 1)):
+        assert all(key(m) == pm.key(pm.pack(m)) for m in mons)
 
 
 @pytest.mark.parametrize("kind", ["grevlex"])
 def test_key_shift_constant(kind):
-    C = grevlex_shift(3)
     rng = random.Random(7)
     for last in range(3):
-        key = grevlex_key(3, last)
+        pm = PackedMonomials(3, last)
+
+        def key(m):
+            return pm.key(pm.pack(m))
+
         for _ in range(200):
             a = tuple(rng.randrange(9) for _ in range(3))
             b = tuple(rng.randrange(9) for _ in range(3))
-            assert key(mon_mul(a, b)) == key(a) + key(b) - C, (kind, last, a, b)
+            assert key(mon_mul(a, b)) == key(a) + key(b) - pm.low, (kind, last, a, b)
 
 
 def test_bad_order_inputs():
     for last in (-1, 3, 7):
         with pytest.raises(GhkError):
-            grevlex_key(3, last)
+            PackedMonomials(3, last)
 
 
 # ---------------------------------------------------------------------------

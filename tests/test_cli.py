@@ -302,19 +302,32 @@ def test_hk_budget_exhaustion_exits_3_with_partial_output(tmp_path, capsys):
     assert "e=2 skipped" in capsys.readouterr().out
 
 
+def test_hk_error_bound_uses_gamma_bound(tmp_path):
+    # with |gamma| <= G the bound is 2G/(q2^2 - q1^2) = 2*1000/(25^2 - 5^2)
+    problem = {
+        "ring": {**FERMAT_RING, "prime": 5},
+        "module": {"ideal": ["x", "y", "z"]},
+        "task": {"command": "hk", "e_max": 2, "gamma_bound": 1000},
+    }
+    code, out = run(tmp_path, problem)
+    assert code == 0
+    report = json.loads((out / "hk-report.json").read_text())
+    assert report["estimate_error_bound"] == "10/3"
+
+
 def test_hk_jobs_reports_match_serial(tmp_path, monkeypatch):
     # --jobs reaches the row pool, and two workers write the same bytes
     # as one, a budget-skipped row included
-    import ghk.cli as cli
+    import ghk.frobmod as frobmod
 
     seen = []
-    map_rows = cli._map_rows
+    map_rows = frobmod._map_rows
 
     def counted(fn, tasks, jobs):
         seen.append(jobs)
         return map_rows(fn, tasks, jobs)
 
-    monkeypatch.setattr(cli, "_map_rows", counted)
+    monkeypatch.setattr(frobmod, "_map_rows", counted)
     problem = {
         "ring": FERMAT_RING,
         "module": {"ideal": ["x", "y", "z"]},

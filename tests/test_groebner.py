@@ -563,7 +563,8 @@ def index_runs(draw):
 def test_divisor_index_finds_a_divisor_exactly_when_the_scan_does(run):
     nvars, last, rank, steps = run
     ring = PolyRing(7, [f"v{i}" for i in range(nvars)])
-    ctx = groebner._Ctx(ring, (0,) * rank, last)
+    # unequal twists and an eliminated block put offsets into the keys
+    ctx = groebner._Ctx(ring, tuple(range(rank)), last, eliminate=1)
     pm = ctx.pm
     index = groebner._DivisorIndex(ctx)
     added = []  # (component, exponent tuple), in the order added
@@ -578,13 +579,15 @@ def test_divisor_index_finds_a_divisor_exactly_when_the_scan_does(run):
                 r for r, (c, m) in enumerate(added)
                 if c == cp and all(a <= b for a, b in zip(m, term))
             ]
-            found = index.divisor(cp, pm.pack(term))
+            k = ctx.term_key(cp, pm.pack(term))
+            assert ctx.split(k) == (cp, pm.pack(term))
+            found = index.divisor(k)
             if not scan:
                 assert found is None
             else:
                 assert found is not None and found[0] in scan
                 assert found is index.records[found[0]]
-                assert index.divisor(cp, pm.pack(term)) is found
+                assert index.divisor(k) is found
     assert index.members == {
         cp: [r for r, (c, _) in enumerate(added) if c == cp] for cp in {c for c, _ in added}
     }
