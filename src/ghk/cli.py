@@ -3,6 +3,11 @@
 Every JSON report embeds the resolved problem description, uses sorted
 keys, writes rationals as "num/den" strings, and contains no timestamps
 or machine identifiers, so reruns on identical input are bit-identical.
+
+A problem file is checked by walking PROBLEM_SCHEMA, the one description
+of a valid problem, as JSON Schema draft 2020-12 reads it, except that an
+integer field takes JSON integers only (2.0 is rejected). jsonschema is
+imported only to word a rejection, so a valid problem never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ import json
 import sys
 import warnings
 from pathlib import Path
-
-import jsonschema
 
 from .arith import Rat, rat_str
 from .errors import (
@@ -146,9 +149,97 @@ PROBLEM_SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would check PROBLEM_SCHEMA against its
-# metaschema on every call (tests/test_cli.py checks the schema instead)
-_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+def _is_integer(value) -> bool:
+    # a JSON integer: not a bool, and not an integral float such as 2.0
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": _is_integer,
+}
+
+
+def _conforms(instance, schema: dict) -> bool:
+    """Whether instance satisfies schema, read as JSON Schema draft 2020-12.
+
+    Knows exactly the keywords PROBLEM_SCHEMA uses and raises ValueError on
+    any other, so the schema cannot grow a rule that is silently ignored.
+    As in the draft, each size or bound keyword applies only to instances
+    of its own type, and additionalProperties is judged against properties.
+    """
+    for keyword, value in schema.items():
+        if keyword == "type":
+            names = [value] if isinstance(value, str) else value
+            ok = any(_TYPES[name](instance) for name in names)
+        elif keyword == "enum":
+            ok = any(type(instance) is type(v) and instance == v for v in value)
+        elif keyword == "minimum":
+            number = isinstance(instance, (int, float)) and not isinstance(instance, bool)
+            ok = not number or instance >= value
+        elif keyword == "minLength":
+            ok = not isinstance(instance, str) or len(instance) >= value
+        elif keyword == "minItems":
+            ok = not isinstance(instance, list) or len(instance) >= value
+        elif keyword == "items":
+            ok = not isinstance(instance, list) or all(
+                _conforms(item, value) for item in instance
+            )
+        elif keyword == "minProperties":
+            ok = not isinstance(instance, dict) or len(instance) >= value
+        elif keyword == "maxProperties":
+            ok = not isinstance(instance, dict) or len(instance) <= value
+        elif keyword == "required":
+            ok = not isinstance(instance, dict) or all(k in instance for k in value)
+        elif keyword == "properties":
+            ok = not isinstance(instance, dict) or all(
+                _conforms(instance[k], sub) for k, sub in value.items() if k in instance
+            )
+        elif keyword == "additionalProperties" and value is False:
+            ok = not isinstance(instance, dict) or instance.keys() <= schema.get(
+                "properties", {}
+            ).keys()
+        else:
+            raise ValueError(f"schema rule {keyword}: {value!r} is not supported")
+        if not ok:
+            return False
+    return True
+
+
+def _validators():
+    """jsonschema's draft 2020-12 validator class for PROBLEM_SCHEMA, and
+    the same class with integers restricted to JSON integers, as _conforms
+    reads them."""
+    import jsonschema  # only a rejected problem file pays for this import
+
+    standard = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
+    strict = jsonschema.validators.extend(
+        standard,
+        type_checker=standard.TYPE_CHECKER.redefine(
+            "integer", lambda _checker, value: _is_integer(value)
+        ),
+    )
+    return standard, strict
+
+
+def _rejection(problem) -> str:
+    """jsonschema's wording of why problem fails PROBLEM_SCHEMA."""
+    from jsonschema.exceptions import best_match
+
+    # the standard validator speaks first, so a file it rejects is worded as
+    # draft 2020-12 words it; a file it accepts fails only on an integral
+    # float, which the strict one words. Both are used unchecked:
+    # tests/test_cli.py checks PROBLEM_SCHEMA against the metaschema.
+    for validator in _validators():
+        ex = best_match(validator(PROBLEM_SCHEMA).iter_errors(problem))
+        if ex is not None:
+            where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
+            return f"problem file invalid at {where}: {ex.message}"
+    raise RuntimeError(
+        "the PROBLEM_SCHEMA walker rejected a problem that jsonschema accepts"
+    )
 
 
 class _Cli:
@@ -435,7 +526,7 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _parse_args(argv):
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghk",
         description=(
@@ -465,7 +556,16 @@ def _parse_args(argv):
     parser.add_argument(
         "--jobs", type=_positive_int, metavar="N", help="parallel worker processes"
     )
-    return parser.parse_args(argv)
+    return parser
+
+
+# built once, at import: building it is start-up work (its first message
+# lookup imports locale), not work of each call
+_PARSER = _build_parser()
+
+
+def _parse_args(argv):
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -480,10 +580,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as ex:
         print(f"problem file is not valid JSON: {ex}", file=sys.stderr)
         return 2
-    ex = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(problem))
-    if ex is not None:
-        where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
-        print(f"problem file invalid at {where}: {ex.message}", file=sys.stderr)
+    if not _conforms(problem, PROBLEM_SCHEMA):
+        print(_rejection(problem), file=sys.stderr)
         return 2
 
     command = args.task or problem.get("task", {}).get("command")

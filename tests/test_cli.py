@@ -4,12 +4,21 @@ All invocations go through cli.main(argv) in-process; outputs land in
 tmp_path so every test sees a fresh directory.
 """
 
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghk.cli import PROBLEM_SCHEMA, main
+from ghk.cli import PROBLEM_SCHEMA, _conforms, _rejection, _validators, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FERMAT_RING = {
     "prime": 7,
@@ -58,7 +67,8 @@ def test_schema_violation_is_path_addressed(tmp_path, capsys):
 
 
 def test_problem_schema_is_valid():
-    # main validates with a validator built once, without the metaschema check
+    # main walks PROBLEM_SCHEMA and words a rejection with a jsonschema
+    # validator class used unchecked, so the metaschema check lives here
     jsonschema.validators.validator_for(PROBLEM_SCHEMA).check_schema(PROBLEM_SCHEMA)
 
 
@@ -80,6 +90,196 @@ def test_schema_errors_match_jsonschema_validate(tmp_path, capsys, problem):
     where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
     assert main([write_problem(tmp_path, problem)]) == 2
     assert capsys.readouterr().err == f"problem file invalid at {where}: {ex.message}\n"
+
+
+def _point_problem(**task):
+    return {
+        "ring": {"prime": 5, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]},
+        "module": {"ideal": ["z", "x + y"]},
+        "task": {"command": "ghk", "e_max": 1, **task},
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, fault",
+    [
+        ({**_point_problem(), "ring": {**FERMAT_RING, "prime": 7.0}}, "ring/prime: 7.0"),
+        (_point_problem(e_max=2.0), "task/e_max: 2.0"),
+        (_point_problem(jobs=1.0), "task/jobs: 1.0"),
+        (_point_problem(budget={"max_degree": 3.0}), "task/budget/max_degree: 3.0"),
+        (
+            {
+                **_point_problem(),
+                "module": {
+                    "presentation": {"row_twists": [0], "col_twists": [1.0], "columns": [["x"]]}
+                },
+            },
+            "module/presentation/col_twists/0: 1.0",
+        ),
+    ],
+)
+def test_integral_float_is_not_an_integer(tmp_path, capsys, problem, fault):
+    # JSON Schema would take 2.0 as an integer; no float may reach a report
+    code, out = run(tmp_path, problem)
+    assert code == 2
+    assert capsys.readouterr().err == f"problem file invalid at {fault} is not of type 'integer'\n"
+    assert not out.exists()
+
+
+# valid problems to mutate: one per bench workload, and the README example
+# with every key of task set
+VALID_PROBLEMS = [
+    {
+        "ring": {"primes": [5, 7], "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 - 2*z^3"]},
+        "module": {"ideal": ["x - y", "y - z"]},
+        "task": {"command": "sweep", "e_max": 2},
+    },
+    {
+        "ring": {"prime": 19, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]},
+        "module": {"ideal": ["x", "y", "z"]},
+        "task": {"command": "hk", "e_max": 2},
+    },
+    {
+        "ring": {"prime": 13, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]},
+        "module": {
+            "presentation": {
+                "row_twists": [0, 1],
+                "col_twists": [1, 1, 2, 2],
+                "columns": [["z", "0"], ["x + y", "0"], ["0", "z"], ["0", "x + y"]],
+            }
+        },
+        "task": {"command": "ghk", "e_max": 1, "e_exact": "8/3"},
+    },
+    {
+        "ring": {"prime": 7, "primes": [5, 7], **FERMAT_RING},
+        "module": {"ideal": ["z", "3*x - y"]},
+        "closed_form": {"kind": "point", "degY": 3},
+        "task": {
+            "command": "ghk",
+            "e_max": 2,
+            "e_exact": "4/3",
+            "gamma_bound": 10,
+            "primes": [5, 7],
+            "denominators": [3],
+            "budget": {"max_degree": 40, "max_pairs": 100000},
+            "jobs": 1,
+            "out": "results",
+        },
+    },
+]
+
+REPLACEMENTS = [None, True, False, 2.0, 1.0, -1, 0, "", [], {}]
+DELETE = object()
+
+
+def _nodes(node, path=()):
+    """(path, node) for node and every value inside it."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+# keys to add to an object: an unknown one, or any key and value a valid
+# problem holds (say a second kind of module)
+GRAFTS = [("unknown", 1)] + [
+    item
+    for problem in VALID_PROBLEMS
+    for _path, node in _nodes(problem)
+    if isinstance(node, dict)
+    for item in node.items()
+]
+
+
+def _single_mutations(problem):
+    """(path, value): put value at path, or delete what is there if DELETE."""
+    for path, node in _nodes(problem):
+        yield from ((path, value) for value in REPLACEMENTS)
+        if path:
+            yield path, DELETE
+        if isinstance(node, dict):
+            yield from ((path, {**node, key: value}) for key, value in GRAFTS)
+
+
+def _apply(problem, path, value):
+    if not path:
+        return copy.deepcopy(value)
+    problem = copy.deepcopy(problem)
+    parent = problem
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return problem
+
+
+@st.composite
+def mutated_problems(draw):
+    problem = draw(st.sampled_from(VALID_PROBLEMS))
+    for _ in range(draw(st.integers(1, 3))):
+        problem = _apply(problem, *draw(st.sampled_from(list(_single_mutations(problem)))))
+    return problem
+
+
+@pytest.mark.parametrize("problem", VALID_PROBLEMS)
+def test_valid_problems_conform(problem):
+    assert _conforms(problem, PROBLEM_SCHEMA)
+
+
+# the validator that words an integral-float rejection: JSON integers only
+STRICT = _validators()[1](PROBLEM_SCHEMA)
+
+
+def test_schema_walk_agrees_with_jsonschema_on_every_single_mutation():
+    for base in VALID_PROBLEMS:
+        for path, value in _single_mutations(base):
+            problem = _apply(base, path, value)
+            assert _conforms(problem, PROBLEM_SCHEMA) == STRICT.is_valid(problem), problem
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_problems())
+def test_schema_walk_agrees_with_jsonschema(problem):
+    ok = _conforms(problem, PROBLEM_SCHEMA)
+    assert ok == STRICT.is_valid(problem)
+    if not ok:
+        assert _rejection(problem).startswith("problem file invalid at ")
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"properties": {"out": {"type": "string", "pattern": "^r"}}},
+        {"additionalProperties": True},
+        {"properties": {"out": {"additionalProperties": {"type": "string"}}}},
+    ],
+)
+def test_schema_walk_rejects_rules_it_does_not_know(schema):
+    with pytest.raises(ValueError, match="not supported"):
+        _conforms({"out": "results"}, schema)
+
+
+def test_valid_run_never_imports_jsonschema(tmp_path):
+    # a fresh interpreter: this test module has imported jsonschema itself
+    good = write_problem(tmp_path, _point_problem(), "good.json")
+    bad = write_problem(tmp_path, _point_problem(jobs=0), "bad.json")
+    script = (
+        "import sys\n"
+        "from ghk.cli import main\n"
+        f"code = main([{good!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'jsonschema' in sys.modules)\n"
+        f"code = main([{bad!r}])\n"
+        "print(code, 'jsonschema' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0 False", "2 True"]
+    assert proc.stderr == "problem file invalid at task/jobs: 0 is less than the minimum of 1\n"
 
 
 def test_unknown_command_in_file_exits_2(tmp_path):
