@@ -4,9 +4,11 @@ Everything downstream (Groebner engines, Hilbert series, Frobenius
 pullbacks) reduces to the operations defined here. Coefficients are
 plain Python ints in [0, p), and the field is the int p that the ring
 holds: the Groebner inner loops do millions of coefficient operations,
-and a wrapper type would cost an order of magnitude. A monomial is a
-plain exponent tuple; a polynomial is an immutable sequence of terms
-sorted descending in grevlex.
+and a wrapper type would cost an order of magnitude. A polynomial is
+an immutable sequence of terms sorted descending in grevlex, and a
+term is the grevlex key of its monomial and a coefficient: the key is
+the only record of the monomial, and the exponent tuple of the public
+API is decoded from it when asked for.
 
 Grevlex is the one term order, and one packed form, PackedMonomials,
 serves both comparison and divisibility. Each exponent has a field of
@@ -16,10 +18,13 @@ fields are laid out in the order grevlex compares the variables:
 low = 2^(nvars*EXP_BITS) - 1, the key (deg << nvars*EXP_BITS) |
 (low - pk) of a packed monomial pk has key(a) > key(b) iff a > b in
 grevlex with `last` compared last, and key(a*b) = key(a) + key(b) -
-low. Polynomials use the default last variable (grevlex_key); the
+low. Polynomials use the default last variable (PolyRing.key); the
 Groebner engine chooses another per basis, and its reduction loops
 exploit the shift rule to move whole polynomials with one integer
-addition per term instead of re-deriving tuple comparisons.
+addition per term instead of re-deriving tuple comparisons. Poly
+arithmetic uses the same rule. A key decodes only while no field
+overflows into the next, which holds while the degree stays below
+2^EXP_BITS, so a Poly product of larger degree is refused.
 
 Multiplication is an int add, exact division an int sub, and b | a
 iff ((a | G) - b) & G == G for the guard mask G: with every guard of a
@@ -37,22 +42,18 @@ reduces (see groebner.py).
 from __future__ import annotations
 
 from fractions import Fraction as Rat
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
 
 __all__ = [
     "Rat",
     "rat_str",
-    "grevlex_key",
     "PolyRing",
     "Poly",
     "parse_poly",
     "frobenius_power",
     "is_prime",
-    "mon_mul",
-    "mon_div",
-    "mon_pow",
     "PackedMonomials",
 ]
 
@@ -101,30 +102,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monomials: exponent tuples and their packed form
-
-
-def mon_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mon_div(a: tuple, b: tuple) -> tuple | None:
-    """a / b as a monomial, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
-
-
-def mon_pow(a: tuple, k: int) -> tuple:
-    out = tuple(x * k for x in a)
-    for x in out:
-        if x > EXP_CAP:
-            raise GhkError(f"monomial exponent {x} exceeds the supported cap {EXP_CAP}")
-    return out
+# monomials: the packed form of exponent tuples
 
 
 class PackedMonomials:
@@ -218,29 +196,19 @@ class PackedMonomials:
 
 
 # ---------------------------------------------------------------------------
-# the term order: grevlex keys
-
-
-def grevlex_key(nvars: int) -> Callable[[tuple], int]:
-    """Packed grevlex key on exponent tuples with nvars entries, the
-    last variable compared last: the key every Poly is sorted by."""
-    pm = PackedMonomials(nvars)
-    pack, key = pm.pack, pm.key
-    return lambda m: key(pack(m))
-
-
-# ---------------------------------------------------------------------------
 # polynomial rings and polynomials
 
 
 class PolyRing:
-    """F_p[variables]; its polynomials are sorted by grevlex_key(nvars).
+    """F_p[variables]. pm is its packing, PackedMonomials(nvars) with the
+    last variable compared last: key(mon) is the grevlex key a Poly term
+    carries and its polynomials are sorted by, and exponents decodes it.
 
     Rings compare by value (characteristic, variable names), so
     independently constructed copies of the same ring interoperate.
     """
 
-    __slots__ = ("p", "variables", "nvars", "key", "shiftc", "_vindex")
+    __slots__ = ("p", "variables", "nvars", "pm", "_dshift", "_vindex")
 
     def __init__(self, p: int, variables: Iterable[str]):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -260,9 +228,34 @@ class PolyRing:
         self.p = p
         self.variables = names
         self.nvars = len(names)
-        self.key = grevlex_key(self.nvars)
-        self.shiftc = PackedMonomials(self.nvars).low
+        self.pm = PackedMonomials(self.nvars)
+        self._dshift = EXP_BITS * self.nvars  # a key's degree field
         self._vindex = {v: i for i, v in enumerate(names)}
+
+    def key(self, mon: tuple) -> int:
+        """The grevlex key of an exponent tuple. A tuple of another length
+        or an exponent outside [0, EXP_CAP] raises: the key would stand
+        for another monomial or for none."""
+        if len(mon) != self.nvars:
+            raise GhkError(f"monomial {mon} has {len(mon)} exponents, ring has {self.nvars} variables")
+        for e in mon:
+            if e < 0 or e > EXP_CAP:
+                raise GhkError(f"exponent {e} out of range [0, {EXP_CAP}]")
+        return self.pm.key(self.pm.pack(mon))
+
+    def exponents(self, key: int) -> tuple:
+        """The exponent tuple of a key (the inverse of key)."""
+        low = self.pm.low
+        return self.pm.unpack(low - (key & low))
+
+    def _shift(self, i: int) -> int:
+        """Where variable i's field starts in a key. The default layout
+        puts the last variable on top and the others in index order
+        below it, so variable i is field i, and the field holds
+        _FMAX - e_i."""
+        if not (isinstance(i, int) and 0 <= i < self.nvars):
+            raise GhkError(f"variable index {i!r} is not in range({self.nvars})")
+        return EXP_BITS * i
 
     # -- builders ----------------------------------------------------
 
@@ -284,34 +277,18 @@ class PolyRing:
         return tuple(self.variable(i) for i in range(self.nvars))
 
     def monomial(self, mon: tuple, coeff: int = 1) -> "Poly":
-        mon = tuple(int(e) for e in mon)
-        if len(mon) != self.nvars:
-            raise GhkError(f"monomial {mon} has {len(mon)} exponents, ring has {self.nvars} variables")
-        for e in mon:
-            if e < 0 or e > EXP_CAP:
-                raise GhkError(f"exponent {e} out of range [0, {EXP_CAP}]")
+        k = self.key(tuple(int(e) for e in mon))
         c = coeff % self.p
-        if c == 0:
-            return Poly(self, ())
-        return Poly(self, ((self.key(mon), mon, c),))
+        return Poly(self, ((k, c),) if c else ())
 
     def from_pairs(self, pairs: Iterable[tuple]) -> "Poly":
         """Build from (monomial, coeff) pairs; repeats combine, zeros drop."""
         acc: dict = {}
         for mon, c in pairs:
-            mon = tuple(int(e) for e in mon)
-            if len(mon) != self.nvars:
-                raise GhkError(f"monomial {mon} does not fit a {self.nvars}-variable ring")
-            for e in mon:
-                if e < 0 or e > EXP_CAP:
-                    raise GhkError(f"exponent {e} out of range [0, {EXP_CAP}]")
-            acc[mon] = acc.get(mon, 0) + int(c)
-        terms = []
-        for mon, c in acc.items():
-            c %= self.p
-            if c:
-                terms.append((self.key(mon), mon, c))
-        terms.sort(reverse=True)
+            k = self.key(tuple(int(e) for e in mon))
+            acc[k] = acc.get(k, 0) + int(c)
+        p = self.p
+        terms = sorted(((k, c % p) for k, c in acc.items() if c % p), reverse=True)
         return Poly(self, tuple(terms))
 
     def parse(self, text: str) -> "Poly":
@@ -330,7 +307,7 @@ class PolyRing:
         return hash((self.p, self.variables))
 
     def __reduce__(self):
-        # the key closure does not pickle; rebuild it
+        # pickle by value; the packing is rebuilt
         return (PolyRing, (self.p, self.variables))
 
     def __repr__(self) -> str:
@@ -342,13 +319,34 @@ def _same_ring(a: "Poly", b: "Poly") -> None:
         raise GhkError("polynomials live in different rings")
 
 
+def _check_product_degree(deg: int) -> None:
+    """Refuse a product whose key would not decode: a degree of
+    2^EXP_BITS lets an exponent carry into the next field."""
+    if deg > _FMAX:
+        raise GhkError(f"product degree {deg} exceeds the packed monomial limit {_FMAX}")
+
+
+def check_exponent_cap(f: "Poly", q: int = 1) -> None:
+    """Refuse f when q times one of its exponents exceeds EXP_CAP.
+
+    No exponent exceeds the degree, so only a polynomial of degree above
+    EXP_CAP / q is decoded.
+    """
+    if f.degree() * q > EXP_CAP:
+        e = q * max(max(f.ring.exponents(k)) for k, _ in f._t)
+        if e > EXP_CAP:
+            raise GhkError(f"monomial exponent {e} exceeds the supported cap {EXP_CAP}")
+
+
 class Poly:
     """Immutable sparse polynomial over a PolyRing.
 
-    Internal term format: a tuple of (key, monomial, coeff) triples
-    sorted by key descending, coeff in [1, p). Term tuples are the
-    exchange format with the Groebner engine; user code should stick to
-    the public methods.
+    Internal term format: a tuple of (key, coeff) pairs sorted by key
+    descending, coeff in [1, p), where key = ring.key(monomial) is the
+    only record of the monomial (ring.exponents decodes it). Keys sort
+    by degree first, and multiplying by a monomial adds a constant to
+    every key. Term tuples are the exchange format with the Groebner
+    engine; user code should stick to the public methods.
     """
 
     __slots__ = ("ring", "_t")
@@ -370,12 +368,13 @@ class Poly:
 
     def terms(self) -> Iterator[tuple]:
         """Yield (monomial, coeff) pairs, leading term first."""
-        for _, m, c in self._t:
-            yield m, c
+        exponents = self.ring.exponents
+        for k, c in self._t:
+            yield exponents(k), c
 
     def coeff(self, mon: tuple) -> int:
         k = self.ring.key(tuple(mon))
-        for kk, _, c in self._t:
+        for kk, c in self._t:
             if kk == k:
                 return c
             if kk < k:
@@ -386,8 +385,8 @@ class Poly:
         """(monomial, coeff) of the leading term."""
         if not self._t:
             raise GhkError("zero polynomial has no leading term")
-        _, m, c = self._t[0]
-        return m, c
+        k, c = self._t[0]
+        return self.ring.exponents(k), c
 
     def lm(self) -> tuple:
         return self.lt()[0]
@@ -396,22 +395,21 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self._t:
             return -1
-        return max(sum(m) for _, m, c in self._t)
+        return self._t[0][0] >> self.ring._dshift
 
     def is_homogeneous(self) -> bool:
-        if not self._t:
-            return True
-        degs = {sum(m) for _, m, c in self._t}
-        return len(degs) == 1
+        t = self._t
+        s = self.ring._dshift
+        return not t or t[0][0] >> s == t[-1][0] >> s
 
     def homogeneous_degree(self) -> int:
         """Degree of a homogeneous polynomial; raises otherwise."""
         if not self._t:
             raise GhkError("zero polynomial has no well-defined homogeneous degree")
-        degs = {sum(m) for _, m, c in self._t}
-        if len(degs) != 1:
-            raise HomogeneityError(f"polynomial {self} is not homogeneous (degrees {sorted(degs)})")
-        return degs.pop()
+        if not self.is_homogeneous():
+            degs = sorted({k >> self.ring._dshift for k, _ in self._t})
+            raise HomogeneityError(f"polynomial {self} is not homogeneous (degrees {degs})")
+        return self.degree()
 
     # -- arithmetic ---------------------------------------------------
 
@@ -436,9 +434,9 @@ class Poly:
                 out.append(B[j])
                 j += 1
             else:
-                c = (A[i][2] + B[j][2]) % p
+                c = (A[i][1] + B[j][1]) % p
                 if c:
-                    out.append((ka, A[i][1], c))
+                    out.append((ka, c))
                 i += 1
                 j += 1
         out.extend(A[i:])
@@ -449,7 +447,7 @@ class Poly:
 
     def __neg__(self):
         p = self.ring.p
-        return Poly(self.ring, tuple((k, m, p - c) for k, m, c in self._t))
+        return Poly(self.ring, tuple((k, p - c) for k, c in self._t))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -468,21 +466,18 @@ class Poly:
         if c == 1:
             return self
         p = self.ring.p
-        return Poly(self.ring, tuple((k, m, cc * c % p) for k, m, cc in self._t))
+        return Poly(self.ring, tuple((k, cc * c % p) for k, cc in self._t))
 
     def mul_monomial(self, mon: tuple, coeff: int = 1) -> "Poly":
         """self * coeff * x^mon, one key shift per term."""
         ring = self.ring
         c = coeff % ring.p
-        if c == 0:
+        if c == 0 or not self._t:
             return Poly(ring, ())
-        delta = ring.key(mon) - ring.shiftc
+        delta = ring.key(mon) - ring.pm.low
+        _check_product_degree(self.degree() + sum(mon))
         p = ring.p
-        if c == 1:
-            terms = tuple((k + delta, mon_mul(m, mon), cc) for k, m, cc in self._t)
-        else:
-            terms = tuple((k + delta, mon_mul(m, mon), cc * c % p) for k, m, cc in self._t)
-        return Poly(ring, terms)
+        return Poly(ring, tuple((k + delta, cc * c % p) for k, cc in self._t))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -494,30 +489,20 @@ class Poly:
         A, B = self._t, other._t
         if not A or not B:
             return Poly(ring, ())
-        if len(A) == 1:
-            k, m, c = A[0]
-            return other.mul_monomial(m, c)
-        if len(B) == 1:
-            k, m, c = B[0]
-            return self.mul_monomial(m, c)
-        C = ring.shiftc
+        _check_product_degree(self.degree() + other.degree())
+        C = ring.pm.low
         acc: dict = {}
-        mons: dict = {}
-        for ka, ma, ca in A:
-            for kb, mb, cb in B:
-                k = ka + kb - C
-                prev = acc.get(k)
-                if prev is None:
-                    acc[k] = ca * cb
-                    mons[k] = mon_mul(ma, mb)
-                else:
-                    acc[k] = prev + ca * cb
+        for ka, ca in A:
+            ka -= C
+            for kb, cb in B:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + ca * cb
         p = ring.p
         out = []
         for k in sorted(acc, reverse=True):
             c = acc[k] % p
             if c:
-                out.append((k, mons[k], c))
+                out.append((k, c))
         return Poly(ring, tuple(out))
 
     __rmul__ = __mul__
@@ -538,33 +523,31 @@ class Poly:
 
     def divide_by_variable_power(self, i: int, a: int) -> "Poly":
         """self / x_i^a; requires x_i^a to divide every term."""
+        ring = self.ring
+        s = ring._shift(i)
+        if a < 0:
+            raise GhkError(f"cannot divide by x_{i}^{a}")
         if a == 0:
             return self
-        ring = self.ring
-        shift = tuple(a if j == i else 0 for j in range(ring.nvars))
-        delta = ring.key(shift) - ring.shiftc
+        delta = (a << ring._dshift) - (a << s)  # the key shift of x_i^a
         out = []
-        for k, m, c in self._t:
-            nm = mon_div(m, shift)
-            if nm is None:
+        for k, c in self._t:
+            if (k >> s) & _FMAX > _FMAX - a:
                 raise GhkError(f"x_{i}^{a} does not divide every term")
-            out.append((k - delta, nm, c))
+            out.append((k - delta, c))
         return Poly(ring, tuple(out))
 
     def derivative(self, i: int) -> "Poly":
         """Formal partial derivative with respect to variable i."""
         ring = self.ring
         p = ring.p
-        n = ring.nvars
+        s = ring._shift(i)
+        delta = (1 << ring._dshift) - (1 << s)  # the key shift of x_i
         out = []
-        for _, m, c in self._t:
-            e = m[i]
-            nc = c * (e % p) % p
-            if nc == 0:
-                continue
-            nm = tuple(m[j] - 1 if j == i else m[j] for j in range(n))
-            out.append((ring.key(nm), nm, nc))
-        out.sort(reverse=True)
+        for k, c in self._t:
+            nc = c * (_FMAX - ((k >> s) & _FMAX)) % p
+            if nc:
+                out.append((k - delta, nc))
         return Poly(ring, tuple(out))
 
     # -- value semantics ----------------------------------------------
@@ -584,7 +567,7 @@ class Poly:
             return "0"
         names = self.ring.variables
         parts = []
-        for _, m, c in self._t:
+        for m, c in self.terms():
             factors = []
             for v, e in zip(names, m):
                 if e == 1:
@@ -782,6 +765,6 @@ def frobenius_power(f: Poly, q: int) -> Poly:
         raise GhkHypothesisError(f"q={q} is not a power of the characteristic p={p}")
     if q == 1 or not f._t:
         return f
-    C = ring.shiftc
-    terms = tuple((q * k - (q - 1) * C, mon_pow(m, q), c) for k, m, c in f._t)
-    return Poly(ring, terms)
+    check_exponent_cap(f, q)
+    C = ring.pm.low
+    return Poly(ring, tuple((q * k - (q - 1) * C, c) for k, c in f._t))

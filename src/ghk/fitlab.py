@@ -181,9 +181,9 @@ class SweepRow:
     p: int
     validated: bool
     reason: str
-    estimate: Rat | None
-    error_bound: Rat | None
-    table: GHKTable | None
+    estimate: Rat | None = None
+    error_bound: Rat | None = None
+    table: GHKTable | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,35 +221,31 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_row(task: tuple) -> dict:
+def _sweep_row(task: tuple) -> SweepRow:
     """One prime specialization; top-level so tasks survive pickling. A
     task is (family, p, e_max, budget); FamilySpec and GbBudget pickle."""
     family, p, e_max, budget = task
     if not is_prime(p):
-        return {"p": p, "validated": False, "reason": f"{p} is not prime"}
+        return SweepRow(p, False, f"{p} is not prime")
     if any(d % p == 0 for d in family.denominators):
-        return {"p": p, "validated": False, "reason": f"{p} divides a declared bad denominator"}
+        return SweepRow(p, False, f"{p} divides a declared bad denominator")
     try:
         rspec = family.ring_at(p)
     except GhkError as ex:
-        return {"p": p, "validated": False, "reason": f"specialization failed: {ex}"}
+        return SweepRow(p, False, f"specialization failed: {ex}")
     report = rspec.validate()
     if not report.ok:
-        why = "; ".join(report.warnings) or "ring validation failed"
-        return {"p": p, "validated": False, "reason": why}
+        return SweepRow(p, False, "; ".join(report.warnings) or "ring validation failed")
     gens = [rspec.parse(g) for g in family.generators]
     if any(g.is_zero() for g in gens):
-        return {"p": p, "validated": False, "reason": "a generator degenerates to zero mod p"}
+        return SweepRow(p, False, "a generator degenerates to zero mod p")
     P = presentation_of_quotient(rspec.ideal(gens), rspec)
     table = ghk_table(P, e_max, budget=budget)
-    out = {"p": p, "validated": True, "reason": "", "table": table}
     try:
         estimate, bound = estimate_multiplicity(table)
-        out["estimate"] = estimate
-        out["error_bound"] = bound
     except GhkError as ex:
-        out["reason"] = f"no estimate: {ex}"
-    return out
+        return SweepRow(p, True, f"no estimate: {ex}", table=table)
+    return SweepRow(p, True, "", estimate, bound, table)
 
 
 def prime_sweep(
@@ -273,18 +269,7 @@ def prime_sweep(
         raise GhkError("prime sweep needs at least one prime")
     if e_max < 1:
         raise GhkError("e_max must be at least 1")
-    raw = _map_rows(_sweep_row, [(family, p, e_max, budget) for p in primes], jobs)
-    rows = tuple(
-        SweepRow(
-            p=r["p"],
-            validated=r["validated"],
-            reason=r.get("reason", ""),
-            estimate=r.get("estimate"),
-            error_bound=r.get("error_bound"),
-            table=r.get("table"),
-        )
-        for r in raw
-    )
+    rows = tuple(_map_rows(_sweep_row, [(family, p, e_max, budget) for p in primes], jobs))
     with_estimates = [row for row in rows if row.estimate is not None]
     top: tuple = ()
     spread = None

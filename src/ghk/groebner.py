@@ -40,16 +40,18 @@ key, so the reducer does one integer add per term.
 Inside the engine a term is its key and a coefficient: the key holds
 the component and the PackedMonomials int of arith.py, laid out for
 the basis's `last`, and _Ctx.split reads them back. A product is an
-int add and a divisibility test is ((a | G) - b) & G == G. Terms and
-basis records are packed from the first vec_to_terms to the last
-terms_to_vec; lead_terms unpacks, packed_leads hands the leads on in
-the basis's layout to the Hilbert series in idealops, and Poly and the
-public API keep exponent tuples. The test is only exact while every
-exponent stays below EXP_GUARD, so the engine checks the bound where
-it can first be broken: packing refuses exponents above EXP_CAP, every
-input vector needs deg - min(twists) < EXP_GUARD, and so does every
-S-pair before it is reduced. All terms of a homogeneous reduction
-share that degree, and exponents cannot exceed it.
+int add and a divisibility test is ((a | G) - b) & G == G. A Poly
+term is already a grevlex key, in the ring's layout (the default
+`last`), so vec_to_terms and terms_to_vec only move fields between
+the ring's layout and the basis's, the identity when `last` is the
+ring's last variable, and add or remove the component field;
+lead_terms unpacks, and packed_leads hands the leads on in the basis's
+layout to the Hilbert series in idealops. The test is only exact while
+every exponent stays below EXP_GUARD, so the engine checks the bound
+where it can first be broken: vec_to_terms refuses exponents above
+EXP_CAP, every input vector needs deg - min(twists) < EXP_GUARD, and so
+does every S-pair before it is reduced. All terms of a homogeneous
+reduction share that degree, and exponents cannot exceed it.
 
 The reducer finds a divisor of a term's monomial among the leads of
 its component through a _DivisorIndex, never by scanning every lead:
@@ -85,7 +87,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .arith import EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing
+from .arith import _FMAX, EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing, check_exponent_cap
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -220,9 +222,19 @@ class _Ctx:
     variable, in "top" order with the first `eliminate` components as a
     block above the rest. term_key(comp, mon) puts the grevlex key of a
     packed monomial (pm, laid out for `last`) above a component field,
-    and split(key) reads (comp, mon) back."""
+    and split(key) reads (comp, mon) back.
 
-    __slots__ = ("ring", "rank", "twists", "p", "pm", "term_key", "split")
+    to_basis and to_ring convert a monomial's grevlex key between the
+    ring's layout (a Poly key) and the basis's: the basis layout moves
+    the ring's field `last` to the top and the fields above it down by
+    one. A key's low fields are the packed monomial's complement, which
+    a field permutation keeps, so moving the fields of the key moves
+    those of the monomial. With `last` the ring's last variable both
+    are the identity."""
+
+    __slots__ = (
+        "ring", "rank", "twists", "p", "pm", "offs", "term_key", "split", "to_basis", "to_ring"
+    )
 
     def __init__(self, ring: PolyRing, twists: tuple, last: int | None = None, eliminate: int = 0):
         rank = len(twists)
@@ -238,7 +250,7 @@ class _Ctx:
         # check_degree keeps that field below EXP_GUARD, so adding
         # EXP_GUARD lifts the eliminated components above every other term.
         low = min(twists)
-        offs = tuple(
+        self.offs = offs = tuple(
             (e - low + (EXP_GUARD if j < eliminate else 0)) << (ring.nvars * EXP_BITS)
             for j, e in enumerate(twists)
         )
@@ -250,8 +262,21 @@ class _Ctx:
             # the monomial key's low fields hold low - mon
             return _cm - (k & _cm), _low - ((k >> _cb) & _low)
 
+        s = EXP_BITS * (ring.nvars - 1 if last is None else last)
+        top = EXP_BITS * (ring.nvars - 1)
+        moved = (1 << top) - (1 << s)  # basis fields last .. nvars - 2
+        stay = ~(moved | (_FMAX << top))  # the degree and the fields below last
+
+        def to_basis(k, _s=s, _top=top, _moved=moved, _stay=stay):
+            return (k & _stay) | ((k >> EXP_BITS) & _moved) | (((k >> _s) & _FMAX) << _top)
+
+        def to_ring(k, _s=s, _top=top, _moved=moved, _stay=stay):
+            return (k & _stay) | ((k & _moved) << EXP_BITS) | (((k >> _top) & _FMAX) << _s)
+
         self.term_key = term_key
         self.split = split
+        self.to_basis = to_basis
+        self.to_ring = to_ring
 
     def check_degree(self, deg: int) -> None:
         """Refuse work of module degree deg that could reach a guard bit."""
@@ -262,32 +287,24 @@ class _Ctx:
             )
 
     def vec_to_terms(self, v: ModVector) -> tuple:
-        tk = self.term_key
-        pack = self.pm.pack
+        to_basis = self.to_basis
         terms = []
         for j, f in enumerate(v.components):
             if f._t:
                 self.check_degree(f.degree() + self.twists[j])
-            for _, m, c in f._t:
-                terms.append((tk(j, pack(m)), c))
+                check_exponent_cap(f)
+                off, tag = self.offs[j], _CMAX - j
+                terms += [(((to_basis(k) + off) << COMP_BITS) | tag, c) for k, c in f._t]
         terms.sort(reverse=True)
         return tuple(terms)
 
     def terms_to_vec(self, terms: Iterable[tuple]) -> ModVector:
-        ring = self.ring
         per: list = [[] for _ in range(self.rank)]
-        key = ring.key
-        split = self.split
-        unpack = self.pm.unpack
+        to_ring, offs = self.to_ring, self.offs
         for k, c in terms:
-            cp, m = split(k)
-            mon = unpack(m)
-            per[cp].append((key(mon), mon, c))
-        comps = []
-        for lst in per:
-            lst.sort(reverse=True)
-            comps.append(Poly(ring, tuple(lst)))
-        return ModVector(comps)
+            cp = _CMAX - (k & _CMAX)
+            per[cp].append((to_ring((k >> COMP_BITS) - offs[cp]), c))
+        return ModVector([Poly(self.ring, tuple(sorted(lst, reverse=True))) for lst in per])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,14 @@ def _as_rat(value) -> Rat:
     raise GhkHypothesisError(f"expected an exact rational, got {value!r}")
 
 
+def _as_int(value) -> int:
+    """value itself when it is an int; a bool, a float or anything else
+    is refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise GhkHypothesisError(f"expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HNData:
     """Ranks and normalized slopes of filtration quotients, plus the
@@ -41,7 +49,7 @@ class HNData:
         qs = []
         for pair in quotients:
             r, mu = pair
-            r = int(r)
+            r = _as_int(r)
             if r < 1:
                 raise GhkHypothesisError(f"quotient rank must be positive, got {r}")
             qs.append((r, _as_rat(mu)))
@@ -50,7 +58,7 @@ class HNData:
                 raise GhkHypothesisError(
                     f"slopes must strictly decrease, got {a} then {b}"
                 )
-        degY = int(degY)
+        degY = _as_int(degY)
         if degY < 1:
             raise GhkHypothesisError(f"curve degree must be positive, got {degY}")
         object.__setattr__(self, "quotients", tuple(qs))
@@ -106,11 +114,11 @@ def hn_sum_line_bundles(pairs: Sequence, degY: int) -> HNData:
     -d*degY; sorting by increasing d gives the required strictly
     decreasing slopes.
     """
-    degY = int(degY)
+    degY = _as_int(degY)
     seen = set()
     cleaned = []
     for d, r in pairs:
-        d, r = int(d), int(r)
+        d, r = _as_int(d), _as_int(r)
         if d in seen:
             raise GhkHypothesisError(f"duplicate summand degree {d}")
         seen.add(d)
@@ -122,7 +130,7 @@ def hn_sum_line_bundles(pairs: Sequence, degY: int) -> HNData:
 def hn_rank1_syzygy(a: int, b: int, d: int, degY: int) -> HNData:
     """Filtration data of the rank-one syzygy sheaf of two generators of
     degrees a and b whose common zero scheme has sheaf degree d <= 0."""
-    a, b, d, degY = int(a), int(b), int(d), int(degY)
+    a, b, d, degY = _as_int(a), _as_int(b), _as_int(d), _as_int(degY)
     if a < 1 or b < 1:
         raise GhkHypothesisError(f"generator degrees must be positive, got {a}, {b}")
     if d > 0:
@@ -145,12 +153,12 @@ def e_ghk_closed_form(HN_S: HNData, source_twists: Sequence[int], HN_Q: HNData, 
     """
     if degY is None:
         degY = HN_S.degY
-    degY = int(degY)
+    degY = _as_int(degY)
     if HN_S.degY != degY or HN_Q.degY != degY:
         raise GhkHypothesisError(
             f"curve degrees disagree: {HN_S.degY}, {HN_Q.degY}, {degY}"
         )
-    twists = [int(d) for d in source_twists]
+    twists = [_as_int(d) for d in source_twists]
     value = (
         hk_slope(HN_S) - degY**2 * sum(d * d for d in twists) + hk_slope(HN_Q)
     ) / (2 * degY)
@@ -169,10 +177,10 @@ def e_hk_closed_form(HN_Syz: HNData, degrees: Sequence[int], degY: int | None = 
     """
     if degY is None:
         degY = HN_Syz.degY
-    degY = int(degY)
+    degY = _as_int(degY)
     if HN_Syz.degY != degY:
         raise GhkHypothesisError(f"curve degrees disagree: {HN_Syz.degY}, {degY}")
-    twists = [int(d) for d in degrees]
+    twists = [_as_int(d) for d in degrees]
     value = (hk_slope(HN_Syz) - degY**2 * sum(d * d for d in twists)) / (2 * degY)
     if value < 1:
         _warn(f"classical multiplicity {value} is below 1; input data "
@@ -182,7 +190,7 @@ def e_hk_closed_form(HN_Syz: HNData, degrees: Sequence[int], degY: int | None = 
 
 def e_ghk_two_generated(a: int, b: int, d: int, degY: int) -> Rat:
     """d^2/degY + a*b*degY + d*(a + b): the two-generator specialization."""
-    a, b, d, degY = int(a), int(b), int(d), int(degY)
+    a, b, d, degY = _as_int(a), _as_int(b), _as_int(d), _as_int(degY)
     if a < 1 or b < 1:
         raise GhkHypothesisError(f"generator degrees must be positive, got {a}, {b}")
     if d > 0:
@@ -200,7 +208,7 @@ def e_ghk_two_generated(a: int, b: int, d: int, degY: int) -> Rat:
 
 def e_ghk_point(degY: int) -> Rat:
     """(degY - 1)^2 / degY: the multiplicity of a single reduced point."""
-    degY = int(degY)
+    degY = _as_int(degY)
     if degY < 1:
         raise GhkHypothesisError(f"curve degree must be positive, got {degY}")
     return Rat((degY - 1) ** 2, degY)

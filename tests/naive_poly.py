@@ -61,6 +61,13 @@ class NaivePoly:
     def scale(self, c):
         return NaivePoly(self.p, self.nvars, {m: cc * c for m, cc in self.d.items()})
 
+    def derivative(self, i):
+        out = {}
+        for m, c in self.d.items():
+            if m[i]:
+                out[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c * m[i]
+        return NaivePoly(self.p, self.nvars, out)
+
     def is_zero(self):
         return not self.d
 

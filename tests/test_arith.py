@@ -11,15 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghk.arith import (
+    EXP_BITS,
     EXP_CAP,
     PackedMonomials,
     Poly,
     PolyRing,
     frobenius_power,
-    grevlex_key,
     is_prime,
-    mon_div,
-    mon_mul,
     parse_poly,
 )
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
@@ -67,9 +65,6 @@ def test_field_rejects_bad_characteristic():
 
 
 def test_mon_helpers():
-    assert mon_mul((1, 2), (3, 0)) == (4, 2)
-    assert mon_div((4, 2), (3, 0)) == (1, 2)
-    assert mon_div((1, 2), (3, 0)) is None
     pm = PackedMonomials(2)
     assert pm.divides(pm.pack((1, 0)), pm.pack((4, 2)))
     assert not pm.divides(pm.pack((1, 3)), pm.pack((4, 2)))
@@ -90,9 +85,9 @@ def test_packed_monomials_match_tuples(cols):
     assert pm.unpack(pa) == a
     assert pm.divides(pb, pa) == all(y <= x for x, y in zip(a, b))
     assert pm.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
-    assert pm.unpack(pa + pb) == mon_mul(a, b)
+    assert pm.unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
     if pm.divides(pb, pa):
-        assert pm.unpack(pa - pb) == mon_div(a, b)
+        assert pm.unpack(pa - pb) == tuple(x - y for x, y in zip(a, b))
     lcm = tuple(max(x, y) for x, y in zip(a, b))
     assert pm.unpack(pm.lcm(pa, pb)) == lcm
     assert pm.degree(pm.lcm(pa, pb)) == sum(lcm)
@@ -103,7 +98,7 @@ def test_packed_monomials_match_tuples(cols):
     c = tuple(x if i % 2 else y for i, (x, y) in enumerate(cols))
     d = tuple(y if i % 2 else x for i, (x, y) in enumerate(cols))
     mons = [(a, pa), (b, pb), (c, pm.pack(c)), (d, pm.pack(d)), (lcm, pm.lcm(pa, pb))]
-    mons.append((mon_mul(a, b), pa + pb))
+    mons.append((tuple(x + y for x, y in zip(a, b)), pa + pb))
     expected = sorted(
         {
             pk
@@ -139,9 +134,10 @@ def test_packed_keys_match_reference(kind, nvars):
                 ref = ref_order_tuple(kind, seq, a) > ref_order_tuple(kind, seq, b)
                 assert (pm.key(pm.pack(a)) > pm.key(pm.pack(b))) == ref, (last, a, b)
     # the default is the last variable, the order every Poly is sorted in
-    key = grevlex_key(nvars)
-    for pm in (PackedMonomials(nvars), PackedMonomials(nvars, nvars - 1)):
-        assert all(key(m) == pm.key(pm.pack(m)) for m in mons)
+    ring = PolyRing(7, [f"v{i}" for i in range(nvars)])
+    assert all(ring.exponents(ring.key(m)) == m for m in mons)
+    pm = PackedMonomials(nvars, nvars - 1)
+    assert all(ring.key(m) == pm.key(pm.pack(m)) for m in mons)
 
 
 @pytest.mark.parametrize("kind", ["grevlex"])
@@ -156,7 +152,8 @@ def test_key_shift_constant(kind):
         for _ in range(200):
             a = tuple(rng.randrange(9) for _ in range(3))
             b = tuple(rng.randrange(9) for _ in range(3))
-            assert key(mon_mul(a, b)) == key(a) + key(b) - pm.low, (kind, last, a, b)
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert key(ab) == key(a) + key(b) - pm.low, (kind, last, a, b)
 
 
 def test_bad_order_inputs():
@@ -178,6 +175,14 @@ def test_ring_validation():
         PolyRing(7, ["x", "2bad"])
     with pytest.raises(GhkHypothesisError):
         PolyRing(6, ["x"])
+    # a key of the wrong length or a negative exponent would stand for
+    # another monomial
+    ring = PolyRing(7, ["x", "y"])
+    for bad in ((1,), (0, 0, 5), (-1, 0), (0, EXP_CAP + 1)):
+        with pytest.raises(GhkError):
+            ring.key(bad)
+        with pytest.raises(GhkError):
+            ring.variable(0).mul_monomial(bad)
 
 
 def test_ring_value_equality():
@@ -228,14 +233,31 @@ def test_arith_matches_oracle(p, nvars):
         assert _same(fa**k, na.pow(k))
         c = rng.randrange(p)
         assert _same(fa.scale(c), na.scale(c))
+        m = rng.choice(all_monomials_up_to(nvars, 3))
+        assert _same(fa.mul_monomial(m, c), na.mul(NaivePoly(p, nvars, {m: c})))
+        i = rng.randrange(nvars)
+        assert _same(fa.derivative(i), na.derivative(i))
+        a = rng.randrange(4)
+        xa = tuple(a if j == i else 0 for j in range(nvars))
+        assert _same(fa.mul_monomial(xa).divide_by_variable_power(i, a), na)
+        # lm, degree and homogeneity, also of the top-degree part
+        seq = tuple(range(nvars))
+        assert fa.degree() == max((sum(m) for m in na.d), default=-1)
+        top = {m: c for m, c in da.items() if sum(m) == fa.degree()}
+        for f, d in ((fa, na.d), (_to_ghk(ring, top), top)):
+            assert f.is_homogeneous() == (len({sum(m) for m in d}) <= 1)
+        if na.d:
+            assert fa.lm() == max(na.d, key=lambda m: ref_order_tuple("grevlex", seq, m))
+            with pytest.raises(GhkError):  # x_i^short misses a term
+                fa.divide_by_variable_power(i, 1 + min(m[i] for m in na.d))
 
 
 def test_terms_sorted_and_canonical():
     ring = PolyRing(7, ["x", "y", "z"])
     f = ring.parse("z^3 + x*y + 2*x^2 + 5 + 5*z^3")
-    keys = [k for k, _, _ in f._t]
+    keys = [k for k, _ in f._t]
     assert keys == sorted(keys, reverse=True)
-    assert all(1 <= c < 7 for _, _, c in f._t)
+    assert all(1 <= c < 7 for _, c in f._t)
     # 5*z^3 + z^3 = 6*z^3, still present; recombine check
     assert f.coeff((0, 0, 3)) == 6
 
@@ -272,6 +294,9 @@ def test_variable_power_division():
     assert g == ring.parse("x*y + 2*y^2")
     with pytest.raises(GhkError):
         f.divide_by_variable_power(0, 3)
+    for i, a in ((2, 1), (-1, 1), (0, -1)):
+        with pytest.raises(GhkError):
+            f.divide_by_variable_power(i, a)
 
 
 def test_derivative():
@@ -280,6 +305,8 @@ def test_derivative():
     assert f.derivative(0) == ring.parse("3*x^2")
     ring3 = PolyRing(3, ["x", "y"])
     assert ring3.parse("x^3 + y").derivative(0).is_zero()
+    with pytest.raises(GhkError):
+        f.derivative(3)
     # product rule spot check
     g, h = ring.parse("x*y + z^2"), ring.parse("x + 2*y")
     lhs = (g * h).derivative(1)
@@ -364,6 +391,40 @@ def test_frobenius_is_pth_power(p):
         f = _to_ghk(ring, d)
         assert frobenius_power(f, p) == f**p
         assert frobenius_power(f, p * p) == (f**p) ** p
+
+
+def test_frobenius_exponent_cap_both_sides():
+    ring = PolyRing(2, ["x", "y"])
+    r = 1 << 10  # r * r == EXP_CAP
+    assert r * r == EXP_CAP
+    # every exponent times q reaches the cap exactly, the degree passes it
+    f = ring.monomial((r, r)) + ring.monomial((1, 0))
+    assert frobenius_power(f, r).lm() == (EXP_CAP, EXP_CAP)
+    with pytest.raises(GhkError):
+        frobenius_power(ring.monomial((2 * r, 0)), r)
+    ring17 = PolyRing(17, ["x", "y"])
+    assert (EXP_CAP + 1) % 17 == 0
+    with pytest.raises(GhkError):
+        frobenius_power(ring17.monomial((0, (EXP_CAP + 1) // 17)), 17)
+
+
+def test_product_degree_limit_both_sides():
+    # the key is the only record of a monomial, so a product whose degree
+    # reaches 2^EXP_BITS, where an exponent could carry into the next
+    # field, is refused rather than stored corrupt
+    ring = PolyRing(7, ["x", "y"])
+    x, y = ring.gens()
+    top = (1 << EXP_BITS) - 1
+    big = ring.monomial((EXP_CAP - 1, 0)) ** 16  # degree top - 15
+    f = big * (x + y) ** 15
+    assert f.degree() == top and f.lm() == (top, 0)
+    assert dict(f.terms())[(top - 15, 15)] == 1
+    assert big.mul_monomial((14, 1)) == big * x**14 * y
+    for g in (f, big.mul_monomial((0, 15))):
+        with pytest.raises(GhkError):
+            g * y
+        with pytest.raises(GhkError):
+            g.mul_monomial((1, 0))
 
 
 def test_frobenius_validation():

@@ -637,6 +637,23 @@ def test_closed_form_classical_warns_below_one(tmp_path):
     assert report["warnings"]
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"kind": "two_generated", "a": 1.9, "b": 1, "d": -1, "degY": 3.7},
+        {"kind": "sum_line_bundles", "pairs": [[1, 2.5]], "degY": 3},
+        {"kind": "point", "degY": True},
+    ],
+)
+def test_closed_form_refuses_non_integer_inputs(tmp_path, capsys, section):
+    # each of these used to be truncated by int() into a wrong value
+    problem = {"ring": FERMAT_RING, "closed_form": section, "task": {"command": "closed-form"}}
+    code, out = run(tmp_path, problem)
+    assert code == 2
+    assert "expected an integer" in capsys.readouterr().err
+    assert not (out / "closed-form-report.json").exists()
+
+
 def test_closed_form_section_required(tmp_path, capsys):
     problem = {"ring": FERMAT_RING, "task": {"command": "closed-form"}}
     assert main([write_problem(tmp_path, problem)]) == 2

@@ -33,6 +33,11 @@ def test_hndata_validation():
         HNData([(0, -3)], 3)
     with pytest.raises(GhkHypothesisError):
         HNData([(1, -3)], 0)
+    for bad in (1.9, True, "2"):  # refused, never truncated
+        with pytest.raises(GhkHypothesisError):
+            HNData([(bad, -3)], 3)
+        with pytest.raises(GhkHypothesisError):
+            HNData([(1, -3)], bad)
     HNData([(2, -3), (1, -6)], 3, total_degree=-12)
     with pytest.raises(GhkHypothesisError):
         HNData([(2, -3), (1, -6)], 3, total_degree=-11)
@@ -71,6 +76,12 @@ def test_sum_line_bundles():
     assert hn_sum_line_bundles([(2, 1), (1, 2)], 3) == H
     with pytest.raises(GhkHypothesisError):
         hn_sum_line_bundles([(1, 2), (1, 1)], 3)
+    with pytest.raises(GhkHypothesisError):
+        hn_sum_line_bundles([(1, 2.5)], 3)
+    with pytest.raises(GhkHypothesisError):
+        hn_sum_line_bundles([(1.0, 2)], 3)
+    with pytest.raises(GhkHypothesisError):
+        hn_sum_line_bundles([(1, 2)], True)
 
 
 def test_rank1_syzygy():
@@ -80,6 +91,8 @@ def test_rank1_syzygy():
         hn_rank1_syzygy(1, 1, 1, 3)
     with pytest.raises(GhkHypothesisError):
         hn_rank1_syzygy(0, 1, -1, 3)
+    with pytest.raises(GhkHypothesisError):
+        hn_rank1_syzygy(1.9, 1, -1, 3)
 
 
 def test_eghk_closed_form_values():
@@ -91,6 +104,10 @@ def test_eghk_closed_form_values():
     assert koszul == 1
     with pytest.raises(GhkHypothesisError):
         e_ghk_closed_form(HNData([(1, -5)], 3), (1, 1), HNData([(1, -1)], 2))
+    with pytest.raises(GhkHypothesisError):
+        e_ghk_closed_form(HNData([(1, -5)], 3), (1.5, 1), HNData([(1, -1)], 3))
+    with pytest.raises(GhkHypothesisError):
+        e_ghk_closed_form(HNData([(1, -5)], 3), (1, 1), HNData([(1, -1)], 3), 3.0)
 
 
 def test_ehk_closed_form_values():
@@ -100,6 +117,8 @@ def test_ehk_closed_form_values():
         assert e_hk_closed_form(HNData([], 3), (2,)) == Rat(-36, 6)
     with pytest.warns(GhkHypothesisWarning):
         assert e_hk_closed_form(HNData([(2, -3)], 3), (1, 1)) == 0
+    with pytest.raises(GhkHypothesisError):
+        e_hk_closed_form(HNData([(1, -2)], 1), (1, True))
 
 
 def test_two_generated_values():
@@ -108,6 +127,8 @@ def test_two_generated_values():
     assert e_ghk_two_generated(2, 5, 0, 3) == 30
     with pytest.raises(GhkHypothesisError):
         e_ghk_two_generated(1, 1, 2, 3)
+    with pytest.raises(GhkHypothesisError):
+        e_ghk_two_generated(1.9, 1, -1, 3.7)
 
 
 def test_point_values():
@@ -116,6 +137,9 @@ def test_point_values():
     assert e_ghk_point(4) == Rat(9, 4)
     with pytest.raises(GhkHypothesisError):
         e_ghk_point(0)
+    for bad in (True, 3.0):
+        with pytest.raises(GhkHypothesisError):
+            e_ghk_point(bad)
 
 
 # ---------------------------------------------------------------------------
