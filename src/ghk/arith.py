@@ -37,6 +37,10 @@ is exact only while every exponent stays below EXP_GUARD =
 corrupt divisibility silently. So packing refuses exponents above
 EXP_CAP, and the Groebner engine bounds the degree of everything it
 reduces (see groebner.py).
+
+Record, the base of every frozen value record in the package, lives
+here because every other module imports arith; it stands in for
+dataclasses, whose import would double the start-up of a CLI call.
 """
 
 from __future__ import annotations
@@ -70,6 +74,64 @@ _FMAX = (1 << EXP_BITS) - 1
 def rat_str(x: Rat) -> str:
     """A rational as "num" or "num/den", the form every report uses."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+
+class Record:
+    """Base of the immutable value records. A subclass's annotations name
+    its fields, in order, and a class attribute of the same name is that
+    field's default. Construction takes the fields positionally or by
+    keyword and then runs __post_init__; records compare and hash as
+    their field tuple within one class, and refuse assignment. Instances
+    keep a plain __dict__, so they pickle without help."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for f in kwargs:
+            if f not in fields:
+                raise TypeError(f"{name}() got an unexpected argument {f!r}")
+            if f in values:
+                raise TypeError(f"{name}() got multiple values for argument {f!r}")
+        values = {**self._defaults, **values, **kwargs}
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing arguments {', '.join(map(repr, missing))}")
+        self.__dict__.update((f, values[f]) for f in fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------

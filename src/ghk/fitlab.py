@@ -10,9 +10,7 @@ Least-squares fits are never the reported value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import Rat, is_prime, rat_str
+from .arith import Rat, Record, is_prime, rat_str
 from .errors import GhkError
 from .frobmod import GHKTable, _map_rows, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
@@ -54,8 +52,7 @@ def estimate_multiplicity(T: GHKTable, gamma_bound=None) -> tuple:
 # gamma extraction
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     """Multiplicity, per-row correction values, and a periodicity verdict.
 
     gamma holds (e, q, length, gamma(q)) rows; length = estimate*q^2 +
@@ -141,8 +138,7 @@ def fit_report(T: GHKTable, e_exact=None, gamma_bound=None) -> FitReport:
 # prime sweep
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A ring and ideal defined over the integers, specialized prime by
     prime. Relation and generator strings must use integer coefficients
     so reduction mod p is literal. Primes dividing a declared bad
@@ -157,7 +153,10 @@ class FamilySpec:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "denominators", tuple(int(d) for d in self.denominators))
+        object.__setattr__(self, "denominators", tuple(self.denominators))
+        for d in self.denominators:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise GhkError(f"a bad denominator must be an integer, got {d!r}")
 
     def descriptor(self) -> str:
         rels = ", ".join(self.relations) or "0"
@@ -176,8 +175,7 @@ class FamilySpec:
         }
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     p: int
     validated: bool
     reason: str
@@ -196,8 +194,7 @@ class SweepRow:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     family: FamilySpec
     e_max: int
     rows: tuple

@@ -10,9 +10,7 @@ columns; no injectivity of any comparison map is assumed anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .arith import Poly, frobenius_power
+from .arith import Poly, Record, frobenius_power
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -236,27 +234,24 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
 # tables
 
 
-@dataclass(frozen=True)
-class GHKRow:
+class GHKRow(Record):
     e: int
     q: int
     length: int
 
 
-@dataclass(frozen=True)
-class SkippedRow:
+class SkippedRow(Record):
     e: int
     reason: str
 
 
-@dataclass(frozen=True)
-class GHKTable:
+class GHKTable(Record):
     """Computed values of the length function, one row per exponent."""
 
     p: int
     module: str
     rows: tuple = ()
-    skipped: tuple = field(default=())
+    skipped: tuple = ()
 
     def __post_init__(self):
         last_e = 0

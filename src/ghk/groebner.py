@@ -83,11 +83,19 @@ so the heap reproduces the degree-then-index order exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .arith import _FMAX, EXP_BITS, EXP_GUARD, PackedMonomials, Poly, PolyRing, check_exponent_cap
+from .arith import (
+    _FMAX,
+    EXP_BITS,
+    EXP_GUARD,
+    PackedMonomials,
+    Poly,
+    PolyRing,
+    Record,
+    check_exponent_cap,
+)
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -107,18 +115,25 @@ COMP_BITS = 16
 _CMAX = (1 << COMP_BITS) - 1
 
 
-@dataclass(frozen=True)
-class GbBudget:
+class GbBudget(Record):
     """Resource limits for one Groebner run.
 
     max_degree: largest module degree of an S-pair that may be reduced.
     max_pairs: largest number of S-pair reductions.
-    Exceeding either raises BudgetExceededError; partial output is never
-    returned.
+    Each is None (no limit) or a non-negative int; a bool or a float is
+    refused rather than compared. Exceeding either raises
+    BudgetExceededError; partial output is never returned.
     """
 
     max_degree: int | None = None
     max_pairs: int | None = None
+
+    def __post_init__(self):
+        for limit in (self.max_degree, self.max_pairs):
+            if limit is None:
+                continue
+            if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+                raise GhkError(f"a budget limit must be None or a non-negative int, got {limit!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ code that needs one must bring its numbers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import Rat, rat_str
+from .arith import Rat, Record, rat_str
 from .errors import GhkHypothesisError, GhkHypothesisWarning
 
 
@@ -35,8 +34,7 @@ def _as_int(value) -> int:
     raise GhkHypothesisError(f"expected an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class HNData:
+class HNData(Record):
     """Ranks and normalized slopes of filtration quotients, plus the
     curve degree. Slopes must be strictly decreasing; supplying
     total_degree asserts sum(r_k * slope_k) against it."""

@@ -34,11 +34,10 @@ Design rules enforced here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import EXP_BITS, PackedMonomials, Poly, PolyRing, frobenius_power
+from .arith import EXP_BITS, PackedMonomials, Poly, PolyRing, Record, frobenius_power
 from .errors import (
     GhkError,
     GhkHypothesisError,
@@ -78,8 +77,7 @@ __all__ = [
 # Hilbert series
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(Record):
     """Series numer(t) / (1-t)^denom_power with integer Laurent numerator.
 
     numer is a tuple of (exponent, coeff) pairs, sorted, no zeros.
@@ -374,8 +372,7 @@ def _ideal_generators(ring: PolyRing, J, relations) -> list:
 # saturation
 
 
-@dataclass(frozen=True)
-class SaturationCertificate:
+class SaturationCertificate(Record):
     """Proof that U : x_var^inf = sat(U), read off one Groebner basis.
 
     gb is U.groebner(last=var), U's basis in grevlex with x_var compared
@@ -501,8 +498,7 @@ def reflexive_hull(I: Submodule, witness: Poly | None = None, budget: GbBudget |
 # ring-level reports
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(Record):
     smooth: bool
     singular_locus_dimension: int  # Krull dim of S / (minors + relations); 0 means empty in Proj
     details: str
@@ -515,8 +511,7 @@ class SmoothnessReport:
         }
 
 
-@dataclass(frozen=True)
-class RingReport:
+class RingReport(Record):
     p: int
     variables: tuple
     relations: tuple

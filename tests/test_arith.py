@@ -16,6 +16,7 @@ from ghk.arith import (
     PackedMonomials,
     Poly,
     PolyRing,
+    Record,
     frobenius_power,
     is_prime,
     parse_poly,
@@ -467,3 +468,57 @@ def test_frobenius_additive_multiplicative(args):
     assert frobenius_power(f + g, q) == frobenius_power(f, q) + frobenius_power(g, q)
     assert frobenius_power(f * g, q) == frobenius_power(f, q) * frobenius_power(g, q)
     assert frobenius_power(frobenius_power(f, p), p) == frobenius_power(f, q)
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+
+class Pair(Record):
+    a: int
+    b: int = 0
+
+
+class OtherPair(Record):
+    a: int
+    b: int = 0
+
+
+def test_record_builds_like_a_dataclass():
+    assert Pair(1) == Pair(1, 0) == Pair(a=1) == Pair(b=0, a=1)
+    assert hash(Pair(1)) == hash(Pair(a=1, b=0)) == hash((1, 0))
+    assert Pair(1) != Pair(1, 2)
+    assert repr(Pair(1, "x")) == "Pair(a=1, b='x')"
+    assert Pair._fields == ("a", "b") and Pair._defaults == {"b": 0}
+
+
+def test_records_of_different_classes_differ():
+    assert Pair(1) != OtherPair(1)
+    assert not Pair(1) == OtherPair(1)
+    assert Pair(1) != (1, 0)
+    assert len({Pair(1), OtherPair(1), Pair(1, 0)}) == 2
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((), {}, "missing arguments 'a'"),
+        ((1, 2, 3), {}, "takes 2 arguments but 3 were given"),
+        ((1,), {"c": 2}, "unexpected argument 'c'"),
+        ((1,), {"a": 2}, "multiple values for argument 'a'"),
+    ],
+)
+def test_record_refuses_bad_arguments(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Pair(*args, **kwargs)
+
+
+def test_record_is_frozen():
+    r = Pair(1, 2)
+    with pytest.raises(AttributeError):
+        r.a = 3
+    with pytest.raises(AttributeError):
+        r.c = 3
+    with pytest.raises(AttributeError):
+        del r.b
+    assert r == Pair(1, 2) and vars(r) == {"a": 1, "b": 2}

@@ -262,13 +262,16 @@ def test_schema_walk_rejects_rules_it_does_not_know(schema):
 
 
 def test_valid_run_never_imports_jsonschema(tmp_path):
-    # a fresh interpreter: this test module has imported jsonschema itself
+    # a fresh interpreter: this test module has imported jsonschema itself.
+    # dataclasses (and the inspect it imports) would double the start-up
+    # of every CLI call; only a rejected problem may pull them in
     good = write_problem(tmp_path, _point_problem(), "good.json")
     bad = write_problem(tmp_path, _point_problem(jobs=0), "bad.json")
     script = (
         "import sys\n"
         "from ghk.cli import main\n"
         f"code = main([{good!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, *(m in sys.modules for m in ('dataclasses', 'inspect')))\n"
         "print(code, 'jsonschema' in sys.modules)\n"
         f"code = main([{bad!r}])\n"
         "print(code, 'jsonschema' in sys.modules)\n"
@@ -278,7 +281,7 @@ def test_valid_run_never_imports_jsonschema(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["0 False", "2 True"]
+    assert proc.stdout.splitlines()[-3:] == ["0 False False", "0 False", "2 True"]
     assert proc.stderr == "problem file invalid at task/jobs: 0 is less than the minimum of 1\n"
 
 

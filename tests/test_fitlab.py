@@ -1,5 +1,7 @@
 """Estimator, gamma extraction, and the prime sweep."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from ghk.arith import Rat
 from ghk.errors import GhkError
 from ghk.fitlab import (
     FamilySpec,
+    SweepRow,
     estimate_multiplicity,
     fit_report,
     gamma_analysis,
@@ -156,6 +159,33 @@ CUBIC_FAMILY = FamilySpec(
     relations=("x^3 + y^3 - 2*z^3",),
     generators=("x - y", "y - z"),
 )
+
+
+def test_family_spec_normalizes_to_tuples():
+    fam = FamilySpec(["x", "y"], [], ["x"], denominators=[6])
+    assert fam == FamilySpec(("x", "y"), (), ("x",), (6,))
+    assert fam.variables == ("x", "y") and fam.denominators == (6,)
+    assert FamilySpec(("x",), (), ("x",)).denominators == ()
+    with pytest.raises(TypeError):
+        FamilySpec(("x",), ())
+    with pytest.raises(AttributeError):
+        fam.denominators = (5,)
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_family_spec_refuses_a_denominator_that_is_not_an_int(bad):
+    with pytest.raises(GhkError, match="denominator"):
+        FamilySpec(("x", "y"), (), ("x",), denominators=(bad,))
+
+
+def test_sweep_records_pickle():
+    row = SweepRow(5, False, "5 divides a declared bad denominator")
+    assert row.estimate is None and row.error_bound is None and row.table is None
+    assert row == SweepRow(p=5, validated=False, reason=row.reason)
+    done = SweepRow(7, True, "", Rat(4, 3), Rat(0), synth(7, [(1, 64)]))
+    for record in (CUBIC_FAMILY, row, done):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
 
 
 def test_sweep_small():

@@ -429,6 +429,35 @@ def test_table_invariants():
         GHKTable(7, "m", (GHKRow(1, 7, -1),))
 
 
+def test_table_records_are_frozen_values():
+    row = GHKRow(1, 7, 64)
+    assert row == GHKRow(e=1, q=7, length=64) and hash(row) == hash(GHKRow(1, 7, 64))
+    assert row != GHKRow(1, 7, 65) and row != (1, 7, 64)
+    assert repr(row) == "GHKRow(e=1, q=7, length=64)"
+    table = GHKTable(7, "m")
+    assert table.rows == () and table.skipped == ()
+    assert table == GHKTable(p=7, module="m", rows=(), skipped=())
+    with pytest.raises(AttributeError):
+        row.length = 65
+    with pytest.raises(AttributeError):
+        del table.rows
+    with pytest.raises(TypeError):
+        GHKRow(1, 7)
+    with pytest.raises(TypeError):
+        SkippedRow(1, "budget", e=1)
+    # the checks of __post_init__ run on keyword construction too
+    with pytest.raises(GhkError):
+        GHKTable(p=7, module="m", rows=(GHKRow(2, 7, 3),))
+
+
+def test_table_records_pickle():
+    full = GHKTable(7, "m", (GHKRow(1, 7, 64),), (SkippedRow(2, "budget"),))
+    for record in (GHKRow(1, 7, 64), SkippedRow(2, "budget"), full):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+        assert hash(copy) == hash(record)
+
+
 def test_table_exponent_validation(fermat7):
     P = point_presentation(fermat7)
     with pytest.raises(GhkError):

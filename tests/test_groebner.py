@@ -1,5 +1,6 @@
 """Groebner engine tests: hand-checked bases, oracle cross-checks, budgets."""
 
+import pickle
 import random
 
 import pytest
@@ -403,6 +404,25 @@ def test_every_last_variable_gives_a_basis_in_its_order(data, p, twists, relatio
 
 # ---------------------------------------------------------------------------
 # budgets
+
+
+@pytest.mark.parametrize(
+    "limits", [{"max_pairs": 2.5}, {"max_pairs": True}, {"max_degree": -1}]
+)
+def test_budget_refuses_a_limit_that_is_not_a_count(limits):
+    with pytest.raises(GhkError, match="budget limit"):
+        GbBudget(**limits)
+
+
+def test_budget_is_a_frozen_record_that_pickles():
+    budget = GbBudget(max_pairs=0)
+    assert budget == GbBudget(None, 0) and budget.max_degree is None
+    assert hash(budget) == hash(GbBudget(max_degree=None, max_pairs=0))
+    assert pickle.loads(pickle.dumps(budget)) == budget
+    with pytest.raises(AttributeError):
+        budget.max_pairs = 5
+    with pytest.raises(TypeError):
+        GbBudget(max_steps=5)
 
 
 def test_budget_pairs():
