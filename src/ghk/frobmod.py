@@ -139,14 +139,19 @@ def presentation_of_quotient(I: Submodule, rspec: RingSpec | None = None) -> Pre
     return Presentation(rspec, (0,), twists, cols, descriptor=f"R/({names})")
 
 
+def _frobenius_q(p: int, e: int) -> int:
+    """q = p^e for a Frobenius exponent e, which must be an int >= 0."""
+    if not isinstance(e, int) or e < 0:
+        raise GhkHypothesisError(f"Frobenius exponent must be a non-negative integer, got {e!r}")
+    return p**e
+
+
 def frobenius_pullback(P: Presentation, e: int) -> Presentation:
     """Entrywise q-th power of the presentation, q = p^e; all twists
     scale by q, so homogeneity is preserved degree-by-degree."""
-    if not isinstance(e, int) or e < 0:
-        raise GhkHypothesisError(f"Frobenius exponent must be a non-negative integer, got {e!r}")
-    if e == 0:
+    q = _frobenius_q(P.rspec.p, e)
+    if q == 1:
         return P
-    q = P.rspec.p ** e
     cols = [
         ModVector(tuple(frobenius_power(f, q) for f in v.components)) for v in P.columns
     ]
@@ -183,21 +188,59 @@ def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
 # the length computations
 
 
+def pullback_image(P: Presentation, e: int) -> Submodule:
+    """The image U of the e-th Frobenius pullback of P, as ghk_value
+    measures it.
+
+    When the ring has a Noether normalization A = F_p[x, y]
+    (RingSpec.noether_normalization), R^r is the free A-module A^(d*r),
+    the component (j, k) standing for z^k in row j, and U is the
+    A-submodule spanned by z^m * v^[q] for each column v and each m < d,
+    with no relation columns. Row j's twist r_j becomes q*r_j + k on
+    component (j, k). The q-th powers go through Frobenius: an entry
+    sum_k c_k*z^k (c_k over A, read once at q = 1) has q-th power
+    sum_k c_k^[q] * (z^(kq) mod f), and z^(kq) comes from the p-th-power
+    recursion of NoetherNormalization.frobenius. Otherwise U is the
+    image over S with the relation columns, from frobenius_pullback.
+    """
+    nn = P.rspec.noether_normalization()
+    if nn is None:
+        return frobenius_pullback(P, e).image_submodule()
+    q = _frobenius_q(P.rspec.p, e)
+    d = nn.degree
+    z_q = [nn.frobenius(z_k, q) for z_k in nn.basis]  # z^(kq) mod f, k < d
+    zero = (nn.base.zero,) * d
+    gens = []
+    for v in P.columns:
+        entries = [
+            nn.combine([frobenius_power(c, q) for c in nn.element(f)], z_q) if f else zero
+            for f in v.components
+        ]
+        for m in range(d):
+            if m:
+                entries = [nn.times_z(w) for w in entries]
+            gens.append(ModVector([c for w in entries for c in w]))
+    twists = tuple(q * t + k for t in P.row_twists for k in range(d))
+    return Submodule(nn.base, d * P.num_rows, gens, twists=twists)
+
+
 def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
     """Torsion length of the e-th Frobenius pullback of coker(P).
 
-    Pull the presentation back, take the image U of its columns (plus
-    relation columns), and measure the part of the ambient free module
-    supported at the irrelevant ideal: the length of sat(U)/U. Finite
-    exactly when the module is torsion-free in codimension <= 1 territory,
-    which the dimension-2 precondition guarantees for saturations.
+    Pull the presentation back, take the image U of its columns
+    (pullback_image: over a Noether normalization of a hypersurface,
+    else over S with relation columns), and measure the part of the
+    ambient free module supported at the irrelevant ideal: the length
+    of sat(U)/U. Finite exactly when the module is torsion-free in
+    codimension <= 1 territory, which the dimension-2 precondition
+    guarantees for saturations.
 
     The length is read from the certified Hilbert series difference of
     certify_saturation (one basis of U); when no variable certifies, it
     is the colength of U in saturate_by_colon(U).
     """
     P.rspec.require_dim2()
-    U = frobenius_pullback(P, e).image_submodule()
+    U = pullback_image(P, e)
     cert = certify_saturation(U, budget)
     if cert is not None:
         return cert.length
@@ -215,14 +258,13 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     """
     if I.rank != 1:
         raise GhkError("hk_value needs an ideal (rank-1 submodule)")
-    if not isinstance(e, int) or e < 0:
-        raise GhkHypothesisError(f"Frobenius exponent must be a non-negative integer, got {e!r}")
+    q = _frobenius_q(I.ring.p, e)
     if hilbert_series(I, budget).pole_order() != 0:
         raise GhkHypothesisError(
             "hk_value needs an irrelevant-primary ideal; the input does not saturate "
             "to the unit ideal"
         )
-    hs = hilbert_series(bracket_power(I, I.ring.p ** e), budget).reduced()
+    hs = hilbert_series(bracket_power(I, q), budget).reduced()
     if hs.denom_power > 0:
         raise GhkHypothesisError(
             f"R/I^[q] has dimension {hs.denom_power} > 0; its length is infinite"

@@ -29,6 +29,11 @@ Design rules enforced here:
   When no variable certifies, saturate falls back to saturate_by_colon,
   the reference route that tests pin saturate against and the only
   route for any other ideal.
+* The one exception to implicit quotient rings: a hypersurface in three
+  variables may be read as a free module over a Noether normalization
+  A = F_p[x, y] (RingSpec.noether_normalization), and frobmod.ghk_value
+  saturates its pulled-back modules over A, where no relation columns
+  are needed.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .groebner import (
 
 __all__ = [
     "RingSpec",
+    "NoetherNormalization",
     "RingReport",
     "SmoothnessReport",
     "HilbertSeries",
@@ -567,6 +573,7 @@ class RingSpec:
         self.relations = tuple(rels)
         self._hs = None
         self._smooth = None
+        self._noether = False  # not searched yet; then a NoetherNormalization or None
 
     @property
     def p(self) -> int:
@@ -592,6 +599,27 @@ class RingSpec:
             defining = Submodule.ideal(self.ring, self.relations)
             self._hs = hilbert_series(defining)
         return self._hs
+
+    def noether_normalization(self) -> "NoetherNormalization | None":
+        """R as a free module over A = F_p[x, y], or None.
+
+        Defined for three variables and one relation f of degree d >= 1:
+        the first (a, b) in F_p^2, in the order of itertools.product,
+        with f(a, b, 1) != 0 gives the normalization (see
+        NoetherNormalization). A curve through every point (a : b : 1),
+        or any other ring, has none here. Searched once per RingSpec.
+        """
+        if self._noether is False:
+            self._noether = None
+            if self.ring.nvars == 3 and len(self.relations) == 1:
+                f = self.relations[0]
+                if f.degree() >= 1:
+                    p = self.p
+                    for a, b in itertools.product(range(p), repeat=2):
+                        if sum(c * pow(a, i, p) * pow(b, j, p) for (i, j, _), c in f.terms()) % p:
+                            self._noether = NoetherNormalization(f, a, b)
+                            break
+        return self._noether
 
     def krull_dimension(self) -> int:
         return self.hilbert_series().pole_order()
@@ -646,6 +674,96 @@ class RingSpec:
     def __repr__(self) -> str:
         rels = ", ".join(str(r) for r in self.relations)
         return f"<RingSpec F_{self.p}[{', '.join(self.variables)}]/({rels})>"
+
+
+class NoetherNormalization:
+    """R = F_p[x, y, z]/(f) as a free module over A = F_p[x, y].
+
+    The substitution x -> x + a*z, y -> y + b*z is an automorphism of
+    S = F_p[x, y, z] over F_p, so it preserves every length; it sends f
+    to g, whose z^d coefficient is the unit f(a, b, 1). So R is free
+    over A (the ring `base`) with basis 1, z, ..., z^(d-1)
+    (Bruns-Herzog, Cohen-Macaulay Rings, 2.2), and an element of R is
+    the tuple of its d coefficients over A. (x, y)R has the radical of
+    the irrelevant ideal, because R/(x, y)R = F_p[z]/(z^d), so a
+    submodule of R^r saturates to the same module over A as over R, and
+    sat(U)/U has the same length.
+
+    element() reads a polynomial of S, substituted, as such a tuple;
+    times_z() and frobenius() multiply by z and raise to a power of p.
+    """
+
+    def __init__(self, f: Poly, a: int, b: int):
+        ring = f.ring
+        self.p = p = ring.p
+        self.shift = (a, b)
+        self.base = base = PolyRing(p, ring.variables[:2])
+        self.degree = d = f.degree()
+        g = self._by_z_power(f)
+        # z^d = -(g_0 + g_1*z + ... + g_(d-1)*z^(d-1)) / g_d, g_d = f(a, b, 1),
+        # kept as the (l, coefficient) pairs with a nonzero coefficient
+        unit = -pow(g[d].coeff((0, 0)), -1, p)
+        self._zd = tuple((l, g[l].scale(unit)) for l in range(d) if l in g)
+        one = (base.one,) + (base.zero,) * (d - 1)
+        # z^(l*p) for l < d: the table of the p-th-power recursion
+        pw = [one]
+        for _ in range((d - 1) * p):
+            pw.append(self.times_z(pw[-1]))
+        self._pth = tuple(pw[l * p] for l in range(d))
+        self.basis = tuple(pw[:d])
+
+    def _by_z_power(self, h: Poly) -> dict:
+        """The substituted h as {k: its z^k coefficient over A}."""
+        a, b = self.shift
+        p = self.p
+        acc: dict = {}
+        for (i, j, k), c in h.terms():
+            for s in range(i + 1):
+                cs = c * comb(i, s) * pow(a, i - s, p) % p
+                if cs:
+                    for t in range(j + 1):
+                        ct = cs * comb(j, t) * pow(b, j - t, p) % p
+                        if ct:
+                            acc.setdefault(k + i - s + j - t, []).append(((s, t), ct))
+        return {k: self.base.from_pairs(pairs) for k, pairs in acc.items()}
+
+    def element(self, h: Poly) -> tuple:
+        """The substituted h in R, by Horner's rule in z."""
+        coeffs = self._by_z_power(h)
+        zero = self.base.zero
+        out = (zero,) * self.degree
+        for k in range(max(coeffs, default=0), -1, -1):
+            out = self.times_z(out)
+            out = (out[0] + coeffs.get(k, zero),) + out[1:]
+        return out
+
+    def times_z(self, h: tuple) -> tuple:
+        """z*h in R: shift up, then rewrite z^d."""
+        out = [self.base.zero, *h[:-1]]
+        top = h[-1]
+        if top:
+            for l, c in self._zd:
+                out[l] = out[l] + top * c
+        return tuple(out)
+
+    def combine(self, coeffs, elements) -> tuple:
+        """sum_k coeffs[k] * elements[k], coefficients in A."""
+        out = [self.base.zero] * self.degree
+        for c, w in zip(coeffs, elements):
+            if c:
+                for s, ws in enumerate(w):
+                    if ws:
+                        out[s] = out[s] + c * ws
+        return tuple(out)
+
+    def frobenius(self, h: tuple, q: int) -> tuple:
+        """h^q, q a power of p, one p-th power at a time:
+        (sum_l a_l*z^l)^p = sum_l a_l^[p] * (z^(l*p) mod g)."""
+        p = self.p
+        while q > 1:
+            h = self.combine([frobenius_power(c, p) for c in h], self._pth)
+            q //= p
+        return h
 
 
 def _poly_matrix_det(rows: list) -> Poly:

@@ -45,7 +45,8 @@ class CurveRing:
             if not bad:
                 break
             for m in bad:
-                c = coeffs.pop(m)
+                # an earlier rewrite in this pass may have cancelled m
+                c = coeffs.pop(m, 0)
                 rest = list(m)
                 rest[i] -= e
                 for rm, rc in repl.d.items():
@@ -131,3 +132,28 @@ def cubic_point_torsion_length(ring: CurveRing, gens, q, dmax=90):
         if tail >= 3 and 3 * d > q:
             return total
     raise AssertionError("torsion gap did not stabilize by dmax")
+
+
+def regular_torsion_length(ring: CurveRing, gens, var, dmax):
+    """l(sat(I)/I) for the ideal I = (gens), by degreewise counts.
+
+    Needs x_var to be a nonzerodivisor on R/sat(I) (no associated point
+    of R/I lies on x_var = 0), so that sat(I) = I : x_var^inf, and
+    needs sat(I)/I to vanish above dmax. Then an element of sat(I) of
+    degree d <= dmax times x_var^(dmax + 1 - d) lies in sat(I) in degree
+    dmax + 1, which is I there, so sat(I)_d = (I : x_var^(dmax + 1 - d))_d,
+    and the dimension of that colon is dim R_d minus the rank of
+    multiplication by the power into (R/I)_(dmax+1). Asserts that the
+    last three gaps vanish, so a dmax below the torsion fails loudly.
+    """
+    top = dmax + 1
+    ideal_top = graded_ideal_dimension(ring, gens, top)
+    gaps = []
+    for d in range(dmax + 1):
+        power = ring.monomial(tuple((top - d) * (i == var) for i in range(ring.nvars)))
+        image = graded_ideal_dimension(ring, list(gens) + [power], top) - ideal_top
+        gap = ring.dim(d) - image - graded_ideal_dimension(ring, gens, d)
+        assert gap >= 0
+        gaps.append(gap)
+    assert gaps[-3:] == [0, 0, 0], "torsion did not vanish by dmax"
+    return sum(gaps)

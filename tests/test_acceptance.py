@@ -95,6 +95,19 @@ def test_criterion_2_point_ideal_estimate_full(capsys):
     assert elapsed <= 900
 
 
+def test_criterion_2_point_ideal_length_at_q2401(capsys):
+    # a smooth point of a plane cubic: L = 4(q^2 - 1)/3 by genus-1
+    # Riemann-Roch, for every q prime to 3
+    start = time.perf_counter()
+    q = 7**4
+    length = ghk_value(_point_presentation(fermat()), 4)
+    elapsed = time.perf_counter() - start
+    ok = length == 4 * (q * q - 1) // 3 == 7686400 and elapsed <= 60
+    verdict(capsys, 2, ok, f"point ideal: L = {length} = 4(q^2 - 1)/3 at q = 2401", elapsed)
+    assert length == 4 * (q * q - 1) // 3 == 7686400
+    assert elapsed <= 60
+
+
 # ---------------------------------------------------------------------------
 # 3. for the irrelevant ideal the generalized and classical lengths agree
 

@@ -261,8 +261,10 @@ def test_sweep_parallel_matches_serial():
     serial = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=2)
     parallel = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=2, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
-    # the budget crosses to the workers inside the task: it skips q = 49
-    budget = GbBudget(max_pairs=60)
+    # the budget crosses to the workers inside the task: it skips q = 49.
+    # Over the Noether normalization the largest basis of a row reduces
+    # 7 and 29 S-pairs at p = 5 (e = 1, 2) and 10 and 51 at p = 7
+    budget = GbBudget(max_pairs=40)
     budgeted = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=2, budget=budget, jobs=2)
     assert [s.e for s in budgeted.rows[1].table.skipped] == [2]
     assert budgeted.to_json_dict() == prime_sweep(

@@ -20,13 +20,25 @@ from ghk.frobmod import (
     ghk_value,
     hk_value,
     presentation_of_quotient,
+    pullback_image,
 )
 from ghk.groebner import GbBudget, ModVector, Submodule
-from ghk.idealops import RingSpec, certify_saturation, colength_difference, saturate_by_colon
+from ghk.idealops import (
+    RingSpec,
+    certify_saturation,
+    colength_difference,
+    hilbert_series,
+    saturate_by_colon,
+)
 
-from naive_curve import CurveRing, cubic_point_torsion_length, finite_colength
+from naive_curve import (
+    CurveRing,
+    cubic_point_torsion_length,
+    finite_colength,
+    regular_torsion_length,
+)
 from naive_modules import free_module_dimension, naive_graded_dimension
-from naive_poly import NaivePoly
+from naive_poly import NaivePoly, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +58,16 @@ def point_presentation(R):
 def colon_route_length(P, e):
     """Length of sat(U)/U by the reference route, U the pulled-back image."""
     U = frobenius_pullback(P, e).image_submodule()
+    return colength_difference(U, saturate_by_colon(U))
+
+
+def s_route_length(P, e):
+    """ghk_value's length read over S with relation columns: the route a
+    ring without a Noether normalization takes."""
+    U = frobenius_pullback(P, e).image_submodule()
+    cert = certify_saturation(U)
+    if cert is not None:
+        return cert.length
     return colength_difference(U, saturate_by_colon(U))
 
 
@@ -294,6 +316,143 @@ def test_point_lengths_agree_with_the_oracle(case):
     ]
     oracle = cubic_point_torsion_length(curve, pulled, p)
     assert ghk_value(P, 1) == oracle == colon_route_length(P, 1) == 4 * (p * p - 1) // 3
+
+
+# ---------------------------------------------------------------------------
+# ghk_value over a Noether normalization
+
+
+CUSP = "x^2*z - y^3"  # f(0, 0, 1) = 0: the normalization substitutes y -> y + z
+# vanishes at every (a : b : 1) over F_3: three lines through (1 : -1 : 0)
+ALL_POINTS_F3 = "x^3 + y^3 - x*z^2 - y*z^2"
+
+
+def test_noether_normalization_choice():
+    assert RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"]).noether_normalization().shift == (0, 0)
+    cusp = RingSpec(5, ["x", "y", "z"], [CUSP]).noether_normalization()
+    assert cusp.shift == (0, 1) and cusp.degree == 3
+    assert [str(c) for c in cusp.base.gens()] == ["x", "y"]
+    for R in (
+        RingSpec(3, ["x", "y", "z"], [ALL_POINTS_F3]),
+        RingSpec(7, ["x", "y"]),
+        RingSpec(7, ["x", "y", "z"]),
+        RingSpec(7, ["w", "x", "y", "z"], ["x*z - y^2", "w*y - x^2"]),
+    ):
+        assert R.noether_normalization() is None
+
+
+def _translation_cases():
+    fermat = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    conic = RingSpec(5, ["x", "y", "z"], ["x*y - z^2"])
+    cusp = RingSpec(5, ["x", "y", "z"], [CUSP])
+    point = presentation_of_quotient(fermat.ideal(["z", "x + y"]), fermat)
+    # the same point in a row of twist 1
+    shifted = Presentation(fermat, (1,), (2, 2), [ModVector((g[0],)) for g in point.columns])
+    cols = [
+        ModVector((cusp.parse(a), cusp.parse(b))) for a, b in (("x^2", "y"), ("y*z^2", "x^2 + z^2"))
+    ]
+    return [
+        point,
+        direct_sum(point, shifted),
+        presentation_of_quotient(conic.ideal(["x", "z"]), conic),
+        presentation_of_quotient(cusp.ideal(["x + 2*y", "z^2"]), cusp),
+        Presentation(cusp, (0, 1), (2, 3), cols),
+    ]
+
+
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_pullback_over_the_normalization_is_the_same_graded_space(e):
+    # A^(d*r)/U_A and F/U are one graded F_p-space: R^r = A^(d*r) with
+    # z^k in row j of degree r_j + k
+    for P in _translation_cases():
+        U_A = pullback_image(P, e)
+        U_S = frobenius_pullback(P, e).image_submodule()
+        d = P.rspec.relations[0].degree()
+        assert U_A.ring.nvars == 2 and U_A.relations == ()
+        assert U_A.rank == d * P.num_rows
+        assert hilbert_series(U_A).reduced() == hilbert_series(U_S).reduced()
+
+
+def _random_form(draw, ring, deg):
+    if deg < 0:
+        return ring.zero
+    mons = monomials_of_degree(ring.nvars, deg)
+    term = st.tuples(st.sampled_from(mons), st.integers(1, ring.p - 1))
+    pairs = draw(st.lists(term, min_size=1, max_size=3))
+    return ring.from_pairs(pairs)
+
+
+NORMALIZED_RINGS = {
+    "fermat": (7, "x^3 + y^3 + z^3", (0, 0)),
+    "conic": (5, "x*y - z^2", (0, 0)),
+    "cusp": (3, CUSP, (0, 1)),
+}
+
+
+@st.composite
+def _normalized_presentations(draw):
+    """A ring of NORMALIZED_RINGS and a presentation with r = 1 or 2 rows
+    and r + 1 or r + 2 columns of degree 1 or 2. On the conic the first
+    two columns may be the ideal (x, z) of a ruling, whose class has
+    order 2."""
+    name = draw(st.sampled_from(sorted(NORMALIZED_RINGS)))
+    p, relation, shift = NORMALIZED_RINGS[name]
+    R = RingSpec(p, ["x", "y", "z"], [relation])
+    rows = draw(st.sampled_from([(0,), (0, 0), (0, 1)]))
+    cols, twists = [], []
+    if name == "conic" and draw(st.booleans()):
+        for g in ("x", "z"):
+            cols.append(ModVector((R.parse(g),) + (R.ring.zero,) * (len(rows) - 1)))
+            twists.append(1)
+    for _ in range(draw(st.integers(len(rows) + 1 - len(cols) // 2, len(rows) + 2 - len(cols)))):
+        c = draw(st.integers(1, 2))
+        cols.append(ModVector(tuple(_random_form(draw, R.ring, c - r) for r in rows)))
+        twists.append(c)
+    return name, shift, Presentation(R, rows, twists, cols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_normalized_presentations(), e=st.sampled_from([1, 2]))
+def test_normalization_route_matches_the_s_route_and_the_oracle(case, e):
+    name, shift, P = case
+    R = P.rspec
+    assert R.noether_normalization().shift == shift
+    assert ghk_value(P, e) == s_route_length(P, e)
+    if e == 1:
+        # the quotient over A against degreewise linear algebra over S,
+        # in the degrees where the pulled-back columns start
+        q = R.p
+        U_S = frobenius_pullback(P, 1).image_submodule()
+        span = [
+            {(j, m): c for j, f in enumerate(v.components) for m, c in f.terms()}
+            for v in U_S.spanning()
+        ]
+        hs = hilbert_series(pullback_image(P, 1))
+        for n in range(q - 1, q + 3):
+            assert hs.coefficient(n) == free_module_dimension(
+                U_S.twists, 3, n
+            ) - naive_graded_dimension(span, U_S.twists, 3, R.p, n)
+
+
+def test_fallback_ring_keeps_the_s_route():
+    # every (a : b : 1) lies on the curve, so no substitution makes the
+    # relation monic in z; the lengths come from the S route and match
+    # degreewise counts (z is a nonzerodivisor modulo the saturation:
+    # the ideal's only point off the vertex is (0 : 0 : 1))
+    p = 3
+    R = RingSpec(p, ["x", "y", "z"], [ALL_POINTS_F3])
+    assert R.noether_normalization() is None and R.krull_dimension() == 2
+    P = presentation_of_quotient(R.ideal(["x", "y"]), R)
+    assert pullback_image(P, 1) == frobenius_pullback(P, 1).image_submodule()
+    # 1404 is the oracle's value at e = 3 too (dmax = 56, about 8 s)
+    assert [ghk_value(P, e) for e in (1, 2, 3)] == [12, 144, 1404]
+    # x^3 -> -y^3 + x*z^2 + y*z^2
+    x_cubed = NaivePoly(p, 3, {(0, 3, 0): -1, (1, 0, 2): 1, (0, 1, 2): 1})
+    curve = CurveRing(p, 3, reducer=(0, 3, x_cubed))
+    for e, length in ((1, 12), (2, 144)):
+        q = p**e
+        gens = [NaivePoly(p, 3, {(q, 0, 0): 1}), NaivePoly(p, 3, {(0, q, 0): 1})]
+        assert regular_torsion_length(curve, gens, 2, 2 * q + 2) == length
 
 
 # ---------------------------------------------------------------------------
