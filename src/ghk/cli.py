@@ -6,14 +6,19 @@ or machine identifiers, so reruns on identical input are bit-identical.
 
 A problem file is checked by walking PROBLEM_SCHEMA, the one description
 of a valid problem, as JSON Schema draft 2020-12 reads it, except that an
-integer field takes JSON integers only (2.0 is rejected). jsonschema is
-imported only to word a rejection, so a valid problem never loads it.
+integer field takes JSON integers only (2.0 is rejected). The same walk
+both decides and words a rejection, in jsonschema's words and choosing the
+fault its best_match would, so the program never imports jsonschema.
+Because integers are strict throughout, an integral float that breaks a
+second rule is worded as a type fault: 1.0 under a minimum of 2 reads
+"1.0 is not of type 'integer'", not "is less than the minimum of 2".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import warnings
 from pathlib import Path
@@ -149,21 +154,28 @@ PROBLEM_SCHEMA = {
 }
 
 
-def _is_integer(value) -> bool:
-    # a JSON integer: not a bool, and not an integral float such as 2.0
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _TYPES = {
     "object": lambda value: isinstance(value, dict),
     "array": lambda value: isinstance(value, list),
     "string": lambda value: isinstance(value, str),
-    "integer": _is_integer,
+    # a JSON integer: not a bool, and not an integral float such as 2.0
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+# size keyword: (instance type, whether a size meets the bound, the bound
+# with a wording of its own, that wording, the wording of any other bound)
+_SIZES = {
+    "minLength": (str, operator.ge, 1, "should be non-empty", "is too short"),
+    "minItems": (list, operator.ge, 1, "should be non-empty", "is too short"),
+    "minProperties": (dict, operator.ge, 1, "should be non-empty", "does not have enough properties"),
+    "maxProperties": (dict, operator.le, 0, "is expected to be empty", "has too many properties"),
 }
 
 
-def _conforms(instance, schema: dict) -> bool:
-    """Whether instance satisfies schema, read as JSON Schema draft 2020-12.
+def _faults(instance, schema: dict, path: tuple = ()):
+    """Each way instance fails schema, as (path, message), read as JSON
+    Schema draft 2020-12 with JSON integers only; the order and the words
+    are those of jsonschema 4.26's iter_errors.
 
     Knows exactly the keywords PROBLEM_SCHEMA uses and raises ValueError on
     any other, so the schema cannot grow a rule that is silently ignored.
@@ -173,73 +185,57 @@ def _conforms(instance, schema: dict) -> bool:
     for keyword, value in schema.items():
         if keyword == "type":
             names = [value] if isinstance(value, str) else value
-            ok = any(_TYPES[name](instance) for name in names)
+            if not any(_TYPES[name](instance) for name in names):
+                yield path, f"{instance!r} is not of type {', '.join(map(repr, names))}"
         elif keyword == "enum":
-            ok = any(type(instance) is type(v) and instance == v for v in value)
+            if not any(type(instance) is type(v) and instance == v for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
         elif keyword == "minimum":
             number = isinstance(instance, (int, float)) and not isinstance(instance, bool)
-            ok = not number or instance >= value
-        elif keyword == "minLength":
-            ok = not isinstance(instance, str) or len(instance) >= value
-        elif keyword == "minItems":
-            ok = not isinstance(instance, list) or len(instance) >= value
+            if number and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword in _SIZES:
+            kind, meets, edge, at_edge, beyond = _SIZES[keyword]
+            if isinstance(instance, kind) and not meets(len(instance), value):
+                yield path, f"{instance!r} {at_edge if value == edge else beyond}"
         elif keyword == "items":
-            ok = not isinstance(instance, list) or all(
-                _conforms(item, value) for item in instance
-            )
-        elif keyword == "minProperties":
-            ok = not isinstance(instance, dict) or len(instance) >= value
-        elif keyword == "maxProperties":
-            ok = not isinstance(instance, dict) or len(instance) <= value
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    yield from _faults(item, value, path + (index,))
         elif keyword == "required":
-            ok = not isinstance(instance, dict) or all(k in instance for k in value)
+            if isinstance(instance, dict):
+                for key in value:
+                    if key not in instance:
+                        yield path, f"{key!r} is a required property"
         elif keyword == "properties":
-            ok = not isinstance(instance, dict) or all(
-                _conforms(instance[k], sub) for k, sub in value.items() if k in instance
-            )
+            if isinstance(instance, dict):
+                for key, sub in value.items():
+                    if key in instance:
+                        yield from _faults(instance[key], sub, path + (key,))
         elif keyword == "additionalProperties" and value is False:
-            ok = not isinstance(instance, dict) or instance.keys() <= schema.get(
-                "properties", {}
-            ).keys()
+            if isinstance(instance, dict):
+                known = schema.get("properties", {})
+                extras = sorted((k for k in instance if k not in known), key=str)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
         else:
             raise ValueError(f"schema rule {keyword}: {value!r} is not supported")
-        if not ok:
-            return False
-    return True
 
 
-def _validators():
-    """jsonschema's draft 2020-12 validator class for PROBLEM_SCHEMA, and
-    the same class with integers restricted to JSON integers, as _conforms
-    reads them."""
-    import jsonschema  # only a rejected problem file pays for this import
+def _rejection(problem) -> str | None:
+    """The line that rejects problem, or None when it fits PROBLEM_SCHEMA.
 
-    standard = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
-    strict = jsonschema.validators.extend(
-        standard,
-        type_checker=standard.TYPE_CHECKER.redefine(
-            "integer", lambda _checker, value: _is_integer(value)
-        ),
-    )
-    return standard, strict
-
-
-def _rejection(problem) -> str:
-    """jsonschema's wording of why problem fails PROBLEM_SCHEMA."""
-    from jsonschema.exceptions import best_match
-
-    # the standard validator speaks first, so a file it rejects is worded as
-    # draft 2020-12 words it; a file it accepts fails only on an integral
-    # float, which the strict one words. Both are used unchecked:
-    # tests/test_cli.py checks PROBLEM_SCHEMA against the metaschema.
-    for validator in _validators():
-        ex = best_match(validator(PROBLEM_SCHEMA).iter_errors(problem))
-        if ex is not None:
-            where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
-            return f"problem file invalid at {where}: {ex.message}"
-    raise RuntimeError(
-        "the PROBLEM_SCHEMA walker rejected a problem that jsonschema accepts"
-    )
+    Of several faults it words the one jsonschema's best_match picks: the
+    shallowest, then the one with the largest path, then the first found.
+    """
+    faults = list(_faults(problem, PROBLEM_SCHEMA))
+    if not faults:
+        return None
+    path, message = max(faults, key=lambda fault: (-len(fault[0]), fault[0]))
+    where = "/".join(map(str, path)) or "(top level)"
+    return f"problem file invalid at {where}: {message}"
 
 
 class _Cli:
@@ -564,12 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _parse_args(argv):
-    return _PARSER.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.file).read_text()
     except OSError as ex:
@@ -580,8 +572,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as ex:
         print(f"problem file is not valid JSON: {ex}", file=sys.stderr)
         return 2
-    if not _conforms(problem, PROBLEM_SCHEMA):
-        print(_rejection(problem), file=sys.stderr)
+    rejection = _rejection(problem)
+    if rejection:
+        print(rejection, file=sys.stderr)
         return 2
 
     command = args.task or problem.get("task", {}).get("command")

@@ -18,7 +18,7 @@ from .errors import (
     HomogeneityError,
     RingMismatchError,
 )
-from .groebner import GbBudget, ModVector, Submodule
+from .groebner import GbBudget, ModVector, Submodule, _twists
 # colength_difference is called through this module's global, which
 # bench/tracer.py wraps here too
 from .idealops import (
@@ -45,8 +45,8 @@ class Presentation:
         if not isinstance(rspec, RingSpec):
             raise GhkError(f"expected a RingSpec, got {rspec!r}")
         self.rspec = rspec
-        self.row_twists = tuple(int(e) for e in row_twists)
-        self.col_twists = tuple(int(d) for d in col_twists)
+        self.row_twists = _twists(row_twists)
+        self.col_twists = _twists(col_twists)
         if not self.row_twists:
             raise GhkError("presentation needs at least one row")
         cols = []
@@ -140,8 +140,9 @@ def presentation_of_quotient(I: Submodule, rspec: RingSpec | None = None) -> Pre
 
 
 def _frobenius_q(p: int, e: int) -> int:
-    """q = p^e for a Frobenius exponent e, which must be an int >= 0."""
-    if not isinstance(e, int) or e < 0:
+    """q = p^e for a Frobenius exponent e, which must be an int >= 0 (a
+    bool is refused, not read as 0 or 1)."""
+    if not isinstance(e, int) or isinstance(e, bool) or e < 0:
         raise GhkHypothesisError(f"Frobenius exponent must be a non-negative integer, got {e!r}")
     return p**e
 

@@ -729,6 +729,16 @@ class GroebnerBasis:
         return f"<GroebnerBasis of rank-{self.rank} submodule, {len(self)} elements>"
 
 
+def _twists(values) -> tuple:
+    """values as a tuple of ints; a bool or a float is refused rather
+    than truncated."""
+    twists = tuple(values)
+    for e in twists:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise GhkError(f"a twist must be an int, got {e!r}")
+    return twists
+
+
 class Submodule:
     """Finitely generated graded submodule of F = sum_j R(-twists[j]).
 
@@ -753,7 +763,7 @@ class Submodule:
             raise GhkError(f"rank {rank} out of supported range")
         self.ring = ring
         self.rank = rank
-        self.twists = tuple(int(e) for e in twists) if twists is not None else (0,) * rank
+        self.twists = _twists(twists) if twists is not None else (0,) * rank
         if len(self.twists) != rank:
             raise GhkError(f"{len(self.twists)} twists for rank {rank}")
 

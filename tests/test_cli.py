@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk.cli import PROBLEM_SCHEMA, _conforms, _rejection, _validators, main
+from ghk.cli import PROBLEM_SCHEMA, _faults, _rejection, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,8 +67,8 @@ def test_schema_violation_is_path_addressed(tmp_path, capsys):
 
 
 def test_problem_schema_is_valid():
-    # main walks PROBLEM_SCHEMA and words a rejection with a jsonschema
-    # validator class used unchecked, so the metaschema check lives here
+    # the program never runs jsonschema: its walker reads PROBLEM_SCHEMA
+    # unchecked, so the metaschema check lives here
     jsonschema.validators.validator_for(PROBLEM_SCHEMA).check_schema(PROBLEM_SCHEMA)
 
 
@@ -225,27 +225,70 @@ def mutated_problems(draw):
 
 @pytest.mark.parametrize("problem", VALID_PROBLEMS)
 def test_valid_problems_conform(problem):
-    assert _conforms(problem, PROBLEM_SCHEMA)
+    assert _rejection(problem) is None
 
 
-# the validator that words an integral-float rejection: JSON integers only
-STRICT = _validators()[1](PROBLEM_SCHEMA)
+# the oracle of the walker: jsonschema's draft 2020-12 validator with
+# integers restricted to JSON integers, as the walker reads them
+_STANDARD = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
+STRICT = jsonschema.validators.extend(
+    _STANDARD,
+    type_checker=_STANDARD.TYPE_CHECKER.redefine(
+        "integer", lambda _checker, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)(PROBLEM_SCHEMA)
+
+
+def _strict_rejection(problem):
+    """The line main should print for problem, worded by jsonschema."""
+    ex = jsonschema.exceptions.best_match(STRICT.iter_errors(problem))
+    if ex is None:
+        return None
+    where = "/".join(str(k) for k in ex.absolute_path) or "(top level)"
+    return f"problem file invalid at {where}: {ex.message}"
 
 
 def test_schema_walk_agrees_with_jsonschema_on_every_single_mutation():
     for base in VALID_PROBLEMS:
         for path, value in _single_mutations(base):
             problem = _apply(base, path, value)
-            assert _conforms(problem, PROBLEM_SCHEMA) == STRICT.is_valid(problem), problem
+            assert _rejection(problem) == _strict_rejection(problem), problem
 
 
 @settings(max_examples=150, deadline=None)
 @given(mutated_problems())
 def test_schema_walk_agrees_with_jsonschema(problem):
-    ok = _conforms(problem, PROBLEM_SCHEMA)
-    assert ok == STRICT.is_valid(problem)
-    if not ok:
-        assert _rejection(problem).startswith("problem file invalid at ")
+    assert _rejection(problem) == _strict_rejection(problem)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # several extra keys, not in sorted order
+        {"ring": FERMAT_RING, "zeta": 1, "alpha": 2, "mid": 3},
+        {"ring": {**FERMAT_RING, "z": 0, "a": 0}, "task": {"jobs": 0}},
+        # several faults at one path, and siblings at the same depth
+        {"ring": {"prime": 1, "primes": [], "variables": [""]}, "task": {"e_max": 0, "jobs": 0}},
+        {"module": {}, "task": {"command": "nope"}},
+    ],
+)
+def test_schema_walk_words_several_faults_as_jsonschema_does(problem):
+    assert _rejection(problem) == _strict_rejection(problem)
+
+
+@pytest.mark.parametrize(
+    "problem, fault",
+    [
+        ({"ring": {**FERMAT_RING, "prime": 1.0}}, "ring/prime"),
+        ({"ring": {**FERMAT_RING, "primes": [1.0]}}, "ring/primes/0"),
+        (_point_problem(primes=[1.0]), "task/primes/0"),
+    ],
+)
+def test_integral_float_below_minimum_is_worded_as_not_an_integer(tmp_path, capsys, problem, fault):
+    # the draft would read 1.0 as an integer and word the minimum first;
+    # with JSON integers only, the type fault comes first in schema order
+    assert main([write_problem(tmp_path, problem)]) == 2
+    assert capsys.readouterr().err == f"problem file invalid at {fault}: 1.0 is not of type 'integer'\n"
 
 
 @pytest.mark.parametrize(
@@ -257,14 +300,16 @@ def test_schema_walk_agrees_with_jsonschema(problem):
     ],
 )
 def test_schema_walk_rejects_rules_it_does_not_know(schema):
+    # _faults is a generator: the rule is met only when the walk is consumed
     with pytest.raises(ValueError, match="not supported"):
-        _conforms({"out": "results"}, schema)
+        list(_faults({"out": "results"}, schema))
 
 
 def test_valid_run_never_imports_jsonschema(tmp_path):
     # a fresh interpreter: this test module has imported jsonschema itself.
     # dataclasses (and the inspect it imports) would double the start-up
-    # of every CLI call; only a rejected problem may pull them in
+    # of every CLI call; no path, a rejected problem included, needs
+    # jsonschema
     good = write_problem(tmp_path, _point_problem(), "good.json")
     bad = write_problem(tmp_path, _point_problem(jobs=0), "bad.json")
     script = (
@@ -281,7 +326,7 @@ def test_valid_run_never_imports_jsonschema(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["0 False False", "0 False", "2 True"]
+    assert proc.stdout.splitlines()[-3:] == ["0 False False", "0 False", "2 False"]
     assert proc.stderr == "problem file invalid at task/jobs: 0 is less than the minimum of 1\n"
 
 

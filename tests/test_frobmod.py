@@ -101,6 +101,10 @@ def test_presentation_validation(fermat7):
         Presentation(fermat7, (0,), (1, 1), [ModVector((x,))])
     with pytest.raises(GhkError):
         Presentation(fermat7, (0,), (1,), [ModVector((x, y))])
+    # a twist that is not an int is refused, not truncated by int()
+    for rows, cols in [([0.7], [1.5]), ([0], [1.0]), ([True], [1]), ([0], [True])]:
+        with pytest.raises(GhkError, match="twist must be an int"):
+            Presentation(fermat7, rows, cols, [ModVector((x,))])
     # zero columns carry their declared twist
     P = Presentation(fermat7, (0,), (5,), [ModVector((ring.zero,))])
     assert P.col_twists == (5,)
@@ -148,8 +152,12 @@ def test_pullback_koszul(plane7):
 def test_pullback_iterates(fermat7):
     P = point_presentation(fermat7)
     assert frobenius_pullback(frobenius_pullback(P, 1), 1) == frobenius_pullback(P, 2)
-    with pytest.raises(GhkHypothesisError):
-        frobenius_pullback(P, -1)
+    # True is refused like -1, not read as e = 1
+    for e in (-1, True):
+        with pytest.raises(GhkHypothesisError):
+            frobenius_pullback(P, e)
+        with pytest.raises(GhkHypothesisError):
+            ghk_value(P, e)
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,10 @@ def test_homogeneity_enforced():
     with pytest.raises(HomogeneityError):
         Submodule(ring, 2, [v])
     Submodule(ring, 2, [v], twists=(0, 1))  # deg 2 both ways
+    # a twist that is not an int is refused, not truncated by int()
+    for twists in [(0, 0.9), (0, 1.0), (False, 1)]:
+        with pytest.raises(GhkError, match="twist must be an int"):
+            Submodule(ring, 2, [v], twists=twists)
 
 
 def test_top_order_compares_module_degree_first():
