@@ -40,7 +40,9 @@ reduces (see groebner.py).
 
 Record, the base of every frozen value record in the package, lives
 here because every other module imports arith; it stands in for
-dataclasses, whose import would double the start-up of a CLI call.
+dataclasses, whose import would double the start-up of a CLI call. So
+do as_int and as_rat, the package's one check of an integer or a
+rational that a caller passes in.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
 __all__ = [
     "Rat",
     "rat_str",
+    "as_int",
+    "as_rat",
     "PolyRing",
     "Poly",
     "parse_poly",
@@ -74,6 +78,36 @@ _FMAX = (1 << EXP_BITS) - 1
 def rat_str(x: Rat) -> str:
     """A rational as "num" or "num/den", the form every report uses."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# exact numbers from callers
+
+
+def as_int(value, what: str, minimum: int | None = None) -> int:
+    """value itself when it is an int, and at least minimum when one is
+    given. A bool, a float or any other value raises GhkHypothesisError
+    naming `what`, rather than being truncated or read as 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GhkHypothesisError(f"{what} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise GhkHypothesisError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def as_rat(value) -> Rat:
+    """value as an exact rational: a Rat, an int, or a string such as
+    "-7/3". A bool, a float or any other value raises GhkHypothesisError."""
+    if isinstance(value, Rat):
+        return value
+    if isinstance(value, str):
+        try:
+            return Rat(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Rat(value)
+    raise GhkHypothesisError(f"expected an exact rational, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +174,7 @@ class Record:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
-    if n < 2:
+    if as_int(n, "n") < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
@@ -183,7 +217,7 @@ class PackedMonomials:
     def __init__(self, nvars: int, last: int | None = None):
         if last is None:
             last = nvars - 1
-        if not (isinstance(last, int) and 0 <= last < nvars):
+        if not 0 <= as_int(last, "the last variable") < nvars:
             raise GhkError(f"last variable {last!r} is not in range({nvars})")
         self._top = EXP_BITS * (nvars - 1)
         # variable i's field: `last` on top, the others in index order below
@@ -273,9 +307,7 @@ class PolyRing:
     __slots__ = ("p", "variables", "nvars", "pm", "_dshift", "_vindex")
 
     def __init__(self, p: int, variables: Iterable[str]):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise GhkHypothesisError(f"characteristic must be an int, got {p!r}")
-        if not is_prime(p):
+        if not is_prime(as_int(p, "the characteristic")):
             raise GhkHypothesisError(f"characteristic must be prime, got {p}")
         names = tuple(variables)
         if not names:
@@ -296,12 +328,12 @@ class PolyRing:
 
     def key(self, mon: tuple) -> int:
         """The grevlex key of an exponent tuple. A tuple of another length
-        or an exponent outside [0, EXP_CAP] raises: the key would stand
-        for another monomial or for none."""
+        or an exponent that is not an int in [0, EXP_CAP] raises: the key
+        would stand for another monomial or for none."""
         if len(mon) != self.nvars:
             raise GhkError(f"monomial {mon} has {len(mon)} exponents, ring has {self.nvars} variables")
         for e in mon:
-            if e < 0 or e > EXP_CAP:
+            if as_int(e, "an exponent", 0) > EXP_CAP:
                 raise GhkError(f"exponent {e} out of range [0, {EXP_CAP}]")
         return self.pm.key(self.pm.pack(mon))
 
@@ -315,7 +347,7 @@ class PolyRing:
         puts the last variable on top and the others in index order
         below it, so variable i is field i, and the field holds
         _FMAX - e_i."""
-        if not (isinstance(i, int) and 0 <= i < self.nvars):
+        if not 0 <= as_int(i, "a variable index") < self.nvars:
             raise GhkError(f"variable index {i!r} is not in range({self.nvars})")
         return EXP_BITS * i
 
@@ -332,6 +364,7 @@ class PolyRing:
     def variable(self, i: int | str) -> "Poly":
         if isinstance(i, str):
             i = self._vindex[i]
+        self._shift(i)  # refuses an index that names no variable
         mon = tuple(1 if j == i else 0 for j in range(self.nvars))
         return self.monomial(mon)
 
@@ -339,16 +372,16 @@ class PolyRing:
         return tuple(self.variable(i) for i in range(self.nvars))
 
     def monomial(self, mon: tuple, coeff: int = 1) -> "Poly":
-        k = self.key(tuple(int(e) for e in mon))
-        c = coeff % self.p
+        k = self.key(tuple(mon))
+        c = as_int(coeff, "a coefficient") % self.p
         return Poly(self, ((k, c),) if c else ())
 
     def from_pairs(self, pairs: Iterable[tuple]) -> "Poly":
         """Build from (monomial, coeff) pairs; repeats combine, zeros drop."""
         acc: dict = {}
         for mon, c in pairs:
-            k = self.key(tuple(int(e) for e in mon))
-            acc[k] = acc.get(k, 0) + int(c)
+            k = self.key(tuple(mon))
+            acc[k] = acc.get(k, 0) + as_int(c, "a coefficient")
         p = self.p
         terms = sorted(((k, c % p) for k, c in acc.items() if c % p), reverse=True)
         return Poly(self, tuple(terms))
@@ -522,7 +555,7 @@ class Poly:
         return (-self) + other
 
     def scale(self, c: int) -> "Poly":
-        c %= self.ring.p
+        c = as_int(c, "a scalar") % self.ring.p
         if c == 0:
             return Poly(self.ring, ())
         if c == 1:
@@ -533,7 +566,7 @@ class Poly:
     def mul_monomial(self, mon: tuple, coeff: int = 1) -> "Poly":
         """self * coeff * x^mon, one key shift per term."""
         ring = self.ring
-        c = coeff % ring.p
+        c = as_int(coeff, "a coefficient") % ring.p
         if c == 0 or not self._t:
             return Poly(ring, ())
         delta = ring.key(mon) - ring.pm.low
@@ -570,8 +603,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise GhkError(f"polynomial powers need a nonnegative int exponent, got {k!r}")
+        k = as_int(k, "a power", 0)
         result = self.ring.one
         base = self
         while k:
@@ -587,9 +619,7 @@ class Poly:
         """self / x_i^a; requires x_i^a to divide every term."""
         ring = self.ring
         s = ring._shift(i)
-        if a < 0:
-            raise GhkError(f"cannot divide by x_{i}^{a}")
-        if a == 0:
+        if as_int(a, "a power", 0) == 0:
             return self
         delta = (a << ring._dshift) - (a << s)  # the key shift of x_i^a
         out = []
@@ -617,7 +647,9 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             if isinstance(other, int):
-                return self == self.ring.monomial((0,) * self.ring.nvars, other)
+                # compared as a constant, as 1 == True is; the key of 1 is low
+                c = other % self.ring.p
+                return self._t == (((self.ring.pm.low, c),) if c else ())
             return NotImplemented
         return self.ring == other.ring and self._t == other._t
 
@@ -818,9 +850,7 @@ def frobenius_power(f: Poly, q: int) -> Poly:
     """
     ring = f.ring
     p = ring.p
-    if not isinstance(q, int) or q < 1:
-        raise GhkHypothesisError(f"q must be a positive power of p={p}, got {q!r}")
-    qq = q
+    qq = as_int(q, "q", 1)
     while qq % p == 0:
         qq //= p
     if qq != 1:

@@ -23,7 +23,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .arith import Rat, rat_str
+from .arith import as_rat, rat_str
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -400,7 +400,7 @@ class _Cli:
     def _exact_multiplicity(self):
         """task.e_exact, or the closed_form section when present."""
         if "e_exact" in self.task:
-            return Rat(self.task["e_exact"])
+            return as_rat(self.task["e_exact"])
         if self.problem.get("closed_form"):
             value, _detail, _notes = self._closed_form_value()
             return value

@@ -10,7 +10,7 @@ Least-squares fits are never the reported value.
 
 from __future__ import annotations
 
-from .arith import Rat, Record, is_prime, rat_str
+from .arith import Rat, Record, as_int, as_rat, is_prime, rat_str
 from .errors import GhkError
 from .frobmod import GHKTable, _map_rows, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
@@ -42,10 +42,10 @@ def estimate_multiplicity(T: GHKTable, gamma_bound=None) -> tuple:
     if gamma_bound is None:
         gamma_bound = max(abs(row.length - estimate * row.q**2) for row in T.rows)
     else:
-        gamma_bound = Rat(gamma_bound)
+        gamma_bound = as_rat(gamma_bound)
         if gamma_bound < 0:
             raise GhkError("a bound on |gamma| cannot be negative")
-    return estimate, Rat(2) * gamma_bound / denom
+    return estimate, 2 * gamma_bound / denom
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def _periodicity_verdict(gamma_by_e: dict) -> tuple:
 def gamma_analysis(T: GHKTable, e_exact, error_bound=None) -> FitReport:
     """Exact gamma(q) = length - e_exact*q^2 per row, with the largest
     absolute value and an observed-window periodicity verdict."""
-    e_exact = Rat(e_exact)
+    e_exact = as_rat(e_exact)
     gamma = tuple(
         (row.e, row.q, row.length, row.length - e_exact * row.q**2) for row in T.rows
     )
@@ -117,7 +117,7 @@ def gamma_analysis(T: GHKTable, e_exact, error_bound=None) -> FitReport:
     verdict, period = _periodicity_verdict({e: g for e, _q, _l, g in gamma})
     return FitReport(
         estimate=e_exact,
-        error_bound=None if error_bound is None else Rat(error_bound),
+        error_bound=None if error_bound is None else as_rat(error_bound),
         gamma=gamma,
         max_abs_gamma=max_abs,
         periodicity=verdict,
@@ -153,15 +153,8 @@ class FamilySpec(Record):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "denominators", tuple(self.denominators))
-        for d in self.denominators:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise GhkError(f"a bad denominator must be an integer, got {d!r}")
-
-    def descriptor(self) -> str:
-        rels = ", ".join(self.relations) or "0"
-        gens = ", ".join(self.generators) or "0"
-        return f"Z[{', '.join(self.variables)}]/({rels}), I = ({gens})"
+        denominators = tuple(as_int(d, "a bad denominator") for d in self.denominators)
+        object.__setattr__(self, "denominators", denominators)
 
     def ring_at(self, p: int) -> RingSpec:
         return RingSpec(p, list(self.variables), list(self.relations))
@@ -261,11 +254,10 @@ def prime_sweep(
     and skipped, mirroring the almost-all-primes hypothesis rather than
     aborting the sweep.
     """
-    primes = sorted(set(int(p) for p in primes))
+    primes = sorted({as_int(p, "a prime") for p in primes})
     if not primes:
         raise GhkError("prime sweep needs at least one prime")
-    if e_max < 1:
-        raise GhkError("e_max must be at least 1")
+    as_int(e_max, "e_max", 1)
     rows = tuple(_map_rows(_sweep_row, [(family, p, e_max, budget) for p in primes], jobs))
     with_estimates = [row for row in rows if row.estimate is not None]
     top: tuple = ()

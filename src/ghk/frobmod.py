@@ -10,7 +10,7 @@ columns; no injectivity of any comparison map is assumed anywhere.
 
 from __future__ import annotations
 
-from .arith import Poly, Record, frobenius_power
+from .arith import Poly, Record, as_int, frobenius_power
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -18,7 +18,7 @@ from .errors import (
     HomogeneityError,
     RingMismatchError,
 )
-from .groebner import GbBudget, ModVector, Submodule, _twists
+from .groebner import GbBudget, ModVector, Submodule
 # colength_difference is called through this module's global, which
 # bench/tracer.py wraps here too
 from .idealops import (
@@ -45,8 +45,8 @@ class Presentation:
         if not isinstance(rspec, RingSpec):
             raise GhkError(f"expected a RingSpec, got {rspec!r}")
         self.rspec = rspec
-        self.row_twists = _twists(row_twists)
-        self.col_twists = _twists(col_twists)
+        self.row_twists = tuple(as_int(t, "a twist") for t in row_twists)
+        self.col_twists = tuple(as_int(t, "a twist") for t in col_twists)
         if not self.row_twists:
             raise GhkError("presentation needs at least one row")
         cols = []
@@ -139,18 +139,10 @@ def presentation_of_quotient(I: Submodule, rspec: RingSpec | None = None) -> Pre
     return Presentation(rspec, (0,), twists, cols, descriptor=f"R/({names})")
 
 
-def _frobenius_q(p: int, e: int) -> int:
-    """q = p^e for a Frobenius exponent e, which must be an int >= 0 (a
-    bool is refused, not read as 0 or 1)."""
-    if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-        raise GhkHypothesisError(f"Frobenius exponent must be a non-negative integer, got {e!r}")
-    return p**e
-
-
 def frobenius_pullback(P: Presentation, e: int) -> Presentation:
     """Entrywise q-th power of the presentation, q = p^e; all twists
     scale by q, so homogeneity is preserved degree-by-degree."""
-    q = _frobenius_q(P.rspec.p, e)
+    q = P.rspec.p ** as_int(e, "a Frobenius exponent", 0)
     if q == 1:
         return P
     cols = [
@@ -207,7 +199,7 @@ def pullback_image(P: Presentation, e: int) -> Submodule:
     nn = P.rspec.noether_normalization()
     if nn is None:
         return frobenius_pullback(P, e).image_submodule()
-    q = _frobenius_q(P.rspec.p, e)
+    q = P.rspec.p ** as_int(e, "a Frobenius exponent", 0)
     d = nn.degree
     z_q = [nn.frobenius(z_k, q) for z_k in nn.basis]  # z^(kq) mod f, k < d
     zero = (nn.base.zero,) * d
@@ -259,7 +251,7 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     """
     if I.rank != 1:
         raise GhkError("hk_value needs an ideal (rank-1 submodule)")
-    q = _frobenius_q(I.ring.p, e)
+    q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)
     if hilbert_series(I, budget).pole_order() != 0:
         raise GhkHypothesisError(
             "hk_value needs an irrelevant-primary ideal; the input does not saturate "
@@ -310,22 +302,6 @@ class GHKTable(Record):
     def lengths_by_exponent(self) -> dict:
         return {row.e: row.length for row in self.rows}
 
-    def merged_with(self, other: "GHKTable") -> "GHKTable":
-        """Union of rows; overlapping exponents must agree exactly."""
-        if (self.p, self.module) != (other.p, other.module):
-            raise GhkError("tables describe different modules")
-        mine = self.lengths_by_exponent()
-        for row in other.rows:
-            if row.e in mine and mine[row.e] != row.length:
-                raise GhkError(f"conflicting lengths for e={row.e}")
-        rows = {row.e: row for row in self.rows}
-        rows.update({row.e: row for row in other.rows})
-        still_skipped = tuple(
-            s for s in self.skipped + other.skipped if s.e not in rows
-        )
-        merged = tuple(rows[e] for e in sorted(rows))
-        return GHKTable(self.p, self.module, merged, still_skipped)
-
     def to_csv(self) -> str:
         lines = ["e,q,length"]
         lines.extend(f"{r.e},{r.q},{r.length}" for r in self.rows)
@@ -369,11 +345,9 @@ def _length_table(value, subject, label: str, e_max: int, budget, jobs: int) -> 
     command both build theirs here.
 
     Rows are independent; a per-row budget overrun records the row as
-    skipped instead of aborting the table, so partial tables from tight
-    budgets can be merged with later, better-funded runs.
+    skipped instead of aborting the table.
     """
-    if e_max < 1:
-        raise GhkError("e_max must be at least 1")
+    as_int(e_max, "e_max", 1)
     p = subject.ring.p if isinstance(subject, Submodule) else subject.rspec.p
     tasks = [(value, subject, e, p**e, budget) for e in range(1, e_max + 1)]
     results = _map_rows(_run_row, tasks, jobs)

@@ -94,6 +94,7 @@ from .arith import (
     Poly,
     PolyRing,
     Record,
+    as_int,
     check_exponent_cap,
 )
 from .errors import (
@@ -130,10 +131,8 @@ class GbBudget(Record):
 
     def __post_init__(self):
         for limit in (self.max_degree, self.max_pairs):
-            if limit is None:
-                continue
-            if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-                raise GhkError(f"a budget limit must be None or a non-negative int, got {limit!r}")
+            if limit is not None:
+                as_int(limit, "a budget limit", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +728,6 @@ class GroebnerBasis:
         return f"<GroebnerBasis of rank-{self.rank} submodule, {len(self)} elements>"
 
 
-def _twists(values) -> tuple:
-    """values as a tuple of ints; a bool or a float is refused rather
-    than truncated."""
-    twists = tuple(values)
-    for e in twists:
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise GhkError(f"a twist must be an int, got {e!r}")
-    return twists
-
-
 class Submodule:
     """Finitely generated graded submodule of F = sum_j R(-twists[j]).
 
@@ -759,11 +748,11 @@ class Submodule:
         twists: Sequence[int] | None = None,
         relations: Iterable[Poly] = (),
     ):
-        if rank < 1 or rank > _CMAX:
+        if as_int(rank, "a rank", 1) > _CMAX:
             raise GhkError(f"rank {rank} out of supported range")
         self.ring = ring
         self.rank = rank
-        self.twists = _twists(twists) if twists is not None else (0,) * rank
+        self.twists = (0,) * rank if twists is None else tuple(as_int(t, "a twist") for t in twists)
         if len(self.twists) != rank:
             raise GhkError(f"{len(self.twists)} twists for rank {rank}")
 
@@ -830,8 +819,7 @@ class Submodule:
     def groebner(self, budget: GbBudget | None = None, last: int | None = None) -> GroebnerBasis:
         """The basis in "top" grevlex with variable `last` compared last
         (default: the ring's last variable), built once per `last`."""
-        if last is None:
-            last = self.ring.nvars - 1
+        last = self.ring.nvars - 1 if last is None else as_int(last, "the last variable")
         gb = self._gb.get(last)
         if gb is None:
             gb = _basis(self.ring, self.twists, self.spanning(), budget, last)

@@ -12,26 +12,8 @@ from __future__ import annotations
 import warnings
 from typing import Sequence
 
-from .arith import Rat, Record, rat_str
+from .arith import Rat, Record, as_int, as_rat, rat_str
 from .errors import GhkHypothesisError, GhkHypothesisWarning
-
-
-def _as_rat(value) -> Rat:
-    if isinstance(value, Rat):
-        return value
-    if isinstance(value, int):
-        return Rat(value)
-    if isinstance(value, str):
-        return Rat(value)
-    raise GhkHypothesisError(f"expected an exact rational, got {value!r}")
-
-
-def _as_int(value) -> int:
-    """value itself when it is an int; a bool, a float or anything else
-    is refused rather than truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise GhkHypothesisError(f"expected an integer, got {value!r}")
 
 
 class HNData(Record):
@@ -47,22 +29,17 @@ class HNData(Record):
         qs = []
         for pair in quotients:
             r, mu = pair
-            r = _as_int(r)
-            if r < 1:
-                raise GhkHypothesisError(f"quotient rank must be positive, got {r}")
-            qs.append((r, _as_rat(mu)))
+            qs.append((as_int(r, "a quotient rank", 1), as_rat(mu)))
         for (ra, a), (rb, b) in zip(qs, qs[1:]):
             if not a > b:
                 raise GhkHypothesisError(
                     f"slopes must strictly decrease, got {a} then {b}"
                 )
-        degY = _as_int(degY)
-        if degY < 1:
-            raise GhkHypothesisError(f"curve degree must be positive, got {degY}")
+        degY = as_int(degY, "the curve degree degY", 1)
         object.__setattr__(self, "quotients", tuple(qs))
         object.__setattr__(self, "degY", degY)
         if total_degree is not None:
-            total_degree = _as_rat(total_degree)
+            total_degree = as_rat(total_degree)
             got = sum((r * mu for r, mu in qs), Rat(0))
             if got != total_degree:
                 raise GhkHypothesisError(
@@ -77,10 +54,6 @@ class HNData(Record):
     def degree(self) -> Rat:
         """sum r_k * slope_k, the degree of the filtered sheaf."""
         return sum((r * mu for r, mu in self.quotients), Rat(0))
-
-    def normalized_jumps(self) -> tuple:
-        """The values -slope_k / degY, one per quotient, increasing."""
-        return tuple(-mu / self.degY for _, mu in self.quotients)
 
     @classmethod
     def from_json_obj(cls, obj) -> "HNData":
@@ -112,11 +85,11 @@ def hn_sum_line_bundles(pairs: Sequence, degY: int) -> HNData:
     -d*degY; sorting by increasing d gives the required strictly
     decreasing slopes.
     """
-    degY = _as_int(degY)
+    degY = as_int(degY, "the curve degree degY")
     seen = set()
     cleaned = []
     for d, r in pairs:
-        d, r = _as_int(d), _as_int(r)
+        d, r = as_int(d, "a summand degree"), as_int(r, "a summand rank")
         if d in seen:
             raise GhkHypothesisError(f"duplicate summand degree {d}")
         seen.add(d)
@@ -128,9 +101,8 @@ def hn_sum_line_bundles(pairs: Sequence, degY: int) -> HNData:
 def hn_rank1_syzygy(a: int, b: int, d: int, degY: int) -> HNData:
     """Filtration data of the rank-one syzygy sheaf of two generators of
     degrees a and b whose common zero scheme has sheaf degree d <= 0."""
-    a, b, d, degY = _as_int(a), _as_int(b), _as_int(d), _as_int(degY)
-    if a < 1 or b < 1:
-        raise GhkHypothesisError(f"generator degrees must be positive, got {a}, {b}")
+    a, b = as_int(a, "the generator degree a", 1), as_int(b, "the generator degree b", 1)
+    d, degY = as_int(d, "the sheaf degree d"), as_int(degY, "the curve degree degY")
     if d > 0:
         raise GhkHypothesisError(
             f"sheaf degree must be <= 0 (ideal subsheaf convention), got {d}"
@@ -151,12 +123,12 @@ def e_ghk_closed_form(HN_S: HNData, source_twists: Sequence[int], HN_Q: HNData, 
     """
     if degY is None:
         degY = HN_S.degY
-    degY = _as_int(degY)
+    degY = as_int(degY, "the curve degree degY")
     if HN_S.degY != degY or HN_Q.degY != degY:
         raise GhkHypothesisError(
             f"curve degrees disagree: {HN_S.degY}, {HN_Q.degY}, {degY}"
         )
-    twists = [_as_int(d) for d in source_twists]
+    twists = [as_int(d, "a source twist") for d in source_twists]
     value = (
         hk_slope(HN_S) - degY**2 * sum(d * d for d in twists) + hk_slope(HN_Q)
     ) / (2 * degY)
@@ -175,10 +147,10 @@ def e_hk_closed_form(HN_Syz: HNData, degrees: Sequence[int], degY: int | None = 
     """
     if degY is None:
         degY = HN_Syz.degY
-    degY = _as_int(degY)
+    degY = as_int(degY, "the curve degree degY")
     if HN_Syz.degY != degY:
         raise GhkHypothesisError(f"curve degrees disagree: {HN_Syz.degY}, {degY}")
-    twists = [_as_int(d) for d in degrees]
+    twists = [as_int(d, "a generator degree") for d in degrees]
     value = (hk_slope(HN_Syz) - degY**2 * sum(d * d for d in twists)) / (2 * degY)
     if value < 1:
         _warn(f"classical multiplicity {value} is below 1; input data "
@@ -188,15 +160,12 @@ def e_hk_closed_form(HN_Syz: HNData, degrees: Sequence[int], degY: int | None = 
 
 def e_ghk_two_generated(a: int, b: int, d: int, degY: int) -> Rat:
     """d^2/degY + a*b*degY + d*(a + b): the two-generator specialization."""
-    a, b, d, degY = _as_int(a), _as_int(b), _as_int(d), _as_int(degY)
-    if a < 1 or b < 1:
-        raise GhkHypothesisError(f"generator degrees must be positive, got {a}, {b}")
+    a, b = as_int(a, "the generator degree a", 1), as_int(b, "the generator degree b", 1)
+    d, degY = as_int(d, "the sheaf degree d"), as_int(degY, "the curve degree degY", 1)
     if d > 0:
         raise GhkHypothesisError(
             f"sheaf degree must be <= 0 (ideal subsheaf convention), got {d}"
         )
-    if degY < 1:
-        raise GhkHypothesisError(f"curve degree must be positive, got {degY}")
     value = Rat(d * d, degY) + a * b * degY + d * (a + b)
     if value < 0:
         _warn(f"closed-form multiplicity {value} is negative; input data "
@@ -206,7 +175,5 @@ def e_ghk_two_generated(a: int, b: int, d: int, degY: int) -> Rat:
 
 def e_ghk_point(degY: int) -> Rat:
     """(degY - 1)^2 / degY: the multiplicity of a single reduced point."""
-    degY = _as_int(degY)
-    if degY < 1:
-        raise GhkHypothesisError(f"curve degree must be positive, got {degY}")
+    degY = as_int(degY, "the curve degree degY", 1)
     return Rat((degY - 1) ** 2, degY)

@@ -55,7 +55,6 @@ from .groebner import (
     ModVector,
     Submodule,
     _preimage,
-    buchberger,
 )
 
 __all__ = [
@@ -265,7 +264,7 @@ def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSerie
     Computed from the lead module of a Groebner basis componentwise;
     exact integer numerator over (1-t)^nvars.
     """
-    gb = buchberger(U, budget)
+    gb = U.groebner(budget)
     nvars = U.ring.nvars
     return _lead_series(gb.packed_leads(), U.twists, nvars, {}, PackedMonomials(nvars))
 
@@ -493,7 +492,7 @@ def reflexive_hull(I: Submodule, witness: Poly | None = None, budget: GbBudget |
     else:
         if witness.is_zero():
             raise GhkHypothesisError("witness element must be nonzero")
-        if not buchberger(I, budget).contains(witness):
+        if not I.groebner(budget).contains(witness):
             raise GhkHypothesisError("witness element does not lie in the ideal")
     principal = Submodule.ideal(I.ring, [witness], relations=I.relations)
     inner = colon(principal, I, budget)
@@ -840,11 +839,10 @@ def sheaf_degree(rspec: RingSpec, I: Submodule, budget: GbBudget | None = None) 
     if I.relations != rspec.relations:
         raise RingMismatchError("ideal does not live over the given ring")
     sat = saturate(I, budget=budget)
-    gb = buchberger(sat, budget)
-    if gb.is_full_module():
+    if sat.groebner(budget).is_full_module():
         return 0
     hs = hilbert_series(sat, budget).reduced()
-    if hs.denom_power == 2 or hs.is_zero():
+    if hs.denom_power == 2:
         raise GhkHypothesisError("zero ideal has no sheaf degree")
     if hs.denom_power != 1:
         raise GhkError("internal error: saturated proper ideal with finite-length quotient")

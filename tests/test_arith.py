@@ -161,6 +161,9 @@ def test_bad_order_inputs():
     for last in (-1, 3, 7):
         with pytest.raises(GhkError):
             PackedMonomials(3, last)
+    for last in (True, 1.0):
+        with pytest.raises(GhkHypothesisError, match="must be an int"):
+            PackedMonomials(3, last)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,27 @@ def test_ring_validation():
             ring.key(bad)
         with pytest.raises(GhkError):
             ring.variable(0).mul_monomial(bad)
+    # a bool or a float where an int belongs is refused, never truncated
+    # or read as 0 or 1
+    ring = PolyRing(7, ["x", "y", "z"])
+    x = ring.variable(0)
+    probes = [
+        lambda: ring.monomial((1.5, 0, 0)),
+        lambda: ring.from_pairs([((1.5, 0, 0), 1)]),
+        lambda: ring.from_pairs([((1, 0, 0), 3.7)]),
+        lambda: ring.monomial((1, 0, 0), 2.5),
+        lambda: x.scale(1.5),
+        lambda: ring.key((1.0, 0, 0)),
+        lambda: x**True,
+        lambda: frobenius_power(x, True),
+        lambda: ring.variable(True),
+        lambda: is_prime(7.0),
+    ]
+    for probe in probes:
+        with pytest.raises(GhkHypothesisError, match="must be an int"):
+            probe()
+    with pytest.raises(GhkError, match="not in range"):
+        ring.variable(3)  # would be the monomial 1
 
 
 def test_ring_value_equality():

@@ -698,7 +698,7 @@ def test_closed_form_refuses_non_integer_inputs(tmp_path, capsys, section):
     problem = {"ring": FERMAT_RING, "closed_form": section, "task": {"command": "closed-form"}}
     code, out = run(tmp_path, problem)
     assert code == 2
-    assert "expected an integer" in capsys.readouterr().err
+    assert "must be an int, got" in capsys.readouterr().err
     assert not (out / "closed-form-report.json").exists()
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghk.arith import Rat
-from ghk.errors import GhkError
+from ghk.errors import GhkError, GhkHypothesisError
 from ghk.fitlab import (
     FamilySpec,
     SweepRow,
@@ -68,6 +68,16 @@ def test_estimator_explicit_bound_and_errors():
         estimate_multiplicity(POINT7, gamma_bound=-1)
     with pytest.raises(GhkError):
         estimate_multiplicity(synth(7, [(1, 5)]))
+    # a float is not an exact rational: Rat(0.1) would carry its binary
+    # expansion into the bound
+    for probe in (
+        lambda: estimate_multiplicity(POINT7, 0.1),
+        lambda: estimate_multiplicity(POINT7, True),
+        lambda: gamma_analysis(POINT7, 1.5),
+        lambda: fit_report(POINT7, e_exact=0.3),
+    ):
+        with pytest.raises(GhkHypothesisError, match="exact rational"):
+            probe()
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,6 +285,11 @@ def test_sweep_parallel_matches_serial():
 def test_sweep_empty_primes():
     with pytest.raises(GhkError):
         prime_sweep(CUBIC_FAMILY, [], e_max=2)
+    # a prime or an e_max that is not an int is refused, not truncated to
+    # p = 5 or read as p = 1 or as one row
+    for primes, e_max in (([5.9], 1), ([5, True], 1), (["5"], 1), ([5], True), ([5], 1.0)):
+        with pytest.raises(GhkHypothesisError, match="must be an int"):
+            prime_sweep(CUBIC_FAMILY, primes, e_max)
 
 
 def test_sweep_top_half_spread():

@@ -572,21 +572,6 @@ def test_table_budget_marks_rows_skipped(fermat7):
     assert "degree" in t.skipped[0].reason
 
 
-def test_table_merge(fermat7):
-    P = point_presentation(fermat7)
-    full = ghk_table(P, 2)
-    t1 = ghk_table(P, 1)
-    t2 = GHKTable(7, t1.module, full.rows[1:])
-    merged = t1.merged_with(t2)
-    assert merged == full
-    conflicting = GHKTable(7, t1.module, (GHKRow(1, 7, 65),))
-    with pytest.raises(GhkError):
-        t1.merged_with(conflicting)
-    # a skipped row is forgotten once a merge supplies the value
-    partial = GHKTable(7, t1.module, (), (SkippedRow(1, "budget"),))
-    assert partial.merged_with(t1).skipped == ()
-
-
 def test_table_invariants():
     with pytest.raises(GhkError):
         GHKTable(7, "m", (GHKRow(1, 7, 3), GHKRow(1, 7, 3)))
@@ -629,6 +614,9 @@ def test_table_exponent_validation(fermat7):
     P = point_presentation(fermat7)
     with pytest.raises(GhkError):
         ghk_table(P, 0)
+    for e_max in (True, 1.0):  # not read as one row
+        with pytest.raises(GhkHypothesisError, match="e_max must be an int"):
+            ghk_table(P, e_max)
 
 
 def test_table_parallel_matches_serial(fermat7):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import ghk.groebner as groebner
 from ghk.arith import EXP_CAP, PackedMonomials, PolyRing
-from ghk.errors import BudgetExceededError, GhkError, HomogeneityError, RingMismatchError
+from ghk.errors import (
+    BudgetExceededError,
+    GhkError,
+    GhkHypothesisError,
+    HomogeneityError,
+    RingMismatchError,
+)
 from ghk.frobmod import hk_value
 from ghk.groebner import (
     GbBudget,
@@ -253,6 +259,9 @@ def test_basis_cached_on_submodule():
     assert U.groebner(last=0) is not U.groebner()
     with pytest.raises(GhkError):
         U.groebner(last=2)
+    # True is not read as 1, so it cannot fetch the cached basis
+    with pytest.raises(GhkHypothesisError, match="must be an int"):
+        U.groebner(last=True)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +642,10 @@ def test_homogeneity_enforced():
     for twists in [(0, 0.9), (0, 1.0), (False, 1)]:
         with pytest.raises(GhkError, match="twist must be an int"):
             Submodule(ring, 2, [v], twists=twists)
+    # and so is a rank that is not an int
+    for rank in (1.0, True):
+        with pytest.raises(GhkHypothesisError, match="rank must be an int"):
+            Submodule(ring, rank, [x], twists=(0,))
 
 
 def test_top_order_compares_module_degree_first():

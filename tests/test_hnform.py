@@ -24,7 +24,6 @@ def test_hndata_validation():
     H = HNData([(2, -3), (1, -6)], 3)
     assert H.rank == 3
     assert H.degree() == -12
-    assert H.normalized_jumps() == (Rat(1), Rat(2))
     with pytest.raises(GhkHypothesisError):
         HNData([(1, -6), (1, -3)], 3)  # increasing slopes
     with pytest.raises(GhkHypothesisError):
@@ -38,6 +37,11 @@ def test_hndata_validation():
             HNData([(bad, -3)], 3)
         with pytest.raises(GhkHypothesisError):
             HNData([(1, -3)], bad)
+    for bad in (True, -2.5):  # a slope is an exact rational, not a bool or a float
+        with pytest.raises(GhkHypothesisError, match="exact rational"):
+            HNData([(1, bad)], 3)
+        with pytest.raises(GhkHypothesisError, match="exact rational"):
+            HNData([(1, -3)], 3, total_degree=bad)
     HNData([(2, -3), (1, -6)], 3, total_degree=-12)
     with pytest.raises(GhkHypothesisError):
         HNData([(2, -3), (1, -6)], 3, total_degree=-11)
@@ -57,6 +61,9 @@ def test_hndata_rational_slopes_and_json():
         HNData.from_json_obj({"degY": 3})
     with pytest.raises(GhkHypothesisError):
         HNData([(1, 2.5)], 3)  # floats are refused, exactness first
+    for text in ("abc", "1/0"):  # text that names no rational
+        with pytest.raises(GhkHypothesisError, match="exact rational"):
+            HNData([(1, text)], 3)
 
 
 def test_hk_slope_values():
