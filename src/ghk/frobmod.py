@@ -19,16 +19,7 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import GbBudget, ModVector, Submodule
-# colength_difference is called through this module's global, which
-# bench/tracer.py wraps here too
-from .idealops import (
-    RingSpec,
-    bracket_power,
-    certify_saturation,
-    colength_difference,
-    hilbert_series,
-    saturate_by_colon,
-)
+from .idealops import RingSpec, bracket_power, certify_saturation, hilbert_series
 
 
 class Presentation:
@@ -224,20 +215,15 @@ def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
     (pullback_image: over a Noether normalization of a hypersurface,
     else over S with relation columns), and measure the part of the
     ambient free module supported at the irrelevant ideal: the length
-    of sat(U)/U. Finite exactly when the module is torsion-free in
-    codimension <= 1 territory, which the dimension-2 precondition
-    guarantees for saturations.
+    of sat(U)/U = H^0_m(F/U), which is finite because F/U is finitely
+    generated.
 
     The length is read from the certified Hilbert series difference of
-    certify_saturation (one basis of U); when no variable certifies, it
-    is the colength of U in saturate_by_colon(U).
+    certify_saturation: one basis of U when a single variable
+    certifies, else the intersection of the variable saturations.
     """
     P.rspec.require_dim2()
-    U = pullback_image(P, e)
-    cert = certify_saturation(U, budget)
-    if cert is not None:
-        return cert.length
-    return colength_difference(U, saturate_by_colon(U, budget=budget), budget)
+    return certify_saturation(pullback_image(P, e), budget).length
 
 
 def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:

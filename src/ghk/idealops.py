@@ -21,14 +21,14 @@ Design rules enforced here:
   last block of one "top" basis with the other blocks above it and
   installed as the result's basis. Submodule._check_ambient is the one
   ambient check: ring, rank, twists and relations.
-* Saturation by the irrelevant ideal takes one certified basis, for
-  any twists: certify_saturation looks for a variable l whose basis
+* Saturation by the irrelevant ideal has one certified route, for any
+  twists: certify_saturation looks for a variable l whose basis
   U.groebner(last=l), in grevlex with l compared last, proves
-  U : l^inf = sat(U) by a pole-order-0 Hilbert series difference.
-  Rings carry no term order; a basis is the only place one is chosen.
-  When no variable certifies, saturate falls back to saturate_by_colon,
-  the reference route that tests pin saturate against and the only
-  route for any other ideal.
+  U : l^inf = sat(U) by a pole-order-0 Hilbert series difference, and
+  when none does alone, intersects the U : l^inf until the difference
+  has pole order 0. Rings carry no term order; a basis is the only
+  place one is chosen. saturate_by_colon is the reference route that
+  tests pin saturate against, and the only route for any other ideal.
 * The one exception to implicit quotient rings: a hypersurface in three
   variables may be read as a free module over a Noether normalization
   A = F_p[x, y] (RingSpec.noether_normalization), and frobmod.ghk_value
@@ -378,15 +378,22 @@ def _ideal_generators(ring: PolyRing, J, relations) -> list:
 
 
 class SaturationCertificate(Record):
-    """Proof that U : x_var^inf = sat(U), read off one Groebner basis.
+    """Proof that sat(U) is the intersection of the U : l^inf over the
+    variables l in `variables`, in the order tried.
 
-    gb is U.groebner(last=var), U's basis in grevlex with x_var compared
-    last; torsion is HS(sat(U)/U), reduced to pole order 0.
+    gb is U.groebner(last=variables[0]); with one variable l it alone
+    gives U : l^inf = sat(U), with several meet is the intersection,
+    its basis installed. torsion is HS(sat(U)/U) at pole order 0.
     """
 
-    var: int
+    variables: tuple
     gb: GroebnerBasis
     torsion: HilbertSeries
+    meet: Submodule | None = None
+
+    def __post_init__(self):
+        if self.length < 0:
+            raise GhkError("internal error: negative saturation length")
 
     @property
     def length(self) -> int:
@@ -394,53 +401,63 @@ class SaturationCertificate(Record):
         return self.torsion.numer_at_one()
 
 
-def certify_saturation(
-    U: Submodule, budget: GbBudget | None = None
-) -> SaturationCertificate | None:
-    """Find a variable l with U : l^inf = sat(U), or None.
+def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> SaturationCertificate:
+    """Certify sat(U) from the bases U.groebner(budget, last=l).
 
     Tries the ring's last variable first (U's default basis), then the
-    others in index order, each through U.groebner(budget, last=l). In
-    grevlex with l last, in(U : l^inf) = in(U) : l^inf
-    (Bayer-Stillman), so one basis gives HS(F/U) from its leads and
-    HS(F/(U : l^inf)) from the same leads with the l-exponent set to 0.
-    U : l^inf contains sat(U); when the difference has pole order 0,
-    (U : l^inf)/U has finite length, so it lies in sat(U) and the two
-    are equal.
+    others in index order. In grevlex with l last,
+    in(U : l^inf) = in(U) : l^inf (Bayer-Stillman), so one basis gives
+    HS(F/U) from its leads and HS(F/(U : l^inf)) from the same leads
+    with the l-exponent set to 0. U : l^inf contains sat(U); when the
+    difference has pole order 0, (U : l^inf)/U has finite length, so it
+    lies in sat(U) and the two are equal.
+
+    When no variable does that alone, sat(U) is the intersection of all
+    U : l^inf, each spanned by its basis divided out: a v with
+    l^(k_l)*v in U for every l is killed by m^(sum k_l). They are
+    intersected in the order tried, up to the first intersection W with
+    HS(F/U) - HS(F/W) of pole order 0; W contains sat(U), so then
+    W = sat(U). The last variable always gets there, because
+    H^0_m(F/U) = sat(U)/U has finite length.
     """
     nvars = U.ring.nvars
     pm = PackedMonomials(nvars)
     memo: dict = {}
     # sets the l-exponent to 0: l has the top field in its basis's layout
     keep = pm.low >> EXP_BITS
-    for i in (nvars - 1, *range(nvars - 1)):
+    order = (nvars - 1, *range(nvars - 1))
+    for i in order:
         gb = U.groebner(budget, last=i)
         leads = gb.packed_leads()
         cut = {j: tuple(pm.minimal(sorted(m & keep for m in mons))) for j, mons in leads.items()}
-        diff = _lead_series(leads, U.twists, nvars, memo, pm).sub(
-            _lead_series(cut, U.twists, nvars, memo, pm)
-        ).reduced()
-        if diff.denom_power == 0:
-            if diff.numer_at_one() < 0:
-                raise GhkError("internal error: negative saturation length")
-            return SaturationCertificate(i, gb, diff)
-    return None
+        hs = _lead_series(leads, U.twists, nvars, memo, pm)
+        torsion = hs.sub(_lead_series(cut, U.twists, nvars, memo, pm)).reduced()
+        if torsion.denom_power == 0:
+            return SaturationCertificate((i,), gb, torsion)
+    first = U.groebner(budget, last=order[0])
+    W = _divide_out(U, first, order[0])
+    for k, i in enumerate(order[1:], 2):
+        W = intersect(W, _divide_out(U, U.groebner(budget, last=i), i), budget)
+        torsion = hs.sub(hilbert_series(W, budget)).reduced()
+        if torsion.denom_power == 0:
+            return SaturationCertificate(order[:k], first, torsion, W)
+    raise GhkError("internal error: the variable saturations meet in more than sat(U)")
 
 
 def saturate(U: Submodule, budget: GbBudget | None = None) -> Submodule:
-    """Saturation of U with respect to the irrelevant ideal.
-
-    For any ambient twists, certify_saturation finds a variable l with
-    U : l^inf = sat(U); each element of the basis with l last is divided
-    by the largest power of l dividing its lead, which divides the whole
-    vector (the module-degree "top" order of groebner.py), and those
-    quotients span sat(U). When no variable certifies, this is
-    saturate_by_colon(U).
+    """Saturation of U with respect to the irrelevant ideal, for any
+    ambient twists, from certify_saturation(U): the certificate's
+    intersection, or, with one variable l, each element of the basis
+    with l last divided by the largest power of l dividing its lead,
+    which divides the whole vector (the module-degree "top" order of
+    groebner.py); those quotients span sat(U).
     """
     cert = certify_saturation(U, budget)
-    if cert is not None:
-        return _divide_out(U, cert)
-    return saturate_by_colon(U, budget=budget)
+    if cert.meet is not None:
+        return cert.meet
+    if cert.torsion.is_zero():
+        return U
+    return _divide_out(U, cert.gb, cert.variables[0])
 
 
 def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
@@ -458,15 +475,12 @@ def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> S
         W = W2
 
 
-def _divide_out(U: Submodule, cert: SaturationCertificate) -> Submodule:
-    """sat(U) from a certificate: each basis element over x_var^a, a the
-    x_var-exponent of its lead."""
-    if cert.torsion.is_zero():
-        return U
-    i = cert.var
+def _divide_out(U: Submodule, gb: GroebnerBasis, i: int) -> Submodule:
+    """U : x_i^inf from gb = U.groebner(last=i): each basis element over
+    x_i^a, a the x_i-exponent of its lead."""
     back = [
         ModVector(tuple(f.divide_by_variable_power(i, lead[i]) for f in vec.components))
-        for vec, (_, lead) in zip(cert.gb.vectors, cert.gb.lead_terms())
+        for vec, (_, lead) in zip(gb.vectors, gb.lead_terms())
     ]
     return Submodule(U.ring, U.rank, back, twists=U.twists, relations=U.relations)
 
@@ -830,20 +844,18 @@ def sheaf_degree(rspec: RingSpec, I: Submodule, budget: GbBudget | None = None) 
     attached to I embeds in the structure sheaf of the curve Y = Proj R,
     so its degree is 0 minus the total length of the finite quotient:
     a principal ideal generated in degree a gives -a * deg(Y); the ideal
-    of a single reduced point gives -1. The saturation of I is computed
-    first, so different ideals with the same sheaf agree.
+    of a single reduced point gives -1. sat(I)/I has finite length, so
+    HS(R/I) and HS(R/sat(I)) share the pole order and, at pole order 1,
+    the numerator at 1: ideals with the same sheaf agree.
     """
     rspec.require_dim2()
     if I.rank != 1:
         raise GhkError("sheaf degrees are defined for ideals (rank-1 submodules)")
     if I.relations != rspec.relations:
         raise RingMismatchError("ideal does not live over the given ring")
-    sat = saturate(I, budget=budget)
-    if sat.groebner(budget).is_full_module():
+    hs = hilbert_series(I, budget).reduced()
+    if hs.denom_power == 0:
         return 0
-    hs = hilbert_series(sat, budget).reduced()
     if hs.denom_power == 2:
         raise GhkHypothesisError("zero ideal has no sheaf degree")
-    if hs.denom_power != 1:
-        raise GhkError("internal error: saturated proper ideal with finite-length quotient")
     return -hs.numer_at_one()

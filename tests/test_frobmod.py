@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghk import idealops
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, RingMismatchError
 from ghk.frobmod import (
     GHKRow,
@@ -28,6 +29,7 @@ from ghk.idealops import (
     certify_saturation,
     colength_difference,
     hilbert_series,
+    saturate,
     saturate_by_colon,
 )
 
@@ -64,11 +66,7 @@ def colon_route_length(P, e):
 def s_route_length(P, e):
     """ghk_value's length read over S with relation columns: the route a
     ring without a Noether normalization takes."""
-    U = frobenius_pullback(P, e).image_submodule()
-    cert = certify_saturation(U)
-    if cert is not None:
-        return cert.length
-    return colength_difference(U, saturate_by_colon(U))
+    return certify_saturation(frobenius_pullback(P, e).image_submodule()).length
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def test_certified_length_on_a_coordinate_line(fermat7):
     # first, as the ring's last variable) and certifies with x
     P = presentation_of_quotient(fermat7.ideal(["z", "x + y"]), fermat7)
     cert = certify_saturation(frobenius_pullback(P, 1).image_submodule())
-    assert cert.var == 0
+    assert cert.variables == (0,) and cert.meet is None
     p = 7
     curve = CurveRing(p, 3, reducer=(2, 3, NaivePoly(p, 3, {(3, 0, 0): 6, (0, 3, 0): 6})))
     g1 = NaivePoly(p, 3, {(0, 0, 7): 1})
@@ -233,7 +231,7 @@ def test_certified_length_off_the_coordinate_lines():
     P = presentation_of_quotient(R.ideal(["x - y", "y - z"]), R)
     U = frobenius_pullback(P, 1).image_submodule()
     cert = certify_saturation(U)
-    assert cert.var == 2
+    assert cert.variables == (2,) and cert.meet is None
     assert cert.gb is U.groebner()
     curve = CurveRing(5, 3, reducer=(2, 3, NaivePoly(5, 3, {(3, 0, 0): 3, (0, 3, 0): 3})))
     g1 = NaivePoly(5, 3, {(5, 0, 0): 1, (0, 5, 0): 4})
@@ -242,13 +240,15 @@ def test_certified_length_off_the_coordinate_lines():
     assert colon_route_length(P, 1) == 32
 
 
-def test_uncertified_length_falls_back_to_colon(plane7):
+def test_uncertified_length_intersects_variable_saturations(plane7):
     # R/(x^2*y, x*y^2): its torsion sits at [1:0] and [0:1], one on each
-    # coordinate line, so no variable certifies; sat(U)/U is
-    # (xy)^q * k[x, y]/(x^q, y^q), of length q^2
+    # coordinate line, so no variable certifies alone and sat(U) is
+    # U : y^inf cap U : x^inf; sat(U)/U is (xy)^q * k[x, y]/(x^q, y^q),
+    # of length q^2
     P = presentation_of_quotient(plane7.ideal(["x^2*y", "x*y^2"]), plane7)
-    assert certify_saturation(frobenius_pullback(P, 1).image_submodule()) is None
-    assert ghk_value(P, 1) == colon_route_length(P, 1) == 49
+    cert = certify_saturation(frobenius_pullback(P, 1).image_submodule())
+    assert cert.variables == (1, 0)
+    assert cert.length == ghk_value(P, 1) == colon_route_length(P, 1) == 49
 
 
 def test_unequal_row_twists_take_the_certified_route(fermat7):
@@ -393,7 +393,7 @@ def _random_form(draw, ring, deg):
 NORMALIZED_RINGS = {
     "fermat": (7, "x^3 + y^3 + z^3", (0, 0)),
     "conic": (5, "x*y - z^2", (0, 0)),
-    "cusp": (3, CUSP, (0, 1)),
+    "cusp": (5, CUSP, (0, 1)),
 }
 
 
@@ -461,6 +461,40 @@ def test_fallback_ring_keeps_the_s_route():
         q = p**e
         gens = [NaivePoly(p, 3, {(q, 0, 0): 1}), NaivePoly(p, 3, {(0, q, 0): 1})]
         assert regular_torsion_length(curve, gens, 2, 2 * q + 2) == length
+
+
+def test_uncertified_saturations_never_take_a_colon(monkeypatch, plane7):
+    # the cases where no single variable certifies: R/(x^2*y, x*y^2) over
+    # F_7[x, y], a rank-2 row on the cusp over F_5 (read over A) and the
+    # coordinate triangle; their reference values come first, then no
+    # colon may run
+    cusp = RingSpec(5, ["x", "y", "z"], [CUSP])
+    cols = [
+        ModVector((cusp.parse(a), cusp.parse(b)))
+        for a, b in (("z^2", "4*x*y + 3*x*z + 4*y*z"), ("4*x + z", "4*x"), ("x", "x"))
+    ]
+    rows = [
+        (presentation_of_quotient(plane7.ideal(["x^2*y", "x*y^2"]), plane7), 49),
+        (Presentation(cusp, (0, 0), (2, 1, 1), cols), 132),
+    ]
+    refs = [colon_route_length(P, 1) for P, _ in rows]
+    space = RingSpec(7, ["x", "y", "z"])
+    pairs = ["x*y", "y*z", "x*z"]
+    triangle = space.ideal(pairs)
+    I = space.ideal([f"{a}*{b}" for a in "xyz" for b in pairs])
+    assert saturate_by_colon(I) == triangle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("colon called")
+
+    monkeypatch.setattr(idealops, "colon", refuse)
+    for (P, length), ref in zip(rows, refs):
+        assert ghk_value(P, 1) == ref == length
+        assert len(certify_saturation(pullback_image(P, 1)).variables) > 1
+    S = saturate(I)
+    assert S == triangle
+    assert colength_difference(I, S) == 3
+    assert len(certify_saturation(I).variables) > 1
 
 
 # ---------------------------------------------------------------------------
