@@ -29,9 +29,9 @@ overflows into the next, which holds while the degree stays below
 Multiplication is an int add, exact division an int sub, and b | a
 iff ((a | G) - b) & G == G for the guard mask G: with every guard of a
 set, each field borrows only from its own guard, which survives iff
-a_i >= b_i. The surviving guards also select the fields of lcm and
-gcd. A strict divisor is a smaller int, so one pass over an ascending
-list keeps a monomial ideal's minimal generators (minimal). The test
+a_i >= b_i. The surviving guards also select the fields of lcm. A
+strict divisor is a smaller int, so one pass over an ascending list
+keeps a monomial ideal's minimal generators (minimal). The test
 is exact only while every exponent stays below EXP_GUARD =
 2^(EXP_BITS-1); a larger one would borrow into its neighbour and
 corrupt divisibility silently. So packing refuses exponents above
@@ -206,7 +206,7 @@ class PackedMonomials:
     for grevlex with `last` compared last (default: the last variable).
 
     pack/unpack convert at the boundary; in between, a*b is a + b, a/b
-    is a - b and divides/lcm/gcd/degree/key are a few int operations.
+    is a - b and divides/lcm/degree/key are a few int operations.
     guard is the mask G of the module docstring; hot loops inline its
     test. Every method assumes its arguments' exponents stay below
     EXP_GUARD.
@@ -250,14 +250,6 @@ class PackedMonomials:
         ge = ((a | g) - b) & g  # the guard of field i survives iff a_i >= b_i
         mask = ge - (ge >> (EXP_BITS - 1))  # the low bits of those fields
         return (a & mask) | (b & ~mask)
-
-    def gcd(self, a: int, b: int) -> int:
-        """The mirror of lcm: the smaller field of each pair. gcd(a, b) == 0
-        iff a and b share no variable."""
-        g = self.guard
-        ge = ((a | g) - b) & g
-        mask = ge - (ge >> (EXP_BITS - 1))
-        return (b & mask) | (a & ~mask)
 
     def minimal(self, ascending: Iterable[int]) -> list:
         """The elements that no earlier kept element divides, in order.

@@ -682,7 +682,7 @@ class GroebnerBasis:
         return tuple((rec[1], unpack(rec[2])) for rec in self._records)
 
     def packed_leads(self) -> dict:
-        """Component -> its lead monomials as packed ints, ascending.
+        """Component -> the list of its lead monomials as packed ints.
 
         They are the minimal generators of the lead module there: no
         lead of a minimal basis divides another. They are packed in the
@@ -693,7 +693,7 @@ class GroebnerBasis:
         out: dict = {j: [] for j in range(self.rank)}
         for rec in self._records:
             out[rec[1]].append(rec[2])
-        return {j: tuple(sorted(mons)) for j, mons in out.items()}
+        return out
 
     def _coerce(self, v) -> ModVector:
         if isinstance(v, Poly):

@@ -173,86 +173,67 @@ def _divide_by_one_minus_t(d: dict) -> dict | None:
     return out
 
 
-def _coprime_product_numer(degrees: Iterable[int]) -> dict:
-    """prod (1 - t^d) over the generator degrees of a complete intersection."""
-    out = {0: 1}
-    for d in degrees:
-        nxt: dict = {}
-        for e, c in out.items():
-            nxt[e] = nxt.get(e, 0) + c
-            nxt[e + d] = nxt.get(e + d, 0) - c
-        out = {e: c for e, c in nxt.items() if c}
-    return out
+def _monomial_numerator(gens: list) -> dict:
+    """Numerator K(t) of HS(S/(gens)) = K / (1-t)^n, as {degree: coeff}.
 
-
-def _monomial_numerator(mons: tuple, memo: dict, pm: PackedMonomials) -> dict:
-    """Numerator K(t) of HS(S/(mons)) = K / (1-t)^nvars.
-
-    mons are the minimal generators of a monomial ideal, packed by pm
-    and in ascending packed value; each branch hands its recursive calls
-    the same form. Pivot recursion (Bigatti): split on the lower median
-    power of the most shared variable; the branches are the ideal plus
-    the pivot and the ideal colon the pivot, whose generators are
-    m - gcd(m, pivot). Pairwise coprime sets, where each generator
-    shares no variable with the lcm of those before it, terminate as
-    complete intersections.
+    gens are exponent tuples of length n, any generating set of the
+    monomial ideal (repeats and multiples are harmless). Slicing
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Ch. 3): in
+    two variables the corners of the staircase, sorted by the first
+    exponent with the second strictly falling, give
+    K = 1 - sum t^(a_i+b_i) + sum t^(a_(i+1)+b_i). In more, S/I is the
+    sum over k of v^k * S'/I_k for the variable v with the fewest
+    distinct exponents l_1 < ... < l_s, where I_k is generated by the
+    generators with v-exponent <= k, v deleted; I_k steps only at the
+    l_i, so K = 1 + sum_i t^(l_i) * (K(M_i) - K(M_(i-1))) with M_i the
+    ideal I_(l_i) and K(M_0) = 1. With no variable left, a generator
+    is the unit, K = 0, so one variable gives 1 - t^a, a the least
+    exponent. The recursion is at most n - 2 deep.
     """
-    if not mons:
+    if not gens:
         return {0: 1}
-    if mons[0] == 0:
+    n = len(gens[0])
+    if n == 0:
         return {}
-    cached = memo.get(mons)
-    if cached is not None:
-        return cached
-    gcd = pm.gcd
-    acc = 0
-    for m in mons:
-        if gcd(acc, m):
-            break
-        acc += m
-    else:
-        out = _coprime_product_numer(pm.degree(m) for m in mons)
-        memo[mons] = out
-        return out
-    exps = [pm.unpack(m) for m in mons]
-    nvars = len(exps[0])
-    counts = [0] * nvars
-    for m in exps:
-        for i, e in enumerate(m):
-            if e:
-                counts[i] += 1
-    piv_var = max(range(nvars), key=lambda i: counts[i])
-    # The set is not coprime, so piv_var is in at least two generators
-    # and the lower median of its exponents is below their largest. A
-    # pure power of piv_var among minimal generators would hold the
-    # unique largest, so the pivot is not in the ideal: both branches
-    # strictly grow it, and each drops or shortens about half of the
-    # generators in piv_var, so the depth does not grow with exponents.
-    piv_exps = sorted(m[piv_var] for m in exps if m[piv_var])
-    piv_exp = piv_exps[(len(piv_exps) - 1) // 2]
-    pivot = piv_exp << (EXP_BITS * piv_var)
-    plus = tuple(pm.minimal(sorted(mons + (pivot,))))
-    quo = tuple(pm.minimal(sorted(m - gcd(m, pivot) for m in mons)))
-    n_plus = _monomial_numerator(plus, memo, pm)
-    n_quo = _monomial_numerator(quo, memo, pm)
-    out = dict(n_plus)
-    for e, c in n_quo.items():
-        out[e + piv_exp] = out.get(e + piv_exp, 0) + c
-    out = {e: c for e, c in out.items() if c}
-    memo[mons] = out
-    return out
+    out = {0: 1}
+    if n == 2:
+        top = None  # the second exponent of the last corner
+        for a, b in sorted(gens):
+            if top is None or b < top:
+                if top is not None:
+                    out[a + top] = out.get(a + top, 0) + 1
+                out[a + b] = out.get(a + b, 0) - 1
+                top = b
+        return {e: c for e, c in out.items() if c}
+    v = min(range(n), key=lambda i: len({g[i] for g in gens}))
+    levels: dict = {}
+    for g in gens:
+        levels.setdefault(g[v], []).append(g[:v] + g[v + 1 :])
+    below: list = []
+    prev = {0: 1}
+    for l in sorted(levels):
+        below += levels[l]
+        cur = _monomial_numerator(below)
+        for e, c in cur.items():
+            out[e + l] = out.get(e + l, 0) + c
+        for e, c in prev.items():
+            out[e + l] = out.get(e + l, 0) - c
+        prev = cur
+    return {e: c for e, c in out.items() if c}
 
 
-def _lead_series(leads: dict, twists: tuple, nvars: int, memo: dict, pm: PackedMonomials) -> HilbertSeries:
+def _lead_series(leads: dict, twists: tuple, nvars: int, pm: PackedMonomials) -> HilbertSeries:
     """Hilbert series of F/(leads), F = sum_j S(-twists[j]).
 
-    leads maps each component to the minimal generators of a lead
-    module there, packed by pm and ascending (GroebnerBasis.packed_leads);
-    memo caches monomial-ideal numerators and may be shared by calls.
+    leads maps each component to a generating set of a monomial module
+    there, packed ints that pm unpacks (GroebnerBasis.packed_leads, or
+    those leads with an exponent cut to 0); neither minimality nor
+    order matters. Ints packed in another layout unpack with their
+    variables permuted, which leaves each numerator unchanged.
     """
     total: dict = {}
     for j, e in enumerate(twists):
-        for d, c in _monomial_numerator(leads[j], memo, pm).items():
+        for d, c in _monomial_numerator([pm.unpack(m) for m in leads[j]]).items():
             k = d + e
             total[k] = total.get(k, 0) + c
     return HilbertSeries.from_dict(total, nvars)
@@ -261,12 +242,11 @@ def _lead_series(leads: dict, twists: tuple, nvars: int, memo: dict, pm: PackedM
 def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSeries:
     """Hilbert series of F/U, F = sum_j S(-twists[j]), U given by spanning set.
 
-    Computed from the lead module of a Groebner basis componentwise;
-    exact integer numerator over (1-t)^nvars.
+    Read off the leads of U's Groebner basis, one component at a time,
+    by the slicing of _monomial_numerator: an exact integer numerator
+    over (1-t)^nvars.
     """
-    gb = U.groebner(budget)
-    nvars = U.ring.nvars
-    return _lead_series(gb.packed_leads(), U.twists, nvars, {}, PackedMonomials(nvars))
+    return _lead_series(U.groebner(budget).packed_leads(), U.twists, U.ring.nvars, U.ring.pm)
 
 
 def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> int:
@@ -408,7 +388,8 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
     others in index order. In grevlex with l last,
     in(U : l^inf) = in(U) : l^inf (Bayer-Stillman), so one basis gives
     HS(F/U) from its leads and HS(F/(U : l^inf)) from the same leads
-    with the l-exponent set to 0. U : l^inf contains sat(U); when the
+    with the l-exponent set to 0, a generating set that _lead_series
+    takes as it is. U : l^inf contains sat(U); when the
     difference has pole order 0, (U : l^inf)/U has finite length, so it
     lies in sat(U) and the two are equal.
 
@@ -420,18 +401,16 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
     W = sat(U). The last variable always gets there, because
     H^0_m(F/U) = sat(U)/U has finite length.
     """
-    nvars = U.ring.nvars
-    pm = PackedMonomials(nvars)
-    memo: dict = {}
+    nvars, pm = U.ring.nvars, U.ring.pm
     # sets the l-exponent to 0: l has the top field in its basis's layout
     keep = pm.low >> EXP_BITS
     order = (nvars - 1, *range(nvars - 1))
     for i in order:
         gb = U.groebner(budget, last=i)
         leads = gb.packed_leads()
-        cut = {j: tuple(pm.minimal(sorted(m & keep for m in mons))) for j, mons in leads.items()}
-        hs = _lead_series(leads, U.twists, nvars, memo, pm)
-        torsion = hs.sub(_lead_series(cut, U.twists, nvars, memo, pm)).reduced()
+        cut = {j: [m & keep for m in mons] for j, mons in leads.items()}
+        hs = _lead_series(leads, U.twists, nvars, pm)
+        torsion = hs.sub(_lead_series(cut, U.twists, nvars, pm)).reduced()
         if torsion.denom_power == 0:
             return SaturationCertificate((i,), gb, torsion)
     first = U.groebner(budget, last=order[0])

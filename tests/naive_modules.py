@@ -136,3 +136,41 @@ def taylor_numerator(gens, nvars):
         d = sum(lcm)
         out[d] = out.get(d, 0) + sign
     return {d: c for d, c in out.items() if c}
+
+
+def staircase_dimension(gens, nvars, degree):
+    """Number of degree-`degree` monomials in nvars variables that no
+    generator divides: the dimension of that piece of S/(gens).
+
+    gens are exponent tuples, any generating set. x^a * m' is divisible
+    by a generator g iff g_0 <= a and g' | m', so the count runs over
+    the first exponent a with the generators that allow it, and stops
+    once one of them is 1 in the other variables: it divides everything
+    from there on. In two variables it sweeps x^b * y^(degree-b) with b
+    rising, keeping the least y-exponent among generators with
+    x-exponent <= b. Unlike taylor_numerator it scales to hundreds of
+    generators, for the lead sets of large Frobenius powers.
+    """
+    if degree < 0:
+        return 0
+    if nvars == 1:
+        return 0 if any(g[0] <= degree for g in gens) else 1
+    if nvars == 2:
+        by_x = sorted(gens)
+        least_y = None
+        k = count = 0
+        for b in range(degree + 1):
+            while k < len(by_x) and by_x[k][0] <= b:
+                if least_y is None or by_x[k][1] < least_y:
+                    least_y = by_x[k][1]
+                k += 1
+            if least_y is None or least_y > degree - b:
+                count += 1
+        return count
+    count = 0
+    for a in range(degree + 1):
+        rest = [g[1:] for g in gens if g[0] <= a]
+        if any(not any(r) for r in rest):
+            break
+        count += staircase_dimension(rest, nvars - 1, degree - a)
+    return count

@@ -92,9 +92,6 @@ def test_packed_monomials_match_tuples(cols):
     lcm = tuple(max(x, y) for x, y in zip(a, b))
     assert pm.unpack(pm.lcm(pa, pb)) == lcm
     assert pm.degree(pm.lcm(pa, pb)) == sum(lcm)
-    gcd = tuple(min(x, y) for x, y in zip(a, b))
-    assert pm.unpack(pm.gcd(pa, pb)) == gcd
-    assert (pm.gcd(pa, pb) == 0) == all(not (x and y) for x, y in zip(a, b))
     # minimal generators: the distinct monomials no other one strictly divides
     c = tuple(x if i % 2 else y for i, (x, y) in enumerate(cols))
     d = tuple(y if i % 2 else x for i, (x, y) in enumerate(cols))

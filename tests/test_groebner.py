@@ -407,7 +407,7 @@ def test_every_last_variable_gives_a_basis_in_its_order(data, p, twists, relatio
         for vec, lead in zip(gb.vectors, gb.lead_terms()):
             terms = [(j, m) for j, f in enumerate(vec.components) for m, _ in f.terms()]
             assert max(terms, key=order) == lead, (last, str(vec))
-        assert _lead_series(gb.packed_leads(), twists, 3, {}, pm) == series, last
+        assert _lead_series(gb.packed_leads(), twists, 3, pm) == series, last
         assert [gb.contains(v) for v in probes] == members, last
 
 

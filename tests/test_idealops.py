@@ -19,6 +19,7 @@ from ghk.groebner import GbBudget, ModVector, Submodule, _Ctx, _monic_record, bu
 from ghk.idealops import (
     HilbertSeries,
     RingSpec,
+    _monomial_numerator,
     bracket_power,
     certify_saturation,
     colength_difference,
@@ -32,7 +33,12 @@ from ghk.idealops import (
     smoothness_check,
 )
 
-from naive_modules import free_module_dimension, naive_graded_dimension, taylor_numerator
+from naive_modules import (
+    free_module_dimension,
+    naive_graded_dimension,
+    staircase_dimension,
+    taylor_numerator,
+)
 from naive_poly import monomials_of_degree
 
 
@@ -129,12 +135,20 @@ def test_series_bruteforce_module_case():
         assert hs.coefficient(d) == free - used
 
 
-# exponents past 343 = 7^3; half of them small, so that generators share variables
-_monomial_ideals = st.integers(2, 4).flatmap(
+# exponents past 343 = 7^3; half of them small, so that generators share
+# variables. Generating sets need not be minimal: the cut leads of
+# certify_saturation reach the numerator as they are, so repeats and
+# multiples of drawn generators join them.
+_monomial_ideals = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 400))] * n),
         min_size=1,
         max_size=7,
+    ).flatmap(
+        lambda gens: st.lists(
+            st.tuples(st.sampled_from(gens), st.tuples(*[st.integers(0, 3)] * n)),
+            max_size=4,
+        ).map(lambda extra: gens + [tuple(a + b for a, b in zip(g, m)) for g, m in extra])
     )
 )
 
@@ -147,17 +161,79 @@ def test_monomial_ideal_series_match_the_taylor_oracle(gens):
     hs = hilbert_series(Submodule.ideal(ring, [ring.monomial(m) for m in gens]))
     assert hs.denom_power == nvars
     assert hs.as_dict() == taylor_numerator(gens, nvars)
+    assert _monomial_numerator(gens) == taylor_numerator(gens, nvars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_ideals.flatmap(lambda gens: st.tuples(st.just(gens), st.permutations(range(len(gens[0]))))))
+def test_monomial_numerator_is_invariant_under_permuted_variables(case):
+    # the slicer picks the variable with the fewest distinct exponents,
+    # the lowest index on a tie, so a permutation moves its choice
+    gens, perm = case
+    permuted = [tuple(g[i] for i in perm) for g in gens]
+    assert _monomial_numerator(permuted) == _monomial_numerator(gens)
 
 
 def test_numerator_recursion_depth_does_not_grow_with_exponents():
-    # A pivot rule that steps down one exponent per level recursed 1153
-    # deep on this ideal. Outside Hypothesis, which raises the recursion
-    # limit while it runs a test, that is a RecursionError.
+    # Slicing recurses at most nvars - 2 deep, whatever the exponents.
+    # A rule that stepped down one exponent per level recursed 1153 deep
+    # on this ideal. Outside Hypothesis, which raises the recursion limit
+    # while it runs a test, that is a RecursionError.
     gens = [(0, 297, 3, 400), (400, 5, 1, 1), (2, 1, 362, 1), (400, 51, 1, 0),
             (400, 1, 1, 2), (1, 2, 355, 0), (0, 332, 1, 2)]
     ring = PolyRing(7, ["a", "b", "c", "d"])
     hs = hilbert_series(Submodule.ideal(ring, [ring.monomial(m) for m in gens]))
     assert hs.as_dict() == taylor_numerator(gens, 4)
+
+
+def _staircase_ideals(shape: str) -> list:
+    """Monomial generating sets too large for the Taylor oracle: seeded
+    random ones in three variables, the shape of the lead sets of
+    hk_value on the Fermat cubic, where x^3 bounds the first exponent,
+    those lead sets themselves, and those of hk_value on a 4-variable
+    cone, two quadrics over F_7, which is worked over S in all four."""
+    if "_q" in shape:
+        name, q = shape.split("_q")
+        if name == "hk":
+            R = RingSpec(19, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+        else:
+            R = RingSpec(7, ["x", "y", "z", "w"], ["x^2 + y^2 - z*w", "x*y + z^2 + 3*w^2"])
+        gb = bracket_power(R.ideal(R.variables), int(q)).groebner()
+        return [[lead for _, lead in gb.lead_terms()]]
+    rng = random.Random(f"staircase-{shape}")
+    out = []
+    for k in range(6):
+        gens = []
+        for _ in range(rng.randint(20, 80)):
+            # degrees 15..18: few generators divide another
+            d = rng.randint(15, 18)
+            x = rng.randint(0, 3) if shape == "hk" else rng.randint(0, d)
+            y = rng.randint(0, d - x)
+            gens.append((x, y, d - x - y))
+        if shape == "hk":
+            gens.append((3, 0, 0))
+        if k % 2:  # finite colength
+            gens += [(rng.randint(16, 24), 0, 0), (0, rng.randint(16, 24), 0), (0, 0, rng.randint(16, 24))]
+        gens += [rng.choice(gens) for _ in range(5)]
+        out.append(gens)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["random", "hk", "hk_q19", "hk_q361", "quadrics_q7", "quadrics_q49"])
+def test_numerators_of_large_lead_sets_match_the_staircase_oracle(shape):
+    # every numerator has degree at most that of the lcm of all
+    # generators (Taylor), so equal coefficients up to there make the
+    # numerators equal; for a finite colength, such as the hk leads',
+    # that runs past the socle degree
+    for gens in _staircase_ideals(shape):
+        n = len(gens[0])
+        ring = PolyRing(19, ["x", "y", "z", "w"][:n])
+        top = sum(max(g[i] for g in gens) for i in range(n))
+        hs = hilbert_series(Submodule.ideal(ring, [ring.monomial(m) for m in gens]))
+        assert hs.as_dict() == _monomial_numerator(gens)
+        assert max(hs.as_dict(), default=0) <= top
+        for d in range(top + 1):
+            assert hs.coefficient(d) == staircase_dimension(gens, n, d), d
 
 
 def test_colength_infinite_detected():
