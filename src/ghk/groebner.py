@@ -64,20 +64,33 @@ x-exponent at 2). With two variables or fewer there is one bucket. The
 bucket keys are kept sorted, and a divisor's key is never a larger
 int, so a query tests the keys up to the term's own and visits the
 buckets whose key divides it. Inside a bucket, where divisibility is a
-2-D staircase question, the leads are sorted by the `last` exponent
-with a running minimum of the other one: one bisect and one compare
-decide whether a lead there divides the term, and the running minimum
-names it. The engine adds each lead as it installs the record, and
-later inserts recompute the running minimum from their position on.
+2-D staircase question, the leads are sorted by the `last` exponent,
+then the other one, with a running minimum of the other one: one
+bisect and one compare decide whether a lead there divides the term,
+and the running minimum names it. The engine adds each lead as it
+installs the record, and later inserts recompute the running minimum
+from their position on.
 Which divisor the query returns is deterministic but otherwise
 arbitrary. The records a run installs may depend on it, but the
 remainder modulo a Groebner basis is unique whichever divisor each
 step uses, so the minimal basis's leads, the reduced basis, normal
 forms and every length do not.
 
-Pairs are kept in a dict for the chain criterion and picked from a heap
-of (degree, i, j) with lazy deletion; a pair key is never reinserted,
-so the heap reproduces the degree-then-index order exactly.
+The Gebauer-Moller pair update asks the same index for the new lead's
+staircase neighbours instead of taking an lcm with every earlier lead
+of its component. The minimal syzygies of a monomial ideal join
+neighbouring corners of its staircase, and inside a bucket the lcms
+with the new lead differ only in the two staircase fields, so a walk
+from the new lead's `last` exponent upward finds a member of every
+minimal lcm (_DivisorIndex gives the argument). Of an equal-lcm class
+the pair with the member of smallest lead, then smallest position,
+is kept; the class is dropped, for an ideal, when some member is
+coprime to the new lead, which is when the lcm minus the new lead is a
+lead of the component. The chain criterion takes an lcm only for the
+live pairs whose lcm the new lead divides. Pairs are kept in a dict for
+that criterion and picked from a heap of (degree, i, j) with lazy
+deletion; a pair key is never reinserted, so the heap reproduces the
+degree-then-index order exactly.
 """
 
 from __future__ import annotations
@@ -331,22 +344,46 @@ class _Ctx:
 
 
 class _DivisorIndex:
-    """The leads of monic basis records, indexed for divisor queries.
+    """The leads of monic basis records, indexed for divisor and
+    neighbour queries.
 
     records holds the records in the order added (a list that is never
-    rebound, since divisor reads it) and members maps a component to the
-    positions of its records, ascending. divisor(k) returns a record
-    whose lead divides the term of key k (same component, dividing
-    monomial), or None.
+    rebound, since divisor reads it) and leads maps a component to the
+    set of its records' leads. divisor(k) returns a record whose lead
+    divides the term of key k (same component, dividing monomial), or
+    None; neighbours(comp, mon) names the records whose lcm with mon the
+    pair update needs.
 
     Per component the leads are bucketed on their exponents outside the
-    two staircase fields (the top two: `last` and the variable compared
-    right after it), the buckets sorted by key. A bucket keeps its leads
-    sorted by the `last` field, with a running minimum of the other
-    field and the position that first attains it.
+    two staircase fields (the top two: `last`, field a, and the variable
+    compared right after it, field b), the buckets sorted by key. A
+    bucket keeps its leads sorted by (a, b), then by position, with a
+    running minimum of b and the position that first attains it.
+
+    Why neighbours finds every minimal lcm. Write a_h, b_h for the two
+    staircase exponents of the new lead h. In a bucket every lead has the
+    same exponents outside a and b, so lcm(h, g) has the same outer part
+    for every g there, and inside the bucket minimality is a 2-D
+    staircase question on (max(a, a_h), max(b, b_h)).
+
+    - The leads with a <= a_h all give a_h, and the least of their lcms
+      comes from the least b, which the running minimum names. When that
+      b is at most b_h, every lead there with b <= b_h gives the
+      bucket's least lcm, and the first of them is where the running
+      minimum first reaches b_h.
+    - The leads with a > a_h are walked in order, keeping each whose
+      max(b, b_h) drops strictly below every value seen so far (the
+      first part's included), until that value reaches b_h, below which
+      none can go.
+
+    A globally minimal lcm is minimal inside every bucket that holds a
+    member of it, so each such bucket yields a member: its first one in
+    the bucket's (a, b, position) order. The leads of a bucket differ
+    only in a and b, so that is the bucket's member with the smallest
+    lead, then the smallest position.
     """
 
-    __slots__ = ("records", "members", "divisor", "_comps", "_outer", "_a", "_b")
+    __slots__ = ("records", "leads", "divisor", "_comps", "_outer", "_a", "_b")
 
     def __init__(self, ctx: _Ctx, records: Iterable[tuple] = ()):
         low = ctx.pm.low
@@ -355,7 +392,7 @@ class _DivisorIndex:
         self._b = (low >> EXP_BITS) ^ (low >> 2 * EXP_BITS)
         self._outer = low >> 2 * EXP_BITS
         self.records: list = []
-        self.members: dict = {}
+        self.leads: dict = {}
         self._comps: dict = {}  # component -> (bucket keys, buckets), parallel
 
         def divisor(
@@ -368,11 +405,11 @@ class _DivisorIndex:
             mon = _low - ((k >> _cb) & _low)  # as _Ctx.split
             outer = mon & _o
             og = outer | _g
-            a = mon & _a
+            ab = (mon & _a) | _b  # no smaller than the (a, b) of a lead with a <= mon's
             b = mon & _b
-            for key, avals, best, _ in comp[1]:
+            for key, abvals, best, _ in comp[1]:
                 if (og - key) & _g == _g:
-                    i = bisect_right(avals, a)
+                    i = bisect_right(abvals, ab)
                     if i and best[i - 1][0] <= b:
                         return _records[best[i - 1][1]]
                 elif key > outer:
@@ -390,17 +427,17 @@ class _DivisorIndex:
         pos = len(self.records)
         self.records.append(rec)
         cp, mon = rec[1], rec[2]
-        self.members.setdefault(cp, []).append(pos)
+        self.leads.setdefault(cp, set()).add(mon)
         keys, buckets = self._comps.setdefault(cp, ([], []))
         key = mon & self._outer
         i = bisect_left(keys, key)
         if i == len(keys) or keys[i] != key:
             keys.insert(i, key)
             buckets.insert(i, (key, [], [], []))
-        _, avals, best, items = buckets[i]
-        a = mon & self._a
-        j = bisect_right(avals, a)
-        avals.insert(j, a)
+        _, abvals, best, items = buckets[i]
+        ab = mon & (self._a | self._b)
+        j = bisect_right(abvals, ab)
+        abvals.insert(j, ab)
         items.insert(j, (mon & self._b, pos))
         # the running minimum changes from the insertion point on
         cur = best[j - 1] if j else items[j]
@@ -410,6 +447,42 @@ class _DivisorIndex:
                 cur = item
             tail.append(cur)
         best[j:] = tail
+
+    def neighbours(self, comp: int, mon: int) -> list:
+        """Positions of the records of component comp whose lcms with mon
+        include, for every minimal lcm, its member with the smallest
+        lead, then the smallest position (the class argument above).
+        Some of the lcms may be non-minimal; the caller filters them."""
+        entry = self._comps.get(comp)
+        if entry is None:
+            return []
+        ab = (mon & self._a) | self._b
+        b = mon & self._b
+        near = []
+        for _, abvals, best, items in entry[1]:
+            i = bisect_right(abvals, ab)
+            if i:
+                low, pos = best[i - 1]
+                if low <= b:
+                    # the least lcm (a_h, b_h): its smallest member is the
+                    # first lead with b <= b_h, where the minimum first gets there
+                    near.append(best[bisect_left(best, -b, 0, i, key=_negated_b)][1])
+                    continue
+                near.append(pos)
+                cur = low
+            else:
+                cur = self._b + 1  # above every b
+            for bb, pos in items[i:]:
+                if bb < cur:
+                    near.append(pos)
+                    if bb <= b:
+                        break
+                    cur = bb
+        return near
+
+
+def _negated_b(item: tuple) -> int:
+    return -item[0]
 
 
 def _reduce(seeds, index: _DivisorIndex, p, full=True):
@@ -479,46 +552,50 @@ def _record_terms(rec: tuple) -> tuple:
 
 
 def _update_pairs(
-    G: list,
+    index: _DivisorIndex,
     P: dict,
     heap: list,
-    t: int,
-    peers: Iterable[int],
+    hc: int,
+    hm: int,
     twists: tuple,
     rank: int,
     pm: PackedMonomials,
 ) -> None:
-    """Install pairs (i, t); apply lcm, duplicate, product, chain filters.
+    """Install the pairs (i, t) of a new lead hm of component hc, t the
+    position its record takes when it is added to index next; apply the
+    lcm, duplicate, product and chain filters.
 
-    peers: the positions i < t of the records in G[t]'s component,
-    ascending, so that the first i seen with an lcm is the smallest. P
-    maps a live pair (i, j) to its packed lcm; heap gets (degree, i, j)
-    for each new pair. Of the pairs (i, t), one per minimal lcm survives
-    (the smallest i); PackedMonomials.minimal finds the minimal lcms in
-    one pass over the distinct ones in ascending packed value.
+    The peers are read through index.neighbours(hc, hm), which walks
+    each bucket's staircase from hm's `last` exponent upward and keeps
+    the leads whose lcm with hm drops. A globally minimal lcm is minimal
+    in every bucket that holds a member of it, so the neighbours hold,
+    for each minimal lcm, its member with the smallest lead and then the
+    smallest i (_DivisorIndex states the argument). One lcm per
+    neighbour and PackedMonomials.minimal over the distinct ones give
+    every minimal lcm with that representative; no other peer is read.
+    P maps a live pair (i, j) to its packed lcm; heap gets (degree, i, j)
+    for each new pair. The chain criterion takes lcm(hm, g) only for the
+    live pairs whose lcm hm divides.
     """
+    G = index.records
+    t = len(G)
     guard = pm.guard
-    hrec = G[t]
-    hc, hm = hrec[1], hrec[2]
     lcm_of = pm.lcm
-    lcms: dict = {}
-    first: dict = {}  # distinct lcm -> smallest i with that lcm
-    coprime: set = set()
-    for i in peers:
+    rep: dict = {}  # distinct lcm -> (lead, i) of its smallest neighbour
+    for i in index.neighbours(hc, hm):
         gm = G[i][2]
         lcm = lcm_of(hm, gm)
-        lcms[i] = lcm
-        if lcm not in first:
-            first[lcm] = i
-        if lcm == gm + hm:
-            coprime.add(lcm)
-    for lcm in pm.minimal(sorted(first)):
-        # coprime-lead criterion is sound only for ideals: if any member
-        # of an equal-lcm class has lcm == product, the whole class
-        # reduces to zero.
-        if rank == 1 and lcm in coprime:
+        old = rep.get(lcm)
+        if old is None or (gm, i) < old:
+            rep[lcm] = (gm, i)
+    for lcm in pm.minimal(sorted(rep)):
+        # coprime-lead criterion, sound only for ideals: if any member of
+        # an equal-lcm class has lcm == product, the whole class reduces
+        # to zero. That member's lead is lcm - hm, and a lead of hc equal
+        # to it has lcm(hm, lead) dividing the minimal lcm, so equal to it.
+        if rank == 1 and lcm - hm in index.leads[hc]:
             continue
-        i = first[lcm]
+        i = rep[lcm][1]
         P[(i, t)] = lcm
         heappush(heap, (pm.degree(lcm) + twists[hc], i, t))
     # chain criterion against existing pairs
@@ -527,7 +604,12 @@ def _update_pairs(
         if ((lij | guard) - hm) & guard != guard:
             continue
         i, j = ij
-        if j != t and G[i][1] == hc and lcms[i] != lij and lcms[j] != lij:
+        if (
+            j != t
+            and G[i][1] == hc
+            and lcm_of(hm, G[i][2]) != lij
+            and lcm_of(hm, G[j][2]) != lij
+        ):
             dead.append(ij)
     for ij in dead:
         del P[ij]
@@ -552,9 +634,8 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
 
     def install(terms: tuple) -> None:
         rec = _monic_record(ctx, terms)
+        _update_pairs(index, P, heap, rec[1], rec[2], ctx.twists, ctx.rank, pm)
         index.add(rec)
-        peers = index.members[rec[1]]
-        _update_pairs(G, P, heap, peers[-1], peers[:-1], ctx.twists, ctx.rank, pm)
 
     for terms in vec_terms:
         if not terms:
@@ -594,10 +675,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
 
     # minimal lead set: the leads are distinct, so keep the records
     # whose lead is a minimal generator of its component's lead ideal
-    minimal = {
-        cp: set(pm.minimal(sorted(G[i][2] for i in peers)))
-        for cp, peers in index.members.items()
-    }
+    minimal = {cp: set(pm.minimal(sorted(leads))) for cp, leads in index.leads.items()}
     return sorted((rec for rec in G if rec[2] in minimal[rec[1]]), key=lambda rec: rec[0])
 
 

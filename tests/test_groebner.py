@@ -16,7 +16,7 @@ from ghk.errors import (
     HomogeneityError,
     RingMismatchError,
 )
-from ghk.frobmod import hk_value
+from ghk.frobmod import ghk_value, hk_value, presentation_of_quotient
 from ghk.groebner import (
     GbBudget,
     GroebnerBasis,
@@ -336,6 +336,51 @@ def test_leads_only_callers_never_interreduce(interreduce_calls):
     assert interreduce_calls == []
 
 
+# ---------------------------------------------------------------------------
+# reduction counts
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """(number of seeds, remainder is zero) for every _reduce call: an
+    S-pair reduction has two seeds, an input or a tail one."""
+    calls = []
+    real = groebner._reduce
+
+    def counting(seeds, *args):
+        seeds = list(seeds)
+        out = real(seeds, *args)
+        calls.append((len(seeds), not out))
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "route, pairs, zeros",
+    [
+        # (x, y, z) of the Fermat cubic over F_19 at q = 361, over S
+        ("hk", 353, 178),
+        # the Fermat point (z, x + y) over F_7 at q = 343, over A
+        ("point", 242, 3),
+    ],
+)
+def test_pair_update_reduces_no_more_s_pairs(reduce_calls, route, pairs, zeros):
+    # the counts are ceilings: a sharper pair filter may reduce fewer
+    # S-pairs, a pair filter that misses a criterion reduces more
+    if route == "hk":
+        R = RingSpec(19, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+        assert hk_value(R.ideal(["x", "y", "z"]), 2) == (9 * 361**2 - 5) // 4
+    else:
+        R = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+        P = presentation_of_quotient(R.ideal(["z", "x + y"]), R)
+        assert ghk_value(P, 3) == 4 * (343**2 - 1) // 3
+    s_pairs = [zero for n, zero in reduce_calls if n == 2]
+    assert len(s_pairs) <= pairs
+    assert sum(s_pairs) <= zeros
+
+
 @st.composite
 def homogeneous_polys(draw, ring, deg):
     if deg < 0:
@@ -523,11 +568,15 @@ def _reference_update_pairs(leads, P, t, rank):
     hc, hm = leads[t]
     cand = [i for i in range(t) if leads[i][0] == hc]
     lcms = {i: tuple(max(x, y) for x, y in zip(leads[i][1], hm)) for i in cand}
+    # an equal-lcm class keeps its member with the smallest lead in the
+    # packed order (the last variable's exponent first, then the others
+    # from the last down), then the smallest i
     keep = [
         i
         for i in cand
         if not any(
-            (lcms[j] != lcms[i] and divides(lcms[j], lcms[i])) or (lcms[j] == lcms[i] and j < i)
+            (lcms[j] != lcms[i] and divides(lcms[j], lcms[i]))
+            or (lcms[j] == lcms[i] and (leads[j][1][::-1], j) < (leads[i][1][::-1], i))
             for j in cand
             if j != i
         )
@@ -547,20 +596,24 @@ def _reference_update_pairs(leads, P, t, rank):
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_linear_pass_pair_filter_matches_quadratic_definition(rank):
+    # the production path: leads go through the divisor index and the
+    # pair update sees only the index's neighbours
     rng = random.Random(20 + rank)
-    pm = PackedMonomials(3)
     twists = tuple(range(rank))
-    for trial in range(12):
+    ctx = groebner._Ctx(PolyRing(7, ["x", "y", "z"]), twists)
+    pm = ctx.pm
+    for trial in range(30):
         leads = [
             (rng.randrange(rank), tuple(rng.randrange(5) for _ in range(3)))
             for _ in range(rng.randrange(2, 30))
         ]
-        G, P, heap, ref = [], {}, [], {}
+        index = groebner._DivisorIndex(ctx)
+        P, heap, ref = {}, [], {}
         for t, (comp, mon) in enumerate(leads):
-            G.append((0, comp, pm.pack(mon), (), 0))
+            hm = pm.pack(mon)
             before = set(P)
-            peers = [i for i in range(t) if leads[i][0] == comp]
-            _update_pairs(G, P, heap, t, peers, twists, rank, pm)
+            _update_pairs(index, P, heap, comp, hm, twists, rank, pm)
+            index.add((t, comp, hm, ()))
             _reference_update_pairs(leads, ref, t, rank)
             assert {ij: pm.unpack(lcm) for ij, lcm in P.items()} == ref, (trial, t)
             new = {(i, j): d for d, i, j in heap if (i, j) not in before and (i, j) in P}
@@ -617,9 +670,37 @@ def test_divisor_index_finds_a_divisor_exactly_when_the_scan_does(run):
                 assert found is not None and found[0] in scan
                 assert found is index.records[found[0]]
                 assert index.divisor(k) is found
-    assert index.members == {
-        cp: [r for r, (c, _) in enumerate(added) if c == cp] for cp in {c for c, _ in added}
+    assert index.leads == {
+        cp: {pm.pack(m) for c, m in added if c == cp} for cp in {c for c, _ in added}
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_runs())
+def test_neighbours_give_every_minimal_lcm_and_the_coprime_verdict(run):
+    # leads may be superseded by later ones, repeat inside a component
+    # and repeat across components
+    nvars, last, rank, steps = run
+    ring = PolyRing(7, [f"v{i}" for i in range(nvars)])
+    ctx = groebner._Ctx(ring, tuple(range(rank)), last, eliminate=1)
+    pm = ctx.pm
+    index = groebner._DivisorIndex(ctx)
+    for mon, comps, _ in steps:
+        hm = pm.pack(mon)
+        for cp in sorted(comps):
+            peers = [(r[2], i) for i, r in enumerate(index.records) if r[1] == cp]
+            minimal = pm.minimal(sorted({pm.lcm(hm, g) for g, _ in peers}))
+            near = index.neighbours(cp, hm)
+            assert all(index.records[i][1] == cp for i in near)
+            assert pm.minimal(sorted({pm.lcm(hm, index.records[i][2]) for i in near})) == minimal
+            leads = index.leads.get(cp, set())
+            for L in minimal:
+                members = [(g, i) for g, i in peers if pm.lcm(hm, g) == L]
+                # the class's smallest member is a neighbour
+                assert min(members)[1] in near
+                coprime = any(g + hm == L for g, _ in members)
+                assert (L - hm in leads) == coprime
+            index.add((len(index.records), cp, hm, ()))
 
 
 # ---------------------------------------------------------------------------
