@@ -220,7 +220,10 @@ def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
 
     The length is read from the certified Hilbert series difference of
     certify_saturation: one basis of U when a single variable
-    certifies, else the intersection of the variable saturations.
+    certifies, else one basis of U per variable plus, for each variable
+    met, a basis of a sum that the modular law turns into the series of
+    the meet. Over A, or in any ring of two variables, no elimination
+    runs.
     """
     P.rspec.require_dim2()
     return certify_saturation(pullback_image(P, e), budget).length

@@ -25,10 +25,12 @@ Design rules enforced here:
   twists: certify_saturation looks for a variable l whose basis
   U.groebner(last=l), in grevlex with l compared last, proves
   U : l^inf = sat(U) by a pole-order-0 Hilbert series difference, and
-  when none does alone, intersects the U : l^inf until the difference
-  has pole order 0. Rings carry no term order; a basis is the only
-  place one is chosen. saturate_by_colon is the reference route that
-  tests pin saturate against, and the only route for any other ideal.
+  when none does alone, meets the U : l^inf until the difference has
+  pole order 0, reading each meet's series by the modular law from one
+  basis of a sum; only saturate, which returns the module, intersects
+  them all. Rings carry no term order; a basis is the only place one
+  is chosen. saturate_by_colon is the reference route that tests pin
+  saturate against, and the only route for any other ideal.
 * The one exception to implicit quotient rings: a hypersurface in three
   variables may be read as a free module over a Noether normalization
   A = F_p[x, y] (RingSpec.noether_normalization), and frobmod.ghk_value
@@ -51,7 +53,6 @@ from .errors import (
 )
 from .groebner import (
     GbBudget,
-    GroebnerBasis,
     ModVector,
     Submodule,
     _preimage,
@@ -359,17 +360,12 @@ def _ideal_generators(ring: PolyRing, J, relations) -> list:
 
 class SaturationCertificate(Record):
     """Proof that sat(U) is the intersection of the U : l^inf over the
-    variables l in `variables`, in the order tried.
-
-    gb is U.groebner(last=variables[0]); with one variable l it alone
-    gives U : l^inf = sat(U), with several meet is the intersection,
-    its basis installed. torsion is HS(sat(U)/U) at pole order 0.
+    variables l in `variables`, in the order tried; torsion is
+    HS(sat(U)/U) at pole order 0.
     """
 
     variables: tuple
-    gb: GroebnerBasis
     torsion: HilbertSeries
-    meet: Submodule | None = None
 
     def __post_init__(self):
         if self.length < 0:
@@ -384,59 +380,69 @@ class SaturationCertificate(Record):
 def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> SaturationCertificate:
     """Certify sat(U) from the bases U.groebner(budget, last=l).
 
-    Tries the ring's last variable first (U's default basis), then the
-    others in index order. In grevlex with l last,
-    in(U : l^inf) = in(U) : l^inf (Bayer-Stillman), so one basis gives
-    HS(F/U) from its leads and HS(F/(U : l^inf)) from the same leads
-    with the l-exponent set to 0, a generating set that _lead_series
-    takes as it is. U : l^inf contains sat(U); when the
-    difference has pole order 0, (U : l^inf)/U has finite length, so it
-    lies in sat(U) and the two are equal.
+    Each M containing U that is an intersection of some U : l^inf
+    contains sat(U), and when HS(F/U) - HS(F/M) has pole order 0, M/U
+    has finite length, so it lies in H^0_m(F/U) = sat(U)/U and
+    M = sat(U); the torsion is that difference.
 
-    When no variable does that alone, sat(U) is the intersection of all
-    U : l^inf, each spanned by its basis divided out: a v with
-    l^(k_l)*v in U for every l is killed by m^(sum k_l). They are
-    intersected in the order tried, up to the first intersection W with
-    HS(F/U) - HS(F/W) of pole order 0; W contains sat(U), so then
-    W = sat(U). The last variable always gets there, because
-    H^0_m(F/U) = sat(U)/U has finite length.
+    Tries each variable alone first: the ring's last variable (U's
+    default basis), then the others in index order. In grevlex with l
+    last, in(U : l^inf) = in(U) : l^inf (Bayer-Stillman), so one basis
+    gives HS(F/(U : l^inf)) from its leads with the l-exponent set to
+    0, a generating set that _lead_series takes as it is; HS(F/U) is
+    read from the first basis's leads.
+
+    When none does alone, the U : l^inf are met in the order tried, up
+    to the first M that certifies. The last variable always gets there:
+    a v with l^(k_l)*v in U for every l is killed by m^(sum k_l), so
+    the meet of all of them is sat(U). No meet is built for its series:
+    for graded submodules W and D of F, the modular law
+    dim(W cap D)_n = dim W_n + dim D_n - dim(W + D)_n gives
+    HS(F/(W cap D)) = HS(F/W) + HS(F/D) - HS(F/(W + D)), with W the
+    meet so far and D = U : l^inf, so a further variable costs one
+    basis of W + D in F. W itself is intersected (one elimination)
+    only when yet another variable has to be tried: the lattice of
+    submodules is not distributive, so the law does not extend to
+    three terms.
     """
     nvars, pm = U.ring.nvars, U.ring.pm
     # sets the l-exponent to 0: l has the top field in its basis's layout
     keep = pm.low >> EXP_BITS
     order = (nvars - 1, *range(nvars - 1))
+    hs = None
+    cut = {}  # l -> HS(F/(U : l^inf))
     for i in order:
-        gb = U.groebner(budget, last=i)
-        leads = gb.packed_leads()
-        cut = {j: [m & keep for m in mons] for j, mons in leads.items()}
-        hs = _lead_series(leads, U.twists, nvars, pm)
-        torsion = hs.sub(_lead_series(cut, U.twists, nvars, pm)).reduced()
+        leads = U.groebner(budget, last=i).packed_leads()
+        if hs is None:
+            hs = _lead_series(leads, U.twists, nvars, pm)
+        cut[i] = _lead_series({j: [m & keep for m in ms] for j, ms in leads.items()}, U.twists, nvars, pm)
+        torsion = hs.sub(cut[i]).reduced()
         if torsion.denom_power == 0:
-            return SaturationCertificate((i,), gb, torsion)
-    first = U.groebner(budget, last=order[0])
-    W = _divide_out(U, first, order[0])
+            return SaturationCertificate((i,), torsion)
+    # W is the meet so far, met its series HS(F/W)
+    W, met = _divide_out(U, order[0], budget), cut[order[0]]
     for k, i in enumerate(order[1:], 2):
-        W = intersect(W, _divide_out(U, U.groebner(budget, last=i), i), budget)
-        torsion = hs.sub(hilbert_series(W, budget)).reduced()
+        D = _divide_out(U, i, budget)
+        both = Submodule(U.ring, U.rank, W.gens + D.gens, twists=U.twists, relations=U.relations)
+        met = met.sub(hilbert_series(both, budget).sub(cut[i]))
+        torsion = hs.sub(met).reduced()
         if torsion.denom_power == 0:
-            return SaturationCertificate(order[:k], first, torsion, W)
+            return SaturationCertificate(order[:k], torsion)
+        W = intersect(W, D, budget)
     raise GhkError("internal error: the variable saturations meet in more than sat(U)")
 
 
 def saturate(U: Submodule, budget: GbBudget | None = None) -> Submodule:
     """Saturation of U with respect to the irrelevant ideal, for any
-    ambient twists, from certify_saturation(U): the certificate's
-    intersection, or, with one variable l, each element of the basis
-    with l last divided by the largest power of l dividing its lead,
-    which divides the whole vector (the module-degree "top" order of
-    groebner.py); those quotients span sat(U).
+    ambient twists: the intersection of the U : l^inf over the variables
+    l of certify_saturation(U), each spanned by the basis with l last
+    divided out (_divide_out).
     """
-    cert = certify_saturation(U, budget)
-    if cert.meet is not None:
-        return cert.meet
-    if cert.torsion.is_zero():
-        return U
-    return _divide_out(U, cert.gb, cert.variables[0])
+    W = None
+    for i in certify_saturation(U, budget).variables:
+        D = _divide_out(U, i, budget)
+        W = D if W is None else intersect(W, D, budget)
+    return W
 
 
 def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
@@ -454,9 +460,11 @@ def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> S
         W = W2
 
 
-def _divide_out(U: Submodule, gb: GroebnerBasis, i: int) -> Submodule:
-    """U : x_i^inf from gb = U.groebner(last=i): each basis element over
-    x_i^a, a the x_i-exponent of its lead."""
+def _divide_out(U: Submodule, i: int, budget: GbBudget | None) -> Submodule:
+    """U : x_i^inf from U.groebner(budget, last=i): each basis element
+    over x_i^a, a the x_i-exponent of its lead, which divides the whole
+    vector (the module-degree "top" order of groebner.py)."""
+    gb = U.groebner(budget, last=i)
     back = [
         ModVector(tuple(f.divide_by_variable_power(i, lead[i]) for f in vec.components))
         for vec, (_, lead) in zip(gb.vectors, gb.lead_terms())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk import idealops
+from ghk import groebner, idealops
 from ghk.errors import GhkError, GhkHypothesisError, HomogeneityError, RingMismatchError
 from ghk.frobmod import (
     GHKRow,
@@ -216,7 +216,7 @@ def test_certified_length_on_a_coordinate_line(fermat7):
     # first, as the ring's last variable) and certifies with x
     P = presentation_of_quotient(fermat7.ideal(["z", "x + y"]), fermat7)
     cert = certify_saturation(frobenius_pullback(P, 1).image_submodule())
-    assert cert.variables == (0,) and cert.meet is None
+    assert cert.variables == (0,)
     p = 7
     curve = CurveRing(p, 3, reducer=(2, 3, NaivePoly(p, 3, {(3, 0, 0): 6, (0, 3, 0): 6})))
     g1 = NaivePoly(p, 3, {(0, 0, 7): 1})
@@ -231,8 +231,9 @@ def test_certified_length_off_the_coordinate_lines():
     P = presentation_of_quotient(R.ideal(["x - y", "y - z"]), R)
     U = frobenius_pullback(P, 1).image_submodule()
     cert = certify_saturation(U)
-    assert cert.variables == (2,) and cert.meet is None
-    assert cert.gb is U.groebner()
+    assert cert.variables == (2,)
+    # the certificate read U's default basis and built no other
+    assert list(U._gb) == [2]
     curve = CurveRing(5, 3, reducer=(2, 3, NaivePoly(5, 3, {(3, 0, 0): 3, (0, 3, 0): 3})))
     g1 = NaivePoly(5, 3, {(5, 0, 0): 1, (0, 5, 0): 4})
     g2 = NaivePoly(5, 3, {(0, 5, 0): 1, (0, 0, 5): 4})
@@ -463,19 +464,27 @@ def test_fallback_ring_keeps_the_s_route():
         assert regular_torsion_length(curve, gens, 2, 2 * q + 2) == length
 
 
-def test_uncertified_saturations_never_take_a_colon(monkeypatch, plane7):
-    # the cases where no single variable certifies: R/(x^2*y, x*y^2) over
-    # F_7[x, y], a rank-2 row on the cusp over F_5 (read over A) and the
-    # coordinate triangle; their reference values come first, then no
-    # colon may run
+def cusp_row():
+    """A rank-2 presentation on the cusp over F_5, read over A, that no
+    single variable certifies."""
     cusp = RingSpec(5, ["x", "y", "z"], [CUSP])
     cols = [
         ModVector((cusp.parse(a), cusp.parse(b)))
         for a, b in (("z^2", "4*x*y + 3*x*z + 4*y*z"), ("4*x + z", "4*x"), ("x", "x"))
     ]
+    return Presentation(cusp, (0, 0), (2, 1, 1), cols)
+
+
+def test_uncertified_saturations_never_take_a_colon(monkeypatch, plane7):
+    # the cases where no single variable certifies: R/(x^2*y, x*y^2) over
+    # F_7[x, y], a rank-2 row on the cusp over F_5 (read over A) and the
+    # coordinate triangle; their reference values come first, then no
+    # colon may run. The certificate reads each meet's series from a sum
+    # by the modular law: in two variables it eliminates nothing, and on
+    # the triangle it intersects once, before the third variable
     rows = [
         (presentation_of_quotient(plane7.ideal(["x^2*y", "x*y^2"]), plane7), 49),
-        (Presentation(cusp, (0, 0), (2, 1, 1), cols), 132),
+        (cusp_row(), 132),
     ]
     refs = [colon_route_length(P, 1) for P, _ in rows]
     space = RingSpec(7, ["x", "y", "z"])
@@ -487,14 +496,44 @@ def test_uncertified_saturations_never_take_a_colon(monkeypatch, plane7):
     def refuse(*args, **kwargs):
         raise AssertionError("colon called")
 
+    eliminations = []
+
+    def counted(*args, **kwargs):
+        eliminations.append(args)
+        return preimage(*args, **kwargs)
+
+    preimage = idealops._preimage
     monkeypatch.setattr(idealops, "colon", refuse)
+    monkeypatch.setattr(idealops, "_preimage", counted)
     for (P, length), ref in zip(rows, refs):
         assert ghk_value(P, 1) == ref == length
+        assert not eliminations
         assert len(certify_saturation(pullback_image(P, 1)).variables) > 1
+    assert not eliminations
+    assert len(certify_saturation(I).variables) > 1
+    assert len(eliminations) == 1
     S = saturate(I)
     assert S == triangle
     assert colength_difference(I, S) == 3
-    assert len(certify_saturation(I).variables) > 1
+
+
+def test_certificate_budget_reaches_every_basis(monkeypatch):
+    # every basis the certificate builds, the sum of the variable
+    # saturations included, runs under the caller's budget
+    U = pullback_image(cusp_row(), 2)
+    budget = GbBudget(max_pairs=10**9)
+    seen = []
+
+    def spy(ring, twists, vectors, budget, *args, **kwargs):
+        seen.append(budget)
+        return build(ring, twists, vectors, budget, *args, **kwargs)
+
+    build = groebner._basis
+    monkeypatch.setattr(groebner, "_basis", spy)
+    cert = certify_saturation(U, budget)
+    assert len(cert.variables) == 2
+    # one basis per variable, then one of the sum
+    assert len(seen) == 3 and all(b is budget for b in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,30 @@ def test_saturate_methods_agree_random(p):
         rels = [random_homog_poly(ring, rng, 3)] if trial % 3 == 0 else []
         I = Submodule.ideal(ring, gens, relations=rels)
         assert saturate_by_colon(I) == saturate(I)
+    # generators times a product of two variables: torsion, or a
+    # saturation no variable reaches alone, on the coordinate lines, so
+    # most certificates meet several variable saturations
+    multi = torsion = 0
+    for trial in range(20):
+        ring = PolyRing(p, ["x", "y", "z"][: 2 + trial % 2])
+        rank = 1 + trial // 2 % 2
+        twists = (0,) * rank if trial % 8 < 4 else (0, 1)[:rank]
+        xs = ring.gens()
+        gens = []
+        for _ in range(rank + rng.randrange(1, 3)):
+            d = rng.randrange(3)
+            w = rng.choice(xs) * rng.choice(xs)
+            v = [random_homog_poly(ring, rng, d + max(twists) - t) if rng.random() < 0.8 else ring.zero for t in twists]
+            gens.append(ModVector(tuple(f * w for f in v)))
+        rels = [random_homog_poly(ring, rng, 3)] if trial % 4 == 3 else []
+        U = Submodule(ring, rank, gens, twists=twists, relations=rels)
+        ref = saturate_by_colon(U)
+        assert saturate(U) == ref
+        cert = certify_saturation(U)
+        assert cert.length == colength_difference(U, ref)
+        multi += len(cert.variables) > 1
+        torsion += len(cert.variables) > 1 and cert.length > 0
+    assert multi >= 8 and torsion >= 5
 
 
 def test_saturate_methods_agree_on_quotient_ring():
@@ -840,10 +864,12 @@ def test_sheaf_degree_saturation_invariance():
 
 def test_budget_threads_through_saturate():
     ring = PolyRing(7, ["x", "y"])
-    I = Submodule.ideal(ring, [ring.parse("x^2"), ring.parse("x*y"), ring.parse("y^3")])
-    for route in (saturate, saturate_by_colon):
-        with pytest.raises(BudgetExceededError):
-            route(I, budget=GbBudget(max_pairs=1))
+    # irrelevant-primary, then one that no single variable certifies
+    for gens in (["x^2", "x*y", "y^3"], ["x^3*y", "x*y^3", "x^2*y^2"]):
+        I = Submodule.ideal(ring, [ring.parse(g) for g in gens])
+        for route in (saturate, saturate_by_colon):
+            with pytest.raises(BudgetExceededError):
+                route(I, budget=GbBudget(max_pairs=1))
 
 
 def test_smoothness_report_shape():
