@@ -19,7 +19,8 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import GbBudget, ModVector, Submodule
-from .idealops import RingSpec, bracket_power, certify_saturation, hilbert_series
+from . import idealops
+from .idealops import RingSpec, bracket_power
 
 
 class Presentation:
@@ -176,36 +177,17 @@ def pullback_image(P: Presentation, e: int) -> Submodule:
     """The image U of the e-th Frobenius pullback of P, as ghk_value
     measures it.
 
-    When the ring has a Noether normalization A = F_p[x, y]
-    (RingSpec.noether_normalization), R^r is the free A-module A^(d*r),
-    the component (j, k) standing for z^k in row j, and U is the
-    A-submodule spanned by z^m * v^[q] for each column v and each m < d,
-    with no relation columns. Row j's twist r_j becomes q*r_j + k on
-    component (j, k). The q-th powers go through Frobenius: an entry
-    sum_k c_k*z^k (c_k over A, read once at q = 1) has q-th power
-    sum_k c_k^[q] * (z^(kq) mod f), and z^(kq) comes from the p-th-power
-    recursion of NoetherNormalization.frobenius. Otherwise U is the
-    image over S with the relation columns, from frobenius_pullback.
+    When the ring has a Noether normalization A
+    (RingSpec.noether_normalization), U is the submodule over A that
+    NoetherNormalization.pullback builds, with no relation columns.
+    Otherwise U is the image over S with the relation columns, from
+    frobenius_pullback.
     """
     nn = P.rspec.noether_normalization()
     if nn is None:
         return frobenius_pullback(P, e).image_submodule()
     q = P.rspec.p ** as_int(e, "a Frobenius exponent", 0)
-    d = nn.degree
-    z_q = [nn.frobenius(z_k, q) for z_k in nn.basis]  # z^(kq) mod f, k < d
-    zero = (nn.base.zero,) * d
-    gens = []
-    for v in P.columns:
-        entries = [
-            nn.combine([frobenius_power(c, q) for c in nn.element(f)], z_q) if f else zero
-            for f in v.components
-        ]
-        for m in range(d):
-            if m:
-                entries = [nn.times_z(w) for w in entries]
-            gens.append(ModVector([c for w in entries for c in w]))
-    twists = tuple(q * t + k for t in P.row_twists for k in range(d))
-    return Submodule(nn.base, d * P.num_rows, gens, twists=twists)
+    return nn.pullback(P.columns, P.row_twists, q)
 
 
 def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
@@ -213,10 +195,10 @@ def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
 
     Pull the presentation back, take the image U of its columns
     (pullback_image: over a Noether normalization of a hypersurface,
-    else over S with relation columns), and measure the part of the
-    ambient free module supported at the irrelevant ideal: the length
-    of sat(U)/U = H^0_m(F/U), which is finite because F/U is finitely
-    generated.
+    built by NoetherNormalization.pullback, else over S with relation
+    columns), and measure the part of the ambient free module supported
+    at the irrelevant ideal: the length of sat(U)/U = H^0_m(F/U), which
+    is finite because F/U is finitely generated.
 
     The length is read from the certified Hilbert series difference of
     certify_saturation: one basis of U when a single variable
@@ -226,7 +208,7 @@ def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
     runs.
     """
     P.rspec.require_dim2()
-    return certify_saturation(pullback_image(P, e), budget).length
+    return idealops.certify_saturation(pullback_image(P, e), budget).length
 
 
 def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
@@ -241,12 +223,12 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     if I.rank != 1:
         raise GhkError("hk_value needs an ideal (rank-1 submodule)")
     q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)
-    if hilbert_series(I, budget).pole_order() != 0:
+    if idealops.hilbert_series(I, budget).pole_order() != 0:
         raise GhkHypothesisError(
             "hk_value needs an irrelevant-primary ideal; the input does not saturate "
             "to the unit ideal"
         )
-    hs = hilbert_series(bracket_power(I, q), budget).reduced()
+    hs = idealops.hilbert_series(bracket_power(I, q), budget).reduced()
     if hs.denom_power > 0:
         raise GhkHypothesisError(
             f"R/I^[q] has dimension {hs.denom_power} > 0; its length is infinite"

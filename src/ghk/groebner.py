@@ -45,10 +45,10 @@ term is already a grevlex key, in the ring's layout (the default
 `last`), so vec_to_terms and terms_to_vec only move fields between
 the ring's layout and the basis's, the identity when `last` is the
 ring's last variable, and add or remove the component field;
-lead_terms unpacks, and packed_leads hands the leads on in the basis's
-layout to the Hilbert series in idealops. The test is only exact while
-every exponent stays below EXP_GUARD, so the engine checks the bound
-where it can first be broken: vec_to_terms refuses exponents above
+the leads leave the engine only through lead_terms, as (component,
+exponent tuple) pairs in the ring's variable order. The test is only
+exact while every exponent stays below EXP_GUARD, so the engine checks
+the bound where it can first be broken: vec_to_terms refuses exponents above
 EXP_CAP, every input vector needs deg - min(twists) < EXP_GUARD, and so
 does every S-pair before it is reduced. All terms of a homogeneous
 reduction share that degree, and exponents cannot exceed it.
@@ -755,23 +755,12 @@ class GroebnerBasis:
         return iter(self.vectors)
 
     def lead_terms(self) -> tuple:
-        """(component, monomial) of each element, ascending order."""
+        """(component, exponent tuple) of each element's lead, ascending
+        order, the exponents in the ring's variable order whatever the
+        basis's `last`. They are the minimal generators of the lead
+        module: no lead of a minimal basis divides another."""
         unpack = self._ctx.pm.unpack
         return tuple((rec[1], unpack(rec[2])) for rec in self._records)
-
-    def packed_leads(self) -> dict:
-        """Component -> the list of its lead monomials as packed ints.
-
-        They are the minimal generators of the lead module there: no
-        lead of a minimal basis divides another. They are packed in the
-        basis's layout, PackedMonomials(nvars, last): read in the default
-        one they are the leads with the variables permuted, which leaves
-        a monomial ideal's Hilbert numerator unchanged.
-        """
-        out: dict = {j: [] for j in range(self.rank)}
-        for rec in self._records:
-            out[rec[1]].append(rec[2])
-        return out
 
     def _coerce(self, v) -> ModVector:
         if isinstance(v, Poly):

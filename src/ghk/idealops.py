@@ -33,9 +33,10 @@ Design rules enforced here:
   saturate against, and the only route for any other ideal.
 * The one exception to implicit quotient rings: a hypersurface in three
   variables may be read as a free module over a Noether normalization
-  A = F_p[x, y] (RingSpec.noether_normalization), and frobmod.ghk_value
-  saturates its pulled-back modules over A, where no relation columns
-  are needed.
+  A = F_p[x, y] (RingSpec.noether_normalization). Its
+  NoetherNormalization.pullback builds a pulled-back image as a
+  submodule over A, where no relation columns are needed, and
+  frobmod.ghk_value saturates it there.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import itertools
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import EXP_BITS, PackedMonomials, Poly, PolyRing, Record, frobenius_power
+from .arith import Poly, PolyRing, Record, frobenius_power
 from .errors import (
     GhkError,
     GhkHypothesisError,
@@ -223,18 +224,19 @@ def _monomial_numerator(gens: list) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _lead_series(leads: dict, twists: tuple, nvars: int, pm: PackedMonomials) -> HilbertSeries:
+def _lead_series(leads: Iterable, twists: tuple, nvars: int) -> HilbertSeries:
     """Hilbert series of F/(leads), F = sum_j S(-twists[j]).
 
-    leads maps each component to a generating set of a monomial module
-    there, packed ints that pm unpacks (GroebnerBasis.packed_leads, or
-    those leads with an exponent cut to 0); neither minimality nor
-    order matters. Ints packed in another layout unpack with their
-    variables permuted, which leaves each numerator unchanged.
+    leads are (component, exponent tuple) pairs that generate a monomial
+    module (GroebnerBasis.lead_terms, or those leads with an exponent
+    set to 0); neither minimality nor order matters.
     """
+    per: list = [[] for _ in twists]
+    for j, m in leads:
+        per[j].append(m)
     total: dict = {}
-    for j, e in enumerate(twists):
-        for d, c in _monomial_numerator([pm.unpack(m) for m in leads[j]]).items():
+    for gens, e in zip(per, twists):
+        for d, c in _monomial_numerator(gens).items():
             k = d + e
             total[k] = total.get(k, 0) + c
     return HilbertSeries.from_dict(total, nvars)
@@ -247,7 +249,7 @@ def hilbert_series(U: Submodule, budget: GbBudget | None = None) -> HilbertSerie
     by the slicing of _monomial_numerator: an exact integer numerator
     over (1-t)^nvars.
     """
-    return _lead_series(U.groebner(budget).packed_leads(), U.twists, U.ring.nvars, U.ring.pm)
+    return _lead_series(U.groebner(budget).lead_terms(), U.twists, U.ring.nvars)
 
 
 def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = None) -> int:
@@ -405,17 +407,15 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
     submodules is not distributive, so the law does not extend to
     three terms.
     """
-    nvars, pm = U.ring.nvars, U.ring.pm
-    # sets the l-exponent to 0: l has the top field in its basis's layout
-    keep = pm.low >> EXP_BITS
+    nvars = U.ring.nvars
     order = (nvars - 1, *range(nvars - 1))
     hs = None
     cut = {}  # l -> HS(F/(U : l^inf))
     for i in order:
-        leads = U.groebner(budget, last=i).packed_leads()
+        leads = U.groebner(budget, last=i).lead_terms()
         if hs is None:
-            hs = _lead_series(leads, U.twists, nvars, pm)
-        cut[i] = _lead_series({j: [m & keep for m in ms] for j, ms in leads.items()}, U.twists, nvars, pm)
+            hs = _lead_series(leads, U.twists, nvars)
+        cut[i] = _lead_series(((j, m[:i] + (0,) + m[i + 1 :]) for j, m in leads), U.twists, nvars)
         torsion = hs.sub(cut[i]).reduced()
         if torsion.denom_power == 0:
             return SaturationCertificate((i,), torsion)
@@ -601,24 +601,10 @@ class RingSpec:
         return self._hs
 
     def noether_normalization(self) -> "NoetherNormalization | None":
-        """R as a free module over A = F_p[x, y], or None.
-
-        Defined for three variables and one relation f of degree d >= 1:
-        the first (a, b) in F_p^2, in the order of itertools.product,
-        with f(a, b, 1) != 0 gives the normalization (see
-        NoetherNormalization). A curve through every point (a : b : 1),
-        or any other ring, has none here. Searched once per RingSpec.
-        """
+        """R as a free module over a Noether normalization, or None:
+        NoetherNormalization.find(self), searched once per RingSpec."""
         if self._noether is False:
-            self._noether = None
-            if self.ring.nvars == 3 and len(self.relations) == 1:
-                f = self.relations[0]
-                if f.degree() >= 1:
-                    p = self.p
-                    for a, b in itertools.product(range(p), repeat=2):
-                        if sum(c * pow(a, i, p) * pow(b, j, p) for (i, j, _), c in f.terms()) % p:
-                            self._noether = NoetherNormalization(f, a, b)
-                            break
+            self._noether = NoetherNormalization.find(self)
         return self._noether
 
     def krull_dimension(self) -> int:
@@ -689,8 +675,8 @@ class NoetherNormalization:
     submodule of R^r saturates to the same module over A as over R, and
     sat(U)/U has the same length.
 
-    element() reads a polynomial of S, substituted, as such a tuple;
-    times_z() and frobenius() multiply by z and raise to a power of p.
+    find() chooses the normalization of a ring and pullback() builds a
+    pulled-back image over A; those tuples never leave the class.
     """
 
     def __init__(self, f: Poly, a: int, b: int):
@@ -704,13 +690,50 @@ class NoetherNormalization:
         # kept as the (l, coefficient) pairs with a nonzero coefficient
         unit = -pow(g[d].coeff((0, 0)), -1, p)
         self._zd = tuple((l, g[l].scale(unit)) for l in range(d) if l in g)
-        one = (base.one,) + (base.zero,) * (d - 1)
         # z^(l*p) for l < d: the table of the p-th-power recursion
-        pw = [one]
+        pw = [(base.one,) + (base.zero,) * (d - 1)]
         for _ in range((d - 1) * p):
-            pw.append(self.times_z(pw[-1]))
+            pw.append(self._times_z(pw[-1]))
         self._pth = tuple(pw[l * p] for l in range(d))
-        self.basis = tuple(pw[:d])
+
+    @classmethod
+    def find(cls, rspec: RingSpec) -> "NoetherNormalization | None":
+        """The normalization of rspec, or None.
+
+        Defined for three variables and one relation f of degree d >= 1:
+        the first (a, b) in F_p^2, in the order of itertools.product,
+        with f(a, b, 1) != 0 gives it. A curve through every point
+        (a : b : 1), or any other ring, has none here.
+        """
+        if rspec.ring.nvars != 3 or len(rspec.relations) != 1 or rspec.relations[0].degree() < 1:
+            return None
+        f, p = rspec.relations[0], rspec.p
+        for a, b in itertools.product(range(p), repeat=2):
+            if sum(c * pow(a, i, p) * pow(b, j, p) for (i, j, _), c in f.terms()) % p:
+                return cls(f, a, b)
+        return None
+
+    def pullback(self, columns: Sequence[ModVector], row_twists: tuple, q: int) -> Submodule:
+        """The image over A of the q-th Frobenius pullback of the matrix
+        with these columns (vectors over S) and row twists.
+
+        R^r is the free A-module A^(d*r), the component (j, k) standing
+        for z^k in row j, whose twist q*r_j + k is row j's scaled by q
+        plus k. The image is the A-submodule spanned by z^m * v^[q] for
+        each column v and each m < d, with no relation columns. Each
+        entry's q-th power is taken in R, one p-th power at a time
+        (_frobenius).
+        """
+        d = self.degree
+        gens = []
+        for v in columns:
+            entries = [self._frobenius(self._element(f), q) for f in v.components]
+            for m in range(d):
+                if m:
+                    entries = [self._times_z(w) for w in entries]
+                gens.append(ModVector([c for w in entries for c in w]))
+        twists = tuple(q * t + k for t in row_twists for k in range(d))
+        return Submodule(self.base, d * len(row_twists), gens, twists=twists)
 
     def _by_z_power(self, h: Poly) -> dict:
         """The substituted h as {k: its z^k coefficient over A}."""
@@ -727,17 +750,17 @@ class NoetherNormalization:
                             acc.setdefault(k + i - s + j - t, []).append(((s, t), ct))
         return {k: self.base.from_pairs(pairs) for k, pairs in acc.items()}
 
-    def element(self, h: Poly) -> tuple:
+    def _element(self, h: Poly) -> tuple:
         """The substituted h in R, by Horner's rule in z."""
         coeffs = self._by_z_power(h)
         zero = self.base.zero
         out = (zero,) * self.degree
         for k in range(max(coeffs, default=0), -1, -1):
-            out = self.times_z(out)
+            out = self._times_z(out)
             out = (out[0] + coeffs.get(k, zero),) + out[1:]
         return out
 
-    def times_z(self, h: tuple) -> tuple:
+    def _times_z(self, h: tuple) -> tuple:
         """z*h in R: shift up, then rewrite z^d."""
         out = [self.base.zero, *h[:-1]]
         top = h[-1]
@@ -746,22 +769,19 @@ class NoetherNormalization:
                 out[l] = out[l] + top * c
         return tuple(out)
 
-    def combine(self, coeffs, elements) -> tuple:
-        """sum_k coeffs[k] * elements[k], coefficients in A."""
-        out = [self.base.zero] * self.degree
-        for c, w in zip(coeffs, elements):
-            if c:
-                for s, ws in enumerate(w):
-                    if ws:
-                        out[s] = out[s] + c * ws
-        return tuple(out)
-
-    def frobenius(self, h: tuple, q: int) -> tuple:
+    def _frobenius(self, h: tuple, q: int) -> tuple:
         """h^q, q a power of p, one p-th power at a time:
         (sum_l a_l*z^l)^p = sum_l a_l^[p] * (z^(l*p) mod g)."""
-        p = self.p
+        p, d = self.p, self.degree
         while q > 1:
-            h = self.combine([frobenius_power(c, p) for c in h], self._pth)
+            out = [self.base.zero] * d
+            for a, w in zip(h, self._pth):
+                if a:
+                    a = frobenius_power(a, p)
+                    for s, ws in enumerate(w):
+                        if ws:
+                            out[s] = out[s] + a * ws
+            h = tuple(out)
             q //= p
         return h
 

@@ -14,16 +14,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PROBLEM = {
-    "ring": {"prime": 5, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]},
-    "module": {"ideal": ["z", "x + y"]},
-    "task": {"command": "ghk", "e_max": 1},
-}
+FERMAT5 = {"prime": 5, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]}
 
 
-def test_traced_child_call_records_spans(tmp_path):
-    problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps(PROBLEM))
+def traced_span_names(tmp_path, problem: dict) -> set:
+    """The span names of one traced CLI call on `problem`."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [
@@ -31,7 +28,7 @@ def test_traced_child_call_records_spans(tmp_path):
             str(ROOT / "bench" / "child.py"),
             str(ROOT / "src"),
             str(spans),
-            str(problem),
+            str(path),
             "--out",
             str(tmp_path / "out"),
             "--jobs",
@@ -48,4 +45,24 @@ def test_traced_child_call_records_spans(tmp_path):
     assert result["exit_code"] == 0
     trace = json.loads(spans.read_text())
     assert trace["spans"]
-    assert {"cli.main", "frobmod.ghk_value"} <= {span[0] for span in trace["spans"]}
+    return {span[0] for span in trace["spans"]}
+
+
+def test_traced_child_call_records_spans(tmp_path):
+    problem = {
+        "ring": FERMAT5,
+        "module": {"ideal": ["z", "x + y"]},
+        "task": {"command": "ghk", "e_max": 1},
+    }
+    assert {"cli.main", "frobmod.ghk_value"} <= traced_span_names(tmp_path, problem)
+
+
+def test_traced_hk_call_reaches_the_hilbert_series(tmp_path):
+    # hk_value calls hilbert_series through the idealops module, where
+    # the tracer rebinds it
+    problem = {
+        "ring": FERMAT5,
+        "module": {"ideal": ["x", "y", "z"]},
+        "task": {"command": "hk", "e_max": 1},
+    }
+    assert {"frobmod.hk_value", "idealops.hilbert_series"} <= traced_span_names(tmp_path, problem)

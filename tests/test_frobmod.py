@@ -3,6 +3,7 @@ linear-algebra oracle values on small Frobenius powers."""
 
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,12 @@ from ghk.frobmod import (
     presentation_of_quotient,
     pullback_image,
 )
+from ghk.arith import PolyRing
 from ghk.groebner import GbBudget, ModVector, Submodule
 from ghk.idealops import (
     RingSpec,
+    _divide_out,
+    _lead_series,
     certify_saturation,
     colength_difference,
     hilbert_series,
@@ -380,6 +384,46 @@ def test_pullback_over_the_normalization_is_the_same_graded_space(e):
         assert U_A.ring.nvars == 2 and U_A.relations == ()
         assert U_A.rank == d * P.num_rows
         assert hilbert_series(U_A).reduced() == hilbert_series(U_S).reduced()
+
+
+def _divisible_submodules(seed: int, count: int) -> list:
+    """Seeded submodules of F over S in two or three variables: rank 1
+    or 2, twists 0 or 1, with or without the Fermat relation, each
+    generator a product of two variables times a random vector, so that
+    dividing out a variable changes the module."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ring = PolyRing(rng.choice([3, 5, 7]), ["x", "y", "z"][: rng.choice([2, 3])])
+        twists = tuple(rng.randrange(2) for _ in range(rng.choice([1, 2])))
+        xs = ring.gens()
+        gens = []
+        for _ in range(len(twists) + rng.randrange(1, 3)):
+            d = rng.randrange(3) + max(twists)
+            w = rng.choice(xs) * rng.choice(xs)
+            gens.append(ModVector(tuple(_random_poly(rng, ring, d - t) * w for t in twists)))
+        rels = [sum((x**3 for x in xs), ring.zero)] if rng.random() < 0.5 else []
+        out.append(Submodule(ring, len(twists), gens, twists=twists, relations=rels))
+    return out
+
+
+def _random_poly(rng, ring, deg):
+    mons = monomials_of_degree(ring.nvars, deg)
+    return ring.from_pairs([(rng.choice(mons), rng.randrange(1, ring.p)) for _ in range(rng.randrange(1, 4))])
+
+
+def test_certificate_cut_is_the_series_of_the_divided_out_module():
+    # Bayer-Stillman, which certify_saturation rests on: in grevlex with
+    # x_i last, in(U : x_i^inf) is in(U) with the x_i-exponent set to 0
+    images = [pullback_image(P, e) for P in _translation_cases() for e in range(3)]
+    cases = 0
+    for U in _divisible_submodules(23, 50) + images:
+        for i in range(U.ring.nvars):
+            leads = U.groebner(last=i).lead_terms()
+            cut = [(j, m[:i] + (0,) + m[i + 1 :]) for j, m in leads]
+            assert _lead_series(cut, U.twists, U.ring.nvars) == hilbert_series(_divide_out(U, i, None))
+            cases += 1
+    assert cases >= 140
 
 
 def _random_form(draw, ring, deg):
