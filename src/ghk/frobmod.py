@@ -175,14 +175,9 @@ def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
 
 def pullback_image(P: Presentation, e: int) -> Submodule:
     """The image U of the e-th Frobenius pullback of P, as ghk_value
-    measures it.
-
-    When the ring has a Noether normalization A
-    (RingSpec.noether_normalization), U is the submodule over A that
-    NoetherNormalization.pullback builds, with no relation columns.
-    Otherwise U is the image over S with the relation columns, from
-    frobenius_pullback.
-    """
+    measures it: built by NoetherNormalization.pullback over A, with no
+    relation columns, when the ring has a Noether normalization A
+    (RingSpec.noether_normalization), else over S by frobenius_pullback."""
     nn = P.rspec.noether_normalization()
     if nn is None:
         return frobenius_pullback(P, e).image_submodule()
@@ -194,11 +189,10 @@ def ghk_value(P: Presentation, e: int, budget: GbBudget | None = None) -> int:
     """Torsion length of the e-th Frobenius pullback of coker(P).
 
     Pull the presentation back, take the image U of its columns
-    (pullback_image: over a Noether normalization of a hypersurface,
-    built by NoetherNormalization.pullback, else over S with relation
-    columns), and measure the part of the ambient free module supported
-    at the irrelevant ideal: the length of sat(U)/U = H^0_m(F/U), which
-    is finite because F/U is finitely generated.
+    (pullback_image: over a Noether normalization if the ring has one,
+    else over S with relation columns), and measure the part of the
+    ambient free module supported at the irrelevant ideal: the length
+    of sat(U)/U = H^0_m(F/U), finite because F/U is finitely generated.
 
     The length is read from the certified Hilbert series difference of
     certify_saturation: one basis of U when a single variable

@@ -27,22 +27,20 @@ Design rules enforced here:
   U : l^inf = sat(U) by a pole-order-0 Hilbert series difference, and
   when none does alone, meets the U : l^inf until the difference has
   pole order 0, reading each meet's series by the modular law from one
-  basis of a sum; only saturate, which returns the module, intersects
-  them all. Rings carry no term order; a basis is the only place one
+  basis of a sum; only saturate, which returns the module, builds the
+  last meet. Rings carry no term order; a basis is the only place one
   is chosen. saturate_by_colon is the reference route that tests pin
   saturate against, and the only route for any other ideal.
-* The one exception to implicit quotient rings: a hypersurface in three
-  variables may be read as a free module over a Noether normalization
-  A = F_p[x, y] (RingSpec.noether_normalization). Its
-  NoetherNormalization.pullback builds a pulled-back image as a
-  submodule over A, where no relation columns are needed, and
-  frobmod.ghk_value saturates it there.
+* The one exception to implicit quotient rings: when the ring has a
+  Noether normalization A (RingSpec.noether_normalization), pulled-back
+  images are built over A with no relation columns, and
+  frobmod.ghk_value saturates them there.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+import math
 from typing import Iterable, Sequence
 
 from .arith import Poly, PolyRing, Record, frobenius_power
@@ -143,7 +141,7 @@ class HilbertSeries(Record):
         for e, c in self.numer:
             k = d - e
             if k >= 0:
-                total += c * comb(k + n - 1, n - 1) if n > 0 else (c if k == 0 else 0)
+                total += c * math.comb(k + n - 1, n - 1) if n > 0 else (c if k == 0 else 0)
         return total
 
     def __str__(self) -> str:
@@ -405,8 +403,14 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
     basis of W + D in F. W itself is intersected (one elimination)
     only when yet another variable has to be tried: the lattice of
     submodules is not distributive, so the law does not extend to
-    three terms.
+    three terms. The loop is _certified_meet's, which saturate shares.
     """
+    return _certified_meet(U, budget)[0]
+
+
+def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
+    """The certificate, and the meet W of the U : l^inf over all its
+    variables but the last (None for one): sat(U) is W cap U : l^inf."""
     nvars = U.ring.nvars
     order = (nvars - 1, *range(nvars - 1))
     hs = None
@@ -418,7 +422,7 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
         cut[i] = _lead_series(((j, m[:i] + (0,) + m[i + 1 :]) for j, m in leads), U.twists, nvars)
         torsion = hs.sub(cut[i]).reduced()
         if torsion.denom_power == 0:
-            return SaturationCertificate((i,), torsion)
+            return SaturationCertificate((i,), torsion), None
     # W is the meet so far, met its series HS(F/W)
     W, met = _divide_out(U, order[0], budget), cut[order[0]]
     for k, i in enumerate(order[1:], 2):
@@ -427,22 +431,18 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
         met = met.sub(hilbert_series(both, budget).sub(cut[i]))
         torsion = hs.sub(met).reduced()
         if torsion.denom_power == 0:
-            return SaturationCertificate(order[:k], torsion)
+            return SaturationCertificate(order[:k], torsion), W
         W = intersect(W, D, budget)
     raise GhkError("internal error: the variable saturations meet in more than sat(U)")
 
 
 def saturate(U: Submodule, budget: GbBudget | None = None) -> Submodule:
-    """Saturation of U with respect to the irrelevant ideal, for any
-    ambient twists: the intersection of the U : l^inf over the variables
-    l of certify_saturation(U), each spanned by the basis with l last
-    divided out (_divide_out).
-    """
-    W = None
-    for i in certify_saturation(U, budget).variables:
-        D = _divide_out(U, i, budget)
-        W = D if W is None else intersect(W, D, budget)
-    return W
+    """Saturation of U by the irrelevant ideal, for any ambient twists:
+    the certificate's meet W cut with U : l^inf for its last variable l,
+    the basis with l last divided out (_divide_out)."""
+    cert, W = _certified_meet(U, budget)
+    D = _divide_out(U, cert.variables[-1], budget)
+    return D if W is None else intersect(W, D, budget)
 
 
 def saturate_by_colon(U: Submodule, J=None, budget: GbBudget | None = None) -> Submodule:
@@ -663,126 +663,132 @@ class RingSpec:
 
 
 class NoetherNormalization:
-    """R = F_p[x, y, z]/(f) as a free module over A = F_p[x, y].
+    """R = S/I as a free module over A = F_p[x_i, x_j] (`base`).
 
-    The substitution x -> x + a*z, y -> y + b*z is an automorphism of
-    S = F_p[x, y, z] over F_p, so it preserves every length; it sends f
-    to g, whose z^d coefficient is the unit f(a, b, 1). So R is free
-    over A (the ring `base`) with basis 1, z, ..., z^(d-1)
-    (Bruns-Herzog, Cohen-Macaulay Rings, 2.2), and an element of R is
-    the tuple of its d coefficients over A. (x, y)R has the radical of
-    the irrelevant ideal, because R/(x, y)R = F_p[z]/(z^d), so a
-    submodule of R^r saturates to the same module over A as over R, and
-    sat(U)/U has the same length.
-
-    find() chooses the normalization of a ring and pullback() builds a
-    pulled-back image over A; those tuples never leave the class.
+    A centre is a pair x_i, x_j and a shift x_i -> x_i + sum a_k*x_k,
+    x_j -> x_j + sum b_k*x_k over the other, fibre, variables: an
+    automorphism of S, so lengths do not change. In grevlex on S', the
+    fibre variables and then x_i, x_j, when no minimal lead of the image
+    of I involves x_i or x_j and each fibre variable has a pure power
+    among them, R is free over A on the finite set B of standard fibre
+    monomials, a combination of which is its own normal form
+    (Bayer-Stillman); `degree` = |B|. Elements of R are coordinate
+    tuples on B, kept in the class. B spans R/(x_i, x_j)R, so (x_i, x_j)R
+    has the radical of the irrelevant ideal: sat(U)/U is the same over A.
     """
 
-    def __init__(self, f: Poly, a: int, b: int):
-        ring = f.ring
-        self.p = p = ring.p
-        self.shift = (a, b)
-        self.base = base = PolyRing(p, ring.variables[:2])
-        self.degree = d = f.degree()
-        g = self._by_z_power(f)
-        # z^d = -(g_0 + g_1*z + ... + g_(d-1)*z^(d-1)) / g_d, g_d = f(a, b, 1),
-        # kept as the (l, coefficient) pairs with a nonzero coefficient
-        unit = -pow(g[d].coeff((0, 0)), -1, p)
-        self._zd = tuple((l, g[l].scale(unit)) for l in range(d) if l in g)
-        # z^(l*p) for l < d: the table of the p-th-power recursion
-        pw = [(base.one,) + (base.zero,) * (d - 1)]
-        for _ in range((d - 1) * p):
-            pw.append(self._times_z(pw[-1]))
-        self._pth = tuple(pw[l * p] for l in range(d))
+    def __init__(self, rspec: RingSpec, pair: tuple, shift: tuple):
+        ring, (i, j) = rspec.ring, pair
+        fibre = [v for v in range(ring.nvars) if v not in pair]
+        order = (*fibre, i, j)
+        self.p, k = ring.p, len(fibre)
+        self.shift = ((ring.variables[i], ring.variables[j]), shift)
+        self.base = PolyRing(ring.p, self.shift[0])
+        self._ring = PolyRing(ring.p, [ring.variables[v] for v in order])
+        # the image of each variable of S, as (exponent tuple over S', coefficient) terms
+        self._vars = [[(tuple(int(w == v) for w in order), 1)] for v in range(ring.nvars)]
+        for v, a in ((i, shift[:k]), (j, shift[k:])):
+            self._vars[v] += [(self._vars[w][0][0], c) for w, c in zip(fibre, a) if c]
+        rels = [self._ring.from_pairs(self._substitute(f).items()) for f in rspec.relations]
+        gb = Submodule.ideal(self._ring, rels).groebner()
+        leads = [m for _, m in gb.lead_terms()]
+        # each fibre variable's pure power among the leads, 0 for none
+        box = [min((m[f] for m in leads if m[f] == sum(m) > 0), default=0) for f in range(k)]
+        self.degree = 0  # stays 0 when the leads do not certify the centre
+        if not all(box) or any(any(m[k:]) for m in leads):
+            return
+        below = itertools.product(*map(range, box))
+        standard = (u for u in below if not any(all(e >= l for e, l in zip(u, m)) for m in leads))
+        self._basis = basis = sorted(standard, key=sum)
+        self.degree = len(basis)
+        one, zero = self.base.one, self.base.zero
+        self._known = {b: tuple(one if c == b else zero for c in basis) for b in basis}
+        up = [[b[:f] + (b[f] + 1,) + b[f + 1 :] for b in basis] for f in range(k)]
+        for u in {u for row in up for u in row} - self._known.keys():  # the border
+            nf = gb.normal_form(self._ring.monomial(u + (0, 0)))[0]
+            self._known[u] = self._coordinates(nf.terms())
+        self._table = [[self._known[u] for u in row] for row in up]
+        self._pth = [w for w, in self._ladder([self._known[basis[0]]], self.p)]
 
     @classmethod
     def find(cls, rspec: RingSpec) -> "NoetherNormalization | None":
-        """The normalization of rspec, or None.
-
-        Defined for three variables and one relation f of degree d >= 1:
-        the first (a, b) in F_p^2, in the order of itertools.product,
-        with f(a, b, 1) != 0 gives it. A curve through every point
-        (a : b : 1), or any other ring, has none here.
-        """
-        if rspec.ring.nvars != 3 or len(rspec.relations) != 1 or rspec.relations[0].degree() < 1:
+        """The first centre whose leads certify, or None: for each shift of
+        itertools.product each pair of itertools.combinations, so the
+        coordinate centres come first. None for two variables: R is its A."""
+        n = rspec.ring.nvars
+        if n < 3:
             return None
-        f, p = rspec.relations[0], rspec.p
-        for a, b in itertools.product(range(p), repeat=2):
-            if sum(c * pow(a, i, p) * pow(b, j, p) for (i, j, _), c in f.terms()) % p:
-                return cls(f, a, b)
+        for shift in itertools.product(range(rspec.p), repeat=2 * (n - 2)):
+            for pair in itertools.combinations(range(n), 2):
+                nn = cls(rspec, pair, shift)
+                if nn.degree:
+                    return nn
         return None
 
     def pullback(self, columns: Sequence[ModVector], row_twists: tuple, q: int) -> Submodule:
         """The image over A of the q-th Frobenius pullback of the matrix
-        with these columns (vectors over S) and row twists.
-
-        R^r is the free A-module A^(d*r), the component (j, k) standing
-        for z^k in row j, whose twist q*r_j + k is row j's scaled by q
-        plus k. The image is the A-submodule spanned by z^m * v^[q] for
-        each column v and each m < d, with no relation columns. Each
-        entry's q-th power is taken in R, one p-th power at a time
-        (_frobenius).
-        """
-        d = self.degree
+        with these columns (vectors over S) and row twists: the span of
+        b * v^[q] for each column v and b in B, with no relation columns,
+        in A^(d*r), its component (j, s) the s-th b in row j, of twist
+        q*r_j + deg b. Entries are raised to q in R by _frobenius."""
         gens = []
         for v in columns:
-            entries = [self._frobenius(self._element(f), q) for f in v.components]
-            for m in range(d):
-                if m:
-                    entries = [self._times_z(w) for w in entries]
-                gens.append(ModVector([c for w in entries for c in w]))
-        twists = tuple(q * t + k for t in row_twists for k in range(d))
-        return Submodule(self.base, d * len(row_twists), gens, twists=twists)
+            entries = [self._coordinates(self._substitute(f).items()) for f in v.components]
+            entries = [self._frobenius(w, q) for w in entries]
+            gens += [ModVector([c for w in row for c in w]) for row in self._ladder(entries, 1)]
+        twists = tuple(q * t + sum(b) for t in row_twists for b in self._basis)
+        return Submodule(self.base, self.degree * len(row_twists), gens, twists=twists)
 
-    def _by_z_power(self, h: Poly) -> dict:
-        """The substituted h as {k: its z^k coefficient over A}."""
-        a, b = self.shift
-        p = self.p
+    def _ladder(self, first: list, power: int) -> list:
+        """[b^power * w for w in first] for each b in B, x_f^power * b/x_f."""
+        rows = {self._basis[0]: first}
+        for b in self._basis[1:]:
+            f = next(f for f, e in enumerate(b) if e)
+            row = rows[b[:f] + (b[f] - 1,) + b[f + 1 :]]
+            for _ in range(power):
+                row = [self._combine(zip(w, self._table[f])) for w in row]
+            rows[b] = row
+        return list(rows.values())
+
+    def _substitute(self, h: Poly) -> dict:
+        """The substituted h over S', as {exponent tuple: coefficient}."""
         acc: dict = {}
-        for (i, j, k), c in h.terms():
-            for s in range(i + 1):
-                cs = c * comb(i, s) * pow(a, i - s, p) % p
-                if cs:
-                    for t in range(j + 1):
-                        ct = cs * comb(j, t) * pow(b, j - t, p) % p
-                        if ct:
-                            acc.setdefault(k + i - s + j - t, []).append(((s, t), ct))
-        return {k: self.base.from_pairs(pairs) for k, pairs in acc.items()}
+        for m, c in h.terms():
+            factors = [self._vars[v] for v, e in enumerate(m) for _ in range(e)]
+            for choice in itertools.product(*factors):
+                key = tuple(map(sum, zip((0,) * len(m), *(y for y, _ in choice))))
+                acc[key] = acc.get(key, 0) + c * math.prod(cy for _, cy in choice)
+        return acc
 
-    def _element(self, h: Poly) -> tuple:
-        """The substituted h in R, by Horner's rule in z."""
-        coeffs = self._by_z_power(h)
-        zero = self.base.zero
-        out = (zero,) * self.degree
-        for k in range(max(coeffs, default=0), -1, -1):
-            out = self._times_z(out)
-            out = (out[0] + coeffs.get(k, zero),) + out[1:]
-        return out
+    def _coordinates(self, terms) -> tuple:
+        """The element of R with these terms over S': each fibre monomial u's
+        coefficient over A times u's coordinates, x_f times those of u/x_f."""
+        k, parts = len(self._vars) - 2, {}
+        for m, c in terms:
+            parts.setdefault(m[:k], []).append((m[k:], c))
+        for u in parts.keys() - self._known.keys():
+            f = next(f for f, e in enumerate(u) if e)
+            below = self._coordinates([(u[:f] + (u[f] - 1,) + u[f + 1 :] + (0, 0), 1)])
+            self._known[u] = self._combine(zip(below, self._table[f]))
+        return self._combine((self.base.from_pairs(g), self._known[u]) for u, g in parts.items())
 
-    def _times_z(self, h: tuple) -> tuple:
-        """z*h in R: shift up, then rewrite z^d."""
-        out = [self.base.zero, *h[:-1]]
-        top = h[-1]
-        if top:
-            for l, c in self._zd:
-                out[l] = out[l] + top * c
+    def _combine(self, pairs) -> tuple:
+        """The sum of a * w over pairs of a over A and w in R; an entry 1
+        of w, or an empty slot of the sum, costs no arithmetic."""
+        out = [self.base.zero] * self.degree
+        for a, w in pairs:
+            if a:
+                for t, c in enumerate(w):
+                    if c:
+                        x = a if c == 1 else a * c
+                        out[t] = out[t] + x if out[t] else x
         return tuple(out)
 
     def _frobenius(self, h: tuple, q: int) -> tuple:
-        """h^q, q a power of p, one p-th power at a time:
-        (sum_l a_l*z^l)^p = sum_l a_l^[p] * (z^(l*p) mod g)."""
-        p, d = self.p, self.degree
+        """h^q, one p-th power at a time: (sum a_b*b)^p = sum a_b^[p] * (b^p in R)."""
         while q > 1:
-            out = [self.base.zero] * d
-            for a, w in zip(h, self._pth):
-                if a:
-                    a = frobenius_power(a, p)
-                    for s, ws in enumerate(w):
-                        if ws:
-                            out[s] = out[s] + a * ws
-            h = tuple(out)
-            q //= p
+            h = self._combine((frobenius_power(a, self.p), w) for a, w in zip(h, self._pth))
+            q //= self.p
         return h
 
 

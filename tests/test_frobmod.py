@@ -335,21 +335,50 @@ def test_point_lengths_agree_with_the_oracle(case):
 # ghk_value over a Noether normalization
 
 
-CUSP = "x^2*z - y^3"  # f(0, 0, 1) = 0: the normalization substitutes y -> y + z
+CUSP = "x^2*z - y^3"  # through (0 : 0 : 1), so the centre x = y = 0 meets it: A = F_p[x, z]
 # vanishes at every (a : b : 1) over F_3: three lines through (1 : -1 : 0)
 ALL_POINTS_F3 = "x^3 + y^3 - x*z^2 - y*z^2"
+# (x + y)(y + z)(z + x) over F_2: three lines through (1 : 1 : 1) that
+# cover all seven points of the plane, so no F_2-rational centre misses it
+NO_CENTRE_F2 = "x^2*y + x*y^2 + y^2*z + y*z^2 + z^2*x + z*x^2"
+# through (1 : 0 : 0), (0 : 1 : 0) and (0 : 0 : 1): every coordinate
+# centre meets it, so its centre is shifted
+COORDINATE_POINTS = "x^2*y + y^2*z + z^2*x"
+# the cone over an elliptic quartic and the cone over the twisted cubic
+CONE = (7, ["x", "y", "z", "w"], ["x^2 + y^2 - z*w", "x*y + z^2 + 3*w^2"])
+CUBIC_CONE = (7, ["x", "y", "z", "w"], ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
 
 
 def test_noether_normalization_choice():
-    assert RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"]).noether_normalization().shift == (0, 0)
+    # every coordinate centre comes before any shifted one, and the
+    # first one whose leads certify is taken
+    fermat = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"]).noether_normalization()
+    assert fermat.shift == (("x", "y"), (0, 0)) and fermat.degree == 3
     cusp = RingSpec(5, ["x", "y", "z"], [CUSP]).noether_normalization()
-    assert cusp.shift == (0, 1) and cusp.degree == 3
-    assert [str(c) for c in cusp.base.gens()] == ["x", "y"]
+    assert cusp.shift == (("x", "z"), (0, 0)) and cusp.degree == 3
+    assert [str(c) for c in cusp.base.gens()] == ["x", "z"]
+    assert RingSpec(3, ["x", "y", "z"], [ALL_POINTS_F3]).noether_normalization().shift == (
+        ("x", "z"),
+        (0, 0),
+    )
+    shifted = RingSpec(5, ["x", "y", "z"], [COORDINATE_POINTS])
+    assert shifted.noether_normalization().shift == (("x", "y"), (0, 1))
+    for gens in (["x", "y"], ["x - y", "y - z"]):
+        P = presentation_of_quotient(shifted.ideal(gens), shifted)
+        assert [ghk_value(P, e) for e in (1, 2)] == [s_route_length(P, e) for e in (1, 2)]
+    assert RingSpec(*CONE).noether_normalization().shift == (("x", "y"), (0, 0, 0, 0))
+    assert RingSpec(*CUBIC_CONE).noether_normalization().shift == (("x", "w"), (0, 0, 0, 0))
+    # a complete intersection: the line x = y = 0 lies on it, so the
+    # centres (w, x) and (w, y) meet it and (w, z) is the first to miss it
+    ci = RingSpec(7, ["w", "x", "y", "z"], ["x*z - y^2", "w*y - x^2"])
+    nn = ci.noether_normalization()
+    assert nn.shift == (("w", "z"), (0, 0, 0, 0)) and nn.degree == 4
+    P = presentation_of_quotient(ci.ideal(["x", "y", "w - z"]), ci)
+    assert [ghk_value(P, e) for e in (1, 2)] == [s_route_length(P, e) for e in (1, 2)]
     for R in (
-        RingSpec(3, ["x", "y", "z"], [ALL_POINTS_F3]),
+        RingSpec(2, ["x", "y", "z"], [NO_CENTRE_F2]),
         RingSpec(7, ["x", "y"]),
         RingSpec(7, ["x", "y", "z"]),
-        RingSpec(7, ["w", "x", "y", "z"], ["x*z - y^2", "w*y - x^2"]),
     ):
         assert R.noether_normalization() is None
 
@@ -436,9 +465,10 @@ def _random_form(draw, ring, deg):
 
 
 NORMALIZED_RINGS = {
-    "fermat": (7, "x^3 + y^3 + z^3", (0, 0)),
-    "conic": (5, "x*y - z^2", (0, 0)),
-    "cusp": (5, CUSP, (0, 1)),
+    "fermat": (7, "x^3 + y^3 + z^3", (("x", "y"), (0, 0))),
+    "conic": (5, "x*y - z^2", (("x", "y"), (0, 0))),
+    "cusp": (5, CUSP, (("x", "z"), (0, 0))),
+    "shifted": (5, COORDINATE_POINTS, (("x", "y"), (0, 1))),
 }
 
 
@@ -487,18 +517,59 @@ def test_normalization_route_matches_the_s_route_and_the_oracle(case, e):
             ) - naive_graded_dimension(span, U_S.twists, 3, R.p, n)
 
 
-def test_fallback_ring_keeps_the_s_route():
-    # every (a : b : 1) lies on the curve, so no substitution makes the
-    # relation monic in z; the lengths come from the S route and match
-    # degreewise counts (z is a nonzerodivisor modulo the saturation:
-    # the ideal's only point off the vertex is (0 : 0 : 1))
+@st.composite
+def _cone_presentations(draw):
+    """The cone or the twisted-cubic cone over F_7, free over A on four
+    or three monomials; a presentation with r = 1 or 2 rows and r + 1
+    or r + 2 columns of degree 1; and e = 1 or 2, except that a rank-2
+    row on the cone takes e = 1 (its S route takes 1-2 s at q = 49)."""
+    ring = draw(st.sampled_from([CONE, CUBIC_CONE]))
+    R = RingSpec(*ring)
+    rows = draw(st.sampled_from([(0,), (0, 0)]))
+    cols = [
+        ModVector(tuple(_random_form(draw, R.ring, 1) for _ in rows))
+        for _ in range(draw(st.integers(len(rows) + 1, len(rows) + 2)))
+    ]
+    e = 1 if ring == CONE and len(rows) == 2 else draw(st.sampled_from([1, 2]))
+    return Presentation(R, rows, [1] * len(cols), cols), e
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=_cone_presentations())
+def test_four_variable_normalizations_match_the_s_route_and_the_oracle(case):
+    # two or three relations: the tables have a border in two fibre
+    # variables, and the route over A must give the S route's lengths
+    P, e = case
+    assert P.rspec.noether_normalization().degree in (3, 4)
+    assert ghk_value(P, e) == s_route_length(P, e)
+    if e == 1:
+        # the quotient over A against degreewise linear algebra over S
+        # where the pulled-back columns start
+        q = P.rspec.p
+        U_S = frobenius_pullback(P, 1).image_submodule()
+        span = [
+            {(j, m): c for j, f in enumerate(v.components) for m, c in f.terms()}
+            for v in U_S.spanning()
+        ]
+        hs = hilbert_series(pullback_image(P, 1))
+        for n in (q - 1, q):
+            assert hs.coefficient(n) == free_module_dimension(
+                U_S.twists, 4, n
+            ) - naive_graded_dimension(span, U_S.twists, 4, q, n)
+
+
+def test_all_points_curve_over_its_normalization():
+    # every (a : b : 1) lies on the curve, but (0 : 1 : 0) does not, so
+    # A = F_3[x, z]; the lengths equal the S route and degreewise counts
+    # (z is a nonzerodivisor modulo the saturation: the ideal's only
+    # point off the vertex is (0 : 0 : 1))
     p = 3
     R = RingSpec(p, ["x", "y", "z"], [ALL_POINTS_F3])
-    assert R.noether_normalization() is None and R.krull_dimension() == 2
+    assert R.noether_normalization().shift == (("x", "z"), (0, 0))
     P = presentation_of_quotient(R.ideal(["x", "y"]), R)
-    assert pullback_image(P, 1) == frobenius_pullback(P, 1).image_submodule()
     # 1404 is the oracle's value at e = 3 too (dmax = 56, about 8 s)
     assert [ghk_value(P, e) for e in (1, 2, 3)] == [12, 144, 1404]
+    assert [s_route_length(P, e) for e in (1, 2)] == [12, 144]
     # x^3 -> -y^3 + x*z^2 + y*z^2
     x_cubed = NaivePoly(p, 3, {(0, 3, 0): -1, (1, 0, 2): 1, (0, 1, 2): 1})
     curve = CurveRing(p, 3, reducer=(0, 3, x_cubed))
@@ -506,6 +577,26 @@ def test_fallback_ring_keeps_the_s_route():
         q = p**e
         gens = [NaivePoly(p, 3, {(q, 0, 0): 1}), NaivePoly(p, 3, {(0, q, 0): 1})]
         assert regular_torsion_length(curve, gens, 2, 2 * q + 2) == length
+
+
+def test_fallback_ring_keeps_the_s_route():
+    # every F_2-rational centre meets the curve, so no normalization
+    # certifies and the lengths come from the S route; they match
+    # degreewise counts over S with the relation among the generators
+    # (z is a nonzerodivisor modulo the saturation: the ideal's only
+    # point off the vertex is (0 : 0 : 1))
+    p = 2
+    R = RingSpec(p, ["x", "y", "z"], [NO_CENTRE_F2])
+    assert R.noether_normalization() is None and R.krull_dimension() == 2
+    P = presentation_of_quotient(R.ideal(["x", "y"]), R)
+    assert pullback_image(P, 1) == frobenius_pullback(P, 1).image_submodule()
+    # 112 is the oracle's value at e = 3 too (about 1 s)
+    assert [ghk_value(P, e) for e in (1, 2, 3)] == [4, 24, 112]
+    relation = NaivePoly(p, 3, {m: 1 for m in itertools.permutations((2, 1, 0))})
+    for e, length in ((1, 4), (2, 24)):
+        q = p**e
+        gens = [NaivePoly(p, 3, {(q, 0, 0): 1}), NaivePoly(p, 3, {(0, q, 0): 1}), relation]
+        assert regular_torsion_length(CurveRing(p, 3), gens, 2, 2 * q + 2) == length
 
 
 def cusp_row():
@@ -525,7 +616,8 @@ def test_uncertified_saturations_never_take_a_colon(monkeypatch, plane7):
     # coordinate triangle; their reference values come first, then no
     # colon may run. The certificate reads each meet's series from a sum
     # by the modular law: in two variables it eliminates nothing, and on
-    # the triangle it intersects once, before the third variable
+    # the triangle it intersects once, before the third variable;
+    # saturate takes that meet over and intersects once more
     rows = [
         (presentation_of_quotient(plane7.ideal(["x^2*y", "x*y^2"]), plane7), 49),
         (cusp_row(), 132),
@@ -557,6 +649,7 @@ def test_uncertified_saturations_never_take_a_colon(monkeypatch, plane7):
     assert len(certify_saturation(I).variables) > 1
     assert len(eliminations) == 1
     S = saturate(I)
+    assert len(eliminations) == 1 + 2
     assert S == triangle
     assert colength_difference(I, S) == 3
 

@@ -16,7 +16,15 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "ghk"
 CLIENTS = ("idealops", "frobmod", "fitlab", "hnform", "cli")
 PACKED_NAMES = {"EXP_BITS", "EXP_GUARD", "_FMAX", "PackedMonomials"}
-NORMALIZATION_INTERNALS = {"_element", "_frobenius", "_times_z", "_pth"}
+NORMALIZATION_INTERNALS = {
+    "_substitute",
+    "_coordinates",
+    "_combine",
+    "_ladder",
+    "_frobenius",
+    "_pth",
+    "_table",
+}
 
 
 def tree(module: str) -> ast.Module:
