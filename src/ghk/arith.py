@@ -60,6 +60,7 @@ __all__ = [
     "PolyRing",
     "Poly",
     "parse_poly",
+    "frobenius_exponent",
     "frobenius_power",
     "is_prime",
     "PackedMonomials",
@@ -832,6 +833,18 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
 # Frobenius
 
 
+def frobenius_exponent(q: int, p: int) -> int:
+    """The e with q = p^e; any other q raises GhkHypothesisError."""
+    qq = as_int(q, "q", 1)
+    e = 0
+    while qq % p == 0:
+        qq //= p
+        e += 1
+    if qq != 1:
+        raise GhkHypothesisError(f"q={q} is not a power of the characteristic p={p}")
+    return e
+
+
 def frobenius_power(f: Poly, q: int) -> Poly:
     """Termwise q-th power x^m -> x^(q*m), coefficients fixed.
 
@@ -841,12 +854,7 @@ def frobenius_power(f: Poly, q: int) -> Poly:
     sum c*x^(q*m).
     """
     ring = f.ring
-    p = ring.p
-    qq = as_int(q, "q", 1)
-    while qq % p == 0:
-        qq //= p
-    if qq != 1:
-        raise GhkHypothesisError(f"q={q} is not a power of the characteristic p={p}")
+    frobenius_exponent(q, ring.p)
     if q == 1 or not f._t:
         return f
     check_exponent_cap(f, q)

@@ -209,10 +209,12 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     """Classical length l(R/I^[q]) for an irrelevant-primary ideal I.
 
     Deliberately a separate code path from ghk_value: nothing is
-    saturated here. I is irrelevant-primary iff R/I has finite length
-    (pole order 0), and the length comes straight from the Hilbert
-    series of the bracket ideal. Acceptance pins the two paths to agree
-    on primary inputs.
+    saturated here, and it stays over S even where the ring has a
+    Noether normalization. I is irrelevant-primary iff R/I has finite
+    length (pole order 0), and the length comes straight from the
+    Hilbert series of the bracket ideal, whose generators bracket_power
+    hands over in normal form modulo the relations. Acceptance pins the
+    two paths to agree on primary inputs.
     """
     if I.rank != 1:
         raise GhkError("hk_value needs an ideal (rank-1 submodule)")

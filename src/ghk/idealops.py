@@ -43,7 +43,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .arith import Poly, PolyRing, Record, frobenius_power
+from .arith import Poly, PolyRing, Record, frobenius_exponent, frobenius_power
 from .errors import (
     GhkError,
     GhkHypothesisError,
@@ -285,10 +285,26 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
     the q-th power); only the user-level generators are. q must be a
     power of the characteristic, which makes g -> g^q additive, so the
     result does not depend on the chosen generating set of I.
+
+    Over a ring with relations each generator arrives as the normal
+    form of g^q modulo the relation ideal, built one p-th power at a
+    time, w <- NF(w^[p]): u = v mod the relations gives u^p = v^p in
+    characteristic p. The ideal is the literal q-th powers', but the
+    engine need not unroll x^q by the relations; a generator whose q-th
+    power lies in the relation ideal drops out. The relations' Groebner
+    basis (the engine's default order) is built unbudgeted, as
+    RingSpec.hilbert_series builds it.
     """
     if I.rank != 1:
         raise GhkError("bracket powers are defined for ideals (rank-1 submodules)")
-    gens = [frobenius_power(v[0], q) for v in I.gens]
+    gens = [v[0] for v in I.gens]
+    steps = frobenius_exponent(q, I.ring.p)
+    if not I.relations or not steps:
+        gens = [frobenius_power(g, q) for g in gens]
+    else:
+        normal_form = Submodule.ideal(I.ring, I.relations).groebner().normal_form
+        for _ in range(steps):
+            gens = [normal_form(frobenius_power(g, I.ring.p))[0] for g in gens]
     return Submodule(I.ring, 1, gens, twists=I.twists, relations=I.relations)
 
 

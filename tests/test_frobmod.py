@@ -681,6 +681,9 @@ def test_hk_pinned_values(fermat7):
     I = fermat7.ideal(["x", "y", "z"])
     assert hk_value(I, 1) == 109
     assert hk_value(I, 2) == 5401
+    # (9q^2 - 5)/4 on the Fermat cubic; three p-th-power steps of the
+    # bracket power's normal form
+    assert hk_value(I, 4) == (9 * 2401**2 - 5) // 4 == 12970801
     # independent recomputation by degreewise counting
     p = 7
     curve = CurveRing(p, 3, reducer=(2, 3, NaivePoly(p, 3, {(3, 0, 0): 6, (0, 3, 0): 6})))

@@ -2,13 +2,14 @@
 colon/intersect/saturate against hand values and brute force, ring
 validation, sheaf degrees."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk.arith import PolyRing
+from ghk.arith import PolyRing, frobenius_power
 from ghk.errors import (
     BudgetExceededError,
     GhkError,
@@ -36,6 +37,7 @@ from ghk.idealops import (
 from naive_modules import (
     free_module_dimension,
     naive_graded_dimension,
+    naive_member,
     staircase_dimension,
     taylor_numerator,
 )
@@ -282,9 +284,46 @@ def test_bracket_power_keeps_relations():
     I = Submodule.ideal(ring, [ring.parse("x")], relations=[rel])
     B = bracket_power(I, 5)
     assert B.relations == (rel,)
-    assert [str(v[0]) for v in B.gens] == ["x^5"]
+    # x^5 in normal form: x^2 = -y^2 modulo the relation
+    assert [str(v[0]) for v in B.gens] == ["x*y^4"]
+    assert B.contains(ring.parse("x^5"))
+    assert B == Submodule.ideal(ring, [ring.parse("x^5")], relations=[rel])
     assert B.contains(rel)  # relations still present in the span
     assert not B.contains(ring.parse("x^2"))
+
+
+# (variables, relations, primes): a hypersurface in every characteristic
+# drawn, and a cone cut out by two quadrics, whose relation basis has
+# several elements
+BRACKET_RINGS = [
+    (["x", "y", "z"], ["x^3 + y^3 + z^3"], [2, 3, 5, 7]),
+    (["x", "y", "z", "w"], ["x^2 + y^2 - z*w", "x*y + z^2 + 3*w^2"], [7]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(BRACKET_RINGS), e=st.sampled_from([1, 2, 3]))
+def test_bracket_power_generators_are_normal_forms_of_the_literal_powers(data, shape, e):
+    variables, relations, primes = shape
+    n, p = len(variables), data.draw(st.sampled_from(primes))
+    R = RingSpec(p, variables, relations)
+    ring, q = R.ring, p**e
+    mons = monomials_of_degree(n, data.draw(st.sampled_from([1, 2])))
+    terms = data.draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3, unique=True))
+    g = ring.from_pairs((m, data.draw(st.integers(1, p - 1))) for m in terms)
+    B = bracket_power(R.ideal([g]), q)
+    assert B.relations == R.relations
+    # a q-th power that lies in the relation ideal has normal form 0,
+    # and the zero generator is dropped
+    w = B.gens[0][0] if B.gens else ring.zero
+    leads = [lead for _, lead in Submodule.ideal(ring, R.relations).groebner().lead_terms()]
+    for m, _ in w.terms():
+        assert not any(all(a <= b for a, b in zip(lead, m)) for lead in leads), (w, m)
+    # the oracle's linear algebra, in degrees with few monomials
+    literal = frobenius_power(g, q)
+    if math.comb(literal.degree() + n - 1, n - 1) <= 160:
+        rel_dicts = [to_dict(ModVector((r,))) for r in R.relations]
+        assert naive_member(to_dict(ModVector((w - literal,))), rel_dicts, (0,), n, p)
 
 
 def test_bracket_power_generator_independence():
