@@ -361,7 +361,7 @@ def reduce_calls(monkeypatch):
     "route, pairs, zeros",
     [
         # (x, y, z) of the Fermat cubic over F_19 at q = 361, over S
-        ("hk", 352, 178),
+        ("hk", 353, 178),
         # the Fermat point (z, x + y) over F_7 at q = 343, over A
         ("point", 242, 3),
     ],
