@@ -286,10 +286,10 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
     power of the characteristic, which makes g -> g^q additive, so the
     result does not depend on the chosen generating set of I.
 
-    Over a ring with relations each generator arrives as the normal
-    form of g^q modulo the relation ideal, built one p-th power at a
-    time, w <- NF(w^[p]): u = v mod the relations gives u^p = v^p in
-    characteristic p. The ideal is the literal q-th powers', but the
+    Each generator arrives as the normal form of g^q modulo the
+    relation ideal (with no relations, g^q itself), built one p-th
+    power at a time, w <- NF(w^[p]): u = v mod the relations gives
+    u^p = v^p in characteristic p. The ideal is the literal q-th powers', but the
     engine need not unroll x^q by the relations; a generator whose q-th
     power lies in the relation ideal drops out. The relations' Groebner
     basis (the engine's default order) is built unbudgeted, as
@@ -298,13 +298,9 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
     if I.rank != 1:
         raise GhkError("bracket powers are defined for ideals (rank-1 submodules)")
     gens = [v[0] for v in I.gens]
-    steps = frobenius_exponent(q, I.ring.p)
-    if not I.relations or not steps:
-        gens = [frobenius_power(g, q) for g in gens]
-    else:
-        normal_form = Submodule.ideal(I.ring, I.relations).groebner().normal_form
-        for _ in range(steps):
-            gens = [normal_form(frobenius_power(g, I.ring.p))[0] for g in gens]
+    normal_form = Submodule.ideal(I.ring, I.relations).groebner().normal_form
+    for _ in range(frobenius_exponent(q, I.ring.p)):
+        gens = [normal_form(frobenius_power(g, I.ring.p))[0] for g in gens]
     return Submodule(I.ring, 1, gens, twists=I.twists, relations=I.relations)
 
 
