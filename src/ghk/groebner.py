@@ -76,6 +76,31 @@ remainder modulo a Groebner basis is unique whichever divisor each
 step uses, so the minimal basis's leads, the reduced basis, normal
 forms and every length do not.
 
+Over two variables (u and `last` = l) with no eliminated block, the
+engine keeps each vector as one Python int, a row (Kronecker
+substitution). A homogeneous vector of module degree D in rank r has
+at most r(D + 1) terms, one per slot (component j, exponent a of u),
+and slot (j, a) is the field a*r + (t_j - min t)*r + pi(j) of the row,
+pi ordering the components by (twist, -index). At a fixed D this field
+order is the "top" order, and multiplying by u^alpha l^beta moves every
+field up alpha*r places: one shift. An S-pair is two shifted adds of
+tails. A reduction step takes the top field of row & reducible[D], the
+mask of the slots at degree D that some lead divides (from D to D + 1
+it grows by itself shifted one place of u, plus the one slot of each
+lead of degree D + 1), asks the same _DivisorIndex.divisor for that
+term's key and adds a multiple of the record's tail: one big-int add,
+not one heap entry per term. Because the reducer is the one _reduce
+would pick, term for term, the records, S-pair counts, zero reductions
+and every report stay those of _reduce. Fields are not reduced mod p
+at each step: each is wide enough to hold a bounded number of steps
+without carrying into its neighbour, and one bulk Barrett pass per
+remainder (and one every `steps` steps) brings them back into [0, p);
+_Rows proves the width. Leads leave a row basis as keys like any
+other; its tails are unpacked to term tuples once, when the divisor
+index is first built (normal forms, membership, vectors), so callers
+that read leads only never unpack. Bases in three or more variables
+and elimination bases keep the heap reducer.
+
 The Gebauer-Moller pair update asks the same index for the new lead's
 staircase neighbours instead of taking an lcm with every earlier lead
 of its component. The minimal syzygies of a monomial ideal join
@@ -260,7 +285,8 @@ class _Ctx:
     are the identity."""
 
     __slots__ = (
-        "ring", "rank", "twists", "p", "pm", "offs", "term_key", "split", "to_basis", "to_ring"
+        "ring", "rank", "twists", "p", "pm", "offs", "term_key", "split", "to_basis", "to_ring",
+        "rows",
     )
 
     def __init__(self, ring: PolyRing, twists: tuple, last: int | None = None, eliminate: int = 0):
@@ -271,6 +297,8 @@ class _Ctx:
         self.rank = rank
         self.twists = twists
         self.p = ring.p
+        # the engine reduces in row ints (_Rows) over two variables with no block
+        self.rows = ring.nvars == 2 and not eliminate
         self.pm = pm = PackedMonomials(ring.nvars, last)
         # module degree first: component j's twist excess goes into the
         # monomial key's top (degree) field; equal twists add 0.
@@ -340,7 +368,9 @@ class _Ctx:
 # A term is (key, coeff), its component and packed monomial read off
 # the key (_Ctx.split). A basis record is (ltkey, ltcomp, ltmon, tail)
 # with the element monic, the lead's component and monomial cached for
-# the pair update and the index, and tail the non-lead terms.
+# the pair update and the index, and tail the non-lead terms. A record
+# of a row basis (_Rows) is (ltkey, ltcomp, ltmon, tail, scale), tail a
+# row int, the element ltkey + scale*tail.
 
 
 class _DivisorIndex:
@@ -534,6 +564,255 @@ def _reduce(seeds, index: _DivisorIndex, p, full=True):
     return tuple(out)
 
 
+class _Rows:
+    """Row ints of one engine run over two variables (module docstring).
+
+    Slot (j, a), the term u^a l^b of component j, is field
+    a*rank + base[j] of width `width`, base[j] = (t_j - min t)*rank +
+    pi(j), pi ordering the components by (twist, -index). A row holds
+    the coefficients of one homogeneous vector of known module degree
+    D, and field order is term order at every D. key(D, f) gives the
+    term key of field f; reducible(D) masks the slots that some lead
+    added so far divides, all bits of each such field set. normal(row)
+    is the bulk Barrett pass, exact on every field up to `bound`, and
+    `steps` reduction steps may run between two passes. A record is
+    (key, component, monomial, tail, scale): the monic element is the
+    lead plus scale times the row int tail, whose fields lie in [0, p),
+    so installing a remainder takes no second pass to make it monic.
+
+    Why no field carries. Every operation keeps every field a
+    non-negative int. An S-pair adds two tails times multipliers in
+    [1, p - 1], at most 2(p - 1)^2 per field, and each reduction step
+    adds one tail times a multiplier in [1, p - 1], so with at most
+    `steps` = K steps between passes no field exceeds
+    bound = (K + 2)(p - 1)^2; an input row and a row after a pass hold
+    fields below p. Adding such rows adds field by field, and clearing
+    a field subtracts exactly its value. The pass takes
+    q = floor(v*M / 2^S) in every field at once, with 2^S >
+    bound*(p - 1) and M = ceil(2^S / p): writing v = q'p + rho, v*M/2^S
+    = q' + rho/p + v*e/(p*2^S) with e = M*p - 2^S < p, and rho/p +
+    v*e/(p*2^S) < (p - 1)/p + 1/p = 1, so q = q' = floor(v/p) (the
+    Granlund-Montgomery bound). width is chosen so that bound*M <
+    2^width: the product row*M is then the packed product of each field
+    with M, carrying nowhere; shifting it right by S and keeping the
+    low width - S bits of each field leaves exactly q, since the bits
+    of the field above land at width - S and higher; and subtracting
+    q*p <= v borrows nowhere. K is the largest step count that keeps
+    the bound inside the same width, which is rounded up to a multiple
+    of 4 so that rows pack and unpack through hex text.
+    """
+
+    __slots__ = (
+        "p", "rank", "twists", "width", "field", "stride", "steps", "mul", "shift",
+        "order", "base", "kd", "ka", "kc", "divisor", "deg", "mask",
+        "_qmask", "_qbits", "_pending", "_leads",
+    )
+
+    def __init__(self, ctx: _Ctx, divisor):
+        p, r, twists = ctx.p, ctx.rank, ctx.twists
+        self.p, self.rank, self.twists = p, r, twists
+        self.divisor = divisor
+        self.order = order = sorted(range(r), key=lambda j: (twists[j], -j))
+        low = min(twists)
+        base = [0] * r
+        for pi, j in enumerate(order):
+            base[j] = (twists[j] - low) * r + pi
+        self.base = tuple(base)
+        # key(D, f) = D*kd + (f // r)*ka + kc[f % r]; mon 1 of component j is
+        # the slot a = 0, field base[j], at module degree t_j
+        key = ctx.term_key
+        l = 1 << EXP_BITS  # the last variable, top field of the packed monomial
+        self.kd = key(0, l) - key(0, 0)
+        self.ka = key(0, 1) - key(0, l)
+        self.kc = tuple(
+            key(j, 0) - twists[j] * self.kd - (twists[j] - low) * self.ka for j in order
+        )
+        layout = _ROW_WIDTHS.get(p)
+        if layout is None:
+            layout = _ROW_WIDTHS[p] = _row_width(p)
+        self.width, self.steps, self.shift, self.mul = layout
+        self.field = (1 << self.width) - 1
+        self.stride = r * self.width
+        self._qmask = self._qbits = 0
+        self.deg = None  # the module degree that mask is for
+        self.mask = 0
+        self._pending: dict = {}
+        self._leads: list = []  # (module degree, field) of each lead added
+
+    def done(self) -> None:
+        """Drop the run's state (the masks and the index the divisor
+        reads); what unpack needs stays."""
+        self.divisor = None
+        self.deg, self.mask, self._pending, self._leads = None, 0, {}, []
+
+    def normal(self, row: int) -> int:
+        """The row with every field reduced into [0, p): one bulk pass."""
+        if row.bit_length() > self._qbits:
+            w = self.width
+            n = 2 * -(-row.bit_length() // w)
+            self._qbits = n * w
+            self._qmask = ((1 << n * w) - 1) // self.field * ((1 << (w - self.shift)) - 1)
+        return row - (((row * self.mul) >> self.shift) & self._qmask) * self.p
+
+    def _run(self, f: int, n: int) -> int:
+        """Mask of fields f, f + r, ..., f + (n - 1)r."""
+        stride = self.stride
+        return ((1 << n * stride) - 1) // ((1 << stride) - 1) * self.field << f * self.width
+
+    def record(self, row: int, deg: int) -> tuple:
+        """The record of a nonzero remainder of module degree deg: its
+        top field is the lead, c times the lead's term, and the record
+        keeps the tail with scale 1/c mod p."""
+        w, r = self.width, self.rank
+        f = (row.bit_length() - 1) // w
+        c = row >> f * w
+        g, pi = divmod(f, r)
+        cp = self.order[pi]
+        a = g - (self.base[cp] - pi) // r  # the slot's exponent of u
+        mon = ((deg - self.twists[cp] - a) << EXP_BITS) | a
+        key = deg * self.kd + g * self.ka + self.kc[pi]
+        return (key, cp, mon, row - (c << f * w), pow(c, -1, self.p))
+
+    def add_lead(self, rec: tuple) -> None:
+        """Register the lead of a record installed."""
+        mon, cp = rec[2], rec[1]
+        deg = (mon >> EXP_BITS) + (mon & _FMAX) + self.twists[cp]
+        f = (mon & _FMAX) * self.rank + self.base[cp]
+        self._leads.append((deg, f))
+        if self.deg is None:
+            return
+        if deg <= self.deg:
+            self.mask |= self._run(f, self.deg - deg + 1)
+        else:
+            self._pending[deg] = self._pending.get(deg, 0) | (self.field << f * self.width)
+
+    def reducible(self, deg: int) -> int:
+        """The fields of slots at module degree deg that a lead divides.
+
+        A lead u^A l^B of degree D0 divides the slots a = A .. A + D - D0
+        of its component at degree D, so from D to D + 1 the mask grows
+        by itself shifted one exponent of u (stride bits), plus the one
+        slot of each lead of degree D + 1. A degree below the current
+        one, or far above it, is built from the leads afresh."""
+        cur = self.deg
+        if cur is not None and cur <= deg <= cur + 2 * len(self._leads):
+            m, stride, pending = self.mask, self.stride, self._pending
+            for d in range(cur + 1, deg + 1):
+                m |= (m << stride) | pending.pop(d, 0)
+            self.mask = m
+        elif cur != deg:
+            field, w = self.field, self.width
+            m, pending = 0, {}
+            for d0, f in self._leads:
+                if d0 <= deg:
+                    m |= self._run(f, deg - d0 + 1)
+                else:
+                    pending[d0] = pending.get(d0, 0) | (field << f * w)
+            self.mask, self._pending = m, pending
+        self.deg = deg
+        return self.mask
+
+    def pack(self, terms: tuple) -> int:
+        """The row of terms (key, coefficient in [0, p)) from _Ctx, keys
+        descending, so their fields descend too."""
+        r, base = self.rank, self.base
+        h = self.width // 4
+        digits = f"0{h}x"
+        parts = []
+        above = None
+        for k, c in terms:
+            # the key's low field is _FMAX - a
+            f = (_FMAX - ((k >> COMP_BITS) & _FMAX)) * r + base[_CMAX - (k & _CMAX)]
+            if above is not None:
+                parts.append("0" * (h * (above - f - 1)))
+            parts.append(format(c, digits))
+            above = f
+        parts.append("0" * (h * above))
+        return int("".join(parts), 16)
+
+    def unpack(self, rec: tuple) -> tuple:
+        """The monic record of a row-mode record, its tail as terms."""
+        k, cp, m, tail, scale = rec
+        p, r, ka, kc, h = self.p, self.rank, self.ka, self.kc, self.width // 4
+        kd = ((m >> EXP_BITS) + (m & _FMAX) + self.twists[cp]) * self.kd
+        text = format(tail, "x")
+        n = -(-len(text) // h)
+        text = text.rjust(n * h, "0")
+        out = []
+        for i in range(n):
+            c = int(text[i * h : i * h + h], 16)
+            if c:
+                g, pi = divmod(n - 1 - i, r)
+                out.append((kd + g * ka + kc[pi], c * scale % p))
+        return (k, cp, m, tuple(out))
+
+
+def _row_width(p: int) -> tuple:
+    """(width, steps, shift, mul) for _Rows over F_p: the width that 8
+    steps between passes need, rounded up to a multiple of 4, then the
+    most steps that width holds (the _Rows argument)."""
+    best, width, steps = None, 0, 8
+    while True:
+        bound = (steps + 2) * (p - 1) ** 2
+        shift = (bound * (p - 1)).bit_length()
+        mul = -(-(1 << shift) // p)
+        need = (bound * mul).bit_length()
+        if width and need > width:
+            return best
+        width = width or -(-need // 4) * 4
+        best = (width, steps, shift, mul)
+        steps += 1
+
+
+_ROW_WIDTHS: dict = {}  # p -> _row_width(p)
+
+
+def _reduce_rows(seeds, rows: _Rows, deg: int) -> int:
+    """_reduce on row ints: the remainder of a seeded combination of
+    module degree deg, every field in [0, p) (0 when it is zero).
+
+    seeds: (row, mult, shift) contributions, each entering as
+    (row*mult) << shift. Each step takes the top field of row &
+    rows.reducible(deg), the term that _reduce would reduce next,
+    reduces it by the record rows.divisor returns for its key, the one
+    _reduce would use, and adds a multiple of that record's tail moved
+    up to it: one big-int add. The remainder, its lead and the records
+    installed are therefore _reduce's.
+    """
+    row = 0
+    for tail, mult, shift in seeds:
+        row += (tail * mult) << shift
+    red = rows.mask if deg == rows.deg else rows.reducible(deg)
+    x = row & red
+    if x:
+        p, r, w, base = rows.p, rows.rank, rows.width, rows.base
+        divisor, kd, ka, kc = rows.divisor, deg * rows.kd, rows.ka, rows.kc
+        left = rows.steps
+        while x:
+            f = (x.bit_length() - 1) // w
+            sh = f * w
+            v = x >> sh
+            row -= v << sh
+            c = v % p
+            if c:
+                g, pi = divmod(f, r)
+                rec = divisor(kd + g * ka + kc[pi])
+                lead = (rec[2] & _FMAX) * r + base[rec[1]]
+                row += ((p - c) * rec[4] % p * rec[3]) << (sh - lead * w)
+                left -= 1
+                if not left:
+                    row = rows.normal(row)
+                    left = rows.steps
+            x = row & red
+    return rows.normal(row)
+
+
+def _unpack_rows(rows: _Rows, records: list) -> list:
+    """Row-mode records made monic, their tails unpacked to terms: the
+    records the heap reducer and _interreduce read."""
+    return [rows.unpack(rec) for rec in records]
+
+
 def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
     k, c = terms[0]
     if c != 1:
@@ -615,34 +894,46 @@ def _update_pairs(
         del P[ij]
 
 
-def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
-    """Run Buchberger to completion; return a minimal basis, ascending.
+def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
+    """Run Buchberger to completion; return a minimal basis, ascending,
+    and the _Rows its tails are packed in (None for term tuples).
 
-    The records are monic with pairwise non-dividing leads. Each tail
-    was reduced against the basis as it stood when its record was
-    installed, so a later element may still divide a tail term; the
-    leads are final, and _interreduce makes the basis reduced.
+    The records are monic (row records through their scale) with
+    pairwise non-dividing leads. Each tail was reduced against the basis
+    as it stood when its record was installed, so a later element may
+    still divide a tail term; the leads are final, and _interreduce
+    makes the basis reduced.
     """
     p = ctx.p
     pm = ctx.pm
+    twists, rank = ctx.twists, ctx.rank
     max_degree = budget.max_degree if budget else None
     max_pairs = budget.max_pairs if budget else None
     index = _DivisorIndex(ctx)
     G = index.records
     P: dict = {}
     heap: list = []
+    rows = _Rows(ctx, index.divisor) if ctx.rows else None
 
-    def install(terms: tuple) -> None:
-        rec = _monic_record(ctx, terms)
-        _update_pairs(index, P, heap, rec[1], rec[2], ctx.twists, ctx.rank, pm)
+    def install(rec: tuple) -> None:
+        _update_pairs(index, P, heap, rec[1], rec[2], twists, rank, pm)
         index.add(rec)
+        if rows:
+            rows.add_lead(rec)
 
     for terms in vec_terms:
         if not terms:
             continue
+        if rows:
+            cp, mon = ctx.split(terms[0][0])
+            deg = pm.degree(mon) + twists[cp]
+            red = _reduce_rows([(rows.pack(terms), 1, 0)], rows, deg)
+            if red:
+                install(rows.record(red, deg))
+            continue
         red = _reduce([(terms, 1, 0)], index, p)
         if red:
-            install(red)
+            install(_monic_record(ctx, red))
 
     pairs_done = 0
     while heap:
@@ -667,16 +958,30 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> list:
         ctx.check_degree(deg)
         pairs_done += 1
         gi, gj = G[i], G[j]
+        if rows:
+            # multiplying by u^alpha l^beta moves a row up alpha*rank fields
+            a, s = tau & _FMAX, rows.stride
+            seeds = [
+                (gi[3], gi[4], (a - (gi[2] & _FMAX)) * s),
+                (gj[3], p - gj[4], (a - (gj[2] & _FMAX)) * s),
+            ]
+            red = _reduce_rows(seeds, rows, deg)
+            if red:
+                install(rows.record(red, deg))
+            continue
         ktau = ctx.term_key(gi[1], tau)
         seeds = [(gi[3], 1, ktau - gi[0]), (gj[3], p - 1, ktau - gj[0])]
         red = _reduce(seeds, index, p)
         if red:
-            install(red)
+            install(_monic_record(ctx, red))
 
     # minimal lead set: the leads are distinct, so keep the records
     # whose lead is a minimal generator of its component's lead ideal
     minimal = {cp: set(pm.minimal(sorted(leads))) for cp, leads in index.leads.items()}
-    return sorted((rec for rec in G if rec[2] in minimal[rec[1]]), key=lambda rec: rec[0])
+    basis = sorted((rec for rec in G if rec[2] in minimal[rec[1]]), key=lambda rec: rec[0])
+    if rows:
+        rows.done()
+    return basis, rows
 
 
 def _interreduce(index: _DivisorIndex, p: int) -> list:
@@ -719,22 +1024,26 @@ class GroebnerBasis:
     leads never build it.
     """
 
-    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_divisors", "_ctx")
+    __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_divisors", "_ctx", "_rows")
 
-    def __init__(self, ctx: _Ctx, records: list):
+    def __init__(self, ctx: _Ctx, records: list, rows: _Rows | None = None):
         self.ring = ctx.ring
         self.rank = ctx.rank
         self.twists = ctx.twists
         self._ctx = ctx
         self._records = records
+        self._rows = rows
         self._divisors = None
         self._vectors = None
 
     @property
     def _index(self) -> _DivisorIndex:
         """The divisor index, built on the first query; from then on
-        _records is its list."""
+        _records is its list, with row-int tails unpacked to terms."""
         if self._divisors is None:
+            if self._rows is not None:
+                self._records = _unpack_rows(self._rows, self._records)
+                self._rows = None
             self._divisors = _DivisorIndex(self._ctx, self._records)
             self._records = self._divisors.records
         return self._divisors
@@ -941,7 +1250,7 @@ def _basis(
     grevlex with variable `last` compared last and the first `eliminate`
     components as a block above the rest."""
     ctx = _Ctx(ring, twists, last, eliminate)
-    return GroebnerBasis(ctx, _engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
+    return GroebnerBasis(ctx, *_engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
 
 
 def _preimage(

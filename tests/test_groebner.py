@@ -340,21 +340,25 @@ def test_leads_only_callers_never_interreduce(interreduce_calls):
 # reduction counts
 
 
+def _count_reductions(patch, calls: list) -> list:
+    """Append (number of seeds, remainder is zero) to calls for every
+    call of either reducer, _reduce (term tuples) or _reduce_rows (row
+    ints): an S-pair reduction has two seeds, an input or a tail one."""
+    for name in ("_reduce", "_reduce_rows"):
+
+        def counting(seeds, *args, _real=getattr(groebner, name)):
+            seeds = list(seeds)
+            out = _real(seeds, *args)
+            calls.append((len(seeds), not out))
+            return out
+
+        patch.setattr(groebner, name, counting)
+    return calls
+
+
 @pytest.fixture
 def reduce_calls(monkeypatch):
-    """(number of seeds, remainder is zero) for every _reduce call: an
-    S-pair reduction has two seeds, an input or a tail one."""
-    calls = []
-    real = groebner._reduce
-
-    def counting(seeds, *args):
-        seeds = list(seeds)
-        out = real(seeds, *args)
-        calls.append((len(seeds), not out))
-        return out
-
-    monkeypatch.setattr(groebner, "_reduce", counting)
-    return calls
+    return _count_reductions(monkeypatch, [])
 
 
 @pytest.mark.parametrize(
@@ -377,8 +381,132 @@ def test_pair_update_reduces_no_more_s_pairs(reduce_calls, route, pairs, zeros):
         P = presentation_of_quotient(R.ideal(["z", "x + y"]), R)
         assert ghk_value(P, 3) == 4 * (343**2 - 1) // 3
     s_pairs = [zero for n, zero in reduce_calls if n == 2]
-    assert len(s_pairs) <= pairs
+    # the point's bases over A reduce in row ints: a ceiling met with
+    # nothing counted would check nothing
+    assert 0 < len(s_pairs) <= pairs
     assert sum(s_pairs) <= zeros
+
+
+# ---------------------------------------------------------------------------
+# row ints against the heap reducer
+
+
+def _counted_basis(ctx, vecs):
+    """The basis the engine builds on ctx, and (seeds, zero remainder)
+    for each reduction it made, through either reducer."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_reductions(patch, [])
+        records, rows = groebner._engine([ctx.vec_to_terms(v) for v in vecs], ctx, None)
+    return GroebnerBasis(ctx, records, rows), calls
+
+
+def _rows_against_heap(ring, twists, last, gens):
+    """The row-int basis of gens, checked against the heap reducer's on
+    the same context: reductions, zero remainders, leads, records as
+    installed (the same divisor at every step gives the same tails) and
+    the reduced basis."""
+    rows = groebner._Ctx(ring, twists, last)
+    heap = groebner._Ctx(ring, twists, last)
+    heap.rows = False
+    assert rows.rows
+    gb, counts = _counted_basis(rows, gens)
+    ref, ref_counts = _counted_basis(heap, gens)
+    assert counts == ref_counts
+    assert gb.lead_terms() == ref.lead_terms()
+    assert gb._index.records == ref._index.records
+    assert gb.vectors == ref.vectors
+    return gb
+
+
+@pytest.mark.parametrize("p", [2, 7, 31])
+def test_row_ints_on_reductions_longer_than_a_pass(p):
+    # g = x^d + (p - 1)(x^(d-1)y + ... + y^d) reduces x^(d+60) in 61
+    # steps, and each field below the top takes up to d of them before
+    # it is reduced itself: far more than a pass allows (_Rows.steps)
+    ring = PolyRing(p, ["x", "y"])
+    d = 60
+    g = ring.from_pairs([((d, 0), 1)] + [((d - k, k), p - 1) for k in range(1, d + 1)])
+    gens = [ModVector((g,)), ModVector((ring.monomial((d + 60, 0)),))]
+    for last in (0, 1):
+        gb = _rows_against_heap(ring, (0,), last, gens)
+        assert len(gb) >= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 7, 31, 32771]),
+    twists=st.lists(st.integers(-1, 2), min_size=1, max_size=3).map(tuple),
+    last=st.integers(0, 1),
+)
+def test_row_ints_reduce_as_the_heap_reducer_does(data, p, twists, last):
+    # generators of several degrees, so that some leads wait above the
+    # degree being reduced; twists unequal as drawn
+    ring = PolyRing(p, ["x", "y"])
+    top = max(twists)
+    gens = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        deg = data.draw(st.integers(top, top + 5))
+        gens.append(data.draw(module_vectors(ring, twists, deg)))
+    gens = [v for v in gens if not v.is_zero()]
+    gb = _rows_against_heap(ring, twists, last, gens)
+    if len(twists) * (top + 6) <= 30:
+        span = [to_dict(v) for v in gens]
+        assert all(naive_member(to_dict(v), span, twists, 2, p) for v in gb.vectors)
+        probes = [data.draw(module_vectors(ring, twists, top + 2)) for _ in range(2)]
+        for v in probes:
+            assert gb.contains(v) == naive_member(to_dict(v), span, twists, 2, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 31, 47, 32771])
+def test_row_pass_is_exact_up_to_its_bound(p):
+    # every field at the largest value a reduction can leave between
+    # two passes, and at random values below it
+    ring = PolyRing(p, ["x", "y"])
+    rows = groebner._Rows(groebner._Ctx(ring, (0, 1)), None)
+    bound = (rows.steps + 2) * (p - 1) ** 2
+    rng = random.Random(p)
+    for fields in ([bound] * 40, [rng.randrange(bound + 1) for _ in range(200)]):
+        row = sum(v << (i * rows.width) for i, v in enumerate(fields))
+        out = rows.normal(row)
+        assert [(out >> (i * rows.width)) & rows.field for i in range(len(fields))] == [
+            v % p for v in fields
+        ]
+        assert out >> (len(fields) * rows.width) == 0
+
+
+@pytest.fixture
+def unpacked(monkeypatch):
+    """The number of row-int records handed to each unpacking."""
+    calls = []
+    real = groebner._unpack_rows
+
+    def counting(rows, records):
+        calls.append(len(records))
+        return real(rows, records)
+
+    monkeypatch.setattr(groebner, "_unpack_rows", counting)
+    return calls
+
+
+def test_leads_only_callers_never_unpack_row_ints(unpacked):
+    R = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    P = presentation_of_quotient(R.ideal(["z", "x + y"]), R)
+    assert ghk_value(P, 2) == 4 * (49**2 - 1) // 3  # over A = F_7[x, y]
+    ring = PolyRing(7, ["x", "y"])
+    U = Submodule.ideal(ring, [ring.parse("x^3 + y^3"), ring.parse("x^2*y")])
+    assert hilbert_series(U).pole_order() == 0
+    assert unpacked == []
+    for read in ("contains", "normal_form", "vectors"):
+        V = Submodule.ideal(ring, [ring.parse("x^3 + y^3"), ring.parse("x^2*y")])
+        gb = V.groebner()
+        for _ in range(2):
+            if read == "vectors":
+                gb.vectors
+            else:
+                getattr(gb, read)(ring.parse("x^4 + x*y^3"))
+        assert unpacked == [len(gb)], read
+        unpacked.clear()
 
 
 @st.composite

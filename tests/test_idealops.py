@@ -292,6 +292,32 @@ def test_bracket_power_keeps_relations():
     assert not B.contains(ring.parse("x^2"))
 
 
+def test_relation_basis_is_built_once_per_ring(monkeypatch):
+    # every bracket power over a ring and the ring's own Hilbert series
+    # share one basis of the relations (the relation alone as its span)
+    from ghk import groebner, idealops
+
+    monkeypatch.setattr(idealops, "_RELATION_IDEALS", {})
+    spans = []
+    real = groebner._basis
+
+    def counting(ring, twists, vectors, *args, **kwargs):
+        vectors = list(vectors)
+        spans.append(len(vectors))
+        return real(ring, twists, vectors, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_basis", counting)
+    R = RingSpec(5, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    I = R.ideal(["x", "y", "z"])
+    for q in (5, 25):
+        assert bracket_power(I, q).contains(R.parse(f"x^{q}"))
+    assert R.hilbert_series().pole_order() == 2
+    # a copy of the ring built apart still finds the same basis
+    assert RingSpec(5, ["x", "y", "z"], ["x^3 + y^3 + z^3"]).krull_dimension() == 2
+    assert spans.count(1) == 1
+    assert len(spans) == 3  # the relations, then each bracket ideal
+
+
 # (variables, relations, primes): a hypersurface in every characteristic
 # drawn, and a cone cut out by two quadrics, whose relation basis has
 # several elements
