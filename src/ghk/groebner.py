@@ -1,13 +1,16 @@
 """Groebner bases for submodules of twisted free modules over F_p[x_1..x_n].
 
-Buchberger's algorithm with the Gebauer-Moller pair filters, normal
-(degree-first) pair selection with ties broken by input index, and
-canonical reduced output: the reduced basis of a submodule is unique
-for a fixed term order, so results are reproducible across strategies.
-The engine stops at a minimal basis; its tails are reduced against the
-whole basis only when GroebnerBasis.vectors is first read. Leads,
-membership and normal forms are read without that pass, and a Hilbert
-series needs only the leads.
+Buchberger's algorithm with the Gebauer-Moller pair filters, run
+degree by degree: inputs and S-pairs are taken in order of module
+degree, each input before the S-pairs of its degree, ties broken by
+index, so every record the engine installs belongs to the minimal
+basis it returns. The output is canonical: the reduced basis of a
+submodule is unique for a fixed term order, so results are
+reproducible across strategies. The engine stops at a minimal basis;
+its tails are reduced against the whole basis only when
+GroebnerBasis.vectors is first read. Leads, membership and normal
+forms are read without that pass, and a Hilbert series needs only the
+leads.
 
 Quotient rings R = S/(relations) are never represented directly. A
 submodule of a free R-module is stored over the polynomial ring S with
@@ -86,8 +89,8 @@ order is the "top" order, and multiplying by u^alpha l^beta moves every
 field up alpha*r places: one shift. An S-pair is two shifted adds of
 tails. A reduction step takes the top field of row & reducible[D], the
 mask of the slots at degree D that some lead divides (from D to D + 1
-it grows by itself shifted one place of u, plus the one slot of each
-lead of degree D + 1), asks the same _DivisorIndex.divisor for that
+it grows by itself shifted one place of u, and each lead installed at
+D sets its own slot), asks the same _DivisorIndex.divisor for that
 term's key and adds a multiple of the record's tail: one big-int add,
 not one heap entry per term. Because the reducer is the one _reduce
 would pick, term for term, the records, S-pair counts, zero reductions
@@ -114,8 +117,9 @@ coprime to the new lead, which is when the lcm minus the new lead is a
 lead of the component. The chain criterion takes an lcm only for the
 live pairs whose lcm the new lead divides. Pairs are kept in a dict for
 that criterion and picked from a heap of (degree, i, j) with lazy
-deletion; a pair key is never reinserted, so the heap reproduces the
-degree-then-index order exactly.
+deletion, which also holds each input k as (degree, -1, k); a pair key
+is never reinserted, so the heap reproduces the degree-then-index order
+exactly.
 """
 
 from __future__ import annotations
@@ -573,7 +577,9 @@ class _Rows:
     the coefficients of one homogeneous vector of known module degree
     D, and field order is term order at every D. key(D, f) gives the
     term key of field f; reducible(D) masks the slots that some lead
-    added so far divides, all bits of each such field set. normal(row)
+    added so far divides, all bits of each such field set, for D no
+    lower than any degree asked before: the engine reduces degree by
+    degree and adds each lead at the degree it reduced. normal(row)
     is the bulk Barrett pass, exact on every field up to `bound`, and
     `steps` reduction steps may run between two passes. A record is
     (key, component, monomial, tail, scale): the monic element is the
@@ -605,7 +611,7 @@ class _Rows:
     __slots__ = (
         "p", "rank", "twists", "width", "field", "stride", "steps", "mul", "shift",
         "order", "base", "kd", "ka", "kc", "divisor", "deg", "mask",
-        "_qmask", "_qbits", "_pending", "_leads",
+        "_qmask", "_qbits",
     )
 
     def __init__(self, ctx: _Ctx, divisor):
@@ -636,14 +642,12 @@ class _Rows:
         self._qmask = self._qbits = 0
         self.deg = None  # the module degree that mask is for
         self.mask = 0
-        self._pending: dict = {}
-        self._leads: list = []  # (module degree, field) of each lead added
 
     def done(self) -> None:
-        """Drop the run's state (the masks and the index the divisor
+        """Drop the run's state (the mask and the index the divisor
         reads); what unpack needs stays."""
         self.divisor = None
-        self.deg, self.mask, self._pending, self._leads = None, 0, {}, []
+        self.deg, self.mask = None, 0
 
     def normal(self, row: int) -> int:
         """The row with every field reduced into [0, p): one bulk pass."""
@@ -653,11 +657,6 @@ class _Rows:
             self._qbits = n * w
             self._qmask = ((1 << n * w) - 1) // self.field * ((1 << (w - self.shift)) - 1)
         return row - (((row * self.mul) >> self.shift) & self._qmask) * self.p
-
-    def _run(self, f: int, n: int) -> int:
-        """Mask of fields f, f + r, ..., f + (n - 1)r."""
-        stride = self.stride
-        return ((1 << n * stride) - 1) // ((1 << stride) - 1) * self.field << f * self.width
 
     def record(self, row: int, deg: int) -> tuple:
         """The record of a nonzero remainder of module degree deg: its
@@ -674,41 +673,25 @@ class _Rows:
         return (key, cp, mon, row - (c << f * w), pow(c, -1, self.p))
 
     def add_lead(self, rec: tuple) -> None:
-        """Register the lead of a record installed."""
-        mon, cp = rec[2], rec[1]
-        deg = (mon >> EXP_BITS) + (mon & _FMAX) + self.twists[cp]
-        f = (mon & _FMAX) * self.rank + self.base[cp]
-        self._leads.append((deg, f))
-        if self.deg is None:
-            return
-        if deg <= self.deg:
-            self.mask |= self._run(f, self.deg - deg + 1)
-        else:
-            self._pending[deg] = self._pending.get(deg, 0) | (self.field << f * self.width)
+        """Register the lead of a record installed at the current degree
+        (the engine installs nowhere else): its own slot."""
+        f = (rec[2] & _FMAX) * self.rank + self.base[rec[1]]
+        self.mask |= self.field << f * self.width
 
     def reducible(self, deg: int) -> int:
         """The fields of slots at module degree deg that a lead divides.
 
         A lead u^A l^B of degree D0 divides the slots a = A .. A + D - D0
         of its component at degree D, so from D to D + 1 the mask grows
-        by itself shifted one exponent of u (stride bits), plus the one
-        slot of each lead of degree D + 1. A degree below the current
-        one, or far above it, is built from the leads afresh."""
-        cur = self.deg
-        if cur is not None and cur <= deg <= cur + 2 * len(self._leads):
-            m, stride, pending = self.mask, self.stride, self._pending
-            for d in range(cur + 1, deg + 1):
-                m |= (m << stride) | pending.pop(d, 0)
+        by itself shifted one exponent of u (stride bits), and add_lead
+        sets the slot of each lead installed at D. The engine asks for
+        degrees in ascending order, so the mask only grows; the first
+        call starts from the empty mask, before any lead."""
+        if self.deg is not None:
+            m, stride = self.mask, self.stride
+            for _ in range(deg - self.deg):
+                m |= m << stride
             self.mask = m
-        elif cur != deg:
-            field, w = self.field, self.width
-            m, pending = 0, {}
-            for d0, f in self._leads:
-                if d0 <= deg:
-                    m |= self._run(f, deg - d0 + 1)
-                else:
-                    pending[d0] = pending.get(d0, 0) | (field << f * w)
-            self.mask, self._pending = m, pending
         self.deg = deg
         return self.mask
 
@@ -782,7 +765,7 @@ def _reduce_rows(seeds, rows: _Rows, deg: int) -> int:
     row = 0
     for tail, mult, shift in seeds:
         row += (tail * mult) << shift
-    red = rows.mask if deg == rows.deg else rows.reducible(deg)
+    red = rows.reducible(deg)
     x = row & red
     if x:
         p, r, w, base = rows.p, rows.rank, rows.width, rows.base
@@ -898,11 +881,18 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
     """Run Buchberger to completion; return a minimal basis, ascending,
     and the _Rows its tails are packed in (None for term tuples).
 
-    The records are monic (row records through their scale) with
-    pairwise non-dividing leads. Each tail was reduced against the basis
-    as it stood when its record was installed, so a later element may
-    still divide a tail term; the leads are final, and _interreduce
-    makes the basis reduced.
+    One heap orders the work by module degree: each nonzero input is
+    (degree, -1, k), k its place in vec_terms, so it is reduced at its
+    own degree before that degree's S-pairs, and the inputs of a degree
+    in input order. Every record installed is final. Its lead is
+    irreducible by every earlier lead, and no later lead divides it:
+    a later lead has no smaller module degree, while a divisor in the
+    same component has no larger one, and at equal degree it would be
+    the lead itself. So the records are a minimal basis as installed.
+    They are monic (row records through their scale). Each tail was
+    reduced against the basis as it stood when its record was
+    installed, so a later element may still divide a tail term;
+    _interreduce makes the basis reduced.
     """
     p = ctx.p
     pm = ctx.pm
@@ -914,74 +904,63 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
     P: dict = {}
     heap: list = []
     rows = _Rows(ctx, index.divisor) if ctx.rows else None
-
-    def install(rec: tuple) -> None:
-        _update_pairs(index, P, heap, rec[1], rec[2], twists, rank, pm)
-        index.add(rec)
-        if rows:
-            rows.add_lead(rec)
-
-    for terms in vec_terms:
-        if not terms:
-            continue
-        if rows:
+    for k, terms in enumerate(vec_terms):
+        if terms:
             cp, mon = ctx.split(terms[0][0])
-            deg = pm.degree(mon) + twists[cp]
-            red = _reduce_rows([(rows.pack(terms), 1, 0)], rows, deg)
-            if red:
-                install(rows.record(red, deg))
-            continue
-        red = _reduce([(terms, 1, 0)], index, p)
-        if red:
-            install(_monic_record(ctx, red))
+            heappush(heap, (pm.degree(mon) + twists[cp], -1, k))
 
     pairs_done = 0
     while heap:
         deg, i, j = heappop(heap)
-        tau = P.pop((i, j), None)
-        if tau is None:
-            continue  # dropped by the chain criterion
-        if max_degree is not None and deg > max_degree:
-            raise BudgetExceededError(
-                f"S-pair degree {deg} exceeds budget {max_degree}",
-                kind="degree",
-                limit=max_degree,
-                reached=deg,
-            )
-        if max_pairs is not None and pairs_done >= max_pairs:
-            raise BudgetExceededError(
-                f"S-pair count exceeds budget {max_pairs}",
-                kind="pairs",
-                limit=max_pairs,
-                reached=pairs_done + 1,
-            )
-        ctx.check_degree(deg)
-        pairs_done += 1
-        gi, gj = G[i], G[j]
+        if i < 0:
+            terms = vec_terms[j]
+            seeds = [(rows.pack(terms) if rows else terms, 1, 0)]
+        else:
+            tau = P.pop((i, j), None)
+            if tau is None:
+                continue  # dropped by the chain criterion
+            if max_degree is not None and deg > max_degree:
+                raise BudgetExceededError(
+                    f"S-pair degree {deg} exceeds budget {max_degree}",
+                    kind="degree",
+                    limit=max_degree,
+                    reached=deg,
+                )
+            if max_pairs is not None and pairs_done >= max_pairs:
+                raise BudgetExceededError(
+                    f"S-pair count exceeds budget {max_pairs}",
+                    kind="pairs",
+                    limit=max_pairs,
+                    reached=pairs_done + 1,
+                )
+            ctx.check_degree(deg)
+            pairs_done += 1
+            gi, gj = G[i], G[j]
+            if rows:
+                # multiplying by u^alpha l^beta moves a row up alpha*rank fields
+                a, s = tau & _FMAX, rows.stride
+                seeds = [
+                    (gi[3], gi[4], (a - (gi[2] & _FMAX)) * s),
+                    (gj[3], p - gj[4], (a - (gj[2] & _FMAX)) * s),
+                ]
+            else:
+                ktau = ctx.term_key(gi[1], tau)
+                seeds = [(gi[3], 1, ktau - gi[0]), (gj[3], p - 1, ktau - gj[0])]
         if rows:
-            # multiplying by u^alpha l^beta moves a row up alpha*rank fields
-            a, s = tau & _FMAX, rows.stride
-            seeds = [
-                (gi[3], gi[4], (a - (gi[2] & _FMAX)) * s),
-                (gj[3], p - gj[4], (a - (gj[2] & _FMAX)) * s),
-            ]
             red = _reduce_rows(seeds, rows, deg)
-            if red:
-                install(rows.record(red, deg))
-            continue
-        ktau = ctx.term_key(gi[1], tau)
-        seeds = [(gi[3], 1, ktau - gi[0]), (gj[3], p - 1, ktau - gj[0])]
-        red = _reduce(seeds, index, p)
-        if red:
-            install(_monic_record(ctx, red))
+            rec = rows.record(red, deg) if red else None
+        else:
+            red = _reduce(seeds, index, p)
+            rec = _monic_record(ctx, red) if red else None
+        if rec:
+            _update_pairs(index, P, heap, rec[1], rec[2], twists, rank, pm)
+            index.add(rec)
+            if rows:
+                rows.add_lead(rec)
 
-    # minimal lead set: the leads are distinct, so keep the records
-    # whose lead is a minimal generator of its component's lead ideal
-    minimal = {cp: set(pm.minimal(sorted(leads))) for cp, leads in index.leads.items()}
-    basis = sorted((rec for rec in G if rec[2] in minimal[rec[1]]), key=lambda rec: rec[0])
     if rows:
         rows.done()
-    return basis, rows
+    return sorted(G, key=lambda rec: rec[0]), rows
 
 
 def _interreduce(index: _DivisorIndex, p: int) -> list:

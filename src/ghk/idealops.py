@@ -723,8 +723,9 @@ class NoetherNormalization:
         leads = [m for _, m in gb.lead_terms()]
         # each fibre variable's pure power among the leads, 0 for none
         box = [min((m[f] for m in leads if m[f] == sum(m) > 0), default=0) for f in range(k)]
+        self.finite = all(box)  # the fibre R/(x_i, x_j) is finite
         self.degree = 0  # stays 0 when the leads do not certify the centre
-        if not all(box) or any(any(m[k:]) for m in leads):
+        if not self.finite or any(any(m[k:]) for m in leads):
             return
         below = itertools.product(*map(range, box))
         standard = (u for u in below if not any(all(e >= l for e, l in zip(u, m)) for m in leads))
@@ -743,7 +744,17 @@ class NoetherNormalization:
     def find(cls, rspec: RingSpec) -> "NoetherNormalization | None":
         """The first centre whose leads certify, or None: for each shift of
         itertools.product each pair of itertools.combinations, so the
-        coordinate centres come first. None for two variables: R is its A."""
+        coordinate centres come first. None for two variables: R is its A.
+
+        The search also stops, with None, at the first centre whose
+        fibre is finite but whose leads involve the pair. With the pair
+        last in grevlex, the pair is then not a regular sequence
+        (Bayer-Stillman), and the finite fibre makes it a system of
+        parameters of R, or R has dimension below 2 and nothing
+        certifies. A graded ring is Cohen-Macaulay iff one homogeneous
+        system of parameters is a regular sequence, and then all are
+        (Bruns-Herzog, Ch. 2). A certified centre is such a sequence,
+        so no centre certifies."""
         n = rspec.ring.nvars
         if n < 3:
             return None
@@ -752,6 +763,8 @@ class NoetherNormalization:
                 nn = cls(rspec, pair, shift)
                 if nn.degree:
                     return nn
+                if nn.finite:
+                    return None
         return None
 
     def pullback(self, columns: Sequence[ModVector], row_twists: tuple, q: int) -> Submodule:

@@ -27,6 +27,7 @@ from ghk.frobmod import (
 from ghk.arith import PolyRing
 from ghk.groebner import GbBudget, ModVector, Submodule
 from ghk.idealops import (
+    NoetherNormalization,
     RingSpec,
     _divide_out,
     _lead_series,
@@ -381,6 +382,31 @@ def test_noether_normalization_choice():
         RingSpec(7, ["x", "y", "z"]),
     ):
         assert R.noether_normalization() is None
+
+
+@pytest.mark.parametrize(
+    "p, relations, centres",
+    [
+        # two planes meeting in a point, (x, y) and (z, w): not
+        # Cohen-Macaulay, so the first finite fibre ends the search
+        (3, ["x*z", "x*w", "y*z", "y*w"], 73),
+        (5, ["x*z", "x*w", "y*z", "y*w"], 181),
+        # no centre has a finite fibre: every one of the 2^2 * 3 is tried
+        (2, [NO_CENTRE_F2], 12),
+    ],
+)
+def test_centre_search_stops_where_cohen_macaulay_fails(monkeypatch, p, relations, centres):
+    variables = ["x", "y", "z", "w"][: 3 if len(relations) == 1 else 4]
+    tried = []
+    real = NoetherNormalization.__init__
+
+    def counting(self, rspec, pair, shift):
+        tried.append((pair, shift))
+        real(self, rspec, pair, shift)
+
+    monkeypatch.setattr(NoetherNormalization, "__init__", counting)
+    assert RingSpec(p, variables, relations).noether_normalization() is None
+    assert len(tried) == centres
 
 
 def _translation_cases():

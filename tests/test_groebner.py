@@ -264,6 +264,62 @@ def test_basis_cached_on_submodule():
         U.groebner(last=True)
 
 
+def _installed_basis(ring, twists, gens):
+    """The engine's basis of gens and the number of records it installed
+    in the divisor index (the lazy GroebnerBasis._index is not built)."""
+    ctx = groebner._Ctx(ring, tuple(twists))
+    added = []
+    real = groebner._DivisorIndex.add
+
+    def counting(index, rec):
+        added.append(rec)
+        real(index, rec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner._DivisorIndex, "add", counting)
+        records, rows = groebner._engine([ctx.vec_to_terms(v) for v in gens], ctx, None)
+    return GroebnerBasis(ctx, records, rows), len(added)
+
+
+@pytest.mark.parametrize("variables", [["x", "y"], ["x", "y", "z"]])
+def test_engine_installs_only_final_records(variables):
+    # x^2 comes first but x divides it: reduced at its own degree, x is
+    # installed before x^2 is reached, and x^2 reduces to zero
+    ring = PolyRing(7, variables)
+    gens = [ModVector((ring.parse("x^2"),)), ModVector((ring.parse("x"),))]
+    gb, installed = _installed_basis(ring, (0,), gens)
+    assert installed == len(gb) == 1
+    assert gb.lead_terms() == ((0, (1,) + (0,) * (len(variables) - 1)),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 7]),
+    nvars=st.integers(2, 3),
+    twists=st.lists(st.integers(-1, 2), min_size=1, max_size=2, unique=True).map(tuple),
+)
+def test_every_installed_record_is_final(data, p, nvars, twists):
+    # generators of shuffled degrees: a later input of lower degree must
+    # never divide a lead installed before it
+    ring = PolyRing(p, ["x", "y", "z"][:nvars])
+    top = max(twists)
+    gens = [
+        data.draw(module_vectors(ring, twists, data.draw(st.integers(top, top + 3))))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    gens = data.draw(st.permutations([v for v in gens if not v.is_zero()]))
+    gb, installed = _installed_basis(ring, twists, gens)
+    assert installed == len(gb)
+    # a minimal basis: no lead divides another of its component
+    leads = gb.lead_terms()
+    for j, a in leads:
+        assert not any(
+            (j, a) != (k, b) and j == k and all(bi <= ai for ai, bi in zip(a, b))
+            for k, b in leads
+        )
+
+
 # ---------------------------------------------------------------------------
 # lazy tail interreduction
 
@@ -422,7 +478,9 @@ def _rows_against_heap(ring, twists, last, gens):
 def test_row_ints_on_reductions_longer_than_a_pass(p):
     # g = x^d + (p - 1)(x^(d-1)y + ... + y^d) reduces x^(d+60) in 61
     # steps, and each field below the top takes up to d of them before
-    # it is reduced itself: far more than a pass allows (_Rows.steps)
+    # it is reduced itself: far more than a pass allows (_Rows.steps).
+    # It is also the mask's longest climb in this file: from degree 60,
+    # where g is installed, to 120 in one call of _Rows.reducible
     ring = PolyRing(p, ["x", "y"])
     d = 60
     g = ring.from_pairs([((d, 0), 1)] + [((d - k, k), p - 1) for k in range(1, d + 1)])
@@ -440,8 +498,9 @@ def test_row_ints_on_reductions_longer_than_a_pass(p):
     last=st.integers(0, 1),
 )
 def test_row_ints_reduce_as_the_heap_reducer_does(data, p, twists, last):
-    # generators of several degrees, so that some leads wait above the
-    # degree being reduced; twists unequal as drawn
+    # generators of mixed degrees, so that the engine's degree order
+    # interleaves inputs with S-pairs and the mask climbs several
+    # degrees between two reductions; twists unequal as drawn
     ring = PolyRing(p, ["x", "y"])
     top = max(twists)
     gens = []
