@@ -16,9 +16,8 @@ from .errors import (
     GhkError,
     GhkHypothesisError,
     HomogeneityError,
-    RingMismatchError,
 )
-from .groebner import GbBudget, ModVector, Submodule
+from .groebner import GbBudget, ModVector, Submodule, as_ideal, as_vector, check_same_ring
 from . import idealops
 from .idealops import RingSpec, bracket_power
 
@@ -30,7 +29,9 @@ class Presentation:
     row_twists; column i is homogeneous of degree col_twists[i], so the
     (j, i) entry is zero or homogeneous of degree
     col_twists[i] - row_twists[j]. The presented module is the cokernel;
-    the class itself never materializes it.
+    the class itself never materializes it. Each column passes
+    groebner.as_vector (one entry per row, over rspec's ring), then a
+    check that it is homogeneous of its declared degree.
     """
 
     def __init__(self, rspec, row_twists, col_twists, columns, descriptor=None):
@@ -41,19 +42,8 @@ class Presentation:
         self.col_twists = tuple(as_int(t, "a twist") for t in col_twists)
         if not self.row_twists:
             raise GhkError("presentation needs at least one row")
-        cols = []
-        for v in columns:
-            if isinstance(v, (list, tuple)):
-                v = ModVector(tuple(v))
-            if not isinstance(v, ModVector):
-                raise GhkError(f"presentation column must be a ModVector, got {v!r}")
-            if v.rank != len(self.row_twists):
-                raise GhkError(
-                    f"column has {v.rank} entries, presentation has {len(self.row_twists)} rows"
-                )
-            if v.ring != rspec.ring:
-                raise RingMismatchError("presentation column over a different ring")
-            cols.append(v)
+        rank = len(self.row_twists)
+        cols = [as_vector(v, rspec.ring, rank, "a presentation column") for v in columns]
         if len(cols) != len(self.col_twists):
             raise GhkError(
                 f"{len(cols)} columns but {len(self.col_twists)} column twists"
@@ -116,15 +106,11 @@ def presentation_of_quotient(I: Submodule, rspec: RingSpec | None = None) -> Pre
     I must be an ideal (rank 1) with homogeneous generators; rspec, when
     given, must carry the same ring and relations as I.
     """
-    if I.rank != 1:
-        raise GhkError("quotient presentations need an ideal (rank-1 submodule)")
+    as_ideal(I, "a quotient presentation")
     if rspec is None:
         rspec = RingSpec(I.ring.p, list(I.ring.variables), I.relations)
     else:
-        if rspec.ring != I.ring:
-            raise RingMismatchError("ideal lives over a different ring than rspec")
-        if tuple(rspec.relations) != tuple(I.relations):
-            raise RingMismatchError("ideal carries different relations than rspec")
+        check_same_ring(I, rspec, "the ideal and rspec")
     cols = list(I.gens)
     twists = [v.homogeneous_degree((0,)) for v in cols]
     names = ", ".join(str(v[0]) for v in cols) or "0"
@@ -151,8 +137,7 @@ def frobenius_pullback(P: Presentation, e: int) -> Presentation:
 
 def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
     """Block-diagonal presentation of the direct sum of the two modules."""
-    if P.rspec.ring != Q.rspec.ring or P.rspec.relations != Q.rspec.relations:
-        raise RingMismatchError("direct summands live over different rings")
+    check_same_ring(P.rspec, Q.rspec, "direct summands")
     ring = P.rspec.ring
     zero = ring.zero
     cols = []
@@ -216,8 +201,7 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     hands over in normal form modulo the relations. Acceptance pins the
     two paths to agree on primary inputs.
     """
-    if I.rank != 1:
-        raise GhkError("hk_value needs an ideal (rank-1 submodule)")
+    as_ideal(I, "hk_value")
     q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)
     if idealops.hilbert_series(I, budget).pole_order() != 0:
         raise GhkHypothesisError(

@@ -182,7 +182,10 @@ class GbBudget(Record):
 
 
 class ModVector:
-    """Element of a free module R^rank; components are ring polynomials."""
+    """Element of a free module R^rank; components are Polys of one ring.
+
+    Every entry point, subtraction included, takes its vectors through
+    as_vector, which also checks the rank and ring of the ambient module."""
 
     __slots__ = ("ring", "components")
 
@@ -190,7 +193,7 @@ class ModVector:
         comps = tuple(components)
         if not comps:
             raise GhkError("a module vector needs at least one component")
-        ring = comps[0].ring
+        ring = comps[0].ring if isinstance(comps[0], Poly) else None
         for f in comps:
             if not isinstance(f, Poly):
                 raise GhkError(f"components must be Poly, got {f!r}")
@@ -218,18 +221,12 @@ class ModVector:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __sub__(self, other: "ModVector") -> "ModVector":
-        self._check_ambient(other)
+    def __sub__(self, other) -> "ModVector":
+        other = as_vector(other, self.ring, self.rank, "a subtrahend")
         return ModVector(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def poly_mul(self, f: Poly) -> "ModVector":
         return ModVector(tuple(f * a for a in self.components))
-
-    def _check_ambient(self, other: "ModVector") -> None:
-        if not isinstance(other, ModVector):
-            raise GhkError(f"expected a ModVector, got {other!r}")
-        if other.rank != self.rank or (other.ring is not self.ring and other.ring != self.ring):
-            raise RingMismatchError("vectors live in different ambient modules")
 
     def is_homogeneous(self, twists: Sequence[int]) -> bool:
         degs = set()
@@ -267,6 +264,60 @@ class ModVector:
 
     def __repr__(self) -> str:
         return f"<ModVector {self}>"
+
+
+# ---------------------------------------------------------------------------
+# caller input: one check for each kind
+
+
+def as_vector(value, ring: PolyRing, rank: int, what: str) -> ModVector:
+    """value as a vector of R^rank over ring: a ModVector, a Poly (rank 1)
+    or any other iterable of Polys. Anything else raises GhkError, a
+    vector of another rank or ring RingMismatchError."""
+    if isinstance(value, Poly):
+        value = ModVector((value,))
+    elif not isinstance(value, ModVector):
+        if not isinstance(value, Iterable):
+            raise GhkError(f"{what} must be a ModVector, a Poly or Polys, got {value!r}")
+        value = ModVector(value)
+    if value.rank != rank:
+        raise RingMismatchError(f"{what} has rank {value.rank}, not {rank}")
+    if value.ring is not ring and value.ring != ring:
+        raise RingMismatchError(f"{what} lives over a different ring")
+    return value
+
+
+def as_relations(values: Iterable, ring: PolyRing) -> tuple:
+    """The nonzero values, each a homogeneous Poly over ring: GhkError,
+    RingMismatchError or HomogeneityError otherwise."""
+    rels = []
+    for r in values:
+        if not isinstance(r, Poly):
+            raise GhkError(f"relations must be Poly, got {r!r}")
+        if r.ring != ring:
+            raise RingMismatchError(f"relation {r} lives over a different ring")
+        if r.is_zero():
+            continue
+        if not r.is_homogeneous():
+            raise HomogeneityError(f"relation {r} is not homogeneous")
+        rels.append(r)
+    return tuple(rels)
+
+
+def as_ideal(I, what: str) -> "Submodule":
+    """I, if it is an ideal (a rank-1 Submodule); GhkError otherwise."""
+    if not isinstance(I, Submodule) or I.rank != 1:
+        raise GhkError(f"{what} needs an ideal (rank-1 submodule), got {I!r}")
+    return I
+
+
+def check_same_ring(a, b, what: str) -> None:
+    """Refuse (RingMismatchError) two Submodules or RingSpecs whose .ring
+    or .relations differ: they live over different quotient rings."""
+    if a.ring != b.ring:
+        raise RingMismatchError(f"{what} live over different polynomial rings")
+    if a.relations != b.relations:
+        raise RingMismatchError(f"{what} live over different quotient rings")
 
 
 # ---------------------------------------------------------------------------
@@ -1050,26 +1101,15 @@ class GroebnerBasis:
         unpack = self._ctx.pm.unpack
         return tuple((rec[1], unpack(rec[2])) for rec in self._records)
 
-    def _coerce(self, v) -> ModVector:
-        if isinstance(v, Poly):
-            v = ModVector((v,))
-        if not isinstance(v, ModVector):
-            raise GhkError(f"expected ModVector or Poly, got {v!r}")
-        if v.rank != self.rank:
-            raise RingMismatchError(f"vector rank {v.rank} != ambient rank {self.rank}")
-        if v.ring != self.ring:
-            raise RingMismatchError("vector ring differs from basis ring")
-        return v
-
     def normal_form(self, v) -> ModVector:
         """The unique reduced remainder of v modulo the submodule."""
-        v = self._coerce(v)
+        v = as_vector(v, self.ring, self.rank, "a vector")
         terms = self._ctx.vec_to_terms(v)
         red = _reduce([(terms, 1, 0)], self._index, self.ring.p)
         return self._ctx.terms_to_vec(red)
 
     def contains(self, v) -> bool:
-        v = self._coerce(v)
+        v = as_vector(v, self.ring, self.rank, "a vector")
         terms = self._ctx.vec_to_terms(v)
         red = _reduce([(terms, 1, 0)], self._index, self.ring.p, full=False)
         return not red
@@ -1090,7 +1130,10 @@ class Submodule:
     homogeneous ring polynomials, and every relation times every
     standard basis vector is adjoined to the spanning set that Groebner
     computations consume. `gens` is the user-level generating set over
-    R and is what bracket-power style operations transform.
+    R and is what bracket-power style operations transform. Relations
+    pass as_relations, generators as_vector and then a homogeneity check,
+    and _check_ambient (check_same_ring, rank, twists) refuses a
+    submodule of another ambient module.
     """
 
     __slots__ = ("ring", "rank", "twists", "gens", "relations", "_gb")
@@ -1111,22 +1154,10 @@ class Submodule:
         if len(self.twists) != rank:
             raise GhkError(f"{len(self.twists)} twists for rank {rank}")
 
-        rels = []
-        for r in relations:
-            if not isinstance(r, Poly):
-                raise GhkError(f"relations must be Poly, got {r!r}")
-            if r.ring != ring:
-                raise RingMismatchError("relation lives in a different ring")
-            if r.is_zero():
-                continue
-            if not r.is_homogeneous():
-                raise HomogeneityError(f"relation {r} is not homogeneous")
-            rels.append(r)
-        self.relations = tuple(rels)
-
+        self.relations = as_relations(relations, ring)
         vecs = []
         for g in gens:
-            v = self._coerce_gen(g)
+            v = as_vector(g, ring, rank, "a generator")
             if v.is_zero():
                 continue
             if not v.is_homogeneous(self.twists):
@@ -1136,21 +1167,6 @@ class Submodule:
             vecs.append(v)
         self.gens = tuple(vecs)
         self._gb: dict = {}  # last variable -> basis
-
-    def _coerce_gen(self, g) -> ModVector:
-        if isinstance(g, ModVector):
-            v = g
-        elif isinstance(g, Poly):
-            if self.rank != 1:
-                raise GhkError("bare polynomials only generate rank-1 submodules")
-            v = ModVector((g,))
-        else:
-            v = ModVector(tuple(g))
-        if v.rank != self.rank:
-            raise RingMismatchError(f"generator rank {v.rank} != ambient rank {self.rank}")
-        if v.ring != self.ring:
-            raise RingMismatchError("generator ring differs from submodule ring")
-        return v
 
     @classmethod
     def ideal(cls, ring: PolyRing, gens: Iterable, relations: Iterable[Poly] = ()) -> "Submodule":
@@ -1194,10 +1210,9 @@ class Submodule:
         """Refuse a submodule of another free module or quotient ring."""
         if not isinstance(other, Submodule):
             raise GhkError(f"expected a Submodule, got {other!r}")
-        if other.ring != self.ring or other.rank != self.rank or other.twists != self.twists:
+        check_same_ring(self, other, "submodules")
+        if other.rank != self.rank or other.twists != self.twists:
             raise RingMismatchError("submodules live in different ambient modules")
-        if other.relations != self.relations:
-            raise RingMismatchError("submodules live over different quotient rings")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Submodule):

@@ -19,8 +19,9 @@ Design rules enforced here:
   private _preimage: U cap V is {v in V : 1*v in U} and U : J is
   {v in F : g*v in U for each generator g of J}, each read from the
   last block of one "top" basis with the other blocks above it and
-  installed as the result's basis. Submodule._check_ambient is the one
-  ambient check: ring, rank, twists and relations.
+  installed as the result's basis. Caller input is checked by
+  groebner's rules, one per kind: as_vector, as_relations, as_ideal and
+  check_same_ring (Submodule._check_ambient adds rank and twists).
 * Saturation by the irrelevant ideal has one certified route, for any
   twists: certify_saturation looks for a variable l whose basis
   U.groebner(last=l), in grevlex with l compared last, proves
@@ -44,17 +45,16 @@ import math
 from typing import Iterable, Sequence
 
 from .arith import Poly, PolyRing, Record, frobenius_exponent, frobenius_power
-from .errors import (
-    GhkError,
-    GhkHypothesisError,
-    HomogeneityError,
-    RingMismatchError,
-)
+from .errors import GhkError, GhkHypothesisError
 from .groebner import (
     GbBudget,
     ModVector,
     Submodule,
     _preimage,
+    as_ideal,
+    as_relations,
+    as_vector,
+    check_same_ring,
 )
 
 __all__ = [
@@ -313,8 +313,7 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
     basis (the engine's default order, unbudgeted) is _relation_ideal's,
     built once per ring and shared with RingSpec.hilbert_series.
     """
-    if I.rank != 1:
-        raise GhkError("bracket powers are defined for ideals (rank-1 submodules)")
+    as_ideal(I, "a bracket power")
     gens = [v[0] for v in I.gens]
     normal_form = _relation_ideal(I.ring, I.relations).groebner().normal_form
     for _ in range(frobenius_exponent(q, I.ring.p)):
@@ -351,7 +350,7 @@ def colon(U: Submodule, J, budget: GbBudget | None = None) -> Submodule:
     quotient ring: elements of U cap gF need not be divisible by g once
     relation columns participate.
     """
-    gens = _ideal_generators(U.ring, J, U.relations)
+    gens = _ideal_generators(U, J)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise GhkHypothesisError("colon by the zero ideal is not defined")
@@ -363,25 +362,14 @@ def colon(U: Submodule, J, budget: GbBudget | None = None) -> Submodule:
     return _preimage(U, units, gens, budget)
 
 
-def _ideal_generators(ring: PolyRing, J, relations) -> list:
+def _ideal_generators(U: Submodule, J) -> list:
+    """The generators of the colon divisor J over U's ring."""
     if isinstance(J, Submodule):
-        if J.rank != 1:
-            raise GhkError("colon divisor must be an ideal (rank-1 submodule)")
-        if J.ring != ring:
-            raise RingMismatchError("colon divisor lives over a different ring")
-        if J.relations != relations:
-            raise RingMismatchError("colon divisor lives over a different quotient ring")
+        check_same_ring(as_ideal(J, "a colon divisor"), U, "the colon divisor and the module")
         return [v[0] for v in J.gens]
     if isinstance(J, Poly):
         J = [J]
-    out = []
-    for f in J:
-        if not isinstance(f, Poly):
-            raise GhkError(f"colon divisor entries must be Poly, got {f!r}")
-        if f.ring != ring:
-            raise RingMismatchError("colon divisor lives over a different ring")
-        out.append(f)
-    return out
+    return [as_vector(f, U.ring, 1, "a colon divisor entry")[0] for f in J]
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +501,7 @@ def reflexive_hull(I: Submodule, witness: Poly | None = None, budget: GbBudget |
     two-dimensional ring it is the divisorial (hence saturated) ideal
     agreeing with I away from the irrelevant maximal ideal.
     """
-    if I.rank != 1:
-        raise GhkError("reflexive hulls are defined for ideals (rank-1 submodules)")
+    as_ideal(I, "a reflexive hull")
     nonzero = [v[0] for v in I.gens if not v[0].is_zero()]
     if not nonzero:
         raise GhkHypothesisError("reflexive hull of the zero ideal is not defined")
@@ -578,7 +565,8 @@ class RingSpec:
     The intended universe is a two-dimensional standard graded ring
     whose Proj is a smooth projective curve; construction does not
     enforce that (so degenerate members of a family can be examined),
-    but validate()/require_dim2() report and enforce it.
+    but validate()/require_dim2() report and enforce it. Relations,
+    strings parsed first, pass groebner.as_relations.
     """
 
     def __init__(
@@ -588,19 +576,9 @@ class RingSpec:
         relations: Iterable = (),
     ):
         self.ring = PolyRing(p, variables)
-        rels = []
-        for r in relations:
-            f = self.ring.parse(r) if isinstance(r, str) else r
-            if not isinstance(f, Poly):
-                raise GhkError(f"relation must be a string or Poly, got {r!r}")
-            if f.ring != self.ring:
-                raise RingMismatchError("relation parsed into a different ring")
-            if f.is_zero():
-                continue
-            if not f.is_homogeneous():
-                raise HomogeneityError(f"relation {f} is not homogeneous")
-            rels.append(f)
-        self.relations = tuple(rels)
+        self.relations = as_relations(
+            [self.ring.parse(r) if isinstance(r, str) else r for r in relations], self.ring
+        )
         self._hs = None
         self._smooth = None
         self._noether = False  # not searched yet; then a NoetherNormalization or None
@@ -904,10 +882,7 @@ def sheaf_degree(rspec: RingSpec, I: Submodule, budget: GbBudget | None = None) 
     the numerator at 1: ideals with the same sheaf agree.
     """
     rspec.require_dim2()
-    if I.rank != 1:
-        raise GhkError("sheaf degrees are defined for ideals (rank-1 submodules)")
-    if I.relations != rspec.relations:
-        raise RingMismatchError("ideal does not live over the given ring")
+    check_same_ring(as_ideal(I, "a sheaf degree"), rspec, "the ideal and rspec")
     hs = hilbert_series(I, budget).reduced()
     if hs.denom_power == 0:
         return 0
