@@ -12,16 +12,21 @@ fault its best_match would, so the program never imports jsonschema.
 Because integers are strict throughout, an integral float that breaks a
 second rule is worded as a type fault: 1.0 under a minimum of 2 reads
 "1.0 is not of type 'integer'", not "is less than the minimum of 2".
+
+The command line is read by one plain loop over argv, _parse_args, so
+the program never imports the standard library's argument parser either,
+nor the gettext and locale modules that parser pulls in.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import operator
+import re
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 from .arith import as_rat, rat_str
 from .errors import (
@@ -511,57 +516,120 @@ class _Cli:
         return 3 if any(row.table and row.table.skipped for row in report.rows) else 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count N >= 1, the problem file's minimum."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer N >= 1, got {text!r}")
-    return n
+_CHOICES = "{" + ",".join(COMMANDS) + "}"
+
+_USAGE = f"""\
+usage: ghk [-h] [--task {_CHOICES}]
+           [--out OUT] [--budget-gb-degree N] [--budget-pairs N] [--jobs N]
+           file
+"""
+
+_HELP = f"""{_USAGE}
+Exact-arithmetic lengths of Frobenius pullbacks of graded modules over two-
+dimensional graded rings, with closed-form cross-checks.
+
+positional arguments:
+  file                  JSON problem file
+
+options:
+  -h, --help            show this help message and exit
+  --task {_CHOICES}
+                        command to run (falls back to task.command in the
+                        problem file)
+  --out OUT             output directory (default: task.out or '.')
+  --budget-gb-degree N  abort any basis computation beyond this degree
+  --budget-pairs N      abort any basis computation beyond this many reduced
+                        pairs
+  --jobs N              parallel worker processes
+"""
+
+# each flag that takes a value, and the attribute it sets
+_OPTIONS = {
+    "--task": "task",
+    "--out": "out",
+    "--budget-gb-degree": "budget_gb_degree",
+    "--budget-pairs": "budget_pairs",
+    "--jobs": "jobs",
+}
+
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ghk",
-        description=(
-            "Exact-arithmetic lengths of Frobenius pullbacks of graded modules "
-            "over two-dimensional graded rings, with closed-form cross-checks."
-        ),
-    )
-    parser.add_argument("file", help="JSON problem file")
-    parser.add_argument(
-        "--task",
-        choices=COMMANDS,
-        help="command to run (falls back to task.command in the problem file)",
-    )
-    parser.add_argument("--out", help="output directory (default: task.out or '.')")
-    parser.add_argument(
-        "--budget-gb-degree",
-        type=_positive_int,
-        metavar="N",
-        help="abort any basis computation beyond this degree",
-    )
-    parser.add_argument(
-        "--budget-pairs",
-        type=_positive_int,
-        metavar="N",
-        help="abort any basis computation beyond this many reduced pairs",
-    )
-    parser.add_argument(
-        "--jobs", type=_positive_int, metavar="N", help="parallel worker processes"
-    )
-    return parser
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}ghk: error: {message}\n")
+    raise SystemExit(2)
 
 
-# built once, at import: building it is start-up work (its first message
-# lookup imports locale), not work of each call
-_PARSER = _build_parser()
+def _is_flag(token: str) -> bool:
+    """Whether token reads as a flag: it starts with "-", and is not "-",
+    a negative number such as -2 (so --jobs -2 is a bad count, not a
+    missing one) or a token with a space in it."""
+    return (
+        token.startswith("-")
+        and token != "-"
+        and " " not in token
+        and not _NEGATIVE_NUMBER.fullmatch(token)
+    )
+
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """The problem file and the five options of a command line.
+
+    Takes --flag value and --flag=value, before or after the file, with
+    "--" ending the options and the last of a repeated flag winning;
+    -h/--help prints _HELP and exits 0. Long flags are spelled out in
+    full: an abbreviation such as --jo for --jobs is an unknown flag, on
+    purpose, so that no flag added later can change what an old command
+    line means. Any fault writes the usage and "ghk: error: ..." to
+    stderr and raises SystemExit(2), and nothing runs.
+    """
+    args = SimpleNamespace(file=None, **dict.fromkeys(_OPTIONS.values()))
+    extra = []  # unknown flags and further files, in argv order
+    options = True
+    tokens = iter(argv)
+    for token in tokens:
+        if options and token == "--":
+            options = False
+        elif options and _is_flag(token):
+            flag, equals, value = token.partition("=")
+            if flag in ("-h", "--help"):
+                if equals:
+                    _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+                sys.stdout.write(_HELP)
+                raise SystemExit(0)
+            if flag not in _OPTIONS:
+                extra.append(token)
+                continue
+            if not equals:
+                value = next(tokens, None)
+                if value is None or _is_flag(value):
+                    _usage_error(f"argument {flag}: expected one argument")
+            if flag == "--task" and value not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                _usage_error(f"argument --task: invalid choice: {value!r} (choose from {choices})")
+            if flag not in ("--task", "--out"):
+                # a count N >= 1, the problem file's minimum
+                try:
+                    count = int(value)
+                except ValueError:
+                    count = 0
+                if count < 1:
+                    _usage_error(f"argument {flag}: expected an integer N >= 1, got {value!r}")
+                value = count
+            setattr(args, _OPTIONS[flag], value)
+        elif args.file is None:
+            args.file = token
+        else:
+            extra.append(token)
+    if args.file is None:
+        _usage_error("the following arguments are required: file")
+    if extra:
+        _usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text = Path(args.file).read_text()
     except OSError as ex:

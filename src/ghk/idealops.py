@@ -576,6 +576,8 @@ class RingSpec:
         relations: Iterable = (),
     ):
         self.ring = PolyRing(p, variables)
+        if isinstance(relations, str):
+            raise GhkError(f"relations must be a list, got the string {relations!r}")
         self.relations = as_relations(
             [self.ring.parse(r) if isinstance(r, str) else r for r in relations], self.ring
         )
@@ -595,6 +597,8 @@ class RingSpec:
         return self.ring.parse(text)
 
     def ideal(self, gens: Iterable) -> Submodule:
+        if isinstance(gens, str):
+            raise GhkError(f"gens must be a list, got the string {gens!r}")
         polys = [self.parse(g) if isinstance(g, str) else g for g in gens]
         return Submodule.ideal(self.ring, polys, relations=self.relations)
 

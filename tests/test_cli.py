@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk.cli import PROBLEM_SCHEMA, _faults, _rejection, main
+from ghk.cli import COMMANDS, PROBLEM_SCHEMA, _faults, _rejection, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -308,25 +308,31 @@ def test_schema_walk_rejects_rules_it_does_not_know(schema):
 def test_valid_run_never_imports_jsonschema(tmp_path):
     # a fresh interpreter: this test module has imported jsonschema itself.
     # dataclasses (and the inspect it imports) would double the start-up
-    # of every CLI call; no path, a rejected problem included, needs
-    # jsonschema
+    # of every CLI call, and argparse (with the gettext and locale it
+    # imports) would cost half of what is left; no path, a rejected problem
+    # included, needs jsonschema
     good = write_problem(tmp_path, _point_problem(), "good.json")
     bad = write_problem(tmp_path, _point_problem(jobs=0), "bad.json")
     script = (
         "import sys\n"
         "from ghk.cli import main\n"
+        "absent = ('jsonschema', 'argparse', 'gettext', 'locale')\n"
         f"code = main([{good!r}, '--out', {str(tmp_path / 'out')!r}])\n"
         "print(code, *(m in sys.modules for m in ('dataclasses', 'inspect')))\n"
-        "print(code, 'jsonschema' in sys.modules)\n"
+        "print(code, *(m in sys.modules for m in absent))\n"
         f"code = main([{bad!r}])\n"
-        "print(code, 'jsonschema' in sys.modules)\n"
+        "print(code, *(m in sys.modules for m in absent))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["0 False False", "0 False", "2 False"]
+    assert proc.stdout.splitlines()[-3:] == [
+        "0 False False",
+        "0 False False False False",
+        "2 False False False False",
+    ]
     assert proc.stderr == "problem file invalid at task/jobs: 0 is less than the minimum of 1\n"
 
 
@@ -362,6 +368,79 @@ def test_count_flags_below_one_exit_2(tmp_path, capsys, flag, value):
         run(tmp_path, problem, flag, value)
     assert ex.value.code == 2
     assert "N >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+FLAGS = ("-h", "--help", "--task", "--out", "--budget-gb-degree", "--budget-pairs", "--jobs")
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["--help"], "help"),
+        (["-h", "{file}", "--frobenius"], "help"),
+        (["{file}", "--out={out}", "--jobs=2"], "run"),
+        (["--jobs", "2", "--out", "{out}", "{file}"], "run"),
+        # a repeated flag: the last one wins
+        (["--out", "{tmp}/elsewhere", "{file}", "--out={out}"], "run"),
+        (["--out={out}", "--", "{file}"], "run"),
+        (["{file}", "--out", "{out}", "--frobenius"], "usage"),
+        (["{file}", "--out", "{out}", "--jobs"], "usage"),
+        (["{file}", "--jobs", "--out", "{out}"], "usage"),
+        (["{file}", "--out", "{out}", "--task", "frobenius"], "usage"),
+        (["--out", "{out}"], "usage"),
+        (["{file}", "{file}", "--out", "{out}"], "usage"),
+        (["{file}", "--out", "{out}", "--jobs", "x"], "usage"),
+    ],
+    ids=[
+        "help",
+        "help-first",
+        "equals-form",
+        "options-first",
+        "last-wins",
+        "double-dash",
+        "unknown-flag",
+        "missing-value",
+        "flag-as-value",
+        "bad-task",
+        "no-file",
+        "two-files",
+        "jobs-not-int",
+    ],
+)
+def test_argv_forms_and_faults(tmp_path, capsys, argv, outcome):
+    # the command line as a caller sees it: help on stdout with exit 0, a
+    # run, or a usage line and exit 2 before anything is written
+    path = write_problem(tmp_path, _point_problem())
+    out = tmp_path / "out"
+    argv = [arg.format(file=path, out=out, tmp=tmp_path) for arg in argv]
+    if outcome == "run":
+        assert main(argv) == 0
+        assert (out / "ghk-report.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "problem.json"]
+        return
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    captured = capsys.readouterr()
+    if outcome == "help":
+        assert ex.value.code == 0
+        assert captured.err == ""
+        assert all(word in captured.out for word in FLAGS + COMMANDS)
+    else:
+        assert ex.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ghk ")
+        assert "ghk: error: " in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
+
+def test_long_flags_are_spelled_out(tmp_path, capsys):
+    # on purpose: an abbreviation would change meaning the day a second
+    # flag starts with the same letters
+    with pytest.raises(SystemExit) as ex:
+        run(tmp_path, _point_problem(), "--jo", "2")
+    assert ex.value.code == 2
+    assert capsys.readouterr().err.endswith("ghk: error: unrecognized arguments: --jo 2\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -66,6 +66,9 @@ BAD_INPUTS = [
     # ring specifications
     ("RingSpec relation over F_5", lambda: RingSpec(7, ["x", "y"], [x5 * y5]), RingMismatchError),
     ("RingSpec relation that is an int", lambda: RingSpec(7, ["x", "y"], [5]), GhkError),
+    # a bare string is one relation or generator, not a list of letters
+    ("RingSpec relations as one string", lambda: RingSpec(7, ["x", "y"], "xy"), GhkError),
+    ("RingSpec ideal of one string", lambda: R7.ideal("xy"), GhkError),
 ]
 
 
