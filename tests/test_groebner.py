@@ -16,7 +16,7 @@ from ghk.errors import (
     HomogeneityError,
     RingMismatchError,
 )
-from ghk.frobmod import ghk_value, hk_value, presentation_of_quotient
+from ghk.frobmod import bracket_power, ghk_value, hk_value, presentation_of_quotient
 from ghk.groebner import (
     GbBudget,
     GroebnerBasis,
@@ -566,6 +566,150 @@ def test_leads_only_callers_never_unpack_row_ints(unpacked):
                 getattr(gb, read)(ring.parse("x^4 + x*y^3"))
         assert unpacked == [len(gb)], read
         unpacked.clear()
+
+
+# ---------------------------------------------------------------------------
+# reducibility masks against the divisor index alone
+
+
+def _masks_against_index(ring, twists, last, gens):
+    """The masked basis of gens, checked against the one the index alone
+    builds on the same context: reductions, zero remainders and the
+    records as installed (the mask only skips queries that find no
+    divisor, so every tail is the same)."""
+    masked = groebner._Ctx(ring, twists, last)
+    unmasked = groebner._Ctx(ring, twists, last)
+    unmasked.masks = False
+    assert masked.masks
+    gb, counts = _counted_basis(masked, gens)
+    ref, ref_counts = _counted_basis(unmasked, gens)
+    assert counts == ref_counts
+    assert gb._records == ref._records
+    return gb
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 7, 31]),
+    twists=st.sampled_from([(0,), (0, 1), (2, 0)]),
+    last=st.integers(0, 2),
+    d=st.integers(2, 4),
+)
+def test_masks_skip_only_queries_that_find_no_divisor(data, p, twists, last, d):
+    # a relation monic in the outer variable puts the pure power x_o^d
+    # into every component; generators of lower degree come first, so
+    # the pure power is often installed after other leads (the replay)
+    ring = PolyRing(p, ["x", "y", "z"])
+    # x_o, in the index's outer field (field 0), is the first variable
+    # other than `last`; x_o^d is the largest monomial of degree d
+    o = min({0, 1} - {last})
+    power = ring.monomial(tuple(d if i == o else 0 for i in range(3)))
+    rest = data.draw(homogeneous_polys(ring, d))
+    rest = ring.from_pairs([(m, c) for m, c in rest.terms() if m != power.lm()])
+    top = max(twists)
+    gens = [
+        data.draw(module_vectors(ring, twists, data.draw(st.integers(top, top + d + 1))))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    U = Submodule(ring, len(twists), gens, twists=twists, relations=[power + rest])
+    gb = _masks_against_index(ring, twists, last, U.spanning())
+    # some power of x_o divides x_o^d: a pure-power lead in every component
+    assert {j for j, m in gb.lead_terms() if sum(m) == m[o]} == set(range(len(twists)))
+
+
+def test_masks_in_an_elimination_run():
+    # colon's elimination basis has the relation's pure power in every
+    # block: the same records with and without the masks
+    R = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + 2*z^3"])
+    gens = [[R.ring.parse(f) for f in v] for v in (["x^2", "y"], ["z^2", "x"])]
+
+    def colon_run(patch, masks):
+        real = groebner._Ctx.__init__
+
+        def init(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            self.masks = self.masks and masks
+
+        patch.setattr(groebner._Ctx, "__init__", init)
+        calls = _count_reductions(patch, [])
+        U = Submodule(R.ring, 2, gens, twists=(0, 1), relations=R.relations)
+        V = colon(U, R.ideal(["x", "y - z"]))
+        return V.groebner()._records, calls
+
+    with pytest.MonkeyPatch.context() as patch:
+        masked = colon_run(patch, True)
+    with pytest.MonkeyPatch.context() as patch:
+        ref = colon_run(patch, False)
+    assert masked == ref
+    assert len(masked[1]) > 10
+
+
+def _counted_queries(patch, counts):
+    """Count every divisor-index query and the ones that find nothing."""
+    real = groebner._DivisorIndex.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        query = self.divisor
+
+        def counted(k):
+            found = query(k)
+            counts[found is None] += 1
+            return found
+
+        self.divisor = counted
+
+    patch.setattr(groebner._DivisorIndex, "__init__", init)
+    return counts
+
+
+def test_masked_hk_basis_asks_the_index_only_for_reducible_terms():
+    # I^[361] + (x^3 + y^3 + z^3) over F_19, the basis of hk_value at
+    # q = 361: 6,898 queries, 4,422 of them finding nothing, before the
+    # masks. The 3 left are the relation's own terms, reduced before any
+    # lead exists.
+    R = RingSpec(19, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    B = bracket_power(R.ideal(["x", "y", "z"]), 361)
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counted_queries(patch, [0, 0])
+        gb = B.groebner()
+    assert len(gb) == 178
+    found, none = counts
+    assert found + none <= 2479
+    assert none <= 3
+
+
+def test_four_variable_index_keeps_its_bucket_walk():
+    # with two outer variables a lead in them only is no pure power: the
+    # leads x^2 and x*y of CONE's relations divide no power of y
+    ring = PolyRing(7, ["x", "y", "z", "w"])
+    ctx = groebner._Ctx(ring, (0,))
+    pm = ctx.pm
+    leads = [(2, 0, 0, 0), (1, 1, 0, 0)]
+    index = groebner._DivisorIndex(ctx, [(i, 0, pm.pack(m), ()) for i, m in enumerate(leads)])
+    for term, divisor in [
+        ((0, 2, 0, 0), None),
+        ((0, 3, 1, 2), None),
+        ((1, 0, 4, 0), None),
+        ((3, 0, 0, 1), 0),
+        ((1, 2, 0, 0), 1),
+    ]:
+        found = index.divisor(ctx.term_key(0, pm.pack(term)))
+        assert (found[0] if found else None) == divisor, term
+
+
+def test_three_variable_index_answers_past_the_pure_power_with_it():
+    # x^2 is the pure power; x*y also divides x^3*y, and the bucket
+    # walk would reach it first
+    ring = PolyRing(7, ["x", "y", "z"])
+    ctx = groebner._Ctx(ring, (0,))
+    pm = ctx.pm
+    leads = [(1, 1, 0), (2, 0, 0)]
+    index = groebner._DivisorIndex(ctx, [(i, 0, pm.pack(m), ()) for i, m in enumerate(leads)])
+    for term, divisor in [((3, 1, 0), 1), ((2, 5, 1), 1), ((1, 2, 0), 0), ((1, 0, 3), None)]:
+        found = index.divisor(ctx.term_key(0, pm.pack(term)))
+        assert (found[0] if found else None) == divisor, term
 
 
 @st.composite
