@@ -496,9 +496,9 @@ class _DivisorIndex:
     X with that record before the bucket walk: x_o^X divides it, and the
     engine's _Masks have no row for it. With more outer variables a lead
     in them only, such as x*y, is no power and divides fewer terms than
-    its outer key bounds, so those indexes always walk; in two variables
-    the outer part is empty and the row reducer pays nothing for the
-    rule, which is chosen when the index is built.
+    its outer key bounds, so add records a pure power in three variables
+    only; elsewhere X stays above every outer exponent (in two variables
+    the outer part is empty) and every query walks.
     """
 
     __slots__ = ("records", "leads", "divisor", "_comps", "_outer", "_a", "_b", "_powers")
@@ -515,7 +515,8 @@ class _DivisorIndex:
         self.leads: dict = {}
         # component -> [bucket keys, buckets (parallel), X, record]: the
         # component's pure-power lead x_o^X and its record (X above every
-        # outer exponent while there is none; read in three variables only)
+        # outer exponent while there is none, and always outside three
+        # variables, so that divisor's early answer never fires there)
         self._comps: dict = {}
 
         def divisor(
@@ -527,6 +528,8 @@ class _DivisorIndex:
                 return None
             mon = _low - ((k >> _cb) & _low)  # as _Ctx.split
             outer = mon & _o
+            if outer >= comp[2]:
+                return comp[3]  # at or past the component's pure power
             og = outer | _g
             ab = (mon & _a) | _b  # no smaller than the (a, b) of a lead with a <= mon's
             b = mon & _b
@@ -539,31 +542,7 @@ class _DivisorIndex:
                     break  # a dividing key is no larger int, and keys ascend
             return None
 
-        def divisor_past_power(
-            k, _get=self._comps.get, _g=ctx.pm.guard, _o=self._outer, _a=self._a,
-            _b=self._b, _records=self.records, _cb=COMP_BITS, _cm=_CMAX, _low=low,
-        ):
-            # divisor, first answering a term at or past the pure power
-            comp = _get(_cm - (k & _cm))
-            if comp is None:
-                return None
-            mon = _low - ((k >> _cb) & _low)
-            outer = mon & _o
-            if outer >= comp[2]:
-                return comp[3]
-            og = outer | _g
-            ab = (mon & _a) | _b
-            b = mon & _b
-            for key, abvals, best, _ in comp[1]:
-                if (og - key) & _g == _g:
-                    i = bisect_right(abvals, ab)
-                    if i and best[i - 1][0] <= b:
-                        return _records[best[i - 1][1]]
-                elif key > outer:
-                    break
-            return None
-
-        self.divisor = divisor_past_power if self._powers else divisor
+        self.divisor = divisor
         for rec in records:
             self.add(rec)
 
