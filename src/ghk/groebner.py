@@ -116,14 +116,18 @@ multiple at D; each lead installed at D sets its own bit, and a pure
 power installed after other leads of its component first replays
 them. No lead of a minimal basis other than x_o^X reaches a = X, and
 x_o^X divides every monomial there, so the masks need no row for it:
-the index answers such a term with the pure power's record before
-its bucket walk, a rule it takes in three variables only. The engine's
-_reduce asks the index only about a term with a >= X or a set bit; a
-clear bit means no lead divides the term, and the index would have
-said None. So the records are those of the index alone, and most
-terms, which no lead divides, cost one bit test instead of a bucket
-walk (on the hk basis of the Fermat cubic at q = 361, 2,479 queries
-instead of 6,898).
+_Masks keeps the pure power's record instead, and the engine's _reduce
+reduces a term with a >= X by it without a query. That is the record
+the index would name, since it answers such a term with its pure power
+before the bucket walk (a rule it takes in three variables only). Below
+X, _reduce asks the index only about a term whose bit is set; a clear
+bit means no lead divides the term, and the index would have said
+None. So the records are those of the index alone, and most terms cost
+one compare or one bit test instead of a query (on the hk basis of the
+Fermat cubic at q = 361, 520 queries instead of 6,898; 1,959 of its
+2,476 reduction steps are by the relation's x^3). Engine calls also get
+their remainder monic from _reduce, each term scaled as it is emitted,
+so making a record takes no second pass over its tail.
 
 The Gebauer-Moller pair update asks the same index for the new lead's
 staircase neighbours instead of taking an lcm with every earlier lead
@@ -493,12 +497,14 @@ class _DivisorIndex:
     In three variables the outer part is one exponent, that of x_o, and
     a lead with no other is a pure power x_o^X; each component keeps its
     smallest one. divisor answers a term whose x_o exponent is at least
-    X with that record before the bucket walk: x_o^X divides it, and the
-    engine's _Masks have no row for it. With more outer variables a lead
-    in them only, such as x*y, is no power and divides fewer terms than
-    its outer key bounds, so add records a pure power in three variables
-    only; elsewhere X stays above every outer exponent (in two variables
-    the outer part is empty) and every query walks.
+    X with that record before the bucket walk, since x_o^X divides it;
+    the engine's _reduce takes the same record from its _Masks without
+    asking, and callers without masks get it here. With more outer
+    variables a lead in them only, such as x*y, is no power and divides
+    fewer terms than its outer key bounds, so add records a pure power
+    in three variables only; elsewhere X stays above every outer
+    exponent (in two variables the outer part is empty) and every query
+    walks.
     """
 
     __slots__ = ("records", "leads", "divisor", "_comps", "_outer", "_a", "_b", "_powers")
@@ -614,7 +620,7 @@ def _negated_b(item: tuple) -> int:
     return -item[0]
 
 
-def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True):
+def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True, monic=False):
     """Reduce a seeded combination modulo monic basis records.
 
     seeds: iterable of (terms, mult, delta) contributions; each term
@@ -624,16 +630,19 @@ def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True):
     that index.divisor returns for its key.
 
     masks (engine calls in three variables): _Masks.climb's dict, for
-    the module degree of every term here. A term of a component in it
-    whose outer exponent a is below the pure power's X and whose bit
-    (the `last` exponent) is clear in masks[comp][a] is irreducible, and
-    the index is not asked: a clear bit means no lead divides the term.
-    Every other term goes to the index, which finds its divisor, so the
-    result is the one the index alone gives.
+    the module degree of every term here. Write a term of a component in
+    it as x_o^a m^b x_l^c, X its pure power's exponent. At a >= X the
+    term is reduced by the pure power's record, which the dict hands
+    out: that is the record the index would return first. Below X a
+    clear bit c of masks[comp][a] means no lead divides the term, which
+    is irreducible without a query; a set bit sends the term to the
+    index. So the result is the one the index alone gives.
 
     With full=True returns the complete normal form (terms descending).
     With full=False stops at the first irreducible term, which is enough
-    for membership tests.
+    for membership tests. With monic=True (engine calls) the remainder
+    comes out monic: the first irreducible term fixes 1/c, and every
+    later one is scaled by it as it is emitted.
     """
     divisor = index.divisor
     acc: dict = {}  # key -> coefficient
@@ -650,22 +659,30 @@ def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True):
     get = masks.get if masks else None
     cb, cm, fm, cs = COMP_BITS, _CMAX, _FMAX, 2 * EXP_BITS
     out = []
+    scale = 0  # 1/c of the lead, once a monic remainder has one
     while heap:
         k = -heappop(heap)
         c = acc.pop(k) % p
         if c == 0:
             continue
-        bits = get(cm - (k & cm)) if get else None
-        if bits is None:
+        entry = get(cm - (k & cm)) if get else None
+        if entry is None:
             red = divisor(k)
         else:
+            bits, power = entry
             kk = k >> cb  # the key's low fields hold FMAX minus each exponent
             a = fm - (kk & fm)
-            if a >= len(bits) or (bits[a] >> (fm - ((kk >> cs) & fm))) & 1:
+            if a >= len(bits):
+                red = power  # at or past x_o^X, which divides the term
+            elif (bits[a] >> (fm - ((kk >> cs) & fm))) & 1:
                 red = divisor(k)
             else:
                 red = None
         if red is None:
+            if scale:
+                c = c * scale % p
+            elif monic:
+                scale, c = pow(c, -1, p), 1
             out.append((k, c))
             if not full:
                 break
@@ -688,14 +705,16 @@ class _Masks:
 
     A monomial of the index's layout is x_o^a m^b x_l^c, x_o in field 0
     and `last` x_l on top. comps maps each component with a pure-power
-    lead x_o^X to X ints, one per a < X, whose bit c is set when a lead
-    of the component divides the monomial of module degree deg with
-    exponents a and c (b is what the degree leaves). climb(deg) moves
-    them up to deg, no lower than any degree asked before, and add_lead
-    sets the bit of each lead installed at deg. A pure power installed
-    after other leads of its component replays them at once: lead
-    x_o^A m^B x_l^C divides, for each A <= a < X, the bits C .. D - a - B,
-    D the component's monomial degree.
+    lead x_o^X to (bits, record): record is that lead's, the reducer of
+    every term with a >= X, and bits holds X ints, one per a < X, whose
+    bit c is set when a lead of the component divides the monomial of
+    module degree deg with exponents a and c (b is what the degree
+    leaves). climb(deg) moves them up to deg, no lower than any degree
+    asked before, and add_lead sets the bit of each lead installed at
+    deg. A pure power installed after other leads of its component
+    replays them at once: lead x_o^A m^B x_l^C divides, for each
+    A <= a < X, the bits C .. D - a - B, D the component's monomial
+    degree.
     """
 
     __slots__ = ("twists", "leads", "deg", "comps")
@@ -710,7 +729,7 @@ class _Masks:
         """comps at module degree deg."""
         if self.deg is not None and self.comps:
             for _ in range(deg - self.deg):
-                for bits in self.comps.values():
+                for bits, _ in self.comps.values():
                     # descending, so bits[a - 1] is still the old one
                     for a in range(len(bits) - 1, -1, -1):
                         bits[a] |= bits[a] << 1 | (bits[a - 1] if a else 0)
@@ -721,12 +740,13 @@ class _Masks:
         """Register the lead of a record installed at the current degree,
         after the index has it."""
         cp, mon = rec[1], rec[2]
-        bits = self.comps.get(cp)
-        if bits is None:
+        entry = self.comps.get(cp)
+        if entry is None:
             if mon >> EXP_BITS:
                 return  # not a pure power: the component stays unmasked
             X = mon
-            bits = self.comps[cp] = [0] * X
+            bits = [0] * X
+            self.comps[cp] = (bits, rec)
             D = self.deg - self.twists[cp]
             for m in self.leads[cp]:
                 A, B, C = m & _FMAX, (m >> EXP_BITS) & _FMAX, m >> 2 * EXP_BITS
@@ -735,7 +755,7 @@ class _Masks:
                         bits[a] |= (1 << (D - a - B + 1)) - (1 << C)
         else:
             # below X: the pure power divides every later monomial with a >= X
-            bits[mon & _FMAX] |= 1 << (mon >> 2 * EXP_BITS)
+            entry[0][mon & _FMAX] |= 1 << (mon >> 2 * EXP_BITS)
 
 
 class _Rows:
@@ -967,11 +987,9 @@ def _unpack_rows(rows: _Rows, records: list) -> list:
 
 
 def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
-    k, c = terms[0]
-    if c != 1:
-        p = ctx.p
-        inv = pow(c, -1, p)
-        terms = tuple((tk, tc * inv % p) for tk, tc in terms)
+    """The record of a monic remainder: (lead key, component, lead
+    monomial, tail terms)."""
+    k = terms[0][0]
     return (k, *ctx.split(k), terms[1:])
 
 
@@ -1059,10 +1077,10 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
     a later lead has no smaller module degree, while a divisor in the
     same component has no larger one, and at equal degree it would be
     the lead itself. So the records are a minimal basis as installed.
-    They are monic (row records through their scale). Each tail was
-    reduced against the basis as it stood when its record was
-    installed, so a later element may still divide a tail term;
-    _interreduce makes the basis reduced.
+    They are monic: _reduce returns heap remainders monic, and row
+    records keep their scale. Each tail was reduced against the basis
+    as it stood when its record was installed, so a later element may
+    still divide a tail term; _interreduce makes the basis reduced.
     """
     p = ctx.p
     pm = ctx.pm
@@ -1121,7 +1139,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
             red = _reduce_rows(seeds, rows, deg)
             rec = rows.record(red, deg) if red else None
         else:
-            red = _reduce(seeds, index, p, masks.climb(deg) if masks else None)
+            red = _reduce(seeds, index, p, masks.climb(deg) if masks else None, monic=True)
             rec = _monic_record(ctx, red) if red else None
         if rec:
             _update_pairs(index, P, heap, rec[1], rec[2], twists, rank, pm)

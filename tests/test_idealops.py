@@ -16,7 +16,7 @@ from ghk.errors import (
     GhkHypothesisError,
     RingMismatchError,
 )
-from ghk.groebner import GbBudget, ModVector, Submodule, _Ctx, _monic_record, buchberger
+from ghk.groebner import GbBudget, ModVector, Submodule, _Ctx, buchberger
 from ghk.idealops import (
     HilbertSeries,
     RingSpec,
@@ -569,6 +569,15 @@ def random_rank2_module(ring, rng, rels):
     return Submodule(ring, 2, gens, twists=twists, relations=rels)
 
 
+def _packed_record(ctx, v):
+    """The engine's record of v made monic: (lead key, component, lead
+    monomial, tail terms)."""
+    terms = ctx.vec_to_terms(v)
+    inv = pow(terms[0][1], -1, ctx.p)
+    k = terms[0][0]
+    return (k, *ctx.split(k), tuple((tk, tc * inv % ctx.p) for tk, tc in terms[1:]))
+
+
 @pytest.mark.parametrize("relations", [(), ("x^3 + y^3 + z^3",)])
 def test_elimination_installs_the_reduced_basis(relations):
     # intersect and colon install the kept block of the elimination
@@ -590,7 +599,7 @@ def test_elimination_installs_the_reduced_basis(relations):
             g, h = random_homog_poly(ring, rng, 1), random_homog_poly(ring, rng, 2)
             for W in (intersect(A, B), colon(A, g), colon(A, [g, h])):
                 ctx = _Ctx(ring, W.twists)
-                packed = [_monic_record(ctx, ctx.vec_to_terms(v)) for v in W.gens]
+                packed = [_packed_record(ctx, v) for v in W.gens]
                 assert W.groebner()._records == packed
                 fresh = Submodule(ring, W.rank, W.gens, twists=W.twists, relations=rels)
                 assert W.groebner().vectors == fresh.groebner().vectors
