@@ -356,6 +356,8 @@ class PolyRing:
 
     def variable(self, i: int | str) -> "Poly":
         if isinstance(i, str):
+            if i not in self._vindex:
+                raise GhkError(f"no variable named {i!r} in {list(self.variables)}")
             i = self._vindex[i]
         self._shift(i)  # refuses an index that names no variable
         mon = tuple(1 if j == i else 0 for j in range(self.nvars))

@@ -102,32 +102,17 @@ _Rows proves the width. Leads leave a row basis as keys like any
 other; its tails are unpacked to term tuples once, when the divisor
 index is first built (normal forms, membership, vectors), so callers
 that read leads only never unpack. Bases in three or more variables
-and elimination bases keep the heap reducer, which in three variables
-reads reducibility masks of the same kind (_Masks).
+and elimination bases keep the heap reducer.
 
-Write a monomial as x_o^a m^b x_l^c, x_o the index's outer
-variable (x when `last` = z) and x_l `last`. Once a component has a
-pure-power lead x_o^X, the engine keeps, per outer exponent a < X,
-one int whose bit c says whether a lead divides the monomial of the
-current degree with exponents a and c. From D to D + 1 it climbs as
-new[a] = old[a] | old[a] << 1 | old[a - 1], since a multiple at
-D + 1 of a lead below it is a variable (m, x_l or x_o) times a
-multiple at D; each lead installed at D sets its own bit, and a pure
-power installed after other leads of its component first replays
-them. No lead of a minimal basis other than x_o^X reaches a = X, and
-x_o^X divides every monomial there, so the masks need no row for it:
-_Masks keeps the pure power's record instead, and the engine's _reduce
-reduces a term with a >= X by it without a query. That is the record
-the index would name, since it answers such a term with its pure power
-before the bucket walk (a rule it takes in three variables only). Below
-X, _reduce asks the index only about a term whose bit is set; a clear
-bit means no lead divides the term, and the index would have said
-None. So the records are those of the index alone, and most terms cost
-one compare or one bit test instead of a query (on the hk basis of the
-Fermat cubic at q = 361, 520 queries instead of 6,898; 1,959 of its
-2,476 reduction steps are by the relation's x^3). Engine calls also get
-their remainder monic from _reduce, each term scaled as it is emitted,
-so making a record takes no second pass over its tail.
+In three variables the index also keeps each component's pure-power
+lead x_o^X (x_o the outer variable, x when `last` = z), by which
+_reduce reduces every term at or past it without a query, and in an
+engine run reducibility masks that climb with the degree as the row
+mask does, by which it skips the query for a term no lead divides.
+A run installs the same records with masks as without them;
+_DivisorIndex gives the argument. Engine calls also get their
+remainder monic from _reduce, each term scaled as it is emitted, so
+making a record takes no second pass over its tail.
 
 The Gebauer-Moller pair update asks the same index for the new lead's
 staircase neighbours instead of taking an lcm with every earlier lead
@@ -379,7 +364,7 @@ class _Ctx:
         self.p = ring.p
         # the engine reduces in row ints (_Rows) over two variables with no block
         self.rows = ring.nvars == 2 and not eliminate
-        # and keeps reducibility masks (_Masks) in three variables
+        # and climbs the divisor index's reducibility masks in three variables
         self.masks = ring.nvars == 3
         self.pm = pm = PackedMonomials(ring.nvars, last)
         # module degree first: component j's twist excess goes into the
@@ -456,15 +441,21 @@ class _Ctx:
 
 
 class _DivisorIndex:
-    """The leads of monic basis records, indexed for divisor and
-    neighbour queries.
+    """What an engine run knows about its leads: the leads of monic
+    basis records indexed for divisor and neighbour queries, each
+    component's pure power and, in an engine run, its reducibility
+    masks.
 
     records holds the records in the order added (a list that is never
     rebound, since divisor reads it) and leads maps a component to the
-    set of its records' leads. divisor(k) returns a record whose lead
-    divides the term of key k (same component, dividing monomial), or
-    None; neighbours(comp, mon) names the records whose lcm with mon the
-    pair update needs.
+    set of its records' leads. comps maps a component to its entry
+    [bucket keys, buckets (parallel), X, power, bits]: the buckets below,
+    the pure power's exponent and record, and the masks (None where
+    there are none). divisor(k) returns a record whose lead divides the
+    term of key k (same component, dividing monomial), or None;
+    neighbours(comp, mon) names the records whose lcm with mon the pair
+    update needs. _reduce reads X, power and bits itself, and asks
+    divisor only about the terms they leave open.
 
     Per component the leads are bucketed on their exponents outside the
     two staircase fields (the top two: `last`, field a, and the variable
@@ -494,20 +485,40 @@ class _DivisorIndex:
     only in a and b, so that is the bucket's member with the smallest
     lead, then the smallest position.
 
-    In three variables the outer part is one exponent, that of x_o, and
-    a lead with no other is a pure power x_o^X; each component keeps its
-    smallest one. divisor answers a term whose x_o exponent is at least
-    X with that record before the bucket walk, since x_o^X divides it;
-    the engine's _reduce takes the same record from its _Masks without
-    asking, and callers without masks get it here. With more outer
-    variables a lead in them only, such as x*y, is no power and divides
-    fewer terms than its outer key bounds, so add records a pure power
-    in three variables only; elsewhere X stays above every outer
-    exponent (in two variables the outer part is empty) and every query
-    walks.
+    The pure power. In three variables write a monomial as
+    x_o^a m^b x_l^c, x_o the outer field (field 0; x when `last` = z)
+    and x_l `last`. A lead x_o^X is a pure power, and the entry keeps
+    the component's smallest one. It divides every monomial with
+    a >= X, so _reduce reduces such a term by it without a query,
+    whoever calls _reduce. add records a pure power in three variables
+    only. Elsewhere X stays above every exponent and divisor answers
+    every term, so over two variables the row reducer, which asks
+    divisor directly, picks the reducer the heap reducer picks.
+
+    The masks. Once the engine has called climb(deg), an entry with a
+    pure power also holds bits: X ints, one per a < X, whose bit c is
+    set when a lead of the component divides the monomial of module
+    degree deg with exponents a and c (b is what the degree leaves).
+    From D to D + 1 they climb as new[a] = old[a] | old[a] << 1 |
+    old[a - 1], since a multiple at D + 1 of a lead below it is a
+    variable (m, x_l or x_o) times a multiple at D. add sets the bit of
+    each lead installed at the current degree, and a pure power added
+    after other leads of its component replays them: lead
+    x_o^A m^B x_l^C divides, for each A <= a < X, the bits
+    C .. D - a - B, D the component's monomial degree. No lead of a
+    minimal basis other than x_o^X reaches a = X, so the bits need no
+    row there. A clear bit means that no lead divides the term and
+    divisor would return None, so _reduce skips the query, and a run
+    installs the records it installs without masks. Most terms then
+    cost one compare or one bit test instead of a query: the hk basis of
+    the Fermat cubic at q = 361 asks 517 times, against 6,898 with
+    neither rule, and 1,959 of its 2,476 reduction steps are by the
+    relation's x^3.
     """
 
-    __slots__ = ("records", "leads", "divisor", "_comps", "_outer", "_a", "_b", "_powers")
+    __slots__ = (
+        "records", "leads", "comps", "divisor", "deg", "_twists", "_outer", "_a", "_b", "_powers",
+    )
 
     def __init__(self, ctx: _Ctx, records: Iterable[tuple] = ()):
         low = ctx.pm.low
@@ -517,16 +528,14 @@ class _DivisorIndex:
         self._outer = low >> 2 * EXP_BITS
         # in three variables the outer part is one field, a pure power's
         self._powers = ctx.ring.nvars == 3
+        self._twists = ctx.twists
         self.records: list = []
         self.leads: dict = {}
-        # component -> [bucket keys, buckets (parallel), X, record]: the
-        # component's pure-power lead x_o^X and its record (X above every
-        # outer exponent while there is none, and always outside three
-        # variables, so that divisor's early answer never fires there)
-        self._comps: dict = {}
+        self.comps: dict = {}
+        self.deg = None  # the module degree of the masks; None before climb
 
         def divisor(
-            k, _get=self._comps.get, _g=ctx.pm.guard, _o=self._outer, _a=self._a,
+            k, _get=self.comps.get, _g=ctx.pm.guard, _o=self._outer, _a=self._a,
             _b=self._b, _records=self.records, _cb=COMP_BITS, _cm=_CMAX, _low=low,
         ):
             comp = _get(_cm - (k & _cm))
@@ -534,8 +543,6 @@ class _DivisorIndex:
                 return None
             mon = _low - ((k >> _cb) & _low)  # as _Ctx.split
             outer = mon & _o
-            if outer >= comp[2]:
-                return comp[3]  # at or past the component's pure power
             og = outer | _g
             ab = (mon & _a) | _b  # no smaller than the (a, b) of a lead with a <= mon's
             b = mon & _b
@@ -556,14 +563,30 @@ class _DivisorIndex:
         return len(self.records)
 
     def add(self, rec: tuple) -> None:
+        """Index the lead of rec; in an engine run, at the degree the
+        masks were last climbed to (the engine installs nowhere else)."""
         pos = len(self.records)
         self.records.append(rec)
         cp, mon = rec[1], rec[2]
-        self.leads.setdefault(cp, set()).add(mon)
-        entry = self._comps.setdefault(cp, [[], [], self._outer + 1, None])
-        keys, buckets = entry[0], entry[1]
-        if self._powers and mon & self._outer == mon and mon < entry[2]:
+        leads = self.leads.setdefault(cp, set())
+        leads.add(mon)
+        entry = self.comps.get(cp)
+        if entry is None:
+            entry = self.comps[cp] = [[], [], _FMAX + 1, None, None]
+        if self._powers and mon <= _FMAX and mon < entry[2]:
             entry[2], entry[3] = mon, rec
+            if self.deg is not None:
+                entry[4] = bits = [0] * mon
+                D = self.deg - self._twists[cp]
+                for m in leads:
+                    A, B, C = m & _FMAX, (m >> EXP_BITS) & _FMAX, m >> 2 * EXP_BITS
+                    for a in range(A, mon):
+                        if D - a - B >= C:
+                            bits[a] |= (1 << (D - a - B + 1)) - (1 << C)
+        elif entry[4] is not None:
+            # a lead below X: a minimal basis has no other
+            entry[4][mon & _FMAX] |= 1 << (mon >> 2 * EXP_BITS)
+        keys, buckets = entry[0], entry[1]
         key = mon & self._outer
         i = bisect_left(keys, key)
         if i == len(keys) or keys[i] != key:
@@ -583,12 +606,26 @@ class _DivisorIndex:
             tail.append(cur)
         best[j:] = tail
 
+    def climb(self, deg: int) -> None:
+        """Move the masks up to module degree deg, no lower than any
+        degree asked before. The first call starts them: a pure power
+        added from then on gets its bits."""
+        if self.deg is not None:
+            for _ in range(deg - self.deg):
+                for entry in self.comps.values():
+                    bits = entry[4]
+                    if bits:
+                        # descending, so bits[a - 1] is still the old one
+                        for a in range(len(bits) - 1, -1, -1):
+                            bits[a] |= bits[a] << 1 | (bits[a - 1] if a else 0)
+        self.deg = deg
+
     def neighbours(self, comp: int, mon: int) -> list:
         """Positions of the records of component comp whose lcms with mon
         include, for every minimal lcm, its member with the smallest
         lead, then the smallest position (the class argument above).
         Some of the lcms may be non-minimal; the caller filters them."""
-        entry = self._comps.get(comp)
+        entry = self.comps.get(comp)
         if entry is None:
             return []
         ab = (mon & self._a) | self._b
@@ -620,23 +657,17 @@ def _negated_b(item: tuple) -> int:
     return -item[0]
 
 
-def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True, monic=False):
+def _reduce(seeds, index: _DivisorIndex, p, full=True, monic=False):
     """Reduce a seeded combination modulo monic basis records.
 
     seeds: iterable of (terms, mult, delta) contributions; each term
     (k, c) enters as key k+delta with coefficient c*mult. Adding delta
     to a key multiplies its monomial by the one delta stands for, so the
-    key is all the reducer moves. Each term is reduced by the record
-    that index.divisor returns for its key.
-
-    masks (engine calls in three variables): _Masks.climb's dict, for
-    the module degree of every term here. Write a term of a component in
-    it as x_o^a m^b x_l^c, X its pure power's exponent. At a >= X the
-    term is reduced by the pure power's record, which the dict hands
-    out: that is the record the index would return first. Below X a
-    clear bit c of masks[comp][a] means no lead divides the term, which
-    is irreducible without a query; a set bit sends the term to the
-    index. So the result is the one the index alone gives.
+    key is all the reducer moves. A term of a component with no lead is
+    irreducible, a term at or past the component's pure power is
+    reduced by its record, and a term below it whose mask bit is clear
+    is irreducible (_DivisorIndex gives both rules); every other term
+    is reduced by the record that index.divisor returns for its key.
 
     With full=True returns the complete normal form (terms descending).
     With full=False stops at the first irreducible term, which is enough
@@ -644,7 +675,7 @@ def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True, monic=False):
     comes out monic: the first irreducible term fixes 1/c, and every
     later one is scaled by it as it is emitted.
     """
-    divisor = index.divisor
+    divisor, get = index.divisor, index.comps.get
     acc: dict = {}  # key -> coefficient
     heap: list = []
     for terms, mult, delta in seeds:
@@ -656,7 +687,6 @@ def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True, monic=False):
                 heappush(heap, -nk)
             else:
                 acc[nk] = prev + c * mult
-    get = masks.get if masks else None
     cb, cm, fm, cs = COMP_BITS, _CMAX, _FMAX, 2 * EXP_BITS
     out = []
     scale = 0  # 1/c of the lead, once a monic remainder has one
@@ -665,19 +695,20 @@ def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True, monic=False):
         c = acc.pop(k) % p
         if c == 0:
             continue
-        entry = get(cm - (k & cm)) if get else None
+        entry = get(cm - (k & cm))
         if entry is None:
-            red = divisor(k)
+            red = None  # the component has no lead
         else:
-            bits, power = entry
             kk = k >> cb  # the key's low fields hold FMAX minus each exponent
             a = fm - (kk & fm)
-            if a >= len(bits):
-                red = power  # at or past x_o^X, which divides the term
-            elif (bits[a] >> (fm - ((kk >> cs) & fm))) & 1:
-                red = divisor(k)
+            if a >= entry[2]:
+                red = entry[3]  # at or past x_o^X, which divides the term
             else:
-                red = None
+                bits = entry[4]
+                if bits is None or (bits[a] >> (fm - ((kk >> cs) & fm))) & 1:
+                    red = divisor(k)
+                else:
+                    red = None
         if red is None:
             if scale:
                 c = c * scale % p
@@ -697,65 +728,6 @@ def _reduce(seeds, index: _DivisorIndex, p, masks=None, full=True, monic=False):
             else:
                 acc[nk] = prev - tc * c
     return tuple(out)
-
-
-class _Masks:
-    """Reducibility masks of one heap-engine run in three variables (the
-    module docstring gives the climb and why it is exact).
-
-    A monomial of the index's layout is x_o^a m^b x_l^c, x_o in field 0
-    and `last` x_l on top. comps maps each component with a pure-power
-    lead x_o^X to (bits, record): record is that lead's, the reducer of
-    every term with a >= X, and bits holds X ints, one per a < X, whose
-    bit c is set when a lead of the component divides the monomial of
-    module degree deg with exponents a and c (b is what the degree
-    leaves). climb(deg) moves them up to deg, no lower than any degree
-    asked before, and add_lead sets the bit of each lead installed at
-    deg. A pure power installed after other leads of its component
-    replays them at once: lead x_o^A m^B x_l^C divides, for each
-    A <= a < X, the bits C .. D - a - B, D the component's monomial
-    degree.
-    """
-
-    __slots__ = ("twists", "leads", "deg", "comps")
-
-    def __init__(self, ctx: _Ctx, leads: dict):
-        self.twists = ctx.twists
-        self.leads = leads  # _DivisorIndex.leads: component -> its leads
-        self.deg = None
-        self.comps: dict = {}
-
-    def climb(self, deg: int) -> dict:
-        """comps at module degree deg."""
-        if self.deg is not None and self.comps:
-            for _ in range(deg - self.deg):
-                for bits, _ in self.comps.values():
-                    # descending, so bits[a - 1] is still the old one
-                    for a in range(len(bits) - 1, -1, -1):
-                        bits[a] |= bits[a] << 1 | (bits[a - 1] if a else 0)
-        self.deg = deg
-        return self.comps
-
-    def add_lead(self, rec: tuple) -> None:
-        """Register the lead of a record installed at the current degree,
-        after the index has it."""
-        cp, mon = rec[1], rec[2]
-        entry = self.comps.get(cp)
-        if entry is None:
-            if mon >> EXP_BITS:
-                return  # not a pure power: the component stays unmasked
-            X = mon
-            bits = [0] * X
-            self.comps[cp] = (bits, rec)
-            D = self.deg - self.twists[cp]
-            for m in self.leads[cp]:
-                A, B, C = m & _FMAX, (m >> EXP_BITS) & _FMAX, m >> 2 * EXP_BITS
-                for a in range(A, X):
-                    if D - a - B >= C:
-                        bits[a] |= (1 << (D - a - B + 1)) - (1 << C)
-        else:
-            # below X: the pure power divides every later monomial with a >= X
-            entry[0][mon & _FMAX] |= 1 << (mon >> 2 * EXP_BITS)
 
 
 class _Rows:
@@ -800,14 +772,13 @@ class _Rows:
 
     __slots__ = (
         "p", "rank", "twists", "width", "field", "stride", "steps", "mul", "shift",
-        "order", "base", "kd", "ka", "kc", "divisor", "deg", "mask",
+        "order", "base", "kd", "ka", "kc", "deg", "mask",
         "_qmask", "_qbits",
     )
 
-    def __init__(self, ctx: _Ctx, divisor):
+    def __init__(self, ctx: _Ctx):
         p, r, twists = ctx.p, ctx.rank, ctx.twists
         self.p, self.rank, self.twists = p, r, twists
-        self.divisor = divisor
         self.order = order = sorted(range(r), key=lambda j: (twists[j], -j))
         low = min(twists)
         base = [0] * r
@@ -832,12 +803,6 @@ class _Rows:
         self._qmask = self._qbits = 0
         self.deg = None  # the module degree that mask is for
         self.mask = 0
-
-    def done(self) -> None:
-        """Drop the run's state (the mask and the index the divisor
-        reads); what unpack needs stays."""
-        self.divisor = None
-        self.deg, self.mask = None, 0
 
     def normal(self, row: int) -> int:
         """The row with every field reduced into [0, p): one bulk pass."""
@@ -940,14 +905,14 @@ def _row_width(p: int) -> tuple:
 _ROW_WIDTHS: dict = {}  # p -> _row_width(p)
 
 
-def _reduce_rows(seeds, rows: _Rows, deg: int) -> int:
+def _reduce_rows(seeds, index: _DivisorIndex, rows: _Rows, deg: int) -> int:
     """_reduce on row ints: the remainder of a seeded combination of
     module degree deg, every field in [0, p) (0 when it is zero).
 
     seeds: (row, mult, shift) contributions, each entering as
     (row*mult) << shift. Each step takes the top field of row &
     rows.reducible(deg), the term that _reduce would reduce next,
-    reduces it by the record rows.divisor returns for its key, the one
+    reduces it by the record index.divisor returns for its key, the one
     _reduce would use, and adds a multiple of that record's tail moved
     up to it: one big-int add. The remainder, its lead and the records
     installed are therefore _reduce's.
@@ -959,7 +924,7 @@ def _reduce_rows(seeds, rows: _Rows, deg: int) -> int:
     x = row & red
     if x:
         p, r, w, base = rows.p, rows.rank, rows.width, rows.base
-        divisor, kd, ka, kc = rows.divisor, deg * rows.kd, rows.ka, rows.kc
+        divisor, kd, ka, kc = index.divisor, deg * rows.kd, rows.ka, rows.kc
         left = rows.steps
         while x:
             f = (x.bit_length() - 1) // w
@@ -978,12 +943,6 @@ def _reduce_rows(seeds, rows: _Rows, deg: int) -> int:
                     left = rows.steps
             x = row & red
     return rows.normal(row)
-
-
-def _unpack_rows(rows: _Rows, records: list) -> list:
-    """Row-mode records made monic, their tails unpacked to terms: the
-    records the heap reducer and _interreduce read."""
-    return [rows.unpack(rec) for rec in records]
 
 
 def _monic_record(ctx: _Ctx, terms: tuple) -> tuple:
@@ -1091,8 +1050,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
     G = index.records
     P: dict = {}
     heap: list = []
-    rows = _Rows(ctx, index.divisor) if ctx.rows else None
-    masks = _Masks(ctx, index.leads) if ctx.masks else None
+    rows = _Rows(ctx) if ctx.rows else None
     for k, terms in enumerate(vec_terms):
         if terms:
             cp, mon = ctx.split(terms[0][0])
@@ -1136,21 +1094,19 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
                 ktau = ctx.term_key(gi[1], tau)
                 seeds = [(gi[3], 1, ktau - gi[0]), (gj[3], p - 1, ktau - gj[0])]
         if rows:
-            red = _reduce_rows(seeds, rows, deg)
+            red = _reduce_rows(seeds, index, rows, deg)
             rec = rows.record(red, deg) if red else None
         else:
-            red = _reduce(seeds, index, p, masks.climb(deg) if masks else None, monic=True)
+            if ctx.masks:
+                index.climb(deg)
+            red = _reduce(seeds, index, p, monic=True)
             rec = _monic_record(ctx, red) if red else None
         if rec:
             _update_pairs(index, P, heap, rec[1], rec[2], twists, rank, pm)
             index.add(rec)
             if rows:
                 rows.add_lead(rec)
-            elif masks:
-                masks.add_lead(rec)
 
-    if rows:
-        rows.done()
     return sorted(G, key=lambda rec: rec[0]), rows
 
 
@@ -1212,7 +1168,8 @@ class GroebnerBasis:
         _records is its list, with row-int tails unpacked to terms."""
         if self._divisors is None:
             if self._rows is not None:
-                self._records = _unpack_rows(self._rows, self._records)
+                # monic records, their tails unpacked to terms
+                self._records = [self._rows.unpack(rec) for rec in self._records]
                 self._rows = None
             self._divisors = _DivisorIndex(self._ctx, self._records)
             self._records = self._divisors.records

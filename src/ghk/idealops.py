@@ -820,8 +820,6 @@ def _poly_matrix_det(rows: list) -> Poly:
     """Determinant by cofactor expansion; rows of Polys, small sizes only."""
     k = len(rows)
     ring = rows[0][0].ring
-    if k == 0:
-        return ring.one
     if k == 1:
         return rows[0][0]
     if k == 2:

@@ -205,6 +205,8 @@ def test_ring_validation():
             probe()
     with pytest.raises(GhkError, match="not in range"):
         ring.variable(3)  # would be the monomial 1
+    with pytest.raises(GhkError, match="no variable named 'w'"):
+        ring.variable("w")
 
 
 def test_ring_value_equality():

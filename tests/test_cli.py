@@ -734,17 +734,26 @@ def test_closed_form_general_from_filtration_data(tmp_path):
     assert report["detail"]["mu_syzygy"] == "25"
 
 
-def test_closed_form_rank1_syzygy_reports_filtration(tmp_path):
-    problem = {
-        "ring": FERMAT_RING,
-        "closed_form": {"kind": "rank1_syzygy", "a": 1, "b": 1, "d": -1, "degY": 3},
-        "task": {"command": "closed-form"},
-    }
+@pytest.mark.parametrize(
+    "section, value, quotients",
+    [
+        ({"kind": "rank1_syzygy", "a": 1, "b": 1, "d": -1, "degY": 3}, "25", [[1, "-5"]]),
+        # O(-1)^2 + O(-2) on the cubic: slopes -3 and -6, 2*3^2 + 6^2
+        (
+            {"kind": "sum_line_bundles", "pairs": [[1, 2], [2, 1]], "degY": 3},
+            "54",
+            [[2, "-3"], [1, "-6"]],
+        ),
+    ],
+    ids=["rank1_syzygy", "sum_line_bundles"],
+)
+def test_closed_form_reports_the_filtration(tmp_path, section, value, quotients):
+    problem = {"ring": FERMAT_RING, "closed_form": section, "task": {"command": "closed-form"}}
     code, out = run(tmp_path, problem)
     assert code == 0
     report = json.loads((out / "closed-form-report.json").read_text())
-    assert report["value"] == "25"
-    assert report["detail"]["filtration"]["quotients"] == [[1, "-5"]]
+    assert report["value"] == value
+    assert report["detail"]["filtration"]["quotients"] == quotients
 
 
 def test_closed_form_classical_warns_below_one(tmp_path):

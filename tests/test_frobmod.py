@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghk import groebner, idealops
@@ -520,8 +520,21 @@ def _normalized_presentations(draw):
     return name, shift, Presentation(R, rows, twists, cols)
 
 
+def _conic_past_the_border():
+    """The conic with the columns (z^3 + x^2*y) and (x + 2z): the fibre
+    monomial z^3 lies past the border z^2, so _coordinates reaches it
+    through z^2 (lengths 62 at e = 1 and 1562 at e = 2)."""
+    name = "conic"
+    p, relation, shift = NORMALIZED_RINGS[name]
+    R = RingSpec(p, ["x", "y", "z"], [relation])
+    cols = [ModVector((R.parse(f),)) for f in ("z^3 + x^2*y", "x + 2*z")]
+    return name, shift, Presentation(R, (0,), (3, 1), cols)
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=_normalized_presentations(), e=st.sampled_from([1, 2]))
+@example(case=_conic_past_the_border(), e=1)
+@example(case=_conic_past_the_border(), e=2)
 def test_normalization_route_matches_the_s_route_and_the_oracle(case, e):
     name, shift, P = case
     R = P.rspec

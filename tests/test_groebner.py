@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghk.groebner as groebner
+import ghk.idealops as idealops
 from ghk.arith import EXP_CAP, PolyRing
 from ghk.errors import (
     BudgetExceededError,
@@ -522,7 +523,7 @@ def test_row_pass_is_exact_up_to_its_bound(p):
     # every field at the largest value a reduction can leave between
     # two passes, and at random values below it
     ring = PolyRing(p, ["x", "y"])
-    rows = groebner._Rows(groebner._Ctx(ring, (0, 1)), None)
+    rows = groebner._Rows(groebner._Ctx(ring, (0, 1)))
     bound = (rows.steps + 2) * (p - 1) ** 2
     rng = random.Random(p)
     for fields in ([bound] * 40, [rng.randrange(bound + 1) for _ in range(200)]):
@@ -536,15 +537,15 @@ def test_row_pass_is_exact_up_to_its_bound(p):
 
 @pytest.fixture
 def unpacked(monkeypatch):
-    """The number of row-int records handed to each unpacking."""
+    """The row-int records unpacked to terms, one entry each."""
     calls = []
-    real = groebner._unpack_rows
+    real = groebner._Rows.unpack
 
-    def counting(rows, records):
-        calls.append(len(records))
-        return real(rows, records)
+    def counting(rows, rec):
+        calls.append(rec)
+        return real(rows, rec)
 
-    monkeypatch.setattr(groebner, "_unpack_rows", counting)
+    monkeypatch.setattr(groebner._Rows, "unpack", counting)
     return calls
 
 
@@ -564,17 +565,17 @@ def test_leads_only_callers_never_unpack_row_ints(unpacked):
                 gb.vectors
             else:
                 getattr(gb, read)(ring.parse("x^4 + x*y^3"))
-        assert unpacked == [len(gb)], read
+        assert len(unpacked) == len(gb), read
         unpacked.clear()
 
 
 # ---------------------------------------------------------------------------
-# reducibility masks against the divisor index alone
+# reducibility masks against runs without them
 
 
 def _masks_against_index(ring, twists, last, gens):
-    """The masked basis of gens, checked against the one the index alone
-    builds on the same context: reductions, zero remainders and the
+    """The masked basis of gens, checked against the one built on the
+    same context without masks: reductions, zero remainders and the
     records as installed (the mask only skips queries that find no
     divisor, so every tail is the same)."""
     masked = groebner._Ctx(ring, twists, last)
@@ -699,19 +700,33 @@ def _counted_queries(patch, counts):
 
 def test_masked_hk_basis_asks_the_index_only_for_reducible_terms():
     # I^[361] + (x^3 + y^3 + z^3) over F_19, the basis of hk_value at
-    # q = 361: 6,898 queries, 4,422 of them finding nothing, before the
-    # masks, and 2,479 with the masks while the index still answered the
-    # terms at or past the pure power x^3. The 3 that find nothing are
-    # the relation's own terms, reduced before any lead exists.
+    # q = 361: 6,898 queries, 4,422 of them finding nothing, with
+    # neither the masks nor the pure-power rule. With both, every query
+    # finds a divisor: a term of a component with no lead yet (the
+    # relation's own) asks nothing
     R = RingSpec(19, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
     B = bracket_power(R.ideal(["x", "y", "z"]), 361)
     with pytest.MonkeyPatch.context() as patch:
         counts = _counted_queries(patch, [0, 0])
         gb = B.groebner()
     assert len(gb) == 178
-    found, none = counts
-    assert found + none <= 520
-    assert none <= 3
+    assert counts == [517, 0]
+
+
+@pytest.mark.parametrize("p, q, queries", [(19, 361, 60), (7, 2401, 128)])
+def test_bracket_power_asks_the_index_only_below_the_pure_power(p, q, queries):
+    # the normal forms of x^q, y^q and z^q modulo the Fermat cubic have
+    # no masks, but every term at or past x^3 is reduced by it without a
+    # query, and the relation's own basis asks nothing: the queries left
+    # are the terms that no lead divides
+    R = RingSpec(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    with pytest.MonkeyPatch.context() as patch:
+        # a fresh relation basis, whose divisor index is built in here
+        patch.setattr(idealops, "_RELATION_IDEALS", {})
+        counts = _counted_queries(patch, [0, 0])
+        B = bracket_power(R.ideal(["x", "y", "z"]), q)
+    assert len(B.gens) == 3
+    assert counts == [0, queries]
 
 
 def test_four_variable_index_keeps_its_bucket_walk():
@@ -733,17 +748,27 @@ def test_four_variable_index_keeps_its_bucket_walk():
         assert (found[0] if found else None) == divisor, term
 
 
-def test_three_variable_index_answers_past_the_pure_power_with_it():
-    # x^2 is the pure power; x*y also divides x^3*y, and the bucket
-    # walk would reach it first
+def test_normal_form_reduces_past_the_pure_power_by_it():
+    # records x*y - z^2 and x^2, no Groebner basis, so a remainder
+    # shows which record reduced a term: x^2*y is 0 by the pure power
+    # x^2, and x*z^2 by x*y - z^2, which the bucket walk reaches first
     ring = PolyRing(7, ["x", "y", "z"])
     ctx = groebner._Ctx(ring, (0,))
     pm = ctx.pm
-    leads = [(1, 1, 0), (2, 0, 0)]
-    index = groebner._DivisorIndex(ctx, [(i, 0, pm.pack(m), ()) for i, m in enumerate(leads)])
-    for term, divisor in [((3, 1, 0), 1), ((2, 5, 1), 1), ((1, 2, 0), 0), ((1, 0, 3), None)]:
-        found = index.divisor(ctx.term_key(0, pm.pack(term)))
-        assert (found[0] if found else None) == divisor, term
+
+    def key(m):
+        return ctx.term_key(0, pm.pack(m))
+
+    records = [
+        (key((1, 1, 0)), 0, pm.pack((1, 1, 0)), ((key((0, 0, 2)), 6),)),
+        (key((2, 0, 0)), 0, pm.pack((2, 0, 0)), ()),
+    ]
+    gb = GroebnerBasis(ctx, records)
+    assert gb._index.divisor(key((2, 1, 0)))[0] == records[0][0]
+    assert gb.normal_form(ring.parse("x^2*y")).is_zero()
+    # the bucket walk alone would take x^2*y to x*z^2 and find it a member
+    assert not gb.contains(ring.parse("x^2*y - x*z^2"))
+    assert gb.normal_form(ring.parse("x*y*z + x^3")) == ModVector((ring.parse("z^3"),))
 
 
 @st.composite

@@ -21,6 +21,7 @@ from ghk.idealops import (
     HilbertSeries,
     RingSpec,
     _monomial_numerator,
+    _poly_matrix_det,
     bracket_power,
     certify_saturation,
     colength_difference,
@@ -944,6 +945,18 @@ def test_budget_threads_through_saturate():
         for route in (saturate, saturate_by_colon):
             with pytest.raises(BudgetExceededError):
                 route(I, budget=GbBudget(max_pairs=1))
+
+
+def test_poly_matrix_det_expands_by_cofactors_past_two_rows():
+    # smoothness_check takes minors of size n - 2, so 3 x 3 and up only
+    # for curves in P^4 and beyond: checked against the hand expansion
+    ring = PolyRing(7, ["x", "y", "z"])
+    a, b, c, d, e, f, g, h, i = (
+        ring.parse(t)
+        for t in ("x^2", "y + z", "3", "x*y", "z^2 - x", "2*y", "x + y", "y^2", "z")
+    )
+    hand = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert _poly_matrix_det([[a, b, c], [d, e, f], [g, h, i]]) == hand
 
 
 def test_smoothness_report_shape():
