@@ -174,18 +174,27 @@ class Record:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin with the first 13 primes as bases.
+
+    Exact below psi_13 = 3317044064679887385961981, the least strong
+    pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017);
+    the first 12 would stop at psi_12 = 318665857834031151167461. No
+    fixed set of bases is known to decide larger n: they raise
+    GhkHypothesisError."""
     if as_int(n, "n") < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= 3317044064679887385961981:
+        raise GhkHypothesisError(f"primality of {n} is undecided: the bases are exact below psi_13")
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for q in primes:
         if n % q == 0:
-            return n == q
+            return n == q  # from here on no base equals n
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in primes:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

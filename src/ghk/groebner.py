@@ -351,7 +351,7 @@ class _Ctx:
 
     __slots__ = (
         "ring", "rank", "twists", "p", "pm", "offs", "term_key", "split", "to_basis", "to_ring",
-        "rows", "masks",
+        "rows",
     )
 
     def __init__(self, ring: PolyRing, twists: tuple, last: int | None = None, eliminate: int = 0):
@@ -364,8 +364,6 @@ class _Ctx:
         self.p = ring.p
         # the engine reduces in row ints (_Rows) over two variables with no block
         self.rows = ring.nvars == 2 and not eliminate
-        # and climbs the divisor index's reducibility masks in three variables
-        self.masks = ring.nvars == 3
         self.pm = pm = PackedMonomials(ring.nvars, last)
         # module degree first: component j's twist excess goes into the
         # monomial key's top (degree) field; equal twists add 0.
@@ -609,7 +607,9 @@ class _DivisorIndex:
     def climb(self, deg: int) -> None:
         """Move the masks up to module degree deg, no lower than any
         degree asked before. The first call starts them: a pure power
-        added from then on gets its bits."""
+        added from then on gets its bits. Outside three variables no
+        entry has one, so every heap run of the engine calls climb and
+        only three-variable runs build masks."""
         if self.deg is not None:
             for _ in range(deg - self.deg):
                 for entry in self.comps.values():
@@ -794,10 +794,7 @@ class _Rows:
         self.kc = tuple(
             key(j, 0) - twists[j] * self.kd - (twists[j] - low) * self.ka for j in order
         )
-        layout = _ROW_WIDTHS.get(p)
-        if layout is None:
-            layout = _ROW_WIDTHS[p] = _row_width(p)
-        self.width, self.steps, self.shift, self.mul = layout
+        self.width, self.steps, self.shift, self.mul = _row_width(p)
         self.field = (1 << self.width) - 1
         self.stride = r * self.width
         self._qmask = self._qbits = 0
@@ -900,9 +897,6 @@ def _row_width(p: int) -> tuple:
         width = width or -(-need // 4) * 4
         best = (width, steps, shift, mul)
         steps += 1
-
-
-_ROW_WIDTHS: dict = {}  # p -> _row_width(p)
 
 
 def _reduce_rows(seeds, index: _DivisorIndex, rows: _Rows, deg: int) -> int:
@@ -1097,8 +1091,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
             red = _reduce_rows(seeds, index, rows, deg)
             rec = rows.record(red, deg) if red else None
         else:
-            if ctx.masks:
-                index.climb(deg)
+            index.climb(deg)
             red = _reduce(seeds, index, p, monic=True)
             rec = _monic_record(ctx, red) if red else None
         if rec:

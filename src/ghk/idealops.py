@@ -278,24 +278,6 @@ def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = No
 # bracket powers
 
 
-_RELATION_IDEALS: dict = {}  # (ring, relations) -> their ideal, the oldest first
-_RELATION_IDEALS_KEPT = 16
-
-
-def _relation_ideal(ring: PolyRing, relations: tuple) -> Submodule:
-    """The ideal of S that relations generate, one object per (ring,
-    relations) among the last few asked for, so that its Groebner basis
-    (cached on it) is built once: every bracket power over the ring and
-    RingSpec.hilbert_series reduce by or read that one basis."""
-    key = (ring, relations)
-    ideal = _RELATION_IDEALS.get(key)
-    if ideal is None:
-        if len(_RELATION_IDEALS) >= _RELATION_IDEALS_KEPT:
-            del _RELATION_IDEALS[next(iter(_RELATION_IDEALS))]
-        ideal = _RELATION_IDEALS[key] = Submodule.ideal(ring, relations)
-    return ideal
-
-
 def bracket_power(I: Submodule, q: int) -> Submodule:
     """Ideal generated by q-th powers of the generators of I, over R.
 
@@ -310,12 +292,12 @@ def bracket_power(I: Submodule, q: int) -> Submodule:
     u^p = v^p in characteristic p. The ideal is the literal q-th powers', but the
     engine need not unroll x^q by the relations; a generator whose q-th
     power lies in the relation ideal drops out. The relations' Groebner
-    basis (the engine's default order, unbudgeted) is _relation_ideal's,
-    built once per ring and shared with RingSpec.hilbert_series.
+    basis (the engine's default order, unbudgeted) is built once per
+    call, and every p-th power step reduces by it.
     """
     as_ideal(I, "a bracket power")
     gens = [v[0] for v in I.gens]
-    normal_form = _relation_ideal(I.ring, I.relations).groebner().normal_form
+    normal_form = Submodule.ideal(I.ring, I.relations).groebner().normal_form
     for _ in range(frobenius_exponent(q, I.ring.p)):
         gens = [normal_form(frobenius_power(g, I.ring.p))[0] for g in gens]
     return Submodule(I.ring, 1, gens, twists=I.twists, relations=I.relations)
@@ -608,7 +590,7 @@ class RingSpec:
     def hilbert_series(self) -> HilbertSeries:
         """Hilbert series of R itself (as S / relation ideal)."""
         if self._hs is None:
-            self._hs = hilbert_series(_relation_ideal(self.ring, self.relations))
+            self._hs = hilbert_series(Submodule.ideal(self.ring, self.relations))
         return self._hs
 
     def noether_normalization(self) -> "NoetherNormalization | None":

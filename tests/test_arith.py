@@ -5,6 +5,7 @@ from hand calculations noted inline.
 """
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -32,15 +33,24 @@ from naive_poly import NaivePoly, all_monomials_up_to, ref_order_tuple
 
 
 def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(50):
-        assert is_prime(n) == (n in primes)
+    # against trial division; 1763 = 41*43 passes is_prime's trial
+    # division and is caught by a witness
+    for n in range(20000):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
 
 
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 - 3)
     assert not is_prime(1)
+    # psi_12, the least strong pseudoprime to the bases 2..37
+    assert not is_prime(318665857834031151167461)
+
+
+def test_is_prime_refuses_n_past_psi_13():
+    # psi_13 is a strong pseudoprime to every base 2..41: no answer
+    with pytest.raises(GhkHypothesisError):
+        is_prime(3317044064679887385961981)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 13, 101, 10007])

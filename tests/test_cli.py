@@ -756,6 +756,18 @@ def test_closed_form_reports_the_filtration(tmp_path, section, value, quotients)
     assert report["detail"]["filtration"]["quotients"] == quotients
 
 
+def test_closed_form_general_without_syzygy_exits_2(tmp_path, capsys):
+    problem = {
+        "ring": FERMAT_RING,
+        "closed_form": {"kind": "general", "twists": [1, 1], "degY": 3},
+        "task": {"command": "closed-form"},
+    }
+    code, out = run(tmp_path, problem)
+    assert code == 2
+    assert capsys.readouterr().err == "problem file incomplete or inconsistent: KeyError('syzygy')\n"
+    assert not (out / "closed-form-report.json").exists()
+
+
 def test_closed_form_classical_warns_below_one(tmp_path):
     problem = {
         "ring": FERMAT_RING,
@@ -865,6 +877,18 @@ def test_sweep_single_prime(tmp_path, capsys):
     assert csv.splitlines()[0] == "p,validated,estimate,reason"
     assert csv.splitlines()[1] == "5,true,4/3,"
     assert "p=5: ok estimate=4/3" in capsys.readouterr().out
+
+
+def test_sweep_falls_back_to_the_ring_prime(tmp_path):
+    problem = {
+        "ring": {"prime": 7, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 - 2*z^3"]},
+        "module": {"ideal": ["x - y", "y - z"]},
+        "task": {"command": "sweep", "e_max": 1},
+    }
+    code, out = run(tmp_path, problem)
+    assert code == 0
+    report = json.loads((out / "sweep-report.json").read_text())
+    assert [row["p"] for row in report["sweep"]["rows"]] == [7]
 
 
 def test_sweep_flags_bad_primes_without_failing(tmp_path):

@@ -247,6 +247,13 @@ def test_sweep_degenerate_generator():
     assert by_p[7].validated
 
 
+def test_sweep_flags_a_failed_specialization():
+    fam = FamilySpec(("x", "y", "z"), ("x^3 + y",), ("x",))
+    (row,) = prime_sweep(fam, [5], e_max=1).rows
+    assert not row.validated
+    assert row.reason == "specialization failed: relation x^3 + y is not homogeneous"
+
+
 def test_sweep_budget_rows_become_estimate_gaps():
     rep = prime_sweep(CUBIC_FAMILY, [5], e_max=2, budget=GbBudget(max_degree=4))
     row = rep.rows[0]

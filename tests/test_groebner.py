@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghk.groebner as groebner
-import ghk.idealops as idealops
 from ghk.arith import EXP_CAP, PolyRing
 from ghk.errors import (
     BudgetExceededError,
@@ -573,19 +572,41 @@ def test_leads_only_callers_never_unpack_row_ints(unpacked):
 # reducibility masks against runs without them
 
 
+def _built_indexes(patch, indexes):
+    """Append every divisor index built to indexes."""
+    real = groebner._DivisorIndex.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        indexes.append(self)
+
+    patch.setattr(groebner._DivisorIndex, "__init__", init)
+    return indexes
+
+
+def _unmasked(patch):
+    """The reference: climb a no-op, so that no index ever builds masks
+    (every normal form outside the engine runs so)."""
+    patch.setattr(groebner._DivisorIndex, "climb", lambda self, deg: None)
+
+
 def _masks_against_index(ring, twists, last, gens):
     """The masked basis of gens, checked against the one built on the
     same context without masks: reductions, zero remainders and the
     records as installed (the mask only skips queries that find no
     divisor, so every tail is the same)."""
-    masked = groebner._Ctx(ring, twists, last)
-    unmasked = groebner._Ctx(ring, twists, last)
-    unmasked.masks = False
-    assert masked.masks
-    gb, counts = _counted_basis(masked, gens)
-    ref, ref_counts = _counted_basis(unmasked, gens)
+    ctx = groebner._Ctx(ring, twists, last)
+    with pytest.MonkeyPatch.context() as patch:
+        indexes = _built_indexes(patch, [])
+        gb, counts = _counted_basis(ctx, gens)
+    with pytest.MonkeyPatch.context() as patch:
+        _unmasked(patch)
+        ref, ref_counts = _counted_basis(ctx, gens)
     assert counts == ref_counts
     assert gb._records == ref._records
+    # the engine's index climbed, and every component has masks
+    assert indexes[0].deg is not None
+    assert all(entry[4] is not None for entry in indexes[0].comps.values())
     return gb
 
 
@@ -658,25 +679,23 @@ def test_masks_in_an_elimination_run():
     R = RingSpec(7, ["x", "y", "z"], ["x^3 + y^3 + 2*z^3"])
     gens = [[R.ring.parse(f) for f in v] for v in (["x^2", "y"], ["z^2", "x"])]
 
-    def colon_run(patch, masks):
-        real = groebner._Ctx.__init__
-
-        def init(self, *args, **kwargs):
-            real(self, *args, **kwargs)
-            self.masks = self.masks and masks
-
-        patch.setattr(groebner._Ctx, "__init__", init)
+    def colon_run(patch):
         calls = _count_reductions(patch, [])
+        queries = _counted_queries(patch, [0, 0])
         U = Submodule(R.ring, 2, gens, twists=(0, 1), relations=R.relations)
         V = colon(U, R.ideal(["x", "y - z"]))
-        return V.groebner()._records, calls
+        return V.groebner()._records, calls, queries
 
     with pytest.MonkeyPatch.context() as patch:
-        masked = colon_run(patch, True)
+        *masked, queries = colon_run(patch)
     with pytest.MonkeyPatch.context() as patch:
-        ref = colon_run(patch, False)
+        _unmasked(patch)
+        *ref, ref_queries = colon_run(patch)
     assert masked == ref
     assert len(masked[1]) > 10
+    # the masks skip only queries that find nothing
+    assert queries[0] == ref_queries[0]
+    assert queries[1] < ref_queries[1]
 
 
 def _counted_queries(patch, counts):
@@ -718,15 +737,15 @@ def test_bracket_power_asks_the_index_only_below_the_pure_power(p, q, queries):
     # the normal forms of x^q, y^q and z^q modulo the Fermat cubic have
     # no masks, but every term at or past x^3 is reduced by it without a
     # query, and the relation's own basis asks nothing: the queries left
-    # are the terms that no lead divides
+    # are the terms that no lead divides. Each call builds its own
+    # relation basis, so a second call asks as many
     R = RingSpec(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
-    with pytest.MonkeyPatch.context() as patch:
-        # a fresh relation basis, whose divisor index is built in here
-        patch.setattr(idealops, "_RELATION_IDEALS", {})
-        counts = _counted_queries(patch, [0, 0])
-        B = bracket_power(R.ideal(["x", "y", "z"]), q)
-    assert len(B.gens) == 3
-    assert counts == [0, queries]
+    for _ in range(2):
+        with pytest.MonkeyPatch.context() as patch:
+            counts = _counted_queries(patch, [0, 0])
+            B = bracket_power(R.ideal(["x", "y", "z"]), q)
+        assert len(B.gens) == 3
+        assert counts == [0, queries]
 
 
 def test_four_variable_index_keeps_its_bucket_walk():

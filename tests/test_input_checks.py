@@ -12,7 +12,7 @@ import pytest
 from ghk.arith import PolyRing
 from ghk.errors import GhkError, RingMismatchError
 from ghk.frobmod import Presentation, direct_sum, hk_value, presentation_of_quotient
-from ghk.groebner import ModVector, Submodule
+from ghk.groebner import COMP_BITS, ModVector, Submodule
 from ghk.idealops import RingSpec, bracket_power, colon, reflexive_hull, sheaf_degree
 
 S7 = PolyRing(7, ["x", "y"])
@@ -37,12 +37,25 @@ BAD_INPUTS = [
     ("bare Poly in rank 2", lambda: Submodule(S7, 2, [x7]), RingMismatchError),
     ("generator that is an int", lambda: Submodule(S7, 1, [5]), GhkError),
     ("relation over F_5", lambda: Submodule.ideal(S7, [x7], relations=[x5 * y5]), RingMismatchError),
+    ("one twist for rank 2", lambda: Submodule(S7, 2, [], twists=[0]), GhkError),
+    ("rank past the component field", lambda: Submodule(S7, 1 << COMP_BITS, []), GhkError),
+    # containment of a submodule
+    ("contains_submodule of a Poly", lambda: I7.contains_submodule(x7), GhkError),
+    ("contains_submodule of rank 2", lambda: I7.contains_submodule(M7), RingMismatchError),
+    (
+        "contains_submodule of other twists",
+        lambda: I7.contains_submodule(Submodule(S7, 1, [x7], twists=[1])),
+        RingMismatchError,
+    ),
     # a basis as a reducer
     ("contains over F_5", lambda: I7.groebner().contains(x5), RingMismatchError),
     ("contains of rank 2", lambda: I7.groebner().contains(ModVector((x7, y7))), RingMismatchError),
     ("normal_form over F_5", lambda: I7.groebner().normal_form(ModVector((x5,))), RingMismatchError),
     ("normal_form of rank 2", lambda: M7.groebner().normal_form(x7), RingMismatchError),
-    # vector arithmetic
+    # vectors
+    ("empty vector", lambda: ModVector(()), GhkError),
+    ("vector entry that is an int", lambda: ModVector((x7, 5)), GhkError),
+    ("vector entries over F_7 and F_5", lambda: ModVector((x7, x5)), RingMismatchError),
     ("subtraction over F_5", lambda: ModVector((x7,)) - ModVector((x5,)), RingMismatchError),
     ("subtraction of rank 2", lambda: ModVector((x7,)) - ModVector((x7, y7)), RingMismatchError),
     ("subtraction of an int", lambda: ModVector((x7,)) - 5, GhkError),
