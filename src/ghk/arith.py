@@ -480,6 +480,24 @@ class Poly:
                 break
         return 0
 
+    def vertex_value(self, last: bool = False) -> int:
+        """f(1, 0, ..., 0), or with `last` f(0, ..., 0, 1), for a
+        homogeneous f of degree d: its coefficient of x_0^d, the greatest
+        monomial of degree d in grevlex and so its first term, or of
+        x_last^d, the least and so its last term. The term is that power
+        iff every other exponent field of its key holds _FMAX, exponent
+        0; no exponent tuple is decoded."""
+        t = self._t
+        if not t:
+            return 0
+        low = self.ring.pm.low
+        if last:
+            k, c = t[-1]
+            below = low >> EXP_BITS  # every field but the last variable's
+            return c if k & below == below else 0
+        k, c = t[0]
+        return c if (k | _FMAX) & low == low else 0
+
     def lt(self) -> tuple:
         """(monomial, coeff) of the leading term."""
         if not self._t:

@@ -44,7 +44,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .arith import Poly, PolyRing, Record, frobenius_exponent, frobenius_power
+from .arith import EXP_CAP, Poly, PolyRing, Record, frobenius_exponent, frobenius_power
 from .errors import GhkError, GhkHypothesisError
 from .groebner import (
     GbBudget,
@@ -386,7 +386,9 @@ def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> Saturati
     M = sat(U); the torsion is that difference.
 
     Tries each variable alone first: the ring's last variable (U's
-    default basis), then the others in index order. In grevlex with l
+    default basis), then the others in index order, except that over
+    two variables x goes first when _torsion_over_y0 sees torsion of
+    F/U at (1:0), where y's test must fail. In grevlex with l
     last, in(U : l^inf) = in(U) : l^inf (Bayer-Stillman), so one basis
     gives HS(F/(U : l^inf)) from its leads with the l-exponent set to
     0, a generating set that _lead_series takes as it is; HS(F/U) is
@@ -412,7 +414,7 @@ def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
     """The certificate, and the meet W of the U : l^inf over all its
     variables but the last (None for one): sat(U) is W cap U : l^inf."""
     nvars = U.ring.nvars
-    order = (nvars - 1, *range(nvars - 1))
+    order = (0, 1) if nvars == 2 and _torsion_over_y0(U) else (nvars - 1, *range(nvars - 1))
     hs = None
     cut = {}  # l -> HS(F/(U : l^inf))
     for i in order:
@@ -434,6 +436,44 @@ def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
             return SaturationCertificate(order[:k], torsion), W
         W = intersect(W, D, budget)
     raise GhkError("internal error: the variable saturations meet in more than sat(U)")
+
+
+def _torsion_over_y0(U: Submodule) -> bool:
+    """Whether U, over a ring of two variables x, y, has a smaller rank
+    at the point (1, 0) than at (0, 1): then x is tried first.
+
+    The fibre of the sheaf of F/U on P^1 at a point has dimension
+    U.rank minus U's rank there, at least the generic one. So
+    rank(1, 0) < rank(0, 1) <= the generic rank says F/U is not locally
+    free at (1:0); on the smooth curve P^1 it has torsion there, so (y)
+    is associated to F/U, U : y^inf is more than sat(U), and y's
+    pole-order test would fail. Equal ranks (a vector bundle, or
+    torsion at both points) keep the ring's order, and so does a full
+    rank(1, 0), for which rank(0, 1) is never computed. The pole-order
+    test still decides every certificate: this picks only the order."""
+    at_x = _vertex_rank(U, False)
+    return at_x < U.rank and at_x < _vertex_rank(U, True)
+
+
+def _vertex_rank(U: Submodule, last: bool) -> int:
+    """F_p-rank of U's spanning vectors at (1, 0, ..., 0), or with `last`
+    at (0, ..., 0, 1): row echelon mod p of their entries' values there
+    (Poly.vertex_value), a row at a time, stopping at U.rank."""
+    p, rank, pivots = U.ring.p, U.rank, []  # (column, a row with 1 there, 0 at earlier pivots)
+    for v in U.spanning():
+        row = [f.vertex_value(last) for f in v.components]
+        for col, piv in pivots:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, piv)]
+        for col, c in enumerate(row):
+            if c:
+                inv = pow(c, -1, p)
+                pivots.append((col, [a * inv % p for a in row]))
+                if len(pivots) == rank:
+                    return rank
+                break
+    return len(pivots)
 
 
 def saturate(U: Submodule, budget: GbBudget | None = None) -> Submodule:
@@ -718,11 +758,23 @@ class NoetherNormalization:
         certifies. A graded ring is Cohen-Macaulay iff one homogeneous
         system of parameters is a regular sequence, and then all are
         (Bruns-Herzog, Ch. 2). A certified centre is such a sequence,
-        so no centre certifies."""
-        n = rspec.ring.nvars
+        so no centre certifies.
+
+        A characteristic above EXP_CAP raises GhkHypothesisError: no
+        Frobenius power of a form of positive degree packs there, and the
+        _pth ladder alone would take p steps. The shifts are the base-p
+        digits of a counter, in itertools.product's order, walked lazily:
+        product would build a tuple of all p values first."""
+        p, n = rspec.p, rspec.ring.nvars
+        if p > EXP_CAP:
+            raise GhkHypothesisError(
+                f"characteristic {p} exceeds the supported cap {EXP_CAP} of a Frobenius power"
+            )
         if n < 3:
             return None
-        for shift in itertools.product(range(rspec.p), repeat=2 * (n - 2)):
+        k = 2 * (n - 2)
+        for count in range(p**k):
+            shift = tuple(count // p ** (k - 1 - t) % p for t in range(k))
             for pair in itertools.combinations(range(n), 2):
                 nn = cls(rspec, pair, shift)
                 if nn.degree:

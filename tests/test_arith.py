@@ -321,6 +321,25 @@ def test_lead_term_and_degree():
         ring.zero.lt()
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_vertex_values_are_the_pure_power_coefficients(nvars):
+    # f(1, 0, ..., 0) and f(0, ..., 0, 1) of homogeneous forms, against
+    # coeff of x_0^d and x_last^d, with the exponent cap in the fields
+    rng = random.Random(nvars)
+    ring = PolyRing(7, ["x", "y", "z"][:nvars])
+
+    def monomial(d):
+        cuts = sorted(rng.choice([0, d, rng.randint(0, d)]) for _ in range(nvars - 1))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+    for _ in range(200):
+        d = rng.choice([0, 1, 2, 3, EXP_CAP])
+        f = ring.from_pairs((monomial(d), rng.randrange(1, 7)) for _ in range(rng.randrange(5)))
+        assert f.vertex_value() == f.coeff((d,) + (0,) * (nvars - 1))
+        assert f.vertex_value(last=True) == f.coeff((0,) * (nvars - 1) + (d,))
+    assert ring.zero.vertex_value() == ring.zero.vertex_value(last=True) == 0
+
+
 def test_variable_power_division():
     ring = PolyRing(7, ["x", "y"])
     f = ring.parse("x^3*y + 2*x^2*y^2")

@@ -6,6 +6,7 @@ The call runs bench/child.py in a subprocess, so the tracer's rebinding
 never reaches this test process.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,8 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 FERMAT5 = {"prime": 5, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]}
 
 
-def traced_span_names(tmp_path, problem: dict) -> set:
-    """The span names of one traced CLI call on `problem`."""
+def bench_module(name: str):
+    """bench/<name>.py, loaded without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_call(tmp_path, problem: dict) -> dict:
+    """The spans and bursts of one traced CLI call on `problem`."""
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
     spans = tmp_path / "spans.json"
@@ -45,7 +54,12 @@ def traced_span_names(tmp_path, problem: dict) -> set:
     assert result["exit_code"] == 0
     trace = json.loads(spans.read_text())
     assert trace["spans"]
-    return {span[0] for span in trace["spans"]}
+    return trace
+
+
+def traced_span_names(tmp_path, problem: dict) -> set:
+    """The span names of one traced CLI call on `problem`."""
+    return {span[0] for span in traced_call(tmp_path, problem)["spans"]}
 
 
 def test_traced_child_call_records_spans(tmp_path):
@@ -66,3 +80,14 @@ def test_traced_hk_call_reaches_the_hilbert_series(tmp_path):
         "task": {"command": "hk", "e_max": 1},
     }
     assert {"frobmod.hk_value", "idealops.hilbert_series"} <= traced_span_names(tmp_path, problem)
+
+
+def test_traced_twisted_call_builds_no_rejected_basis(tmp_path):
+    # the twisted workload's seed-0 problem at I = (y, x + z): its torsion
+    # lies over (1 : 0) of the centre's P^1, so the certificate tries x
+    # first and builds no y basis that its pole-order test would reject
+    # (4 bases while y was always tried first)
+    problem = bench_module("workloads").WORKLOADS["twisted_q13"].problems(0)[2]
+    assert problem["module"]["presentation"]["columns"][:2] == [["y", "0"], ["x + z", "0"]]
+    metrics = bench_module("tracer").layer_metrics(traced_call(tmp_path, problem))
+    assert metrics["groebner.bases_built"] == (3, "count")

@@ -924,6 +924,29 @@ def test_sweep_budget_trouble_exits_3(tmp_path):
     assert (out / "sweep-report.json").exists()
 
 
+@pytest.mark.parametrize("big", [2305843009213693951, 18446744073709551629])
+def test_sweep_past_the_exponent_cap_exits_2(tmp_path, big):
+    # primes past EXP_CAP = 2^20 have no packed Frobenius power: the
+    # centre search refuses them before it builds anything (it once
+    # died here with MemoryError at 2^61 - 1 and OverflowError past 2^64)
+    problem = {
+        "ring": {"primes": [5, big], "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 - 2*z^3"]},
+        "module": {"ideal": ["x - y", "y - z"]},
+        "task": {"command": "sweep", "e_max": 2},
+    }
+    path = write_problem(tmp_path, problem)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghk.cli", path, "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: characteristic {big} exceeds the supported cap 1048576 of a Frobenius power\n"
+
+
 def test_sweep_needs_primes(tmp_path, capsys):
     problem = {
         "ring": {"variables": ["x", "y"], "relations": []},

@@ -290,19 +290,37 @@ def test_rank2_module_length_is_9q2():
     assert ghk_value(P, 1) == colon_route_length(P, 1) == 9 * q * q
 
 
-def _fermat_points(p):
-    """(p, point) for every F_p-rational point of x^3 + y^3 + z^3,
-    scaled so that its last nonzero coordinate is 1."""
+def _cubic_points(p, weights=(1, 1, 1)):
+    """(p, point) for every F_p-rational point of the cubic with these
+    weights on x^3, y^3 and z^3, scaled so that its last nonzero
+    coordinate is 1."""
     out = []
     for pt in itertools.product(range(p), repeat=3):
         nonzero = [c for c in pt if c]
-        if nonzero and nonzero[-1] == 1 and sum(c**3 for c in pt) % p == 0:
+        if nonzero and nonzero[-1] == 1 and sum(w * c**3 for w, c in zip(weights, pt)) % p == 0:
             out.append((p, pt))
     return out
 
 
+def _point_forms(p, pt):
+    """The linear forms pt[k]*x_i - pt[i]*x_k, i != k, that cut out the
+    point pt, k its last nonzero coordinate, as coefficient lists."""
+    k = max(i for i, c in enumerate(pt) if c)
+    forms = []
+    for i in range(3):
+        if i != k:
+            form = [0, 0, 0]
+            form[i], form[k] = pt[k], -pt[i] % p
+            forms.append(form)
+    return forms
+
+
+def _form_str(form):
+    return " + ".join(f"{c}*{v}" for c, v in zip(form, "xyz") if c)
+
+
 # 15 points; for each of x, y and z some lie on its zero line
-FERMAT_POINTS = _fermat_points(5) + _fermat_points(7)
+FERMAT_POINTS = _cubic_points(5) + _cubic_points(7)
 
 
 @settings(max_examples=2 * len(FERMAT_POINTS), deadline=None)
@@ -312,17 +330,8 @@ def test_point_lengths_agree_with_the_oracle(case):
     # variable; every route must still give 4(q^2 - 1)/3
     p, pt = case
     R = RingSpec(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
-    k = max(i for i, c in enumerate(pt) if c)
-    # the linear forms pt[k]*x_i - pt[i]*x_k, i != k, cut out the point
-    forms = []
-    for i in range(3):
-        if i != k:
-            form = [0, 0, 0]
-            form[i], form[k] = pt[k], -pt[i] % p
-            forms.append(form)
-    P = presentation_of_quotient(
-        R.ideal([" + ".join(f"{c}*{v}" for c, v in zip(f, "xyz") if c) for f in forms]), R
-    )
+    forms = _point_forms(p, pt)
+    P = presentation_of_quotient(R.ideal([_form_str(f) for f in forms]), R)
     curve = CurveRing(p, 3, reducer=(2, 3, NaivePoly(p, 3, {(3, 0, 0): p - 1, (0, 3, 0): p - 1})))
     pulled = [
         NaivePoly(p, 3, {tuple(p * (i == j) for i in range(3)): c for j, c in enumerate(f) if c})
@@ -407,6 +416,23 @@ def test_centre_search_stops_where_cohen_macaulay_fails(monkeypatch, p, relation
     monkeypatch.setattr(NoetherNormalization, "__init__", counting)
     assert RingSpec(p, variables, relations).noether_normalization() is None
     assert len(tried) == centres
+    # the shifts are walked lazily, in itertools.product's order
+    n = len(variables)
+    order = [
+        (pair, shift)
+        for shift in itertools.product(range(p), repeat=2 * (n - 2))
+        for pair in itertools.combinations(range(n), 2)
+    ]
+    assert tried == order[:centres]
+
+
+def test_centre_search_refuses_a_characteristic_past_the_exponent_cap():
+    # 1048583 is the least prime above EXP_CAP = 2^20: no Frobenius power
+    # of a linear form packs, so there is nothing to search for
+    for variables in (["x", "y"], ["x", "y", "z"]):
+        R = RingSpec(1048583, variables, ["x^3 + y^3 + z^3"][: len(variables) - 2])
+        with pytest.raises(GhkHypothesisError, match="cap 1048576"):
+            NoetherNormalization.find(R)
 
 
 def _translation_cases():
@@ -496,6 +522,12 @@ NORMALIZED_RINGS = {
     "cusp": (5, CUSP, (("x", "z"), (0, 0))),
     "shifted": (5, COORDINATE_POINTS, (("x", "y"), (0, 1))),
 }
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_RINGS))
+def test_centre_search_keeps_every_normalized_centre(name):
+    p, relation, shift = NORMALIZED_RINGS[name]
+    assert NoetherNormalization.find(RingSpec(p, ["x", "y", "z"], [relation])).shift == shift
 
 
 @st.composite
@@ -710,6 +742,89 @@ def test_certificate_budget_reaches_every_basis(monkeypatch):
     assert len(cert.variables) == 2
     # one basis per variable, then one of the sum
     assert len(seen) == 3 and all(b is budget for b in seen)
+
+
+# ---------------------------------------------------------------------------
+# the order in which the certificate tries the variables over A
+
+
+def _twisted_sum(R, gens):
+    """R/I (+) R(-1)/I for I = (gens): row twists [0, 1] and column
+    twists [1, 1, 2, 2], the benchmark's twisted module."""
+    zero = R.ring.zero
+    cols = [ModVector((R.parse(g), zero)) for g in gens]
+    cols += [ModVector((zero, R.parse(g))) for g in gens]
+    return Presentation(R, (0, 1), (1, 1, 2, 2), cols)
+
+
+def test_torsion_over_y_zero_certifies_with_x_alone():
+    # the benchmark's twisted module at the point (1 : 0 : -1) over F_13:
+    # its torsion lies over (1 : 0) of the centre's P^1, so the fibre
+    # ranks send x first and no y basis is built
+    R = RingSpec(13, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    U = pullback_image(_twisted_sum(R, ["y", "x + z"]), 1)
+    cert = certify_saturation(U)
+    assert cert.variables == (0,) and list(U._gb) == [0]
+    assert cert.length == 2 * 4 * (13**2 - 1) // 3 == 448
+
+
+def test_torsion_off_the_coordinate_points_keeps_y_first():
+    # the sweep point (1 : 1 : 1) lies over (1 : 1): y certifies alone
+    R = RingSpec(5, ["x", "y", "z"], ["x^3 + y^3 - 2*z^3"])
+    U = pullback_image(presentation_of_quotient(R.ideal(["x - y", "y - z"]), R), 1)
+    assert certify_saturation(U).length == 32
+    assert list(U._gb) == [1]
+
+
+# rational points (a : b : c) of two smooth cubics, whose centre is x, y
+# unshifted: the torsion of a point module lies over (a : b) of P^1, on
+# y = 0 exactly when b = 0 (never on x^3 + y^3 - 2z^3 over F_7, where
+# 2 is not a cube)
+CENTRE_POINTS = [
+    (relation, case)
+    for relation, cases in (
+        ("x^3 + y^3 + z^3", _cubic_points(7) + _cubic_points(13)),
+        ("x^3 + y^3 - 2*z^3", _cubic_points(7, (1, 1, -2))),
+    )
+    for case in cases
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CENTRE_POINTS), kind=st.sampled_from(["point", "twisted", "free"]))
+@example(case=("x^3 + y^3 + z^3", (13, (4, 0, 1))), kind="twisted")
+@example(case=("x^3 + y^3 + z^3", (7, (3, 0, 1))), kind="free")
+@example(case=("x^3 + y^3 - 2*z^3", (7, (1, 1, 1))), kind="free")
+def test_certificate_tries_x_first_exactly_over_y_zero(case, kind):
+    # R/I, R/I (+) R(-1)/I, and R/I (+) R, whose free summand makes F/U
+    # drop rank at both coordinate points alike: there rank(1, 0) is
+    # below U.rank at every point, and only rank(1, 0) < rank(0, 1)
+    # tells the torsion over y = 0 apart
+    relation, (p, pt) = case
+    R = RingSpec(p, ["x", "y", "z"], [relation])
+    assert R.noether_normalization().shift == (("x", "y"), (0, 0))
+    gens = [_form_str(f) for f in _point_forms(p, pt)]
+    if kind == "point":
+        P = presentation_of_quotient(R.ideal(gens), R)
+    elif kind == "twisted":
+        P = _twisted_sum(R, gens)
+    else:
+        cols = [ModVector((R.parse(g), R.ring.zero)) for g in gens]
+        P = Presentation(R, (0, 0), (1, 1), cols)
+    U = pullback_image(P, 1)
+    cert = certify_saturation(U)
+    x_first = next(iter(U._gb)) == 0
+    if x_first:
+        # the reorder is sound: y's own basis has a pole-order difference
+        # with a pole, so y could not have certified
+        leads = U.groebner(last=1).lead_terms()
+        cut = [(j, (m[0], 0)) for j, m in leads]
+        torsion = _lead_series(leads, U.twists, 2).sub(_lead_series(cut, U.twists, 2))
+        assert torsion.reduced().denom_power > 0
+    assert x_first == (pt[1] == 0)
+    # (0 : 0 : 1) is on neither cubic, so the first variable certifies
+    assert cert.variables == (0 if x_first else 1,)
+    assert ghk_value(P, 1) == cert.length == colon_route_length(P, 1)
 
 
 # ---------------------------------------------------------------------------
