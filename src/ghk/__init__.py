@@ -20,6 +20,7 @@ from .errors import (
 from .fitlab import (
     FamilySpec,
     FitReport,
+    GammaRow,
     SweepReport,
     SweepRow,
     estimate_multiplicity,
@@ -80,6 +81,7 @@ __all__ = [
     "FitReport",
     "GHKRow",
     "GHKTable",
+    "GammaRow",
     "GbBudget",
     "GhkError",
     "GhkHypothesisError",

@@ -42,7 +42,9 @@ Record, the base of every frozen value record in the package, lives
 here because every other module imports arith; it stands in for
 dataclasses, whose import would double the start-up of a CLI call. So
 do as_int and as_rat, the package's one check of an integer or a
-rational that a caller passes in.
+rational that a caller passes in, and json_form, the one rule by which
+every report writes a value: a record's keys are its field names, and a
+rational is rat_str's "num/den".
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .errors import GhkError, GhkHypothesisError, HomogeneityError, ParseError
 __all__ = [
     "Rat",
     "rat_str",
+    "json_form",
     "as_int",
     "as_rat",
     "PolyRing",
@@ -79,6 +82,21 @@ _FMAX = (1 << EXP_BITS) - 1
 def rat_str(x: Rat) -> str:
     """A rational as "num" or "num/den", the form every report uses."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def json_form(value):
+    """value as every JSON report writes it: a Record as an object of its
+    fields, a Rat as rat_str, a tuple or list as an array, a dict as an
+    object of json_form values, and anything else unchanged."""
+    if isinstance(value, Record):
+        return {f: json_form(getattr(value, f)) for f in value._fields}
+    if isinstance(value, Rat):
+        return rat_str(value)
+    if isinstance(value, (tuple, list)):
+        return [json_form(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_form(v) for k, v in value.items()}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,10 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def to_json_dict(self) -> dict:
+        """The record as its reports write it (json_form)."""
+        return json_form(self)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line front end: JSON problem files in, reports out.
 
 Every JSON report embeds the resolved problem description, uses sorted
-keys, writes rationals as "num/den" strings, and contains no timestamps
-or machine identifiers, so reruns on identical input are bit-identical.
+keys, and contains no timestamps or machine identifiers, so reruns on
+identical input are bit-identical. write_json renders each payload whole
+by arith.json_form: a record's keys are its field names, and a rational
+is a "num/den" string.
 
 A problem file is checked by walking PROBLEM_SCHEMA, the one description
 of a valid problem, as JSON Schema draft 2020-12 reads it, except that an
@@ -28,7 +30,7 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
-from .arith import as_rat, rat_str
+from .arith import as_rat, json_form, rat_str
 from .errors import (
     BudgetExceededError,
     GhkError,
@@ -310,7 +312,7 @@ class _Cli:
 
     def write_json(self, name: str, payload: dict) -> Path:
         report = {"command": self.command_name, "problem": self.problem}
-        report.update(payload)
+        report.update(json_form(payload))
         path = self.outdir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -340,7 +342,7 @@ class _Cli:
 
     def cmd_check_ring(self) -> int:
         report = self.ring_spec().validate()
-        self.write_json("check-ring-report.json", {"ring_report": report.to_json_dict()})
+        self.write_json("check-ring-report.json", {"ring_report": report})
         degree = "?" if report.degree is None else report.degree
         smooth = "smooth" if report.smooth else "NOT smooth"
         print(
@@ -363,11 +365,11 @@ class _Cli:
                 value = e_ghk_closed_form(
                     syz, section["twists"], quo, section.get("degY")
                 )
-                detail = {"kind": kind, "mu_syzygy": rat_str(hk_slope(syz)), "mu_quotient": rat_str(hk_slope(quo))}
+                detail = {"kind": kind, "mu_syzygy": hk_slope(syz), "mu_quotient": hk_slope(quo)}
             elif kind == "classical":
                 syz = HNData.from_json_obj(section["syzygy"])
                 value = e_hk_closed_form(syz, section["twists"], section.get("degY"))
-                detail = {"kind": kind, "mu_syzygy": rat_str(hk_slope(syz))}
+                detail = {"kind": kind, "mu_syzygy": hk_slope(syz)}
             elif kind == "two_generated":
                 value = e_ghk_two_generated(
                     section["a"], section["b"], section["d"], section["degY"]
@@ -393,10 +395,8 @@ class _Cli:
 
     def cmd_closed_form(self) -> int:
         value, detail, notes = self._closed_form_value()
-        self.write_json(
-            "closed-form-report.json",
-            {"value": rat_str(value), "detail": detail, "warnings": notes},
-        )
+        payload = {"value": value, "detail": detail, "warnings": notes}
+        self.write_json("closed-form-report.json", payload)
         print(f"closed form: {rat_str(value)}")
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
@@ -420,17 +420,13 @@ class _Cli:
             budget=self.budget(),
             jobs=self.jobs(),
         )
-        payload = {"table": table.to_json_dict()}
         e_exact = self._exact_multiplicity()
-        if e_exact is not None:
-            payload["closed_form_value"] = rat_str(e_exact)
         fit = None
         if len(table.rows) >= 2 or (e_exact is not None and table.rows):
-            gamma_bound = self.task.get("gamma_bound")
-            fit = fit_report(table, e_exact=e_exact, gamma_bound=gamma_bound)
-            payload["fit"] = fit.to_json_dict()
-        else:
-            payload["fit"] = None
+            fit = fit_report(table, e_exact=e_exact, gamma_bound=self.task.get("gamma_bound"))
+        payload = {"table": table, "fit": fit}
+        if e_exact is not None:
+            payload["closed_form_value"] = e_exact
         self.write_text("ghk-table.csv", table.to_csv())
         if fit is not None:
             self.write_text("ghk-plot.csv", fit.to_csv())
@@ -450,11 +446,11 @@ class _Cli:
         # a budget overrun skips its row, as in ghk_table
         table = _length_table(hk_value, I, label, self.e_max(), self.budget(), self.jobs())
         self.write_text("hk-table.csv", table.to_csv())
-        payload = {"table": table.to_json_dict()}
+        payload = {"table": table}
         if len(table.rows) >= 2:
             estimate, bound = estimate_multiplicity(table, self.task.get("gamma_bound"))
-            payload["estimate"] = rat_str(estimate)
-            payload["estimate_error_bound"] = rat_str(bound)
+            payload["estimate"] = estimate
+            payload["estimate_error_bound"] = bound
         self.write_json("hk-report.json", payload)
         for row in table.rows:
             print(f"e={row.e} q={row.q} length={row.length}")
@@ -478,10 +474,7 @@ class _Cli:
             jobs=self.jobs(),
         )
         report = gamma_analysis(table, e_exact)
-        self.write_json(
-            "gamma-report.json",
-            {"table": table.to_json_dict(), "fit": report.to_json_dict()},
-        )
+        self.write_json("gamma-report.json", {"table": table, "fit": report})
         self.write_text("gamma-plot.csv", report.to_csv())
         print(
             f"max |gamma| = "
@@ -505,7 +498,7 @@ class _Cli:
             budget=self.budget(),
             jobs=self.jobs(),
         )
-        self.write_json("sweep-report.json", {"sweep": report.to_json_dict()})
+        self.write_json("sweep-report.json", {"sweep": report})
         self.write_text("sweep-summary.csv", report.to_csv())
         for row in report.rows:
             est = "-" if row.estimate is None else rat_str(row.estimate)

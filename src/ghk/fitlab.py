@@ -11,14 +11,10 @@ Least-squares fits are never the reported value.
 from __future__ import annotations
 
 from .arith import Rat, Record, as_int, as_rat, is_prime, rat_str
-from .errors import GhkError
+from .errors import GhkError, GhkHypothesisError
 from .frobmod import GHKTable, _map_rows, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
 from .idealops import RingSpec
-
-
-def _opt_rat_str(x):
-    return None if x is None else rat_str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +48,19 @@ def estimate_multiplicity(T: GHKTable, gamma_bound=None) -> tuple:
 # gamma extraction
 
 
+class GammaRow(Record):
+    """One table row with its correction term: length = estimate*q^2 + gamma."""
+
+    e: int
+    q: int
+    length: int
+    gamma: Rat
+
+
 class FitReport(Record):
     """Multiplicity, per-row correction values, and a periodicity verdict.
 
-    gamma holds (e, q, length, gamma(q)) rows; length = estimate*q^2 +
+    gamma holds one GammaRow per table row; length = estimate*q^2 +
     gamma(q) holds exactly by construction. error_bound is None when the
     estimate was supplied as exact rather than fitted.
     """
@@ -67,25 +72,11 @@ class FitReport(Record):
     periodicity: str
     period: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": rat_str(self.estimate),
-            "error_bound": _opt_rat_str(self.error_bound),
-            "gamma": [
-                {"e": e, "q": q, "length": length, "gamma": rat_str(g)}
-                for e, q, length, g in self.gamma
-            ],
-            "max_abs_gamma": _opt_rat_str(self.max_abs_gamma),
-            "periodicity": self.periodicity,
-            "period": self.period,
-        }
-
     def to_csv(self) -> str:
         lines = ["e,q,length,e_q2,gamma"]
-        for e, q, length, g in self.gamma:
-            lines.append(
-                f"{e},{q},{length},{rat_str(self.estimate * q * q)},{rat_str(g)}"
-            )
+        for r in self.gamma:
+            e_q2 = rat_str(self.estimate * r.q * r.q)
+            lines.append(f"{r.e},{r.q},{r.length},{e_q2},{rat_str(r.gamma)}")
         return "\n".join(lines) + "\n"
 
 
@@ -111,10 +102,10 @@ def gamma_analysis(T: GHKTable, e_exact, error_bound=None) -> FitReport:
     absolute value and an observed-window periodicity verdict."""
     e_exact = as_rat(e_exact)
     gamma = tuple(
-        (row.e, row.q, row.length, row.length - e_exact * row.q**2) for row in T.rows
+        GammaRow(row.e, row.q, row.length, row.length - e_exact * row.q**2) for row in T.rows
     )
-    max_abs = max((abs(g) for *_ignored, g in gamma), default=None)
-    verdict, period = _periodicity_verdict({e: g for e, _q, _l, g in gamma})
+    max_abs = max((abs(r.gamma) for r in gamma), default=None)
+    verdict, period = _periodicity_verdict({r.e: r.gamma for r in gamma})
     return FitReport(
         estimate=e_exact,
         error_bound=None if error_bound is None else as_rat(error_bound),
@@ -159,14 +150,6 @@ class FamilySpec(Record):
     def ring_at(self, p: int) -> RingSpec:
         return RingSpec(p, list(self.variables), list(self.relations))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "relations": list(self.relations),
-            "generators": list(self.generators),
-            "denominators": list(self.denominators),
-        }
-
 
 class SweepRow(Record):
     p: int
@@ -176,45 +159,37 @@ class SweepRow(Record):
     error_bound: Rat | None = None
     table: GHKTable | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "validated": self.validated,
-            "reason": self.reason,
-            "estimate": _opt_rat_str(self.estimate),
-            "error_bound": _opt_rat_str(self.error_bound),
-            "table": self.table.to_json_dict() if self.table else None,
-        }
-
 
 class SweepReport(Record):
     family: FamilySpec
     e_max: int
     rows: tuple
     spread: Rat | None
-    top_half: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "e_max": self.e_max,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "spread": _opt_rat_str(self.spread),
-            "top_half_primes": list(self.top_half),
-        }
+    top_half_primes: tuple
 
     def to_csv(self) -> str:
         lines = ["p,validated,estimate,reason"]
         for row in self.rows:
-            est = _opt_rat_str(row.estimate) or ""
+            est = "" if row.estimate is None else rat_str(row.estimate)
             lines.append(f"{row.p},{str(row.validated).lower()},{est},{row.reason}")
         return "\n".join(lines) + "\n"
 
 
 def _sweep_row(task: tuple) -> SweepRow:
     """One prime specialization; top-level so tasks survive pickling. A
-    task is (family, p, e_max, budget); FamilySpec and GbBudget pickle."""
+    task is (family, p, e_max, budget); FamilySpec and GbBudget pickle.
+    A hypothesis that the prime violates flags its row with the error's
+    own message: is_prime cannot decide a prime from psi_13 on, and no
+    Frobenius power is packed past EXP_CAP. A ParseError or any other
+    GhkError ends the sweep."""
     family, p, e_max, budget = task
+    try:
+        return _specialization(family, p, e_max, budget)
+    except GhkHypothesisError as ex:
+        return SweepRow(p, False, str(ex))
+
+
+def _specialization(family: FamilySpec, p: int, e_max: int, budget) -> SweepRow:
     if not is_prime(p):
         return SweepRow(p, False, f"{p} is not prime")
     if any(d % p == 0 for d in family.denominators):
@@ -249,9 +224,9 @@ def prime_sweep(
     the multiplicity estimate, and report the spread of estimates over
     the largest half of the primes as the limit diagnostic.
 
-    Primes failing validation (non-prime, bad denominator, singular or
-    wrong-dimensional specialization, degenerate generators) are flagged
-    and skipped, mirroring the almost-all-primes hypothesis rather than
+    Primes failing validation (non-prime, bad denominator, past EXP_CAP
+    or psi_13, singular or wrong-dimensional specialization, degenerate
+    generators) are flagged and skipped, mirroring the almost-all-primes hypothesis rather than
     aborting the sweep.
     """
     primes = sorted({as_int(p, "a prime") for p in primes})
@@ -271,4 +246,4 @@ def prime_sweep(
             spread = max(values) - min(values)
         elif len(top_rows) == 1:
             spread = Rat(0)
-    return SweepReport(family=family, e_max=e_max, rows=rows, spread=spread, top_half=top)
+    return SweepReport(family=family, e_max=e_max, rows=rows, spread=spread, top_half_primes=top)

@@ -195,23 +195,21 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
 
     Deliberately a separate code path from ghk_value: nothing is
     saturated here, and it stays over S even where the ring has a
-    Noether normalization. I is irrelevant-primary iff R/I has finite
-    length (pole order 0), and the length comes straight from the
-    Hilbert series of the bracket ideal, whose generators bracket_power
-    hands over in normal form modulo the relations. Acceptance pins the
-    two paths to agree on primary inputs.
+    Noether normalization. The length comes straight from the Hilbert
+    series of the bracket ideal, whose generators bracket_power hands
+    over in normal form modulo the relations, and that series also
+    checks the hypothesis: I^[q] <= I and g in I gives g^q in I^[q], so
+    I^[q] and I have one radical, and I is irrelevant-primary iff
+    R/I^[q] has finite length (pole order 0). No basis of I itself is
+    built. Acceptance pins the two paths to agree on primary inputs.
     """
     as_ideal(I, "hk_value")
     q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)
-    if idealops.hilbert_series(I, budget).pole_order() != 0:
-        raise GhkHypothesisError(
-            "hk_value needs an irrelevant-primary ideal; the input does not saturate "
-            "to the unit ideal"
-        )
     hs = idealops.hilbert_series(bracket_power(I, q), budget).reduced()
     if hs.denom_power > 0:
         raise GhkHypothesisError(
-            f"R/I^[q] has dimension {hs.denom_power} > 0; its length is infinite"
+            "hk_value needs an irrelevant-primary ideal; the input does not saturate "
+            "to the unit ideal"
         )
     return hs.numer_at_one()
 
@@ -257,14 +255,6 @@ class GHKTable(Record):
         lines = ["e,q,length"]
         lines.extend(f"{r.e},{r.q},{r.length}" for r in self.rows)
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "module": self.module,
-            "rows": [{"e": r.e, "q": r.q, "length": r.length} for r in self.rows],
-            "skipped": [{"e": s.e, "reason": s.reason} for s in self.skipped],
-        }
 
 
 def _map_rows(fn, tasks: list, jobs: int) -> list:

@@ -445,8 +445,7 @@ class _DivisorIndex:
     masks.
 
     records holds the records in the order added (a list that is never
-    rebound, since divisor reads it) and leads maps a component to the
-    set of its records' leads. comps maps a component to its entry
+    rebound, since divisor reads it). comps maps a component to its entry
     [bucket keys, buckets (parallel), X, power, bits]: the buckets below,
     the pure power's exponent and record, and the masks (None where
     there are none). divisor(k) returns a record whose lead divides the
@@ -515,7 +514,7 @@ class _DivisorIndex:
     """
 
     __slots__ = (
-        "records", "leads", "comps", "divisor", "deg", "_twists", "_outer", "_a", "_b", "_powers",
+        "records", "comps", "divisor", "deg", "_twists", "_outer", "_a", "_b", "_powers",
     )
 
     def __init__(self, ctx: _Ctx, records: Iterable[tuple] = ()):
@@ -528,7 +527,6 @@ class _DivisorIndex:
         self._powers = ctx.ring.nvars == 3
         self._twists = ctx.twists
         self.records: list = []
-        self.leads: dict = {}
         self.comps: dict = {}
         self.deg = None  # the module degree of the masks; None before climb
 
@@ -566,8 +564,6 @@ class _DivisorIndex:
         pos = len(self.records)
         self.records.append(rec)
         cp, mon = rec[1], rec[2]
-        leads = self.leads.setdefault(cp, set())
-        leads.add(mon)
         entry = self.comps.get(cp)
         if entry is None:
             entry = self.comps[cp] = [[], [], _FMAX + 1, None, None]
@@ -576,7 +572,8 @@ class _DivisorIndex:
             if self.deg is not None:
                 entry[4] = bits = [0] * mon
                 D = self.deg - self._twists[cp]
-                for m in leads:
+                # the earlier leads of cp, through its buckets
+                for m in (self.records[i][2] for *_, items in entry[1] for _, i in items):
                     A, B, C = m & _FMAX, (m >> EXP_BITS) & _FMAX, m >> 2 * EXP_BITS
                     for a in range(A, mon):
                         if D - a - B >= C:
@@ -994,9 +991,10 @@ def _update_pairs(
     for lcm in pm.minimal(sorted(rep)):
         # coprime-lead criterion, sound only for ideals: if any member of
         # an equal-lcm class has lcm == product, the whole class reduces
-        # to zero. That member's lead is lcm - hm, and a lead of hc equal
-        # to it has lcm(hm, lead) dividing the minimal lcm, so equal to it.
-        if rank == 1 and lcm - hm in index.leads[hc]:
+        # to zero. That member's lead g = lcm - hm agrees with lcm off
+        # hm's support, so it divides every member's lead: it is the
+        # class's smallest member, which the neighbours always include.
+        if rank == 1 and rep[lcm][0] == lcm - hm:
             continue
         i = rep[lcm][1]
         P[(i, t)] = lcm

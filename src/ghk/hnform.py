@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from typing import Sequence
 
-from .arith import Rat, Record, as_int, as_rat, rat_str
+from .arith import Rat, Record, as_int, as_rat
 from .errors import GhkHypothesisError, GhkHypothesisWarning
 
 
@@ -64,12 +64,11 @@ class HNData(Record):
         return cls(obj["quotients"], obj["degY"], obj.get("total_degree"))
 
     def to_json_obj(self) -> dict:
-        out = {
-            "quotients": [[r, rat_str(mu)] for r, mu in self.quotients],
-            "degY": self.degY,
-        }
-        if self.total_degree is not None:
-            out["total_degree"] = rat_str(self.total_degree)
+        """The problem-file form, which from_json_obj reads back: the
+        report form without total_degree when none was given."""
+        out = self.to_json_dict()
+        if self.total_degree is None:
+            del out["total_degree"]
         return out
 
 

@@ -548,16 +548,9 @@ class SmoothnessReport(Record):
     singular_locus_dimension: int  # Krull dim of S / (minors + relations); 0 means empty in Proj
     details: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "smooth": self.smooth,
-            "singular_locus_dimension": self.singular_locus_dimension,
-            "details": self.details,
-        }
-
 
 class RingReport(Record):
-    p: int
+    characteristic: int
     variables: tuple
     relations: tuple
     dimension: int
@@ -566,19 +559,6 @@ class RingReport(Record):
     hypersurface: bool
     ok: bool
     warnings: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "characteristic": self.p,
-            "variables": list(self.variables),
-            "relations": list(self.relations),
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "smooth": self.smooth,
-            "hypersurface": self.hypersurface,
-            "ok": self.ok,
-            "warnings": list(self.warnings),
-        }
 
 
 class RingSpec:
@@ -679,7 +659,7 @@ class RingSpec:
         if not sm.smooth:
             warnings.append("projective curve is singular; " + sm.details)
         return RingReport(
-            p=self.p,
+            characteristic=self.p,
             variables=self.variables,
             relations=tuple(str(r) for r in self.relations),
             dimension=dim,

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -924,11 +925,16 @@ def test_sweep_budget_trouble_exits_3(tmp_path):
     assert (out / "sweep-report.json").exists()
 
 
-@pytest.mark.parametrize("big", [2305843009213693951, 18446744073709551629])
-def test_sweep_past_the_exponent_cap_exits_2(tmp_path, big):
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("big", [2305843009213693951, 18446744073709551629, PSI_13])
+def test_sweep_flags_primes_past_the_exponent_cap_or_psi_13(tmp_path, big):
     # primes past EXP_CAP = 2^20 have no packed Frobenius power: the
     # centre search refuses them before it builds anything (it once
-    # died here with MemoryError at 2^61 - 1 and OverflowError past 2^64)
+    # died here with MemoryError at 2^61 - 1 and OverflowError past 2^64),
+    # and is_prime decides nothing from psi_13 on. Either flags the prime's
+    # row, and the sweep keeps the rows of the good primes
     problem = {
         "ring": {"primes": [5, big], "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 - 2*z^3"]},
         "module": {"ideal": ["x - y", "y - z"]},
@@ -943,8 +949,20 @@ def test_sweep_past_the_exponent_cap_exits_2(tmp_path, big):
         text=True,
         timeout=30,
     )
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: characteristic {big} exceeds the supported cap 1048576 of a Frobenius power\n"
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads((tmp_path / "out" / "sweep-report.json").read_text())
+    good, flagged = report["sweep"]["rows"]
+    assert good["p"] == 5 and good["validated"] is True and good["estimate"] == "4/3"
+    assert [row["length"] for row in good["table"]["rows"]] == [32, 832]
+    if big < PSI_13:
+        reason = f"characteristic {big} exceeds the supported cap 1048576 of a Frobenius power"
+    else:
+        reason = f"primality of {big} is undecided: the bases are exact below psi_13"
+    assert flagged == {
+        "p": big, "validated": False, "reason": reason,
+        "estimate": None, "error_bound": None, "table": None,
+    }
+    assert report["sweep"]["top_half_primes"] == [5]
 
 
 def test_sweep_needs_primes(tmp_path, capsys):
@@ -1018,3 +1036,100 @@ def test_reports_never_contain_floats(tmp_path):
 
     report = json.loads((out / "ghk-report.json").read_text())
     assert no_floats(report)
+
+
+# every key whose value is an exact rational; a FitReport's "gamma" is
+# the list of its rows, each of which has a rational "gamma"
+RATIONAL_KEYS = {
+    "estimate", "error_bound", "spread", "closed_form_value", "value", "gamma",
+    "max_abs_gamma", "mu_syzygy", "mu_quotient", "estimate_error_bound",
+}
+
+POLICY_PROBLEMS = [
+    ({"ring": FERMAT_RING, "task": {"command": "check-ring"}}, (), 0),
+    ({"ring": {**FERMAT_RING, "prime": 3}, "task": {"command": "check-ring"}}, (), 2),
+    *(
+        ({"ring": FERMAT_RING, "closed_form": section, "task": {"command": "closed-form"}}, (), 0)
+        for section in (
+            {"kind": "point", "degY": 3},
+            {"kind": "two_generated", "a": 1, "b": 1, "d": -1, "degY": 3},
+            {
+                "kind": "general",
+                "syzygy": {"quotients": [[1, "-5"]], "degY": 3},
+                "quotient": {"quotients": [[1, "-1"]], "degY": 3},
+                "twists": [1, 1],
+            },
+            {"kind": "classical", "syzygy": {"quotients": [[2, "-9/2"]], "degY": 3}, "twists": [1, 1, 1]},
+            {"kind": "sum_line_bundles", "pairs": [[1, 2], [2, 1]], "degY": 3},
+            {"kind": "rank1_syzygy", "a": 1, "b": 1, "d": -1, "degY": 3},
+        )
+    ),
+    ({"ring": FERMAT_RING, "module": {"ideal": ["z", "3*x - y"]}, "task": {"command": "ghk", "e_max": 2}}, (), 0),
+    ({"ring": FERMAT_RING, "module": {"ideal": ["z", "3*x - y"]}, "task": {"command": "ghk", "e_max": 1}}, (), 0),
+    (
+        {
+            "ring": FERMAT_RING,
+            "module": {"ideal": ["z", "3*x - y"]},
+            "closed_form": {"kind": "point", "degY": 3},
+            "task": {"command": "ghk", "e_max": 2},
+        },
+        ("--budget-gb-degree", "30"),
+        3,
+    ),
+    (
+        {
+            "ring": FERMAT_RING,
+            "module": {"ideal": ["z", "3*x - y"]},
+            "task": {"command": "gamma", "e_max": 2, "e_exact": "4/3"},
+        },
+        (),
+        0,
+    ),
+    (
+        {
+            "ring": {**FERMAT_RING, "prime": 5},
+            "module": {"ideal": ["x", "y", "z"]},
+            "task": {"command": "hk", "e_max": 2},
+        },
+        (),
+        0,
+    ),
+    (
+        {
+            "ring": {"primes": [3, 5, 9], "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 - 2*z^3"]},
+            "module": {"ideal": ["x - y", "y - z"]},
+            "task": {"command": "sweep", "e_max": 2},
+        },
+        (),
+        0,
+    ),
+]
+
+
+def test_every_report_writes_rationals_as_strings(tmp_path):
+    # one rule renders every report (arith.json_form): an exact rational
+    # is a "num/den" string, so an int slipping into a Rat field would
+    # show up here as a number
+    seen = set()
+
+    def walk(node, key=None):
+        assert not isinstance(node, float), key
+        if key in RATIONAL_KEYS and not isinstance(node, list):
+            assert node is None or isinstance(node, str), (key, node)
+            if node is not None:
+                Fraction(node)  # raises unless the string names a rational
+            seen.add(key)
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v)
+
+    for n, (problem, flags, status) in enumerate(POLICY_PROBLEMS):
+        out = tmp_path / f"out{n}"
+        assert main([write_problem(tmp_path, problem, f"p{n}.json"), "--out", str(out), *flags]) == status
+        reports = list(out.glob("*.json"))
+        assert len(reports) == 1
+        walk(json.loads(reports[0].read_text()))
+    assert seen == RATIONAL_KEYS

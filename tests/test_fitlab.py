@@ -101,7 +101,7 @@ def test_estimator_exact_on_quadratic_plus_constant(e, c, exps):
 def test_gamma_zero_table_is_periodic():
     T = synth(7, [(e, 0) for e in range(1, 7)], module="principal")
     rep = gamma_analysis(T, 0)
-    assert all(g == 0 for *_r, g in rep.gamma)
+    assert all(r.gamma == 0 for r in rep.gamma)
     assert rep.max_abs_gamma == 0
     assert rep.period == 1
     assert rep.periodicity == "periodic (period 1)"
@@ -110,17 +110,17 @@ def test_gamma_zero_table_is_periodic():
 def test_gamma_exact_quadratic():
     T = synth(5, [(e, 5 ** (2 * e)) for e in range(1, 4)])
     rep = gamma_analysis(T, 1)
-    assert all(g == 0 for *_r, g in rep.gamma)
+    assert all(r.gamma == 0 for r in rep.gamma)
     assert rep.periodicity == "insufficient-data" and rep.period is None
 
 
 def test_gamma_point_table_regression_bound():
     rep = gamma_analysis(POINT7, Rat(4, 3))
-    assert [g for *_r, g in rep.gamma] == [Rat(-4, 3), Rat(-4, 3)]
+    assert [r.gamma for r in rep.gamma] == [Rat(-4, 3), Rat(-4, 3)]
     assert rep.max_abs_gamma == Rat(4, 3) <= 10
     # round trip: length = e*q^2 + gamma exactly
-    for e, q, length, g in rep.gamma:
-        assert length == Rat(4, 3) * q * q + g
+    for r in rep.gamma:
+        assert r.length == Rat(4, 3) * r.q * r.q + r.gamma
 
 
 def test_gamma_periodic_pattern():
@@ -205,7 +205,7 @@ def test_sweep_small():
     assert [row.estimate for row in rep.rows] == [Rat(4, 3), Rat(4, 3)]
     assert rep.rows[0].table.lengths_by_exponent() == {1: 32, 2: 832}
     # two estimates -> top half is the single largest prime
-    assert rep.top_half == (7,) and rep.spread == 0
+    assert rep.top_half_primes == (7,) and rep.spread == 0
 
 
 def test_sweep_flags_bad_primes():
@@ -301,5 +301,5 @@ def test_sweep_empty_primes():
 
 def test_sweep_top_half_spread():
     rep = prime_sweep(CUBIC_FAMILY, [5, 7, 11], e_max=2)
-    assert rep.top_half == (7, 11)
+    assert rep.top_half_primes == (7, 11)
     assert rep.spread == 0

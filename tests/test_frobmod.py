@@ -999,3 +999,25 @@ def test_presentation_pickles_with_its_order(fermat7):
     Q = pickle.loads(pickle.dumps(P))
     assert Q == P
     assert ghk_value(Q, 1) == ghk_value(P, 1)
+
+
+def test_hk_value_builds_no_basis_of_the_ideal_itself(monkeypatch):
+    # the bracket's own series decides whether I is irrelevant-primary, so
+    # the two rows at q = 19 and 361 build the basis of the relation and of
+    # each bracket ideal, and I's basis is never needed (it was a fifth)
+    built = []
+    basis = groebner._basis
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_basis", counted)
+    R = RingSpec(19, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    I = R.ideal(["x", "y", "z"])
+    # (9q^2 - 5)/4, the Fermat cubic's Hilbert-Kunz function off p = 2, 3
+    assert [hk_value(I, e) for e in (1, 2)] == [(9 * q * q - 5) // 4 for q in (19, 361)]
+    assert len(built) == 4
+    # a non-primary ideal is still refused, by the bracket's pole order
+    with pytest.raises(GhkHypothesisError, match="irrelevant-primary"):
+        hk_value(R.ideal(["x"]), 1)

@@ -1078,9 +1078,6 @@ def test_divisor_index_finds_a_divisor_exactly_when_the_scan_does(run):
                 assert found is not None and found[0] in scan
                 assert found is index.records[found[0]]
                 assert index.divisor(k) is found
-    assert index.leads == {
-        cp: {pm.pack(m) for c, m in added if c == cp} for cp in {c for c, _ in added}
-    }
 
 
 @settings(max_examples=150, deadline=None)
@@ -1101,13 +1098,16 @@ def test_neighbours_give_every_minimal_lcm_and_the_coprime_verdict(run):
             near = index.neighbours(cp, hm)
             assert all(index.records[i][1] == cp for i in near)
             assert pm.minimal(sorted({pm.lcm(hm, index.records[i][2]) for i in near})) == minimal
-            leads = index.leads.get(cp, set())
             for L in minimal:
                 members = [(g, i) for g, i in peers if pm.lcm(hm, g) == L]
-                # the class's smallest member is a neighbour
+                # the class's smallest member is a neighbour, and it is
+                # the representative the pair update reads the product
+                # criterion from
                 assert min(members)[1] in near
+                rep = min((index.records[i][2], i) for i in near if pm.lcm(hm, index.records[i][2]) == L)
+                assert rep == min(members)
                 coprime = any(g + hm == L for g, _ in members)
-                assert (L - hm in leads) == coprime
+                assert (rep[0] == L - hm) == coprime
             index.add((len(index.records), cp, hm, ()))
 
 
