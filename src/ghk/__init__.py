@@ -5,128 +5,96 @@ graded modules over two-dimensional standard graded rings in prime
 characteristic, entirely in exact arithmetic, and cross-checks them
 against closed-form multiplicity formulas driven by slope data of the
 underlying sheaves.
+
+Each public name loads its submodule on first use (PEP 562), so that
+`import ghk.cli` imports only the modules the command line runs.
 """
 
-from .arith import Rat
-from .errors import (
-    BudgetExceededError,
-    GhkError,
-    GhkHypothesisError,
-    GhkHypothesisWarning,
-    HomogeneityError,
-    ParseError,
-    RingMismatchError,
-)
-from .fitlab import (
-    FamilySpec,
-    FitReport,
-    GammaRow,
-    SweepReport,
-    SweepRow,
-    estimate_multiplicity,
-    fit_report,
-    gamma_analysis,
-    prime_sweep,
-)
-from .frobmod import (
-    GHKRow,
-    GHKTable,
-    Presentation,
-    SkippedRow,
-    direct_sum,
-    frobenius_pullback,
-    ghk_table,
-    ghk_value,
-    hk_value,
-    presentation_of_quotient,
-)
-from .groebner import (
-    GbBudget,
-    GroebnerBasis,
-    ModVector,
-    Submodule,
-    buchberger,
-)
-from .hnform import (
-    HNData,
-    e_ghk_closed_form,
-    e_ghk_point,
-    e_ghk_two_generated,
-    e_hk_closed_form,
-    hk_slope,
-    hn_rank1_syzygy,
-    hn_sum_line_bundles,
-)
-from .idealops import (
-    HilbertSeries,
-    RingReport,
-    RingSpec,
-    SmoothnessReport,
-    bracket_power,
-    colength_difference,
-    colon,
-    hilbert_series,
-    intersect,
-    reflexive_hull,
-    saturate,
-    sheaf_degree,
-    smoothness_check,
-)
+from importlib import import_module
+
+# submodule -> the public names it owns
+_EXPORTS = {
+    "arith": ("Rat",),
+    "errors": (
+        "BudgetExceededError",
+        "GhkError",
+        "GhkHypothesisError",
+        "GhkHypothesisWarning",
+        "HomogeneityError",
+        "ParseError",
+        "RingMismatchError",
+    ),
+    "fitlab": (
+        "FamilySpec",
+        "FitReport",
+        "GammaRow",
+        "SweepReport",
+        "SweepRow",
+        "estimate_multiplicity",
+        "fit_report",
+        "gamma_analysis",
+        "prime_sweep",
+    ),
+    "frobmod": (
+        "GHKRow",
+        "GHKTable",
+        "Presentation",
+        "SkippedRow",
+        "direct_sum",
+        "frobenius_pullback",
+        "ghk_table",
+        "ghk_value",
+        "hk_value",
+        "presentation_of_quotient",
+    ),
+    "groebner": (
+        "GbBudget",
+        "GroebnerBasis",
+        "ModVector",
+        "Submodule",
+        "buchberger",
+    ),
+    "hnform": (
+        "HNData",
+        "e_ghk_closed_form",
+        "e_ghk_point",
+        "e_ghk_two_generated",
+        "e_hk_closed_form",
+        "hk_slope",
+        "hn_rank1_syzygy",
+        "hn_sum_line_bundles",
+    ),
+    "idealops": (
+        "HilbertSeries",
+        "RingReport",
+        "RingSpec",
+        "SmoothnessReport",
+        "bracket_power",
+        "colength_difference",
+        "colon",
+        "hilbert_series",
+        "intersect",
+        "reflexive_hull",
+        "saturate",
+        "sheaf_degree",
+        "smoothness_check",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "FamilySpec",
-    "FitReport",
-    "GHKRow",
-    "GHKTable",
-    "GammaRow",
-    "GbBudget",
-    "GhkError",
-    "GhkHypothesisError",
-    "GhkHypothesisWarning",
-    "GroebnerBasis",
-    "HNData",
-    "HilbertSeries",
-    "HomogeneityError",
-    "ModVector",
-    "ParseError",
-    "Presentation",
-    "Rat",
-    "RingMismatchError",
-    "RingReport",
-    "RingSpec",
-    "SkippedRow",
-    "SmoothnessReport",
-    "Submodule",
-    "SweepReport",
-    "SweepRow",
-    "bracket_power",
-    "buchberger",
-    "colength_difference",
-    "colon",
-    "direct_sum",
-    "e_ghk_closed_form",
-    "e_ghk_point",
-    "e_ghk_two_generated",
-    "e_hk_closed_form",
-    "estimate_multiplicity",
-    "fit_report",
-    "frobenius_pullback",
-    "gamma_analysis",
-    "ghk_table",
-    "ghk_value",
-    "hilbert_series",
-    "hk_slope",
-    "hk_value",
-    "hn_rank1_syzygy",
-    "hn_sum_line_bundles",
-    "intersect",
-    "presentation_of_quotient",
-    "prime_sweep",
-    "reflexive_hull",
-    "saturate",
-    "sheaf_degree",
-    "smoothness_check",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns a public name, and keep the name."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(globals().keys() | _OWNER.keys())

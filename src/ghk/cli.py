@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import operator
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -51,16 +50,6 @@ from .frobmod import (
     presentation_of_quotient,
 )
 from .groebner import GbBudget, ModVector
-from .hnform import (
-    HNData,
-    e_ghk_closed_form,
-    e_ghk_point,
-    e_ghk_two_generated,
-    e_hk_closed_form,
-    hk_slope,
-    hn_rank1_syzygy,
-    hn_sum_line_bundles,
-)
 from .idealops import RingSpec
 
 COMMANDS = ("check-ring", "ghk", "hk", "closed-form", "gamma", "sweep")
@@ -352,7 +341,19 @@ class _Cli:
         return 0 if report.ok else 2
 
     def _closed_form_value(self):
-        """(value, detail dict, warnings list) from the closed_form section."""
+        """(value, detail dict, warnings list) from the closed_form section.
+        Only this method reads hnform, so the other commands never load it."""
+        from .hnform import (
+            HNData,
+            e_ghk_closed_form,
+            e_ghk_point,
+            e_ghk_two_generated,
+            e_hk_closed_form,
+            hk_slope,
+            hn_rank1_syzygy,
+            hn_sum_line_bundles,
+        )
+
         section = self.problem.get("closed_form")
         if not section:
             raise GhkError("this command needs a closed_form section")
@@ -545,12 +546,19 @@ _OPTIONS = {
     "--jobs": "jobs",
 }
 
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
-
-
 def _usage_error(message: str):
     sys.stderr.write(f"{_USAGE}ghk: error: {message}\n")
     raise SystemExit(2)
+
+
+def _is_negative_number(token: str) -> bool:
+    r"""Whether the whole token matches -\d+|-\d*\.\d+, the negative
+    numbers of the standard library's argument parser. It is read with
+    str methods (isdecimal is the class \d): compiling the pattern would
+    cost every start-up more than the rest of the command line."""
+    whole, dot, frac = token[1:].partition(".")
+    digits = frac if dot else whole
+    return token[:1] == "-" and digits.isdecimal() and (not whole or whole.isdecimal())
 
 
 def _is_flag(token: str) -> bool:
@@ -561,7 +569,7 @@ def _is_flag(token: str) -> bool:
         token.startswith("-")
         and token != "-"
         and " " not in token
-        and not _NEGATIVE_NUMBER.fullmatch(token)
+        and not _is_negative_number(token)
     )
 
 

@@ -789,14 +789,39 @@ class NoetherNormalization:
         return list(rows.values())
 
     def _substitute(self, h: Poly) -> dict:
-        """The substituted h over S', as {exponent tuple: coefficient}."""
+        """The substituted h over S', as {exponent tuple: coefficient}.
+        A variable whose image is one term only moves the exponent. The
+        power of a longer image is the one below it times the image, with
+        like terms collected, so the work is polynomial in the degree."""
+        zero = (0,) * len(self._vars)
+        powers: dict = {}  # v -> [the image of x_v^e for e = 0, 1, ...]
         acc: dict = {}
         for m, c in h.terms():
-            factors = [self._vars[v] for v, e in enumerate(m) for _ in range(e)]
-            for choice in itertools.product(*factors):
-                key = tuple(map(sum, zip((0,) * len(m), *(y for y, _ in choice))))
-                acc[key] = acc.get(key, 0) + c * math.prod(cy for _, cy in choice)
-        return acc
+            key, longer = zero, []
+            for v, e in enumerate(m):
+                if e and len(self._vars[v]) > 1:
+                    row = powers.setdefault(v, [{zero: 1}])
+                    while len(row) <= e:
+                        row.append(self._times(row[-1], self._vars[v]))
+                    longer.append(row[e].items())
+                elif e:  # a variable of S', coefficient 1
+                    ((y, _),) = self._vars[v]
+                    key = tuple(a + e * b for a, b in zip(key, y))
+            part = {key: c}
+            for terms in longer:
+                part = self._times(part, terms)
+            for key, a in part.items():
+                acc[key] = acc.get(key, 0) + a
+        return {key: a % self.p for key, a in acc.items() if a % self.p}
+
+    def _times(self, h: dict, terms) -> dict:
+        """h times the (exponent tuple, coefficient) terms, mod p."""
+        out: dict = {}
+        for m, c in h.items():
+            for y, cy in terms:
+                key = tuple(map(sum, zip(m, y)))
+                out[key] = out.get(key, 0) + c * cy
+        return {key: a % self.p for key, a in out.items() if a % self.p}
 
     def _coordinates(self, terms) -> tuple:
         """The element of R with these terms over S': each fibre monomial u's
@@ -805,9 +830,14 @@ class NoetherNormalization:
         for m, c in terms:
             parts.setdefault(m[:k], []).append((m[k:], c))
         for u in parts.keys() - self._known.keys():
-            f = next(f for f, e in enumerate(u) if e)
-            below = self._coordinates([(u[:f] + (u[f] - 1,) + u[f + 1 :] + (0, 0), 1)])
-            self._known[u] = self._combine(zip(below, self._table[f]))
+            chain = []  # u and the monomials below it down to a known one
+            while u not in self._known:
+                f = next(f for f, e in enumerate(u) if e)
+                chain.append((u, f))
+                u = u[:f] + (u[f] - 1,) + u[f + 1 :]
+            for above, f in reversed(chain):
+                self._known[above] = self._combine(zip(self._known[u], self._table[f]))
+                u = above
         return self._combine((self.base.from_pairs(g), self._known[u]) for u, g in parts.items())
 
     def _combine(self, pairs) -> tuple:

@@ -7,6 +7,7 @@ tmp_path so every test sees a fresh directory.
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghk.cli import COMMANDS, PROBLEM_SCHEMA, _faults, _rejection, main
+from ghk.cli import COMMANDS, PROBLEM_SCHEMA, _faults, _is_negative_number, _rejection, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -433,6 +434,14 @@ def test_argv_forms_and_faults(tmp_path, capsys, argv, outcome):
         assert captured.err.startswith("usage: ghk ")
         assert "ghk: error: " in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="-.0123456789x\u0663\u00b2 ", max_size=6))
+def test_negative_numbers_are_read_as_the_argument_parser_reads_them(token):
+    # the standard library's parser tells a negative number from a flag by
+    # this pattern; the CLI reads it with str methods
+    assert _is_negative_number(token) == bool(re.fullmatch(r"-\d+|-\d*\.\d+", token))
 
 
 def test_long_flags_are_spelled_out(tmp_path, capsys):

@@ -588,6 +588,23 @@ def test_normalization_route_matches_the_s_route_and_the_oracle(case, e):
             ) - naive_graded_dimension(span, U_S.twists, 3, R.p, n)
 
 
+def test_a_fibre_power_far_past_the_border_pulls_back(fermat7):
+    # z^1200 lies 1200 degrees past the border z^3 of the Fermat fibre;
+    # its coordinates once took one nested call per degree, past the
+    # interpreter's recursion limit
+    P = presentation_of_quotient(fermat7.ideal(["z^1200", "x + y"]), fermat7)
+    assert ghk_value(P, 1) == s_route_length(P, 1) == 0
+
+
+def test_a_shifted_centre_pulls_back_high_powers():
+    # the Klein cubic's centre sends y to y + z, so y^40 is a sum of 41
+    # terms; expanding it factor by factor took 2^40 products
+    R = RingSpec(7, ["x", "y", "z"], [COORDINATE_POINTS])
+    assert R.noether_normalization().shift == (("x", "y"), (0, 1))
+    P = presentation_of_quotient(R.ideal(["y^40", "x"]), R)
+    assert ghk_value(P, 1) == s_route_length(P, 1) == 1926
+
+
 @st.composite
 def _cone_presentations(draw):
     """The cone or the twisted-cubic cone over F_7, free over A on four

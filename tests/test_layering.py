@@ -21,6 +21,7 @@ CLIENTS = ("idealops", "frobmod", "fitlab", "hnform", "cli")
 PACKED_NAMES = {"EXP_BITS", "EXP_GUARD", "_FMAX", "PackedMonomials"}
 NORMALIZATION_INTERNALS = {
     "_substitute",
+    "_times",
     "_coordinates",
     "_combine",
     "_ladder",
