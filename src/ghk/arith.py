@@ -427,10 +427,6 @@ class PolyRing:
     def __hash__(self) -> int:
         return hash((self.p, self.variables))
 
-    def __reduce__(self):
-        # pickle by value; the packing is rebuilt
-        return (PolyRing, (self.p, self.variables))
-
     def __repr__(self) -> str:
         return f"PolyRing(F_{self.p}, {list(self.variables)})"
 

@@ -43,6 +43,7 @@ from .fitlab import (
     prime_sweep,
 )
 from .frobmod import (
+    GHKTable,
     Presentation,
     _length_table,
     ghk_table,
@@ -255,6 +256,7 @@ class _Cli:
         return GbBudget(max_degree=max_degree, max_pairs=max_pairs)
 
     def jobs(self) -> int:
+        """A sweep's worker processes; every other command runs in one."""
         return self.args.jobs or self.task.get("jobs", 1)
 
     def e_max(self) -> int:
@@ -291,6 +293,11 @@ class _Cli:
         ]
         return Presentation(rspec, pres["row_twists"], pres["col_twists"], columns)
 
+    def module_table(self) -> GHKTable:
+        """The ghk length table of the module section, e = 1..e_max."""
+        rspec = self.ring_spec()
+        return ghk_table(self.presentation(rspec), self.e_max(), budget=self.budget())
+
     def ideal_generators(self) -> list:
         module = self.module_section()
         if "ideal" not in module:
@@ -314,6 +321,13 @@ class _Cli:
         path.write_text(text)
         print(f"wrote {path}")
         return path
+
+    @staticmethod
+    def print_rows(table: GHKTable) -> None:
+        for row in table.rows:
+            print(f"e={row.e} q={row.q} length={row.length}")
+        for skip in table.skipped:
+            print(f"e={skip.e} skipped: {skip.reason}")
 
     # -- commands
 
@@ -342,7 +356,12 @@ class _Cli:
 
     def _closed_form_value(self):
         """(value, detail dict, warnings list) from the closed_form section.
-        Only this method reads hnform, so the other commands never load it."""
+        Only this method reads hnform, so the other commands never load it.
+
+        A section that lacks a key its kind needs, or holds a value of the
+        wrong shape, is refused as a GhkError that names the section; a
+        KeyError, TypeError or ValueError raised anywhere else is a fault
+        of the program and is not reworded."""
         from .hnform import (
             HNData,
             e_ghk_closed_form,
@@ -360,37 +379,38 @@ class _Cli:
         kind = section["kind"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GhkHypothesisWarning)
-            if kind == "general":
-                syz = HNData.from_json_obj(section["syzygy"])
-                quo = HNData.from_json_obj(section["quotient"])
-                value = e_ghk_closed_form(
-                    syz, section["twists"], quo, section.get("degY")
-                )
-                detail = {"kind": kind, "mu_syzygy": hk_slope(syz), "mu_quotient": hk_slope(quo)}
-            elif kind == "classical":
-                syz = HNData.from_json_obj(section["syzygy"])
-                value = e_hk_closed_form(syz, section["twists"], section.get("degY"))
-                detail = {"kind": kind, "mu_syzygy": hk_slope(syz)}
-            elif kind == "two_generated":
-                value = e_ghk_two_generated(
-                    section["a"], section["b"], section["d"], section["degY"]
-                )
-                detail = {"kind": kind}
-            elif kind == "point":
-                value = e_ghk_point(section["degY"])
-                detail = {"kind": kind}
-            elif kind == "sum_line_bundles":
-                data = hn_sum_line_bundles(section["pairs"], section["degY"])
-                value = hk_slope(data)
-                detail = {"kind": kind, "filtration": data.to_json_obj()}
-            elif kind == "rank1_syzygy":
-                data = hn_rank1_syzygy(
-                    section["a"], section["b"], section["d"], section["degY"]
-                )
-                value = hk_slope(data)
-                detail = {"kind": kind, "filtration": data.to_json_obj()}
-            else:
-                raise GhkError(f"unknown closed-form kind {kind!r}")
+            try:
+                if kind == "general":
+                    syz = HNData.from_json_obj(section["syzygy"])
+                    quo = HNData.from_json_obj(section["quotient"])
+                    value = e_ghk_closed_form(syz, section["twists"], quo, section.get("degY"))
+                    detail = {"kind": kind, "mu_syzygy": hk_slope(syz), "mu_quotient": hk_slope(quo)}
+                elif kind == "classical":
+                    syz = HNData.from_json_obj(section["syzygy"])
+                    value = e_hk_closed_form(syz, section["twists"], section.get("degY"))
+                    detail = {"kind": kind, "mu_syzygy": hk_slope(syz)}
+                elif kind == "two_generated":
+                    value = e_ghk_two_generated(
+                        section["a"], section["b"], section["d"], section["degY"]
+                    )
+                    detail = {"kind": kind}
+                elif kind == "point":
+                    value = e_ghk_point(section["degY"])
+                    detail = {"kind": kind}
+                elif kind == "sum_line_bundles":
+                    data = hn_sum_line_bundles(section["pairs"], section["degY"])
+                    value = hk_slope(data)
+                    detail = {"kind": kind, "filtration": data.to_json_obj()}
+                elif kind == "rank1_syzygy":
+                    data = hn_rank1_syzygy(
+                        section["a"], section["b"], section["d"], section["degY"]
+                    )
+                    value = hk_slope(data)
+                    detail = {"kind": kind, "filtration": data.to_json_obj()}
+                else:
+                    raise GhkError(f"unknown closed-form kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as ex:
+                raise GhkError(f"closed_form section incomplete or inconsistent: {ex!r}") from ex
         notes = [str(w.message) for w in caught]
         return value, detail, notes
 
@@ -413,14 +433,7 @@ class _Cli:
         return None
 
     def cmd_ghk(self) -> int:
-        rspec = self.ring_spec()
-        P = self.presentation(rspec)
-        table = ghk_table(
-            P,
-            self.e_max(),
-            budget=self.budget(),
-            jobs=self.jobs(),
-        )
+        table = self.module_table()
         e_exact = self._exact_multiplicity()
         fit = None
         if len(table.rows) >= 2 or (e_exact is not None and table.rows):
@@ -432,10 +445,7 @@ class _Cli:
         if fit is not None:
             self.write_text("ghk-plot.csv", fit.to_csv())
         self.write_json("ghk-report.json", payload)
-        for row in table.rows:
-            print(f"e={row.e} q={row.q} length={row.length}")
-        for skip in table.skipped:
-            print(f"e={skip.e} skipped: {skip.reason}")
+        self.print_rows(table)
         if fit is not None:
             print(f"estimate: {rat_str(fit.estimate)}")
         return 3 if table.skipped else 0
@@ -445,7 +455,7 @@ class _Cli:
         I = rspec.ideal([rspec.parse(g) for g in self.ideal_generators()])
         label = f"classical R/({', '.join(self.ideal_generators())})"
         # a budget overrun skips its row, as in ghk_table
-        table = _length_table(hk_value, I, label, self.e_max(), self.budget(), self.jobs())
+        table = _length_table(hk_value, I, label, self.e_max(), self.budget())
         self.write_text("hk-table.csv", table.to_csv())
         payload = {"table": table}
         if len(table.rows) >= 2:
@@ -453,10 +463,7 @@ class _Cli:
             payload["estimate"] = estimate
             payload["estimate_error_bound"] = bound
         self.write_json("hk-report.json", payload)
-        for row in table.rows:
-            print(f"e={row.e} q={row.q} length={row.length}")
-        for skip in table.skipped:
-            print(f"e={skip.e} skipped: {skip.reason}")
+        self.print_rows(table)
         return 3 if table.skipped else 0
 
     def cmd_gamma(self) -> int:
@@ -466,14 +473,7 @@ class _Cli:
                 "gamma needs task.e_exact or a closed_form section supplying the "
                 "exact multiplicity"
             )
-        rspec = self.ring_spec()
-        P = self.presentation(rspec)
-        table = ghk_table(
-            P,
-            self.e_max(),
-            budget=self.budget(),
-            jobs=self.jobs(),
-        )
+        table = self.module_table()
         report = gamma_analysis(table, e_exact)
         self.write_json("gamma-report.json", {"table": table, "fit": report})
         self.write_text("gamma-plot.csv", report.to_csv())
@@ -534,7 +534,8 @@ options:
   --budget-gb-degree N  abort any basis computation beyond this degree
   --budget-pairs N      abort any basis computation beyond this many reduced
                         pairs
-  --jobs N              parallel worker processes
+  --jobs N              worker processes for a sweep's primes; every other
+                        command runs in one process
 """
 
 # each flag that takes a value, and the attribute it sets
@@ -659,9 +660,6 @@ def main(argv=None) -> int:
         return 3
     except GhkError as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as ex:
-        print(f"problem file incomplete or inconsistent: {ex!r}", file=sys.stderr)
         return 2
 
 

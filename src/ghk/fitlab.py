@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .arith import Rat, Record, as_int, as_rat, is_prime, rat_str
 from .errors import GhkError, GhkHypothesisError
-from .frobmod import GHKTable, _map_rows, ghk_table, presentation_of_quotient
+from .frobmod import GHKTable, ghk_table, presentation_of_quotient
 from .groebner import GbBudget
 from .idealops import RingSpec
 
@@ -228,12 +228,24 @@ def prime_sweep(
     or psi_13, singular or wrong-dimensional specialization, degenerate
     generators) are flagged and skipped, mirroring the almost-all-primes hypothesis rather than
     aborting the sweep.
+
+    With jobs > 1 the primes run in a pool of that many processes, or one
+    per prime when there are fewer primes (a forked pool starts all its
+    workers at once). This is the program's only parallelism: the primes
+    of one sweep cost about the same, while the rows of one table do not.
     """
     primes = sorted({as_int(p, "a prime") for p in primes})
     if not primes:
         raise GhkError("prime sweep needs at least one prime")
     as_int(e_max, "e_max", 1)
-    rows = tuple(_map_rows(_sweep_row, [(family, p, e_max, budget) for p in primes], jobs))
+    tasks = [(family, p, e_max, budget) for p in primes]
+    if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            rows = tuple(pool.map(_sweep_row, tasks))
+    else:
+        rows = tuple(map(_sweep_row, tasks))
     with_estimates = [row for row in rows if row.estimate is not None]
     top: tuple = ()
     spread = None

@@ -257,52 +257,28 @@ class GHKTable(Record):
         return "\n".join(lines) + "\n"
 
 
-def _map_rows(fn, tasks: list, jobs: int) -> list:
-    """[fn(t) for t in tasks], in a pool of jobs processes when jobs > 1
-    and there are several tasks; fn and the tasks must then pickle."""
-    if jobs > 1 and len(tasks) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-def _run_row(task: tuple):
-    """Worker for one table row; must stay importable at module top level
-    so tasks can cross process boundaries. A task is (value, subject, e,
-    q, budget), value being ghk_value or hk_value; a budget overrun
-    gives a SkippedRow."""
-    value, subject, e, q, budget = task
-    try:
-        return GHKRow(e, q, value(subject, e, budget=budget))
-    except BudgetExceededError as ex:
-        return SkippedRow(e, str(ex))
-
-
-def _length_table(value, subject, label: str, e_max: int, budget, jobs: int) -> GHKTable:
+def _length_table(value, subject, label: str, e_max: int, budget) -> GHKTable:
     """The table labelled `label` of value(subject, e) for e = 1..e_max,
     value being ghk_value or hk_value; ghk_table and the CLI's hk
     command both build theirs here.
 
-    Rows are independent; a per-row budget overrun records the row as
-    skipped instead of aborting the table.
+    The rows run one after another in this process: a row costs about p^2
+    times the one before it, so the last row is most of the table and a
+    pool over the rows would save almost nothing. A per-row budget
+    overrun records the row as skipped instead of aborting the table.
     """
     as_int(e_max, "e_max", 1)
     p = subject.ring.p if isinstance(subject, Submodule) else subject.rspec.p
-    tasks = [(value, subject, e, p**e, budget) for e in range(1, e_max + 1)]
-    results = _map_rows(_run_row, tasks, jobs)
-    rows = tuple(r for r in results if isinstance(r, GHKRow))
-    skipped = tuple(r for r in results if isinstance(r, SkippedRow))
-    return GHKTable(p, label, rows, skipped)
+    rows, skipped = [], []
+    for e in range(1, e_max + 1):
+        try:
+            rows.append(GHKRow(e, p**e, value(subject, e, budget=budget)))
+        except BudgetExceededError as ex:
+            skipped.append(SkippedRow(e, str(ex)))
+    return GHKTable(p, label, tuple(rows), tuple(skipped))
 
 
-def ghk_table(
-    P: Presentation,
-    e_max: int,
-    budget: GbBudget | None = None,
-    jobs: int = 1,
-) -> GHKTable:
+def ghk_table(P: Presentation, e_max: int, budget: GbBudget | None = None) -> GHKTable:
     """Length values for e = 1..e_max, a budget overrun skipping its
     row (see _length_table)."""
-    return _length_table(ghk_value, P, P.descriptor, e_max, budget, jobs)
+    return _length_table(ghk_value, P, P.descriptor, e_max, budget)

@@ -1,0 +1,149 @@
+"""Kept mutants: small wrong edits to the program that the tests must catch.
+
+Each entry names a file, an old text that occurs in it exactly once, the
+new text that replaces it, and the test node ids that must fail under the
+edit. Running this file checks that they still do, so that a later change
+cannot quietly weaken the test that killed a mutant:
+
+    python tests/mutants.py
+
+Pytest does not collect this file: its name does not start with test_.
+
+The runner copies src/, tests/ and pyproject.toml into a temporary
+directory, runs every named node id there once unchanged (they must all
+pass), then applies each mutant to a fresh copy and runs its node ids. It
+exits 1 when an old text no longer occurs exactly once, when a named node
+id fails on the unchanged copy, or when a mutant survives: one of its node
+ids passes, or pytest ends without running them. A program change that
+moves an old text updates the entry with it; a change that adds a
+shortcut adds the mutant that the shortcut's test kills.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    kills: tuple  # node ids that must fail
+
+
+MUTANTS = [
+    Mutant(
+        "the divisor index's climb keeps each row's bits in place instead of moving them up",
+        "src/ghk/groebner.py",
+        "bits[a] |= bits[a] << 1 | (bits[a - 1] if a else 0)",
+        "bits[a] |= bits[a] | (bits[a - 1] if a else 0)",
+        (
+            "tests/test_groebner.py::test_masked_hk_basis_asks_the_index_only_for_reducible_terms",
+            "tests/test_groebner.py::test_pair_update_reduces_no_more_s_pairs[hk-353-178]",
+        ),
+    ),
+    Mutant(
+        "a single variable certifies without the pole-order check",
+        "src/ghk/idealops.py",
+        "        torsion = hs.sub(cut[i]).reduced()\n        if torsion.denom_power == 0:\n",
+        "        torsion = hs.sub(cut[i]).reduced()\n        if True:\n",
+        (
+            "tests/test_frobmod.py::test_uncertified_saturations_never_take_a_colon",
+            "tests/test_idealops.py::test_certified_saturation_intersects_on_coordinate_triangle",
+        ),
+    ),
+    Mutant(
+        "fibre ranks order the variables on rank(1, 0) < U.rank alone",
+        "src/ghk/idealops.py",
+        "return at_x < U.rank and at_x < _vertex_rank(U, True)",
+        "return at_x < U.rank",
+        (
+            "tests/test_frobmod.py::test_certificate_tries_x_first_exactly_over_y_zero",
+            "tests/test_frobmod.py::test_uncertified_length_intersects_variable_saturations",
+        ),
+    ),
+    Mutant(
+        "a length table drops the row that its budget skipped",
+        "src/ghk/frobmod.py",
+        "skipped.append(SkippedRow(e, str(ex)))",
+        "pass",
+        (
+            "tests/test_cli.py::test_hk_budget_exhaustion_exits_3_with_partial_output",
+            "tests/test_frobmod.py::test_table_budget_marks_rows_skipped",
+        ),
+    ),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+            shutil.copytree(source, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _run(tree: Path, node_ids) -> tuple:
+    """(pytest's exit status, the node ids it reports failed) in tree."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *node_ids],
+        cwd=tree,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True,
+        text=True,
+    )
+    failed = {
+        line[len("FAILED ") :].split(" - ")[0]
+        for line in proc.stdout.splitlines()
+        if line.startswith("FAILED ")
+    }
+    return proc.returncode, failed
+
+
+def main() -> int:
+    faults = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text().count(m.old)
+        if count != 1:
+            faults.append(f"stale: {m.name}: the old text occurs {count} times in {m.path}")
+    if faults:
+        print("\n".join(faults))
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        node_ids = sorted({n for m in MUTANTS for n in m.kills})
+        status, failed = _run(base, node_ids)
+        if status != 0:
+            print(f"the unchanged tree fails: {sorted(failed) or f'pytest exit status {status}'}")
+            return 1
+        for k, m in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{k}"
+            _copy_tree(tree)
+            target = tree / m.path
+            target.write_text(target.read_text().replace(m.old, m.new))
+            status, failed = _run(tree, m.kills)
+            survivors = sorted(set(m.kills) - failed)
+            if status == 1 and not survivors:
+                print(f"killed: {m.name}")
+            else:
+                faults.append(f"survived: {m.name}: {survivors} (pytest exit status {status})")
+            shutil.rmtree(tree)
+    print("\n".join(faults) or f"all {len(MUTANTS)} mutants killed")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

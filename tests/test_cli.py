@@ -652,34 +652,39 @@ def test_hk_error_bound_uses_gamma_bound(tmp_path):
     assert report["estimate_error_bound"] == "10/3"
 
 
-def test_hk_jobs_reports_match_serial(tmp_path, monkeypatch):
-    # --jobs reaches the row pool, and two workers write the same bytes
-    # as one, a budget-skipped row included
-    import ghk.frobmod as frobmod
+@pytest.mark.parametrize(
+    "command, extra",
+    [("ghk", {}), ("gamma", {"e_exact": "4/3"}), ("hk", {})],
+)
+def test_tables_run_in_one_process_under_jobs(tmp_path, monkeypatch, capsys, command, extra):
+    # --jobs sets a sweep's workers only: the rows of a table run in this
+    # process, so with the pool refused two jobs still write the same bytes
+    # and stdout as one, a budget-skipped row included
+    import concurrent.futures
 
-    seen = []
-    map_rows = frobmod._map_rows
+    def refused(*args, **kwargs):
+        raise AssertionError("a length table started a process pool")
 
-    def counted(fn, tasks, jobs):
-        seen.append(jobs)
-        return map_rows(fn, tasks, jobs)
-
-    monkeypatch.setattr(frobmod, "_map_rows", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
     problem = {
         "ring": FERMAT_RING,
-        "module": {"ideal": ["x", "y", "z"]},
-        "task": {"command": "hk", "e_max": 2},
+        "module": {"ideal": ["x", "y", "z"] if command == "hk" else ["z", "3*x - y"]},
+        "task": {"command": command, "e_max": 2, **extra},
     }
     path = write_problem(tmp_path, problem)
-    outs = []
+    outs, stdouts = [], []
     for jobs in ("1", "2"):
         out = tmp_path / f"out{jobs}"
         assert main([path, "--out", str(out), "--budget-gb-degree", "30", "--jobs", jobs]) == 3
         outs.append(out)
-    assert seen == [1, 2]
-    for name in ("hk-report.json", "hk-table.csv"):
+        stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    assert stdouts[0] == stdouts[1]
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    assert json.loads((outs[1] / "hk-report.json").read_text())["table"]["skipped"][0]["e"] == 2
+    report = json.loads((outs[1] / f"{command}-report.json").read_text())
+    assert [row["e"] for row in report["table"]["skipped"]] == [2]
 
 
 def test_hk_requires_ideal_not_presentation(tmp_path, capsys):
@@ -774,7 +779,7 @@ def test_closed_form_general_without_syzygy_exits_2(tmp_path, capsys):
     }
     code, out = run(tmp_path, problem)
     assert code == 2
-    assert capsys.readouterr().err == "problem file incomplete or inconsistent: KeyError('syzygy')\n"
+    assert capsys.readouterr().err == "error: closed_form section incomplete or inconsistent: KeyError('syzygy')\n"
     assert not (out / "closed-form-report.json").exists()
 
 
@@ -1024,29 +1029,6 @@ def test_task_out_used_without_flag(tmp_path):
     assert (dest / "check-ring-report.json").exists()
 
 
-def test_reports_never_contain_floats(tmp_path):
-    problem = {
-        "ring": FERMAT_RING,
-        "module": {"ideal": ["z", "3*x - y"]},
-        "closed_form": {"kind": "point", "degY": 3},
-        "task": {"command": "ghk", "e_max": 1},
-    }
-    code, out = run(tmp_path, problem)
-    assert code == 0
-
-    def no_floats(node):
-        if isinstance(node, float):
-            return False
-        if isinstance(node, dict):
-            return all(no_floats(v) for v in node.values())
-        if isinstance(node, list):
-            return all(no_floats(v) for v in node)
-        return True
-
-    report = json.loads((out / "ghk-report.json").read_text())
-    assert no_floats(report)
-
-
 # every key whose value is an exact rational; a FitReport's "gamma" is
 # the list of its rows, each of which has a rational "gamma"
 RATIONAL_KEYS = {
@@ -1075,6 +1057,16 @@ POLICY_PROBLEMS = [
     ),
     ({"ring": FERMAT_RING, "module": {"ideal": ["z", "3*x - y"]}, "task": {"command": "ghk", "e_max": 2}}, (), 0),
     ({"ring": FERMAT_RING, "module": {"ideal": ["z", "3*x - y"]}, "task": {"command": "ghk", "e_max": 1}}, (), 0),
+    (
+        {
+            "ring": FERMAT_RING,
+            "module": {"ideal": ["z", "3*x - y"]},
+            "closed_form": {"kind": "point", "degY": 3},
+            "task": {"command": "ghk", "e_max": 1},
+        },
+        (),
+        0,
+    ),
     (
         {
             "ring": FERMAT_RING,

@@ -289,6 +289,23 @@ def test_sweep_parallel_matches_serial():
     ).to_json_dict()
 
 
+def test_sweep_pool_starts_no_more_workers_than_primes(monkeypatch):
+    # a forked pool starts all of its workers at once, whatever the tasks
+    import concurrent.futures
+
+    sizes = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def recorded(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    parallel = prime_sweep(CUBIC_FAMILY, [5, 7], e_max=1, jobs=4)
+    assert parallel == prime_sweep(CUBIC_FAMILY, [5, 7], e_max=1)
+    assert sizes == [2]
+
+
 def test_sweep_empty_primes():
     with pytest.raises(GhkError):
         prime_sweep(CUBIC_FAMILY, [], e_max=2)

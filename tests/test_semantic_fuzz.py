@@ -18,6 +18,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,15 @@ GENERATORS = {
 # for q = 7^e_max; past it a run on the Klein cubic takes seconds (the
 # principal ideal (z^12) at q = 49, for one)
 MAX_PULLED_BACK_DEGREE = 100
+# sections the schema passes that lack a key their kind needs, or hold a
+# value of the wrong shape
+MALFORMED_CLOSED_FORMS = [
+    {"kind": "general", "twists": [1, 1], "degY": 3},
+    {"kind": "classical", "syzygy": {"quotients": [[2, -2]], "degY": 3}, "twists": 5},
+    {"kind": "classical", "syzygy": {"quotients": [[1]], "degY": 3}, "twists": [1, 1]},
+    {"kind": "sum_line_bundles", "pairs": [[1]], "degY": 3},
+    {"kind": "point"},
+]
 CLOSED_FORMS = [
     {"kind": "point", "degY": 3},
     {"kind": "point", "degY": 0},
@@ -83,6 +93,7 @@ CLOSED_FORMS = [
         "degY": 3,
     },
     {"kind": "classical", "syzygy": {"quotients": [[1, 0], [1, 1]], "degY": 3}, "twists": [1]},
+    *MALFORMED_CLOSED_FORMS,
 ]
 RATIONALS = ["4/3", "8/3", 0, "1/0", "x"]
 
@@ -157,3 +168,16 @@ def test_schema_valid_problems_exit_with_a_documented_status(problem):
     elif code == 2:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("section", MALFORMED_CLOSED_FORMS)
+def test_a_malformed_closed_form_section_is_one_error_line(section):
+    problem = {
+        "ring": {"prime": 7, "variables": ["x", "y", "z"], "relations": ["x^3 + y^3 + z^3"]},
+        "closed_form": section,
+        "task": {"command": "closed-form"},
+    }
+    code, _out, err = _run(problem)
+    assert code == 2
+    assert err.startswith("error: closed_form section incomplete or inconsistent: ")
+    assert err.count("\n") == 1
