@@ -205,13 +205,13 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     """
     as_ideal(I, "hk_value")
     q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)
-    hs = idealops.hilbert_series(bracket_power(I, q), budget).reduced()
-    if hs.denom_power > 0:
+    dim, length = idealops.hilbert_series(bracket_power(I, q), budget).leading()
+    if dim > 0:
         raise GhkHypothesisError(
             "hk_value needs an irrelevant-primary ideal; the input does not saturate "
             "to the unit ideal"
         )
-    return hs.numer_at_one()
+    return length
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,9 @@ class HilbertSeries(Record):
     """Series numer(t) / (1-t)^denom_power with integer Laurent numerator.
 
     numer is a tuple of (exponent, coeff) pairs, sorted, no zeros.
-    Exponents may be negative (twisted ambient modules).
+    Exponents may be negative (twisted ambient modules). The numerator
+    is kept as it comes, with no factor of (1-t) cancelled: callers read
+    the pole order and the multiplicity through leading().
     """
 
     numer: tuple
@@ -111,28 +113,29 @@ class HilbertSeries(Record):
             d[e] = d.get(e, 0) - c
         return HilbertSeries.from_dict(d, self.denom_power)
 
-    def reduced(self) -> "HilbertSeries":
-        """Cancel every factor of (1-t) shared with the denominator."""
-        d = dict(self.numer)
+    def leading(self) -> tuple:
+        """(pole order, multiplicity): the series is Q(t) / (1-t)^pole with
+        Q(1) the multiplicity. Q(1) is 0 only when the series is a Laurent
+        polynomial vanishing at 1, the zero series included: then (0, 0).
+
+        With s = 1 - t, numer = sum_i (-1)^i M_i s^i, M_i the sum of
+        c * binom(e, i) over its terms c*t^e (Bruns-Herzog, Ch. 4.1), the
+        binomial a falling factorial over i!, so negative e work. The
+        first m <= n = denom_power with M_m != 0, or n, gives the pole
+        order n - m and Q(1) = (-1)^m M_m. Each moment is one pass over
+        the terms, however wide the numerator's degree span.
+        """
         n = self.denom_power
-        if not d:
-            return HilbertSeries((), 0)
-        while n > 0:
-            q = _divide_by_one_minus_t(d)
-            if q is None:
-                break
-            d = q
-            n -= 1
-            if not d:
-                return HilbertSeries((), 0)
-        return HilbertSeries.from_dict(d, n)
+        cs = [c for _, c in self.numer]  # c * binom(e, m) for each term
+        for m in range(n + 1):
+            M = sum(cs)
+            if M or m == n:
+                return n - m, (-1) ** m * M
+            cs = [c * (e - m) // (m + 1) for (e, _), c in zip(self.numer, cs)]
 
     def pole_order(self) -> int:
         """Order of the pole at t=1: the Krull dimension of the module."""
-        return self.reduced().denom_power
-
-    def numer_at_one(self) -> int:
-        return sum(c for _, c in self.numer)
+        return self.leading()[0]
 
     def coefficient(self, d: int) -> int:
         """Exact coefficient of t^d: the F_p-dimension of the degree-d piece."""
@@ -154,23 +157,6 @@ class HilbertSeries(Record):
             else:
                 parts.append(f"{c}*t^{e}")
         return f"({' + '.join(parts)}) / (1-t)^{self.denom_power}"
-
-
-def _divide_by_one_minus_t(d: dict) -> dict | None:
-    """Quotient d/(1-t) as a dict, or None when division is not exact."""
-    if not d:
-        return {}
-    lo, hi = min(d), max(d)
-    out = {}
-    carry = 0
-    for k in range(lo, hi + 1):
-        carry += d.get(k, 0)
-        if carry:
-            out[k] = carry
-    if carry != 0:
-        return None
-    out.pop(hi, None)
-    return out
 
 
 def _monomial_numerator(gens: list) -> dict:
@@ -254,21 +240,15 @@ def colength_difference(U: Submodule, V: Submodule, budget: GbBudget | None = No
     """Exact length of V/U for nested submodules U <= V of the same ambient.
 
     Raises GhkHypothesisError when U is not contained in V or when the
-    quotient has positive dimension (infinite length). The length falls
-    out of the Hilbert-series difference; no graded piece is ever
-    enumerated.
+    quotient has positive dimension (infinite length). HS(V/U) is
+    HS(F/U) - HS(F/V), uncancelled; its leading() gives the dimension
+    and, at dimension 0, the length. No graded piece is ever enumerated.
     """
     if not V.contains_submodule(U, budget):
         raise GhkHypothesisError("colength_difference needs U <= V; U is not contained in V")
-    diff = hilbert_series(U, budget).sub(hilbert_series(V, budget))
-    red = diff.reduced()
-    if red.is_zero():
-        return 0
-    if red.denom_power > 0:
-        raise GhkHypothesisError(
-            f"quotient has dimension {red.denom_power} > 0; its length is infinite"
-        )
-    length = red.numer_at_one()
+    dim, length = hilbert_series(U, budget).sub(hilbert_series(V, budget)).leading()
+    if dim > 0:
+        raise GhkHypothesisError(f"quotient has dimension {dim} > 0; its length is infinite")
     if length < 0:
         raise GhkError("internal error: negative length from a nested pair")
     return length
@@ -361,7 +341,9 @@ def _ideal_generators(U: Submodule, J) -> list:
 class SaturationCertificate(Record):
     """Proof that sat(U) is the intersection of the U : l^inf over the
     variables l in `variables`, in the order tried; torsion is
-    HS(sat(U)/U) at pole order 0.
+    HS(sat(U)/U), of pole order 0, as the difference of the two series
+    over (1-t)^nvars with no factor cancelled. Its leading() multiplicity
+    is the length.
     """
 
     variables: tuple
@@ -374,7 +356,7 @@ class SaturationCertificate(Record):
     @property
     def length(self) -> int:
         """Length of sat(U)/U."""
-        return self.torsion.numer_at_one()
+        return self.torsion.leading()[1]
 
 
 def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> SaturationCertificate:
@@ -422,8 +404,8 @@ def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
         if hs is None:
             hs = _lead_series(leads, U.twists, nvars)
         cut[i] = _lead_series(((j, m[:i] + (0,) + m[i + 1 :]) for j, m in leads), U.twists, nvars)
-        torsion = hs.sub(cut[i]).reduced()
-        if torsion.denom_power == 0:
+        torsion = hs.sub(cut[i])
+        if torsion.pole_order() == 0:
             return SaturationCertificate((i,), torsion), None
     # W is the meet so far, met its series HS(F/W)
     W, met = _divide_out(U, order[0], budget), cut[order[0]]
@@ -431,8 +413,8 @@ def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
         D = _divide_out(U, i, budget)
         both = Submodule(U.ring, U.rank, W.gens + D.gens, twists=U.twists, relations=U.relations)
         met = met.sub(hilbert_series(both, budget).sub(cut[i]))
-        torsion = hs.sub(met).reduced()
-        if torsion.denom_power == 0:
+        torsion = hs.sub(met)
+        if torsion.pole_order() == 0:
             return SaturationCertificate(order[:k], torsion), W
         W = intersect(W, D, budget)
     raise GhkError("internal error: the variable saturations meet in more than sat(U)")
@@ -625,12 +607,12 @@ class RingSpec:
 
     def proj_degree(self) -> int:
         """Degree of Proj R in its embedding; requires dimension 2."""
-        hs = self.hilbert_series().reduced()
-        if hs.denom_power != 2:
+        dim, degree = self.hilbert_series().leading()
+        if dim != 2:
             raise GhkHypothesisError(
-                f"ring has Krull dimension {hs.denom_power}, need 2 for a projective curve"
+                f"ring has Krull dimension {dim}, need 2 for a projective curve"
             )
-        return hs.numer_at_one()
+        return degree
 
     def require_dim2(self) -> None:
         dim = self.krull_dimension()
@@ -717,10 +699,13 @@ class NoetherNormalization:
         self.degree = len(basis)
         one, zero = self.base.one, self.base.zero
         self._known = {b: tuple(one if c == b else zero for c in basis) for b in basis}
+        self._zero = []  # the border monomials that are 0 in R
         up = [[b[:f] + (b[f] + 1,) + b[f + 1 :] for b in basis] for f in range(k)]
         for u in {u for row in up for u in row} - self._known.keys():  # the border
             nf = gb.normal_form(self._ring.monomial(u + (0, 0)))[0]
             self._known[u] = self._coordinates(nf.terms())
+            if nf.is_zero():
+                self._zero.append(u)
         self._table = [[self._known[u] for u in row] for row in up]
         self._pth = [w for w, in self._ladder([self._known[basis[0]]], self.p)]
 
@@ -825,11 +810,15 @@ class NoetherNormalization:
 
     def _coordinates(self, terms) -> tuple:
         """The element of R with these terms over S': each fibre monomial u's
-        coefficient over A times u's coordinates, x_f times those of u/x_f."""
+        coefficient over A times u's coordinates, x_f times those of u/x_f.
+        A multiple of a border monomial that is 0 in R is 0 with no walk."""
         k, parts = len(self._vars) - 2, {}
         for m, c in terms:
             parts.setdefault(m[:k], []).append((m[k:], c))
         for u in parts.keys() - self._known.keys():
+            if any(all(e >= l for e, l in zip(u, z)) for z in self._zero):
+                del parts[u]
+                continue
             chain = []  # u and the monomials below it down to a known one
             while u not in self._known:
                 f = next(f for f, e in enumerate(u) if e)
@@ -929,9 +918,9 @@ def sheaf_degree(rspec: RingSpec, I: Submodule, budget: GbBudget | None = None) 
     """
     rspec.require_dim2()
     check_same_ring(as_ideal(I, "a sheaf degree"), rspec, "the ideal and rspec")
-    hs = hilbert_series(I, budget).reduced()
-    if hs.denom_power == 0:
+    dim, multiplicity = hilbert_series(I, budget).leading()
+    if dim == 0:
         return 0
-    if hs.denom_power == 2:
+    if dim == 2:
         raise GhkHypothesisError("zero ideal has no sheaf degree")
-    return -hs.numer_at_one()
+    return -multiplicity

@@ -55,8 +55,8 @@ MUTANTS = [
     Mutant(
         "a single variable certifies without the pole-order check",
         "src/ghk/idealops.py",
-        "        torsion = hs.sub(cut[i]).reduced()\n        if torsion.denom_power == 0:\n",
-        "        torsion = hs.sub(cut[i]).reduced()\n        if True:\n",
+        "        torsion = hs.sub(cut[i])\n        if torsion.pole_order() == 0:\n",
+        "        torsion = hs.sub(cut[i])\n        if True:\n",
         (
             "tests/test_frobmod.py::test_uncertified_saturations_never_take_a_colon",
             "tests/test_idealops.py::test_certified_saturation_intersects_on_coordinate_triangle",
@@ -81,6 +81,78 @@ MUTANTS = [
             "tests/test_cli.py::test_hk_budget_exhaustion_exits_3_with_partial_output",
             "tests/test_frobmod.py::test_table_budget_marks_rows_skipped",
         ),
+    ),
+    Mutant(
+        "the Hilbert series' multiplicity drops the sign (-1)^m of its moment",
+        "src/ghk/idealops.py",
+        "return n - m, (-1) ** m * M",
+        "return n - m, M",
+        (
+            "tests/test_idealops.py::test_leading_matches_stepwise_division",
+            "tests/test_frobmod.py::test_hk_pinned_values",
+        ),
+    ),
+    Mutant(
+        # shifting the falling factorial itself, binom(e - 1, i) for
+        # binom(e, i), is an equivalent mutant: those are the moments of
+        # K(t)/t, which has the same pole order and value at 1
+        "the Hilbert series' moments divide the falling factorial by (i + 1)!, not i!",
+        "src/ghk/idealops.py",
+        "c * (e - m) // (m + 1) for",
+        "c * (e - m) // (m + 2) for",
+        (
+            "tests/test_idealops.py::test_leading_matches_stepwise_division",
+            "tests/test_idealops.py::test_leading_reads_a_billion_degree_span_at_once[0]",
+            "tests/test_idealops.py::test_series_square_ideal",
+        ),
+    ),
+    Mutant(
+        "the pair update drops the product criterion",
+        "src/ghk/groebner.py",
+        "if rank == 1 and rep[lcm][0] == lcm - hm:",
+        "if False:",
+        ("tests/test_groebner.py::test_pair_update_reduces_no_more_s_pairs[hk-353-178]",),
+    ),
+    Mutant(
+        "a pure power added after other leads of its component does not replay them",
+        "src/ghk/groebner.py",
+        "for m in (self.records[i][2] for *_, items in entry[1] for _, i in items):",
+        "for m in ():",
+        ("tests/test_groebner.py::test_masks_skip_only_queries_that_find_no_divisor",),
+    ),
+    Mutant(
+        "the centre search reads the shift's base-p digits in reverse",
+        "src/ghk/idealops.py",
+        "shift = tuple(count // p ** (k - 1 - t) % p for t in range(k))",
+        "shift = tuple(count // p**t % p for t in range(k))",
+        (
+            "tests/test_frobmod.py::test_centre_search_stops_where_cohen_macaulay_fails[2-relations2-12]",
+            "tests/test_frobmod.py::test_centre_search_keeps_every_normalized_centre[shifted]",
+        ),
+    ),
+    Mutant(
+        "the modular-law meet reads the series of the last saturation alone",
+        "src/ghk/idealops.py",
+        "met = met.sub(hilbert_series(both, budget).sub(cut[i]))",
+        "met = cut[i]",
+        (
+            "tests/test_frobmod.py::test_uncertified_length_intersects_variable_saturations",
+            "tests/test_idealops.py::test_certified_saturation_intersects_on_coordinate_triangle",
+        ),
+    ),
+    Mutant(
+        "hk_value returns a length for an ideal that is not irrelevant-primary",
+        "src/ghk/frobmod.py",
+        "    if dim > 0:\n",
+        "    if False:\n",
+        ("tests/test_frobmod.py::test_hk_rejects_non_primary",),
+    ),
+    Mutant(
+        "a border monomial that is 0 in R is not kept, so its multiples are walked",
+        "src/ghk/idealops.py",
+        "            if nf.is_zero():\n                self._zero.append(u)\n",
+        "",
+        ("tests/test_frobmod.py::test_a_fibre_power_that_is_zero_in_r_is_not_walked",),
     ),
 ]
 

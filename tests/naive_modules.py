@@ -138,6 +138,38 @@ def taylor_numerator(gens, nvars):
     return {d: c for d, c in out.items() if c}
 
 
+def times_one_minus_t(numer, m):
+    """The Laurent polynomial numer ({degree: coeff}) times (1-t)^m."""
+    for _ in range(m):
+        out = dict(numer)
+        for e, c in numer.items():
+            out[e + 1] = out.get(e + 1, 0) - c
+        numer = {e: c for e, c in out.items() if c}
+    return numer
+
+
+def series_leading(numer, n):
+    """(pole order, value at t = 1 of the reduced numerator) of the series
+    numer(t) / (1-t)^n, numer a {degree: coeff} Laurent polynomial.
+
+    Divides numer by 1 - t one step at a time while the denominator has
+    a factor left and numer vanishes at 1: the quotient's coefficient at
+    k is the sum of numer's up to k, over the whole degree span. The zero
+    series gives (0, 0).
+    """
+    d = {e: c for e, c in numer.items() if c}
+    while n > 0 and d and sum(d.values()) == 0:
+        out, carry = {}, 0
+        for k in range(min(d), max(d)):
+            carry += d.get(k, 0)
+            if carry:
+                out[k] = carry
+        d, n = out, n - 1
+    if not d:
+        return 0, 0
+    return n, sum(d.values())
+
+
 def staircase_dimension(gens, nvars, degree):
     """Number of degree-`degree` monomials in nvars variables that no
     generator divides: the dimension of that piece of S/(gens).

@@ -39,8 +39,10 @@ from naive_modules import (
     free_module_dimension,
     naive_graded_dimension,
     naive_member,
+    series_leading,
     staircase_dimension,
     taylor_numerator,
+    times_one_minus_t,
 )
 from naive_poly import monomials_of_degree
 
@@ -78,9 +80,7 @@ def test_series_square_ideal():
     I = Submodule.ideal(ring, [ring.parse(s) for s in ("x^2", "x*y", "y^2")])
     hs = hilbert_series(I)
     assert hs.as_dict() == {0: 1, 2: -3, 3: 2}
-    red = hs.reduced()
-    assert red.denom_power == 0
-    assert red.numer_at_one() == 3
+    assert hs.leading() == (0, 3)
     unit = Submodule.ideal(ring, [ring.one])
     assert colength_difference(I, unit) == 3
 
@@ -90,6 +90,41 @@ def test_series_unit_and_zero():
     assert hilbert_series(Submodule.ideal(ring, [ring.one])).is_zero()
     zero_hs = hilbert_series(Submodule.ideal(ring, []))
     assert zero_hs.pole_order() == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.dictionaries(st.integers(-6, 12), st.integers(-9, 9), max_size=6),
+    m=st.integers(0, 6),
+    shift=st.integers(-40, 40),
+    n=st.integers(0, 4),
+)
+def test_leading_matches_stepwise_division(q, m, shift, n):
+    # Q with Q(1) != 0, times (1-t)^m, shifted by t^shift, over (1-t)^n:
+    # m > n leaves a numerator divisible past the denominator
+    q = {e: c for e, c in q.items() if c}
+    if sum(q.values()) == 0:
+        q[0] = q.get(0, 0) + 1
+    numer = {e + shift: c for e, c in times_one_minus_t(q, m).items()}
+    hs = HilbertSeries.from_dict(numer, n)
+    expected = (n - m, sum(q.values())) if m <= n else (0, 0)
+    assert hs.leading() == series_leading(numer, n) == expected
+    assert hs.pole_order() == expected[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_leading_of_the_zero_series(n):
+    assert HilbertSeries((), n).leading() == series_leading({}, n) == (0, 0)
+
+
+@pytest.mark.parametrize("lo", [0, -(10**9) // 2])
+def test_leading_reads_a_billion_degree_span_at_once(lo):
+    # (t^lo - t^(lo+N))^2 / (1-t)^3 = t^(2lo) (1 + ... + t^(N-1))^2 / (1-t):
+    # stepwise division would walk all 2N degrees twice
+    N = 10**9
+    numer = {2 * lo: 1, 2 * lo + N: -2, 2 * lo + 2 * N: 1}
+    assert HilbertSeries.from_dict(numer, 3).leading() == (1, N * N)
+    assert HilbertSeries.from_dict(numer, 1).leading() == (0, 0)
 
 
 def test_series_twisted_module():
