@@ -202,6 +202,14 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
     I^[q] and I have one radical, and I is irrelevant-primary iff
     R/I^[q] has finite length (pole order 0). No basis of I itself is
     built. Acceptance pins the two paths to agree on primary inputs.
+
+    On a curve whose one relation f has a pure-power lead (f(1, 0, 0)
+    != 0 with z compared last) the engine keeps that basis's rows in
+    R-normal form (groebner._RelationRows). That is only a storage
+    format for elements of S reduced mod f: the basis is still a
+    Groebner basis over S of I^[q] + (f), its series is still read over
+    S, and no pullback, Noether centre or saturation enters, so the two
+    paths stay independent.
     """
     as_ideal(I, "hk_value")
     q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)

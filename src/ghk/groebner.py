@@ -97,12 +97,33 @@ would pick, term for term, the records, S-pair counts, zero reductions
 and every report stay those of _reduce. Fields are not reduced mod p
 at each step: each is wide enough to hold a bounded number of steps
 without carrying into its neighbour, and one bulk Barrett pass per
-remainder (and one every `steps` steps) brings them back into [0, p);
-_Rows proves the width. Leads leave a row basis as keys like any
-other; its tails are unpacked to term tuples once, when the divisor
-index is first built (normal forms, membership, vectors), so callers
-that read leads only never unpack. Bases in three or more variables
-and elimination bases keep the heap reducer.
+remainder (and one every `steps` steps) brings them back into [0, p).
+_Fields owns that arithmetic for both row layouts and proves the
+width. Leads leave a row basis as keys like any other; its tails are
+unpacked to term tuples once, when the divisor index is first built
+(normal forms, membership, vectors), so callers that read leads only
+never unpack.
+
+A rank-1 basis in three variables whose ring has exactly one relation
+f with a pure-power lead x_o^d in the basis's layout (x_o the first
+variable other than `last`, m the other one and l = `last`), and no
+generator of degree below d, keeps its rows in R-normal form instead
+(_RelationRows): the term x_o^i m^b l^c, i < d, is field
+d(i + b) + i, so at a fixed degree field order is term order again,
+and multiplying by x_o substitutes -(f - x_o^d) for x_o^d, a few
+shifted adds of the top slice. The relation is installed
+first, and every other record, seed and remainder carries no term at
+or past x_o^d. That is exact: the heap reducer reduces each such term
+by f's record as soon as it is on top, and f's substitution only
+brings in smaller terms, so the two reducers meet the same top terms
+below x_o^d with the same coefficients, ask the divisor index the same
+questions and emit the same remainders. Records, S-pair counts and
+zero reductions are the heap's. A product by x_o puts at most
+(d + 2)(p - 1)^2 into a field before its pass, so this layout's fields
+hold d or more steps (at least 8). hk_value's basis of I^[q] + (f) on
+a curve with f(1, 0, 0) != 0 is this case. Every other basis in three
+or more variables, and every elimination basis, keeps the heap
+reducer.
 
 In three variables the index also keeps each component's pure-power
 lead x_o^X (x_o the outer variable, x when `last` = z), by which
@@ -435,7 +456,8 @@ class _Ctx:
 # with the element monic, the lead's component and monomial cached for
 # the pair update and the index, and tail the non-lead terms. A record
 # of a row basis (_Rows) is (ltkey, ltcomp, ltmon, tail, scale), tail a
-# row int, the element ltkey + scale*tail.
+# row int, the element ltkey + scale*tail; _RelationRows appends the
+# cache of the tail's x_o-multiples.
 
 
 class _DivisorIndex:
@@ -727,76 +749,52 @@ def _reduce(seeds, index: _DivisorIndex, p, full=True, monic=False):
     return tuple(out)
 
 
-class _Rows:
-    """Row ints of one engine run over two variables (module docstring).
+class _Fields:
+    """Packed F_p coefficients, one per field of a row int: the arithmetic
+    that both row layouts (_Rows, _RelationRows) share. Field f is bits
+    f*width up; which term it holds is the layout's business.
 
-    Slot (j, a), the term u^a l^b of component j, is field
-    a*rank + base[j] of width `width`, base[j] = (t_j - min t)*rank +
-    pi(j), pi ordering the components by (twist, -index). A row holds
-    the coefficients of one homogeneous vector of known module degree
-    D, and field order is term order at every D. key(D, f) gives the
-    term key of field f; reducible(D) masks the slots that some lead
-    added so far divides, all bits of each such field set, for D no
-    lower than any degree asked before: the engine reduces degree by
-    degree and adds each lead at the degree it reduced. normal(row)
-    is the bulk Barrett pass, exact on every field up to `bound`, and
-    `steps` reduction steps may run between two passes. A record is
-    (key, component, monomial, tail, scale): the monic element is the
-    lead plus scale times the row int tail, whose fields lie in [0, p),
-    so installing a remainder takes no second pass to make it monic.
+    normal(row) is the bulk Barrett pass, exact on every field up to
+    bound = (steps + 2)(p - 1)^2, top(row) reads the top nonzero field,
+    and pack_fields/row_fields convert (field, coefficient) pairs
+    through hex text, width being a multiple of 4.
 
     Why no field carries. Every operation keeps every field a
-    non-negative int. An S-pair adds two tails times multipliers in
-    [1, p - 1], at most 2(p - 1)^2 per field, and each reduction step
-    adds one tail times a multiplier in [1, p - 1], so with at most
-    `steps` = K steps between passes no field exceeds
-    bound = (K + 2)(p - 1)^2; an input row and a row after a pass hold
-    fields below p. Adding such rows adds field by field, and clearing
-    a field subtracts exactly its value. The pass takes
-    q = floor(v*M / 2^S) in every field at once, with 2^S >
-    bound*(p - 1) and M = ceil(2^S / p): writing v = q'p + rho, v*M/2^S
-    = q' + rho/p + v*e/(p*2^S) with e = M*p - 2^S < p, and rho/p +
-    v*e/(p*2^S) < (p - 1)/p + 1/p = 1, so q = q' = floor(v/p) (the
-    Granlund-Montgomery bound). width is chosen so that bound*M <
+    non-negative int, and a layout adds at most steps + 2 products of
+    two values in [0, p) to a field between two passes: an S-pair adds
+    two rows below p times multipliers in [1, p - 1], and each
+    reduction step one more. So no field exceeds bound. Adding rows adds
+    field by field, and clearing a field subtracts exactly its value.
+    The pass takes q = floor(v*M / 2^S) in every field at once, with
+    2^S > bound*(p - 1) and M = ceil(2^S / p): writing v = q'p + rho,
+    v*M/2^S = q' + rho/p + v*e/(p*2^S) with e = M*p - 2^S < p, and
+    rho/p + v*e/(p*2^S) < (p - 1)/p + 1/p = 1, so q = q' = floor(v/p)
+    (the Granlund-Montgomery bound). width is chosen so that bound*M <
     2^width: the product row*M is then the packed product of each field
-    with M, carrying nowhere; shifting it right by S and keeping the
-    low width - S bits of each field leaves exactly q, since the bits
-    of the field above land at width - S and higher; and subtracting
-    q*p <= v borrows nowhere. K is the largest step count that keeps
-    the bound inside the same width, which is rounded up to a multiple
-    of 4 so that rows pack and unpack through hex text.
+    with M, carrying nowhere; shifting it right by S and keeping the low
+    width - S bits of each field leaves exactly q, since the bits of the
+    field above land at width - S and higher; and subtracting q*p <= v
+    borrows nowhere. width is the least multiple of 4 that `least`
+    steps need, and steps the most that width holds.
     """
 
-    __slots__ = (
-        "p", "rank", "twists", "width", "field", "stride", "steps", "mul", "shift",
-        "order", "base", "kd", "ka", "kc", "deg", "mask",
-        "_qmask", "_qbits",
-    )
+    __slots__ = ("p", "width", "field", "steps", "bound", "shift", "mul", "_qmask", "_qbits")
 
-    def __init__(self, ctx: _Ctx):
-        p, r, twists = ctx.p, ctx.rank, ctx.twists
-        self.p, self.rank, self.twists = p, r, twists
-        self.order = order = sorted(range(r), key=lambda j: (twists[j], -j))
-        low = min(twists)
-        base = [0] * r
-        for pi, j in enumerate(order):
-            base[j] = (twists[j] - low) * r + pi
-        self.base = tuple(base)
-        # key(D, f) = D*kd + (f // r)*ka + kc[f % r]; mon 1 of component j is
-        # the slot a = 0, field base[j], at module degree t_j
-        key = ctx.term_key
-        l = 1 << EXP_BITS  # the last variable, top field of the packed monomial
-        self.kd = key(0, l) - key(0, 0)
-        self.ka = key(0, 1) - key(0, l)
-        self.kc = tuple(
-            key(j, 0) - twists[j] * self.kd - (twists[j] - low) * self.ka for j in order
-        )
-        self.width, self.steps, self.shift, self.mul = _row_width(p)
-        self.field = (1 << self.width) - 1
-        self.stride = r * self.width
+    def __init__(self, p: int, least: int = 8):
+        width, steps = 0, least
+        while True:
+            bound = (steps + 2) * (p - 1) ** 2
+            shift = (bound * (p - 1)).bit_length()
+            mul = -(-(1 << shift) // p)
+            need = (bound * mul).bit_length()
+            if width and need > width:
+                break
+            width = width or -(-need // 4) * 4
+            best = (steps, bound, shift, mul)
+            steps += 1
+        self.p, self.width, self.field = p, width, (1 << width) - 1
+        self.steps, self.bound, self.shift, self.mul = best
         self._qmask = self._qbits = 0
-        self.deg = None  # the module degree that mask is for
-        self.mask = 0
 
     def normal(self, row: int) -> int:
         """The row with every field reduced into [0, p): one bulk pass."""
@@ -807,19 +805,108 @@ class _Rows:
             self._qmask = ((1 << n * w) - 1) // self.field * ((1 << (w - self.shift)) - 1)
         return row - (((row * self.mul) >> self.shift) & self._qmask) * self.p
 
+    def top(self, row: int) -> tuple:
+        """(field, value) of the top nonzero field of a nonzero row."""
+        f = (row.bit_length() - 1) // self.width
+        return f, row >> f * self.width
+
+    def pack_fields(self, fields: Iterable[tuple]) -> int:
+        """The row of (field, coefficient in [0, p)) pairs, fields descending."""
+        h = self.width // 4
+        digits = f"0{h}x"
+        parts = []
+        above = None
+        for f, c in fields:
+            if above is not None:
+                parts.append("0" * (h * (above - f - 1)))
+            parts.append(format(c, digits))
+            above = f
+        if above is None:
+            return 0
+        parts.append("0" * (h * above))
+        return int("".join(parts), 16)
+
+    def row_fields(self, row: int) -> list:
+        """The (field, value) pairs of a row's nonzero fields, descending.
+        The hex text is read in blocks of 32 fields: a block of zeros is
+        skipped by one compare, and the others are walked from their top
+        nonzero field, so the zero fields of a sparse row cost no Python
+        step."""
+        w = self.width
+        h = w // 4
+        text = format(row, "x")
+        size = -(-len(text) // h) * h
+        text = text.rjust(size, "0")
+        run = 32 * h
+        zeros = "0" * run
+        out = []
+        for start in range(0, size, run):
+            if text.startswith(zeros, start):
+                continue
+            end = min(start + run, size)
+            block, low = int(text[start:end], 16), (size - end) // h
+            while block:
+                f = (block.bit_length() - 1) // w
+                c = block >> f * w
+                block -= c << f * w
+                out.append((low + f, c))
+        return out
+
+
+class _Rows(_Fields):
+    """Row ints of one engine run over two variables (module docstring).
+
+    Slot (j, a), the term u^a l^b of component j, is field
+    a*rank + base[j], base[j] = (t_j - min t)*rank + pi(j), pi ordering
+    the components by (twist, -index). A row holds the coefficients of
+    one homogeneous vector of known module degree D, and field order is
+    term order at every D. key(D, f) = D*kd + (f // rank)*ka +
+    kc[f % rank] is the term key of field f. reducible(D) masks the
+    slots that some lead added so far divides, all bits of each such
+    field set, for D no lower than any degree asked before: the engine
+    reduces degree by degree and adds each lead at the degree it
+    reduced. A record is (key, component, monomial, tail, scale): the
+    monic element is the lead plus scale times the row int tail, whose
+    fields lie in [0, p), so installing a remainder takes no second
+    pass to make it monic. Multiplying by u^alpha l^beta moves a row up
+    alpha*rank fields, so seed and _reduce_rows only shift tails.
+    """
+
+    __slots__ = ("rank", "twists", "stride", "order", "base", "kd", "ka", "kc", "deg", "mask")
+
+    def __init__(self, ctx: _Ctx):
+        super().__init__(ctx.p)
+        r, twists = ctx.rank, ctx.twists
+        self.rank, self.twists = r, twists
+        self.order = order = sorted(range(r), key=lambda j: (twists[j], -j))
+        low = min(twists)
+        base = [0] * r
+        for pi, j in enumerate(order):
+            base[j] = (twists[j] - low) * r + pi
+        self.base = tuple(base)
+        # mon 1 of component j is the slot a = 0, field base[j], at module degree t_j
+        key = ctx.term_key
+        l = 1 << EXP_BITS  # the last variable, top field of the packed monomial
+        self.kd = key(0, l) - key(0, 0)
+        self.ka = key(0, 1) - key(0, l)
+        self.kc = tuple(
+            key(j, 0) - twists[j] * self.kd - (twists[j] - low) * self.ka for j in order
+        )
+        self.stride = r * self.width
+        self.deg = None  # the module degree that mask is for
+        self.mask = 0
+
     def record(self, row: int, deg: int) -> tuple:
         """The record of a nonzero remainder of module degree deg: its
         top field is the lead, c times the lead's term, and the record
         keeps the tail with scale 1/c mod p."""
-        w, r = self.width, self.rank
-        f = (row.bit_length() - 1) // w
-        c = row >> f * w
-        g, pi = divmod(f, r)
+        f, c = self.top(row)
+        g, pi = divmod(f, self.rank)
         cp = self.order[pi]
-        a = g - (self.base[cp] - pi) // r  # the slot's exponent of u
+        a = g - (self.base[cp] - pi) // self.rank  # the slot's exponent of u
         mon = ((deg - self.twists[cp] - a) << EXP_BITS) | a
         key = deg * self.kd + g * self.ka + self.kc[pi]
-        return (key, cp, mon, row - (c << f * w), pow(c, -1, self.p))
+        return (key, cp, mon, row - (c << f * self.width), pow(c, -1, self.p))
 
     def add_lead(self, rec: tuple) -> None:
         """Register the lead of a record installed at the current degree
@@ -844,59 +931,241 @@ class _Rows:
         self.deg = deg
         return self.mask
 
+    def seed(self, rec: tuple, tau: int, mult: int) -> tuple:
+        """rec's tail times tau over its lead, as a _reduce_rows seed."""
+        return rec[3], mult, ((tau & _FMAX) - (rec[2] & _FMAX)) * self.stride
+
     def pack(self, terms: tuple) -> int:
         """The row of terms (key, coefficient in [0, p)) from _Ctx, keys
         descending, so their fields descend too."""
         r, base = self.rank, self.base
-        h = self.width // 4
-        digits = f"0{h}x"
-        parts = []
-        above = None
-        for k, c in terms:
-            # the key's low field is _FMAX - a
-            f = (_FMAX - ((k >> COMP_BITS) & _FMAX)) * r + base[_CMAX - (k & _CMAX)]
-            if above is not None:
-                parts.append("0" * (h * (above - f - 1)))
-            parts.append(format(c, digits))
-            above = f
-        parts.append("0" * (h * above))
-        return int("".join(parts), 16)
+        # the key's low field is _FMAX - a
+        return self.pack_fields(
+            ((_FMAX - ((k >> COMP_BITS) & _FMAX)) * r + base[_CMAX - (k & _CMAX)], c)
+            for k, c in terms
+        )
 
     def unpack(self, rec: tuple) -> tuple:
         """The monic record of a row-mode record, its tail as terms."""
         k, cp, m, tail, scale = rec
-        p, r, ka, kc, h = self.p, self.rank, self.ka, self.kc, self.width // 4
+        p, r, ka, kc = self.p, self.rank, self.ka, self.kc
         kd = ((m >> EXP_BITS) + (m & _FMAX) + self.twists[cp]) * self.kd
-        text = format(tail, "x")
-        n = -(-len(text) // h)
-        text = text.rjust(n * h, "0")
         out = []
-        for i in range(n):
-            c = int(text[i * h : i * h + h], 16)
-            if c:
-                g, pi = divmod(n - 1 - i, r)
-                out.append((kd + g * ka + kc[pi], c * scale % p))
+        for f, c in self.row_fields(tail):
+            g, pi = divmod(f, r)
+            out.append((kd + g * ka + kc[pi], c * scale % p))
         return (k, cp, m, tuple(out))
 
 
-def _row_width(p: int) -> tuple:
-    """(width, steps, shift, mul) for _Rows over F_p: the width that 8
-    steps between passes need, rounded up to a multiple of 4, then the
-    most steps that width holds (the _Rows argument)."""
-    best, width, steps = None, 0, 8
-    while True:
-        bound = (steps + 2) * (p - 1) ** 2
-        shift = (bound * (p - 1)).bit_length()
-        mul = -(-(1 << shift) // p)
-        need = (bound * mul).bit_length()
-        if width and need > width:
-            return best
-        width = width or -(-need // 4) * 4
-        best = (width, steps, shift, mul)
-        steps += 1
+class _RelationRows(_Fields):
+    """Row ints of one rank-1 engine run in three variables whose ring
+    has one relation f with a pure-power lead x_o^d (module docstring).
+
+    Write a monomial x_o^i m^b l^c, x_o the outer field and l `last`.
+    Every record but f's is an R-normal form: no term has i >= d, since
+    each is reduced by f as it arises. The term x_o^i m^b l^c, i < d, of
+    a row of known degree D = i + b + c is field d(i + b) + i, so field
+    order is term order at every D. Multiplying by l leaves the fields
+    in place and multiplying by m moves them up d. Multiplying by x_o
+    (times_x) moves the slices i < d - 1 up d + 1 and replaces the
+    slice i = d - 1 by f's substitution: x_o^d m^b l^c = -(f - x_o^d)
+    m^b l^c, so f's tail term phi x_o^k m^beta l^gamma takes that
+    slice's field d(d - 1 + b) + d - 1 to d(k + b + beta) + k,
+    (d + 1)(k - d + 1) + d*beta fields up (a negative count moves it
+    down; the target field is never below 0). Such a product is reduced
+    mod p before it is used: a target field gets its shifted field and
+    f's d - k + 1 or fewer terms with x_o^k, each times a field below p,
+    so at most (d + 2)(p - 1)^2, inside the pass's bound when steps >= d
+    (_Fields), and the layout asks for that many.
+
+    A record is (key, component 0, monomial, tail, scale, multiples),
+    the monic element the lead plus scale times the tail row, and
+    multiples the cache of multiple(), x_o^alpha times the tail reduced
+    mod f, which seed and _reduce_rows ask for. power is f's record:
+    its lead x_o^d has no field, and it is installed before any other
+    input (serving admits no input of degree below d), so the heap
+    reducer would reduce every term at or past x_o^d by it too.
+    reducible(D) masks the fields that a lead divides: from D to D + 1
+    they climb as m | m << d | (m & slices below d - 1) << d + 1
+    fields, the three variables' moves, and add_lead sets each new
+    lead's field. No lead but f's reaches i = d.
+    """
+
+    __slots__ = (
+        "d", "twist", "kd", "ka", "kc", "dw", "power", "subst", "_power_index",
+        "deg", "mask", "_lower", "_top", "_sbits",
+    )
+
+    @classmethod
+    def serving(cls, ctx: _Ctx, gens: list, relations: list):
+        """The layout of an engine run on gens and relations (term tuples
+        from ctx), or None where it does not serve: it needs three
+        variables, rank 1, one relation whose lead is a pure power x_o^d
+        in the basis's layout, and no input of degree below d."""
+        if ctx.ring.nvars != 3 or ctx.rank != 1 or len(relations) != 1:
+            return None
+        d = ctx.split(relations[0][0][0])[1]  # the lead's monomial
+        if not 0 < d <= _FMAX:  # no pure power of x_o
+            return None
+        degree = ctx.pm.degree
+        if any(terms and degree(ctx.split(terms[0][0])[1]) < d for terms in gens):
+            return None
+        return cls(ctx, relations[0])
+
+    def __init__(self, ctx: _Ctx, relation: tuple):
+        (lead, c), tail = relation[0], relation[1:]
+        d = ctx.split(lead)[1]
+        super().__init__(ctx.p, max(8, d))
+        p, w = self.p, self.width
+        self.d, self.twist, self.dw = d, ctx.twists[0], d * w
+        # key(D, f) = D*kd + (f // d)*ka + kc[f % d] at module degree D, as
+        # over _Rows: field d*j + i is x_o^i m^(j - i) l^(D - t - j)
+        key, M, L = ctx.term_key, 1 << EXP_BITS, 1 << 2 * EXP_BITS
+        self.kd = key(0, L) - key(0, 0)
+        self.ka = key(0, M) - key(0, L)
+        ki = key(0, 1) - key(0, M)
+        self.kc = tuple(key(0, 0) - self.twist * self.kd + i * ki for i in range(d))
+        scale = pow(c, -1, p)
+        self.power = (lead, 0, d, self.pack_fields((self._field(k), c) for k, c in tail), scale, {})
+        subst = []
+        for k, c in tail:
+            i = _FMAX - ((k >> COMP_BITS) & _FMAX)
+            beta = _FMAX - ((k >> COMP_BITS + EXP_BITS) & _FMAX)
+            subst.append((((d + 1) * (i - d + 1) + d * beta) * w, -c * scale % p))
+        self.subst = tuple(subst)
+        monic = tuple((k, c * scale % p) for k, c in tail)
+        self._power_index = _DivisorIndex(ctx, [(lead, 0, d, monic)])
+        self.deg = None  # the module degree that mask is for
+        self.mask = 0
+        self._lower = self._top = self._sbits = 0
+
+    def _field(self, k: int) -> int:
+        """The field of the term of key k (i < d): the key's low fields
+        hold _FMAX minus each exponent."""
+        i = _FMAX - ((k >> COMP_BITS) & _FMAX)
+        b = _FMAX - ((k >> COMP_BITS + EXP_BITS) & _FMAX)
+        return self.d * (i + b) + i
+
+    def _slices(self, nbits: int) -> tuple:
+        """(lower, top): all bits of the fields with i < d - 1 and of the
+        fields with i = d - 1, over at least nbits bits."""
+        if nbits > self._sbits:
+            dw = self.dw
+            n = 2 * -(-nbits // dw)
+            ones = ((1 << n * dw) - 1) // ((1 << dw) - 1)  # bit 0 of each run of d fields
+            self._top = ones * (self.field << (self.d - 1) * self.width)
+            self._lower = (ones << dw) - ones - self._top
+            self._sbits = n * dw
+        return self._lower, self._top
+
+    def times_x(self, row: int) -> int:
+        """x_o times an R-normal row, in R-normal form, every field in [0, p)."""
+        top = row & self._slices(row.bit_length())[1]
+        out = (row - top) << self.dw + self.width
+        for sh, c in self.subst:
+            out += c * top << sh if sh >= 0 else c * top >> -sh
+        return self.normal(out)
+
+    def multiple(self, rec: tuple, alpha: int) -> int:
+        """x_o^alpha times rec's tail, reduced mod f.
+
+        rec's cache maps alpha to the multiple from the second time it is
+        asked for, and to None after the first: most are asked for once
+        (631 of the 689 of the Fermat hk basis at q = 2401), and a kept
+        row is as long as its degree. The product starts from the
+        highest multiple kept below alpha."""
+        if not alpha:
+            return rec[3]
+        cache = rec[5]
+        row = cache.get(alpha)
+        if row is not None:
+            return row
+        start, row = 0, rec[3]
+        for a in range(alpha - 1, 0, -1):
+            if cache.get(a) is not None:
+                start, row = a, cache[a]
+                break
+        for _ in range(alpha - start):
+            row = self.times_x(row)
+        cache[alpha] = row if alpha in cache else None
+        return row
+
+    def record(self, row: int, deg: int) -> tuple:
+        """The record of a nonzero remainder of module degree deg, as
+        _Rows.record makes it."""
+        f, c = self.top(row)
+        j, i = divmod(f, self.d)
+        mon = i | (j - i) << EXP_BITS | (deg - self.twist - j) << 2 * EXP_BITS
+        key = deg * self.kd + j * self.ka + self.kc[i]
+        return (key, 0, mon, row - (c << f * self.width), pow(c, -1, self.p), {})
+
+    def add_lead(self, rec: tuple) -> None:
+        """Register the lead of a record installed at the current degree:
+        its own field."""
+        m = rec[2]
+        i = m & _FMAX
+        self.mask |= self.field << (self.d * (i + ((m >> EXP_BITS) & _FMAX)) + i) * self.width
+
+    def reducible(self, deg: int) -> int:
+        """The fields at module degree deg that a lead divides, as
+        _Rows.reducible gives them.
+
+        k degrees up, the mask m is the union over alpha <= min(k, d - 1)
+        of x_o^alpha m (the slices below d - alpha moved up alpha(d + 1)
+        fields, one slice at a time) times every m^beta with beta <=
+        k - alpha (l moves nothing): one step is m | m << d |
+        (m & slices below d - 1) << d + 1 fields, and the shifts by beta
+        are taken by doubling, so a long climb costs a few big-int
+        operations per alpha."""
+        if self.deg is not None and deg > self.deg:
+            k, m, dw, w = deg - self.deg, self.mask, self.dw, self.width
+            lower = self._slices(m.bit_length() + k * (dw + w))[0]
+            climbed = 0
+            for alpha in range(min(k, self.d - 1) + 1):
+                if alpha:
+                    m = (m & lower) << dw + w
+                part, done = m, 0  # part holds m^beta times m for beta <= done
+                while done < k - alpha:
+                    step = min(done + 1, k - alpha - done)
+                    part |= part << step * dw
+                    done += step
+                climbed |= part
+            self.mask = climbed
+        self.deg = deg
+        return self.mask
+
+    def seed(self, rec: tuple, tau: int, mult: int) -> tuple:
+        """rec's tail times tau over its lead, reduced mod f, as a
+        _reduce_rows seed: x_o^alpha from the cache, then m^beta a shift.
+        A pair with f has tau's x_o^d, so f's alpha is 0 and the other
+        record's is d - i, its lead in slice i."""
+        m = rec[2]
+        alpha = (tau & _FMAX) - (m & _FMAX)
+        beta = ((tau >> EXP_BITS) & _FMAX) - ((m >> EXP_BITS) & _FMAX)
+        return self.multiple(rec, alpha), mult, beta * self.dw
+
+    def pack(self, terms: tuple) -> int:
+        """The row of an input's terms (key, coefficient in [0, p)) from
+        _Ctx, keys descending, in R-normal form: an input with a term at
+        or past x_o^d is first reduced by f alone."""
+        d = self.d
+        if any(_FMAX - ((k >> COMP_BITS) & _FMAX) >= d for k, _ in terms):
+            terms = _reduce([(terms, 1, 0)], self._power_index, self.p)
+        return self.pack_fields((self._field(k), c) for k, c in terms)
+
+    def unpack(self, rec: tuple) -> tuple:
+        """The monic record of a row-mode record, its tail as terms."""
+        k, cp, m, tail, scale = rec[:5]
+        p, d, ka, kc = self.p, self.d, self.ka, self.kc
+        kd = ((m & _FMAX) + ((m >> EXP_BITS) & _FMAX) + (m >> 2 * EXP_BITS) + self.twist) * self.kd
+        out = []
+        for f, c in self.row_fields(tail):
+            j, i = divmod(f, d)
+            out.append((kd + j * ka + kc[i], c * scale % p))
+        return (k, cp, m, tuple(out))
 
 
-def _reduce_rows(seeds, index: _DivisorIndex, rows: _Rows, deg: int) -> int:
+def _reduce_rows(seeds, index: _DivisorIndex, rows: _Fields, deg: int) -> int:
     """_reduce on row ints: the remainder of a seeded combination of
     module degree deg, every field in [0, p) (0 when it is zero).
 
@@ -906,7 +1175,12 @@ def _reduce_rows(seeds, index: _DivisorIndex, rows: _Rows, deg: int) -> int:
     reduces it by the record index.divisor returns for its key, the one
     _reduce would use, and adds a multiple of that record's tail moved
     up to it: one big-int add. The remainder, its lead and the records
-    installed are therefore _reduce's.
+    installed are therefore _reduce's. Both layouts give field f the
+    key deg*kd + (f // r)*ka + kc[f % r], r the rank over _Rows and d
+    over _RelationRows. Over _Rows the tail moves by one shift; over
+    _RelationRows the term is x_o^i m^b, the record's x_o^alpha
+    multiple comes from rows.multiple, and m^beta is a shift of beta*d
+    fields.
     """
     row = 0
     for tail, mult, shift in seeds:
@@ -914,8 +1188,12 @@ def _reduce_rows(seeds, index: _DivisorIndex, rows: _Rows, deg: int) -> int:
     red = rows.reducible(deg)
     x = row & red
     if x:
-        p, r, w, base = rows.p, rows.rank, rows.width, rows.base
-        divisor, kd, ka, kc = index.divisor, deg * rows.kd, rows.ka, rows.kc
+        p, w, divisor = rows.p, rows.width, index.divisor
+        kd, ka, kc = deg * rows.kd, rows.ka, rows.kc
+        if isinstance(rows, _RelationRows):
+            r, multiple, dw = rows.d, rows.multiple, rows.dw
+        else:
+            r, multiple, base = rows.rank, None, rows.base
         left = rows.steps
         while x:
             f = (x.bit_length() - 1) // w
@@ -926,8 +1204,13 @@ def _reduce_rows(seeds, index: _DivisorIndex, rows: _Rows, deg: int) -> int:
             if c:
                 g, pi = divmod(f, r)
                 rec = divisor(kd + g * ka + kc[pi])
-                lead = (rec[2] & _FMAX) * r + base[rec[1]]
-                row += ((p - c) * rec[4] % p * rec[3]) << (sh - lead * w)
+                m = rec[2]
+                if multiple is None:
+                    tail, up = rec[3], sh - ((m & _FMAX) * r + base[rec[1]]) * w
+                else:
+                    tail = multiple(rec, pi - (m & _FMAX))
+                    up = (g - pi - ((m >> EXP_BITS) & _FMAX)) * dw
+                row += ((p - c) * rec[4] % p * tail) << up
                 left -= 1
                 if not left:
                     row = rows.normal(row)
@@ -1016,9 +1299,17 @@ def _update_pairs(
         del P[ij]
 
 
-def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
+def _engine(
+    vec_terms: list, ctx: _Ctx, budget: GbBudget | None, relations: list | tuple = ()
+) -> tuple:
     """Run Buchberger to completion; return a minimal basis, ascending,
-    and the _Rows its tails are packed in (None for term tuples).
+    and the row layout its tails are packed in (None for term tuples).
+
+    vec_terms are the generators' terms and relations the relation
+    columns', which follow them as inputs. The run reduces in _Rows
+    over two variables with no eliminated block, in _RelationRows where
+    that layout serves (its relation is then installed before any
+    input), and in the heap reducer elsewhere.
 
     One heap orders the work by module degree: each nonzero input is
     (degree, -1, k), k its place in vec_terms, so it is reduced at its
@@ -1042,7 +1333,11 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
     G = index.records
     P: dict = {}
     heap: list = []
-    rows = _Rows(ctx) if ctx.rows else None
+    rows = _Rows(ctx) if ctx.rows else _RelationRows.serving(ctx, vec_terms, relations)
+    if isinstance(rows, _RelationRows):
+        index.add(rows.power)
+    else:
+        vec_terms = [*vec_terms, *relations]
     for k, terms in enumerate(vec_terms):
         if terms:
             cp, mon = ctx.split(terms[0][0])
@@ -1076,12 +1371,7 @@ def _engine(vec_terms: list, ctx: _Ctx, budget: GbBudget | None) -> tuple:
             pairs_done += 1
             gi, gj = G[i], G[j]
             if rows:
-                # multiplying by u^alpha l^beta moves a row up alpha*rank fields
-                a, s = tau & _FMAX, rows.stride
-                seeds = [
-                    (gi[3], gi[4], (a - (gi[2] & _FMAX)) * s),
-                    (gj[3], p - gj[4], (a - (gj[2] & _FMAX)) * s),
-                ]
+                seeds = [rows.seed(gi, tau, gi[4]), rows.seed(gj, tau, p - gj[4])]
             else:
                 ktau = ctx.term_key(gi[1], tau)
                 seeds = [(gi[3], 1, ktau - gi[0]), (gj[3], p - 1, ktau - gj[0])]
@@ -1143,7 +1433,7 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "rank", "twists", "_vectors", "_records", "_divisors", "_ctx", "_rows")
 
-    def __init__(self, ctx: _Ctx, records: list, rows: _Rows | None = None):
+    def __init__(self, ctx: _Ctx, records: list, rows: _Fields | None = None):
         self.ring = ctx.ring
         self.rank = ctx.rank
         self.twists = ctx.twists
@@ -1281,7 +1571,9 @@ class Submodule:
         last = self.ring.nvars - 1 if last is None else as_int(last, "the last variable")
         gb = self._gb.get(last)
         if gb is None:
-            gb = _basis(self.ring, self.twists, self.spanning(), budget, last)
+            gb = _basis(
+                self.ring, self.twists, self.gens, budget, last, relations=self.relation_columns()
+            )
             self._gb[last] = gb
         return gb
 
@@ -1327,12 +1619,18 @@ def _basis(
     budget: GbBudget | None,
     last: int | None = None,
     eliminate: int = 0,
+    relations: Iterable = (),
 ) -> GroebnerBasis:
-    """Basis of the span of vectors in F = sum_j R(-twists[j]), in "top"
-    grevlex with variable `last` compared last and the first `eliminate`
-    components as a block above the rest."""
+    """Basis of the span of vectors and the relation columns in
+    F = sum_j R(-twists[j]), in "top" grevlex with variable `last`
+    compared last and the first `eliminate` components as a block above
+    the rest."""
     ctx = _Ctx(ring, twists, last, eliminate)
-    return GroebnerBasis(ctx, *_engine([ctx.vec_to_terms(v) for v in vectors], ctx, budget))
+    to_terms = ctx.vec_to_terms
+    return GroebnerBasis(
+        ctx,
+        *_engine([to_terms(v) for v in vectors], ctx, budget, [to_terms(v) for v in relations]),
+    )
 
 
 def _preimage(

@@ -342,21 +342,18 @@ class SaturationCertificate(Record):
     """Proof that sat(U) is the intersection of the U : l^inf over the
     variables l in `variables`, in the order tried; torsion is
     HS(sat(U)/U), of pole order 0, as the difference of the two series
-    over (1-t)^nvars with no factor cancelled. Its leading() multiplicity
-    is the length.
+    over (1-t)^nvars with no factor cancelled, and length, the length of
+    sat(U)/U, is its leading() multiplicity, read once where the pole
+    order was.
     """
 
     variables: tuple
     torsion: HilbertSeries
+    length: int
 
     def __post_init__(self):
         if self.length < 0:
             raise GhkError("internal error: negative saturation length")
-
-    @property
-    def length(self) -> int:
-        """Length of sat(U)/U."""
-        return self.torsion.leading()[1]
 
 
 def certify_saturation(U: Submodule, budget: GbBudget | None = None) -> SaturationCertificate:
@@ -405,8 +402,9 @@ def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
             hs = _lead_series(leads, U.twists, nvars)
         cut[i] = _lead_series(((j, m[:i] + (0,) + m[i + 1 :]) for j, m in leads), U.twists, nvars)
         torsion = hs.sub(cut[i])
-        if torsion.pole_order() == 0:
-            return SaturationCertificate((i,), torsion), None
+        dim, length = torsion.leading()
+        if dim == 0:
+            return SaturationCertificate((i,), torsion, length), None
     # W is the meet so far, met its series HS(F/W)
     W, met = _divide_out(U, order[0], budget), cut[order[0]]
     for k, i in enumerate(order[1:], 2):
@@ -414,8 +412,9 @@ def _certified_meet(U: Submodule, budget: GbBudget | None) -> tuple:
         both = Submodule(U.ring, U.rank, W.gens + D.gens, twists=U.twists, relations=U.relations)
         met = met.sub(hilbert_series(both, budget).sub(cut[i]))
         torsion = hs.sub(met)
-        if torsion.pole_order() == 0:
-            return SaturationCertificate(order[:k], torsion), W
+        dim, length = torsion.leading()
+        if dim == 0:
+            return SaturationCertificate(order[:k], torsion, length), W
         W = intersect(W, D, budget)
     raise GhkError("internal error: the variable saturations meet in more than sat(U)")
 

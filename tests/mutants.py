@@ -49,14 +49,14 @@ MUTANTS = [
         "bits[a] |= bits[a] | (bits[a - 1] if a else 0)",
         (
             "tests/test_groebner.py::test_masked_hk_basis_asks_the_index_only_for_reducible_terms",
-            "tests/test_groebner.py::test_pair_update_reduces_no_more_s_pairs[hk-353-178]",
+            "tests/test_groebner.py::test_masks_in_an_elimination_run",
         ),
     ),
     Mutant(
         "a single variable certifies without the pole-order check",
         "src/ghk/idealops.py",
-        "        torsion = hs.sub(cut[i])\n        if torsion.pole_order() == 0:\n",
-        "        torsion = hs.sub(cut[i])\n        if True:\n",
+        "        torsion = hs.sub(cut[i])\n        dim, length = torsion.leading()\n        if dim == 0:\n",
+        "        torsion = hs.sub(cut[i])\n        dim, length = torsion.leading()\n        if True:\n",
         (
             "tests/test_frobmod.py::test_uncertified_saturations_never_take_a_colon",
             "tests/test_idealops.py::test_certified_saturation_intersects_on_coordinate_triangle",
@@ -153,6 +153,43 @@ MUTANTS = [
         "            if nf.is_zero():\n                self._zero.append(u)\n",
         "",
         ("tests/test_frobmod.py::test_a_fibre_power_that_is_zero_in_r_is_not_walked",),
+    ),
+    Mutant(
+        "the relation's rows multiply by x_o without substituting the top slice",
+        "src/ghk/groebner.py",
+        "        for sh, c in self.subst:\n",
+        "        for sh, c in ():\n",
+        (
+            "tests/test_groebner.py::test_times_x_reduces_its_widest_product_exactly[19-3]",
+            "tests/test_groebner.py::test_relation_rows_build_the_fermat_hk_basis",
+        ),
+    ),
+    Mutant(
+        "the relation's reducibility mask climbs without the x_o shift",
+        "src/ghk/groebner.py",
+        "for alpha in range(min(k, self.d - 1) + 1):",
+        "for alpha in range(1):",
+        (
+            "tests/test_groebner.py::test_relation_rows_build_the_fermat_hk_basis",
+            "tests/test_groebner.py::test_relation_rows_on_dense_relations[11-11-x^3 + 2*y^3 + 3*z^3 + x*y*z + 5*x^2*y]",
+        ),
+    ),
+    Mutant(
+        "a pair with the relation seeds x_o^(d - i - 1) times the other record, not x_o^(d - i)",
+        "src/ghk/groebner.py",
+        "alpha = (tau & _FMAX) - (m & _FMAX)",
+        "alpha = min(tau & _FMAX, self.d - 1) - min(m & _FMAX, self.d - 1)",
+        (
+            "tests/test_groebner.py::test_relation_rows_build_the_fermat_hk_basis",
+            "tests/test_groebner.py::test_relation_rows_on_dense_relations[7-7-3*x^2 + y*z + 2*y^2 + x*z]",
+        ),
+    ),
+    Mutant(
+        "the heap reducer hands out the latest record, not the pure power's, at or past x_o^X",
+        "src/ghk/groebner.py",
+        "red = entry[3]  # at or past x_o^X, which divides the term",
+        "red = index.records[-1]",
+        ("tests/test_groebner.py::test_gb_elements_in_span_and_conversely[5-3]",),
     ),
 ]
 

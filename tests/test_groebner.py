@@ -1,5 +1,6 @@
 """Groebner engine tests: hand-checked bases, oracle cross-checks, budgets."""
 
+import itertools
 import pickle
 import random
 
@@ -534,6 +535,173 @@ def test_row_pass_is_exact_up_to_its_bound(p):
         assert out >> (len(fields) * rows.width) == 0
 
 
+@pytest.mark.parametrize("least", [8, 12])
+@pytest.mark.parametrize("p", [2, 3, 19, (1 << 61) - 1])
+def test_packed_pass_is_exact_at_its_bound(p, least):
+    # fields at the bound, one below it, at p - 1 and at 0, next to each
+    # other in every order: each comes out as its value mod p, nothing
+    # carried into the field above it or past the top one
+    fields = groebner._Fields(p, least)
+    assert fields.steps >= least
+    assert fields.bound == (fields.steps + 2) * (p - 1) ** 2
+    for order in itertools.permutations([fields.bound, fields.bound - 1, p - 1, 0]):
+        values = list(order) * 10
+        row = sum(v << i * fields.width for i, v in enumerate(values))
+        out = fields.normal(row)
+        expect = [(i, v % p) for i, v in enumerate(values) if v % p]
+        assert fields.row_fields(out) == expect[::-1]
+        assert out >> len(values) * fields.width == 0
+
+
+def _relation_rows(ring, f):
+    ctx = groebner._Ctx(ring, (0,))
+    return ctx, groebner._RelationRows(ctx, ctx.vec_to_terms(ModVector((f,))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 19, (1 << 61) - 1])
+def test_times_x_reduces_its_widest_product_exactly(p, d):
+    # f = x^d plus every other monomial of degree d, so x^d = -(the
+    # rest) adds p - 1 times the top slice for each of them, and g has
+    # p - 1 in every field: each field of x*g gets the most it can,
+    # (d + 2)(p - 1)^2 at worst, before the pass
+    ring = PolyRing(p, ["x", "y", "z"])
+    mons = monomials_of_degree(3, d)
+    f = ring.from_pairs([(m, 1) for m in mons])
+    g = ring.from_pairs([(m, p - 1) for m in monomials_of_degree(3, d + 2) if m[0] < d])
+    ctx, rows = _relation_rows(ring, f)
+    assert rows.steps >= d and (d + 2) * (p - 1) ** 2 <= rows.bound
+    x = ring.gens()[0]
+    nf = Submodule.ideal(ring, [f]).groebner().normal_form(x * g)
+    assert not nf.is_zero()
+    row = rows.pack(ctx.vec_to_terms(ModVector((g,))))
+    assert rows.times_x(row) == rows.pack(ctx.vec_to_terms(nf))
+
+
+def _relation_rows_against_heap(ring, gens, f, last=None, twist=0):
+    """The basis of gens over the relation f, which _RelationRows must
+    build, checked against the heap's basis of f and gens with no
+    relation: S-pair reductions, zero remainders, leads, records as
+    installed and the reduced basis. f goes first, as _RelationRows
+    installs it, so that the two runs meet the same inputs in the same
+    order."""
+    U = Submodule(ring, 1, gens, twists=(twist,), relations=[f])
+    ref = Submodule(ring, 1, [f, *gens], twists=(twist,))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_reductions(patch, [])
+        gb = U.groebner(last=last)
+        assert isinstance(gb._rows, groebner._RelationRows)
+        pairs = [zero for n, zero in calls if n == 2]
+        calls.clear()
+        heap = ref.groebner(last=last)
+        assert heap._rows is None
+        assert [zero for n, zero in calls if n == 2] == pairs
+    assert gb.lead_terms() == heap.lead_terms()
+    assert gb._index.records == heap._index.records
+    assert gb.vectors == heap.vectors
+    return gb, heap, pairs
+
+
+def test_relation_rows_build_the_fermat_hk_basis():
+    # I^[361] + (x^3 + y^3 + z^3) over F_19, hk_value's basis at q = 361
+    R = RingSpec(19, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    B = bracket_power(R.ideal(["x", "y", "z"]), 361)
+    gb, _, pairs = _relation_rows_against_heap(R.ring, B.gens, R.relations[0])
+    assert len(gb) == 178
+    assert (len(pairs), sum(pairs)) == (352, 178)
+    # the row mask leaves the index the heap's 517 queries, each finding
+    # a divisor: no term reaches x^3, which the heap reduces without one
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counted_queries(patch, [0, 0])
+        B.groebner()
+    assert counts == [517, 0]
+
+
+@pytest.mark.parametrize(
+    "p, q, relation",
+    [
+        (11, 11, "x^3 + 2*y^3 + 3*z^3 + x*y*z + 5*x^2*y"),
+        (7, 7, "3*x^2 + y*z + 2*y^2 + x*z"),
+        (3, 9, "x^4 + x*y^3 + 2*y^2*z^2 + z^4 + x^2*y*z"),
+        (2, 8, "x^5 + x^2*y^2*z + y^4*z + x*z^4 + y*z^4 + x^3*y^2"),
+    ],
+)
+def test_relation_rows_on_dense_relations(p, q, relation):
+    # x^q, y^q and z^q as they are: x^q is no R-normal form, so it is
+    # reduced by f before it is packed
+    ring = PolyRing(p, ["x", "y", "z"])
+    gens = [ring.parse(f"{v}^{q}") for v in ("x", "y", "z")]
+    gb, heap, pairs = _relation_rows_against_heap(ring, gens, ring.parse(relation))
+    assert len(pairs) > 10
+    probes = [ring.parse(f"x^{q + 1} + y^{q}*z"), ring.parse(f"x^{q - 1}*y*z")]
+    for v in probes:
+        assert gb.normal_form(v) == heap.normal_form(v)
+        assert gb.contains(v) == heap.contains(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    last=st.integers(0, 2),
+    twist=st.integers(-1, 2),
+)
+def test_relation_rows_build_the_heap_basis(data, p, last, twist):
+    # a random f of degree d whose outer variable's power x_o^d (x unless
+    # `last` is x, so f(1, 0, 0) != 0 for last = y, z) has a nonzero
+    # coefficient, and generators of degree d or more, some with a term
+    # at or past x_o^d, so not in R-normal form; the module's twist moves
+    # every degree
+    ring = PolyRing(p, ["x", "y", "z"])
+    o = min({0, 1} - {last})
+    d = data.draw(st.integers(2, 5))
+    mons = monomials_of_degree(3, d)
+    coeffs = st.integers(1, p - 1)
+    power = tuple(d if i == o else 0 for i in range(3))
+    f = ring.from_pairs(
+        [(power, data.draw(coeffs))]
+        + data.draw(st.lists(st.tuples(st.sampled_from(mons), coeffs), max_size=8))
+    )
+    if power not in dict(f.terms()):
+        f = f + ring.monomial(power)  # the drawn terms cancelled it
+    gens = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        deg = data.draw(st.integers(d, d + 3))
+        g = data.draw(homogeneous_polys(ring, deg))
+        if data.draw(st.booleans()):
+            g = g + ring.monomial(tuple(deg if i == o else 0 for i in range(3)), data.draw(coeffs))
+        gens.append(g)
+    gb, heap, _ = _relation_rows_against_heap(ring, gens, f, last, twist)
+    probes = [data.draw(homogeneous_polys(ring, data.draw(st.integers(d - 1, d + 4))))]
+    probes += [g * data.draw(homogeneous_polys(ring, 1)) for g in gens[:2]]
+    for v in probes:
+        assert gb.normal_form(v) == heap.normal_form(v)
+        assert gb.contains(v) == heap.contains(v)
+
+
+def test_every_other_basis_keeps_the_heap():
+    # no pure-power lead (Klein, or a lead y^2*z with x compared last),
+    # rank 2, two relations, a generator of degree below the relation's:
+    # each basis is built by the heap reducer
+    ring = PolyRing(7, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    fermat, klein = ring.parse("x^3 + y^3 + z^3"), ring.parse("x^2*y + y^2*z + z^2*x")
+    cone = [ring.parse("x^2 + y^2 - z^2"), ring.parse("x*y + z^2")]
+    cases = [
+        (Submodule.ideal(ring, [x**7, y**7, z**7], relations=[klein]), None),
+        (Submodule.ideal(ring, [x**7, y**7], relations=[ring.parse("x^3 + y^2*z")]), 0),
+        (Submodule(ring, 2, [ModVector((x**4, y**4))], relations=[fermat]), None),
+        (Submodule.ideal(ring, [x**7, y**7, z**7], relations=cone), None),
+        (Submodule.ideal(ring, [x, y**7], relations=[fermat]), None),
+    ]
+    for U, last in cases:
+        assert U.groebner(last=last)._rows is None, U
+    assert isinstance(
+        Submodule.ideal(ring, [x**7, y**7], relations=[fermat]).groebner()._rows,
+        groebner._RelationRows,
+    )
+
+
 @pytest.fixture
 def unpacked(monkeypatch):
     """The row-int records unpacked to terms, one entry each."""
@@ -719,7 +887,8 @@ def _counted_queries(patch, counts):
 
 def test_masked_hk_basis_asks_the_index_only_for_reducible_terms():
     # I^[361] + (x^3 + y^3 + z^3) over F_19, the basis of hk_value at
-    # q = 361: 6,898 queries, 4,422 of them finding nothing, with
+    # q = 361, with the relation as a generator so that the heap reducer
+    # builds it: 6,898 queries, 4,422 of them finding nothing, with
     # neither the masks nor the pure-power rule. With both, every query
     # finds a divisor: a term of a component with no lead yet (the
     # relation's own) asks nothing
@@ -727,7 +896,8 @@ def test_masked_hk_basis_asks_the_index_only_for_reducible_terms():
     B = bracket_power(R.ideal(["x", "y", "z"]), 361)
     with pytest.MonkeyPatch.context() as patch:
         counts = _counted_queries(patch, [0, 0])
-        gb = B.groebner()
+        gb = Submodule.ideal(R.ring, [*B.gens, *R.relations]).groebner()
+    assert gb._rows is None
     assert len(gb) == 178
     assert counts == [517, 0]
 

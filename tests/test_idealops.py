@@ -338,10 +338,10 @@ def test_relation_basis_is_built_once_per_call(monkeypatch):
     spans = []
     real = groebner._basis
 
-    def counting(ring, twists, vectors, *args, **kwargs):
-        vectors = list(vectors)
-        spans.append(len(vectors))
-        return real(ring, twists, vectors, *args, **kwargs)
+    def counting(ring, twists, vectors, *args, relations=(), **kwargs):
+        vectors, relations = list(vectors), list(relations)
+        spans.append(len(vectors) + len(relations))
+        return real(ring, twists, vectors, *args, relations=relations, **kwargs)
 
     monkeypatch.setattr(groebner, "_basis", counting)
     R = RingSpec(5, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
@@ -781,6 +781,28 @@ def test_saturate_divide_equals_colon_unequal_twists(twists, gens):
     cert = certify_saturation(U)
     assert len(cert.variables) == 1
     assert cert.length == colength_difference(U, ref)
+
+
+def test_certificate_reads_its_torsion_once(monkeypatch):
+    # the pole order and the length come from one leading() of each
+    # series tried; reading the length afterwards computes nothing
+    ring = PolyRing(7, ["x", "y", "z"])
+    m = ["x", "y", "z"]
+    I = Submodule.ideal(ring, [ring.parse(f"{a}*{b}*{c}") for a in m for b in m for c in m[1:]])
+    calls = []
+    real = HilbertSeries.leading
+
+    def counting(series):
+        calls.append(series)
+        return real(series)
+
+    monkeypatch.setattr(HilbertSeries, "leading", counting)
+    cert = certify_saturation(I)
+    tried = len(calls)
+    assert cert.torsion in calls
+    assert [cert.length for _ in range(3)] == [cert.length] * 3
+    assert len(calls) == tried
+    assert cert.length == colength_difference(I, saturate_by_colon(I))
 
 
 def test_certified_saturation_intersects_on_coordinate_triangle():
