@@ -205,11 +205,12 @@ def hk_value(I: Submodule, e: int, budget: GbBudget | None = None) -> int:
 
     On a curve whose one relation f has a pure-power lead (f(1, 0, 0)
     != 0 with z compared last) the engine keeps that basis's rows in
-    R-normal form (groebner._RelationRows). That is only a storage
-    format for elements of S reduced mod f: the basis is still a
-    Groebner basis over S of I^[q] + (f), its series is still read over
-    S, and no pullback, Noether centre or saturation enters, so the two
-    paths stay independent.
+    R-normal form (groebner._RelationRows), and once the basis holds a
+    power z^Q the rows drop the terms it divides. That is only a storage
+    format for elements of S reduced mod f and z^Q, both in the basis:
+    it is still a Groebner basis over S of I^[q] + (f), its series is
+    still read over S, and no pullback, Noether centre or saturation
+    enters, so the two paths stay independent.
     """
     as_ideal(I, "hk_value")
     q = I.ring.p ** as_int(e, "a Frobenius exponent", 0)

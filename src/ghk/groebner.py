@@ -120,8 +120,18 @@ below x_o^d with the same coefficients, ask the divisor index the same
 questions and emit the same remainders. Records, S-pair counts and
 zero reductions are the heap's. A product by x_o puts at most
 (d + 2)(p - 1)^2 into a field before its pass, so this layout's fields
-hold d or more steps (at least 8). hk_value's basis of I^[q] + (f) on
-a curve with f(1, 0, 0) != 0 is this case. Every other basis in three
+hold d or more steps (at least 8). Once the basis holds a pure power
+l^Q, a row of degree D > Q (monomial degree) is kept in a frame: its
+lowest D - Q + 1 blocks of d fields, exactly the terms that l^Q
+divides, are dropped, and moving a row into a higher degree's frame is
+one shift. That is exact too: with l compared last those terms are the
+lowest of their degree, so the top-down reduction reaches them last,
+and reducing them brings in only more of them, which the heap reduces
+to 0 by l^Q. Only the divisor queries that cleared them go (the
+Fermat hk basis at q = 361 asks 284 times, not 517). The frame starts
+at degree Q + 1: the rows of degree Q made before l^Q was installed
+hold its term. hk_value's basis of I^[q] + (f) on a curve with
+f(1, 0, 0) != 0 is this case. Every other basis in three
 or more variables, and every elimination basis, keeps the heap
 reducer.
 
@@ -529,9 +539,9 @@ class _DivisorIndex:
     row there. A clear bit means that no lead divides the term and
     divisor would return None, so _reduce skips the query, and a run
     installs the records it installs without masks. Most terms then
-    cost one compare or one bit test instead of a query: the hk basis of
-    the Fermat cubic at q = 361 asks 517 times, against 6,898 with
-    neither rule, and 1,959 of its 2,476 reduction steps are by the
+    cost one compare or one bit test instead of a query: the heap run of
+    the Fermat cubic's hk basis at q = 361 asks 517 times, against 6,898
+    with neither rule, and 1,959 of its 2,476 reduction steps are by the
     relation's x^3.
     """
 
@@ -978,21 +988,45 @@ class _RelationRows(_Fields):
     so at most (d + 2)(p - 1)^2, inside the pass's bound when steps >= d
     (_Fields), and the layout asks for that many.
 
+    The frame. Degrees here are monomial degrees, the module degree
+    less the twist. Once the record l^Q is installed, at degree Q, a
+    row of degree D > Q is stored shifted down frame(D) = D - Q + 1
+    blocks of d fields; every other row is stored as it is. Block j
+    holds the terms with i + b = j, so the blocks dropped are exactly
+    the terms with c >= Q, the ones l^Q divides. Dropping them is
+    exact. With l compared last they are the lowest terms of their
+    degree, so the top-down reduction reaches them last, and reducing
+    one brings in only lower terms, which l^Q divides too. Every term
+    above them meets the same reducers with the same coefficients, and
+    the heap reducer, which reduces them all to 0 by l^Q, emits the
+    remainder the rows keep. The frame starts at degree Q + 1, not at
+    Q: the rows of degree Q built before l^Q was installed hold its
+    term, a frame depends on the degree alone, and at degree Q block 0
+    holds l^Q alone. A frame is a whole number of blocks, so the slice
+    masks and the pass keep their layout, and moving a row into a
+    higher degree's frame is one shift: a right shift by whole fields
+    drops exactly the fields that fall below 0. The first pure power
+    of l is the only one, since the run installs leads degree by
+    degree into a minimal basis. cut is Q - 1, or EXP_GUARD (above
+    every degree) before l^Q.
+
     A record is (key, component 0, monomial, tail, scale, multiples),
-    the monic element the lead plus scale times the tail row, and
-    multiples the cache of multiple(), x_o^alpha times the tail reduced
-    mod f, which seed and _reduce_rows ask for. power is f's record:
-    its lead x_o^d has no field, and it is installed before any other
-    input (serving admits no input of degree below d), so the heap
-    reducer would reduce every term at or past x_o^d by it too.
-    reducible(D) masks the fields that a lead divides: from D to D + 1
-    they climb as m | m << d | (m & slices below d - 1) << d + 1
-    fields, the three variables' moves, and add_lead sets each new
-    lead's field. No lead but f's reaches i = d.
+    the monic element the lead plus scale times the tail row, in its
+    degree's frame, and multiples the cache of multiple(), x_o^alpha
+    times the tail reduced mod f, which seed and _reduce_rows ask for.
+    power is f's record: its lead x_o^d has no field, and it is
+    installed before any other input (serving admits no input of
+    degree below d, so f's tail is never framed), so the heap reducer
+    would reduce every term at or past x_o^d by it too.
+    reducible(D) masks the fields of D's frame that a lead divides:
+    from D to D + 1 they climb as m | m << d | (m & slices below d - 1)
+    << d + 1 fields, the three variables' moves, and drop the frame's
+    growth; add_lead sets each new lead's field. No lead but f's
+    reaches i = d.
     """
 
     __slots__ = (
-        "d", "twist", "kd", "ka", "kc", "dw", "power", "subst", "_power_index",
+        "d", "twist", "kd", "ka", "kc", "dw", "power", "subst", "cut", "_power_index",
         "deg", "mask", "_lower", "_top", "_sbits",
     )
 
@@ -1035,13 +1069,19 @@ class _RelationRows(_Fields):
         self.subst = tuple(subst)
         monic = tuple((k, c * scale % p) for k, c in tail)
         self._power_index = _DivisorIndex(ctx, [(lead, 0, d, monic)])
+        self.cut = EXP_GUARD  # Q - 1 once l^Q is installed
         self.deg = None  # the module degree that mask is for
         self.mask = 0
         self._lower = self._top = self._sbits = 0
 
+    def frame(self, n: int) -> int:
+        """The blocks of d fields dropped from a row of monomial degree n."""
+        n -= self.cut
+        return n if n > 1 else 0
+
     def _field(self, k: int) -> int:
-        """The field of the term of key k (i < d): the key's low fields
-        hold _FMAX minus each exponent."""
+        """The field of the term of key k (i < d), frame aside: the key's
+        low fields hold _FMAX minus each exponent."""
         i = _FMAX - ((k >> COMP_BITS) & _FMAX)
         b = _FMAX - ((k >> COMP_BITS + EXP_BITS) & _FMAX)
         return self.d * (i + b) + i
@@ -1058,22 +1098,38 @@ class _RelationRows(_Fields):
             self._sbits = n * dw
         return self._lower, self._top
 
-    def times_x(self, row: int) -> int:
-        """x_o times an R-normal row, in R-normal form, every field in [0, p)."""
+    def times_x(self, row: int, drop: int) -> int:
+        """x_o times an R-normal row, in R-normal form, every field in
+        [0, p), moved down drop blocks: the frame of the product's degree
+        less the row's, 0, 1, or 2 where the product's degree Q + 1 is
+        the first framed one. Each part moves by one shift, a right
+        shift where the drop outweighs the move up, and the fields that
+        fall below 0 are exactly the product's terms that l^Q divides,
+        which no reduction above them needs (the class docstring)."""
         top = row & self._slices(row.bit_length())[1]
-        out = (row - top) << self.dw + self.width
+        down = drop * self.dw
+        up = self.dw + self.width - down  # d + 1 fields, less the drop
+        out = (row - top) << up if up >= 0 else (row - top) >> -up
         for sh, c in self.subst:
+            sh -= down
             out += c * top << sh if sh >= 0 else c * top >> -sh
         return self.normal(out)
 
     def multiple(self, rec: tuple, alpha: int) -> int:
-        """x_o^alpha times rec's tail, reduced mod f.
+        """x_o^alpha times rec's tail, reduced mod f, in the frame of its
+        degree.
 
         rec's cache maps alpha to the multiple from the second time it is
         asked for, and to None after the first: most are asked for once
         (631 of the 689 of the Fermat hk basis at q = 2401), and a kept
         row is as long as its degree. The product starts from the
-        highest multiple kept below alpha."""
+        highest multiple kept below alpha. Each step by x_o moves the
+        product into the next degree's frame (times_x), so a multiple
+        past Q lacks exactly its terms that l^Q divides, which no step
+        above them reads. A multiple is only asked for at a degree the
+        run has reached, and the frame starts above the degree where
+        l^Q is installed, so a multiple's frame never changes after it
+        is made."""
         if not alpha:
             return rec[3]
         cache = rec[5]
@@ -1085,30 +1141,37 @@ class _RelationRows(_Fields):
             if cache.get(a) is not None:
                 start, row = a, cache[a]
                 break
-        for _ in range(alpha - start):
-            row = self.times_x(row)
+        n, frame = _degree(rec[2]), self.frame
+        for a in range(n + start, n + alpha):
+            row = self.times_x(row, frame(a + 1) - frame(a))
         cache[alpha] = row if alpha in cache else None
         return row
 
     def record(self, row: int, deg: int) -> tuple:
-        """The record of a nonzero remainder of module degree deg, as
-        _Rows.record makes it."""
+        """The record of a nonzero remainder of module degree deg, in its
+        frame, as _Rows.record makes it."""
         f, c = self.top(row)
         j, i = divmod(f, self.d)
+        j += self.frame(deg - self.twist)
         mon = i | (j - i) << EXP_BITS | (deg - self.twist - j) << 2 * EXP_BITS
         key = deg * self.kd + j * self.ka + self.kc[i]
         return (key, 0, mon, row - (c << f * self.width), pow(c, -1, self.p), {})
 
     def add_lead(self, rec: tuple) -> None:
         """Register the lead of a record installed at the current degree:
-        its own field."""
+        its own field, in the frame. A pure power l^Q of l sets the
+        frame's cut; a minimal basis has one, and its own degree keeps
+        no frame."""
         m = rec[2]
-        i = m & _FMAX
-        self.mask |= self.field << (self.d * (i + ((m >> EXP_BITS) & _FMAX)) + i) * self.width
+        i, n = m & _FMAX, _degree(m)
+        j = i + ((m >> EXP_BITS) & _FMAX) - self.frame(n)
+        self.mask |= self.field << (self.d * j + i) * self.width
+        if m >> 2 * EXP_BITS == n:
+            self.cut = n - 1
 
     def reducible(self, deg: int) -> int:
-        """The fields at module degree deg that a lead divides, as
-        _Rows.reducible gives them.
+        """The fields at module degree deg that a lead divides, in deg's
+        frame, as _Rows.reducible gives them.
 
         k degrees up, the mask m is the union over alpha <= min(k, d - 1)
         of x_o^alpha m (the slices below d - alpha moved up alpha(d + 1)
@@ -1116,7 +1179,10 @@ class _RelationRows(_Fields):
         k - alpha (l moves nothing): one step is m | m << d |
         (m & slices below d - 1) << d + 1 fields, and the shifts by beta
         are taken by doubling, so a long climb costs a few big-int
-        operations per alpha."""
+        operations per alpha. The climb stays in the old degree's frame,
+        and the frame's growth is dropped at the end: every move keeps a
+        term that l^Q divides divisible by it, so no dropped field would
+        have climbed back above the frame."""
         if self.deg is not None and deg > self.deg:
             k, m, dw, w = deg - self.deg, self.mask, self.dw, self.width
             lower = self._slices(m.bit_length() + k * (dw + w))[0]
@@ -1130,39 +1196,63 @@ class _RelationRows(_Fields):
                     part |= part << step * dw
                     done += step
                 climbed |= part
-            self.mask = climbed
+            frame = self.frame
+            self.mask = climbed >> (frame(deg - self.twist) - frame(self.deg - self.twist)) * dw
         self.deg = deg
         return self.mask
 
     def seed(self, rec: tuple, tau: int, mult: int) -> tuple:
-        """rec's tail times tau over its lead, reduced mod f, as a
-        _reduce_rows seed: x_o^alpha from the cache, then m^beta a shift.
-        A pair with f has tau's x_o^d, so f's alpha is 0 and the other
-        record's is d - i, its lead in slice i."""
+        """rec's tail times tau over its lead, reduced mod f, in the frame
+        of tau's degree, as a _reduce_rows seed: x_o^alpha from the cache,
+        then m^beta and the frame's change one shift. A pair with f has
+        tau's x_o^d, so f's alpha is 0 and the other record's is d - i,
+        its lead in slice i."""
         m = rec[2]
-        alpha = (tau & _FMAX) - (m & _FMAX)
-        beta = ((tau >> EXP_BITS) & _FMAX) - ((m >> EXP_BITS) & _FMAX)
-        return self.multiple(rec, alpha), mult, beta * self.dw
+        i, b = tau & _FMAX, (tau >> EXP_BITS) & _FMAX
+        m_b = (m >> EXP_BITS) & _FMAX
+        row = self.multiple(rec, i - (m & _FMAX))
+        # blocks up: m^beta, plus the multiple's frame (its degree is
+        # i + m_b + m_c), less tau's frame
+        up, cut = b - m_b, self.cut
+        e = i + m_b + (m >> 2 * EXP_BITS) - cut
+        if e > 1:
+            up += e
+        e = i + b + (tau >> 2 * EXP_BITS) - cut
+        if e > 1:
+            up -= e
+        up *= self.dw
+        return (row << up if up >= 0 else row >> -up), mult, 0
 
     def pack(self, terms: tuple) -> int:
         """The row of an input's terms (key, coefficient in [0, p)) from
-        _Ctx, keys descending, in R-normal form: an input with a term at
-        or past x_o^d is first reduced by f alone."""
+        _Ctx, keys descending, in R-normal form and in the frame of its
+        degree: an input with a term at or past x_o^d is first reduced by
+        f alone."""
         d = self.d
         if any(_FMAX - ((k >> COMP_BITS) & _FMAX) >= d for k, _ in terms):
             terms = _reduce([(terms, 1, 0)], self._power_index, self.p)
-        return self.pack_fields((self._field(k), c) for k, c in terms)
+        if not terms:
+            return 0
+        # a rank-1 key's degree field is the monomial degree
+        down = self.frame(terms[0][0] >> COMP_BITS + 3 * EXP_BITS) * self.dw
+        return self.pack_fields((self._field(k), c) for k, c in terms) >> down
 
     def unpack(self, rec: tuple) -> tuple:
         """The monic record of a row-mode record, its tail as terms."""
         k, cp, m, tail, scale = rec[:5]
         p, d, ka, kc = self.p, self.d, self.ka, self.kc
-        kd = ((m & _FMAX) + ((m >> EXP_BITS) & _FMAX) + (m >> 2 * EXP_BITS) + self.twist) * self.kd
+        n = _degree(m)
+        kd = (n + self.twist) * self.kd + self.frame(n) * ka
         out = []
         for f, c in self.row_fields(tail):
             j, i = divmod(f, d)
             out.append((kd + j * ka + kc[i], c * scale % p))
         return (k, cp, m, tuple(out))
+
+
+def _degree(mon: int) -> int:
+    """The degree of a packed monomial in three variables."""
+    return (mon & _FMAX) + ((mon >> EXP_BITS) & _FMAX) + (mon >> 2 * EXP_BITS)
 
 
 def _reduce_rows(seeds, index: _DivisorIndex, rows: _Fields, deg: int) -> int:
@@ -1180,7 +1270,15 @@ def _reduce_rows(seeds, index: _DivisorIndex, rows: _Fields, deg: int) -> int:
     over _RelationRows. Over _Rows the tail moves by one shift; over
     _RelationRows the term is x_o^i m^b, the record's x_o^alpha
     multiple comes from rows.multiple, and m^beta is a shift of beta*d
-    fields.
+    fields. There every row is in its degree's frame (_RelationRows):
+    field f of the remainder is block f // d plus deg's frame, and the
+    multiple moves by m^beta plus its own frame less deg's, a right
+    shift where that is negative, which drops exactly the terms that
+    the basis's pure power of `last` divides. Those are the lowest
+    terms of deg, and reducing them only makes more of them, so no step
+    above them changes and the remainder is still _reduce's. Rows of
+    l^Q's own degree keep no frame, since those made before it was
+    installed hold its term.
     """
     row = 0
     for tail, mult, shift in seeds:
@@ -1191,7 +1289,8 @@ def _reduce_rows(seeds, index: _DivisorIndex, rows: _Fields, deg: int) -> int:
         p, w, divisor = rows.p, rows.width, index.divisor
         kd, ka, kc = deg * rows.kd, rows.ka, rows.kc
         if isinstance(rows, _RelationRows):
-            r, multiple, dw = rows.d, rows.multiple, rows.dw
+            r, multiple, dw, cut = rows.d, rows.multiple, rows.dw, rows.cut
+            kd += rows.frame(deg - rows.twist) * ka  # field f is block f // d of the frame
         else:
             r, multiple, base = rows.rank, None, rows.base
         left = rows.steps
@@ -1205,12 +1304,19 @@ def _reduce_rows(seeds, index: _DivisorIndex, rows: _Fields, deg: int) -> int:
                 g, pi = divmod(f, r)
                 rec = divisor(kd + g * ka + kc[pi])
                 m = rec[2]
+                c = (p - c) * rec[4] % p
                 if multiple is None:
-                    tail, up = rec[3], sh - ((m & _FMAX) * r + base[rec[1]]) * w
+                    row += c * rec[3] << sh - ((m & _FMAX) * r + base[rec[1]]) * w
                 else:
+                    # the x_o^alpha multiple, of degree pi + b + c0 and in its
+                    # frame, moves up m^beta and its frame less deg's, in blocks
+                    b = (m >> EXP_BITS) & _FMAX
+                    up = g - pi - b
+                    e = pi + b + (m >> 2 * EXP_BITS) - cut
+                    if e > 1:
+                        up += e
                     tail = multiple(rec, pi - (m & _FMAX))
-                    up = (g - pi - ((m >> EXP_BITS) & _FMAX)) * dw
-                row += ((p - c) * rec[4] % p * tail) << up
+                    row += c * tail << up * dw if up >= 0 else c * (tail >> -up * dw)
                 left -= 1
                 if not left:
                     row = rows.normal(row)

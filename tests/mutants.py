@@ -170,15 +170,28 @@ MUTANTS = [
         "for alpha in range(min(k, self.d - 1) + 1):",
         "for alpha in range(1):",
         (
-            "tests/test_groebner.py::test_relation_rows_build_the_fermat_hk_basis",
+            # not the Fermat hk basis: every field that the missing x_o
+            # moves would set lies below the frame there
+            "tests/test_groebner.py::test_where_the_frame_starts[never-7-0]",
             "tests/test_groebner.py::test_relation_rows_on_dense_relations[11-11-x^3 + 2*y^3 + 3*z^3 + x*y*z + 5*x^2*y]",
+        ),
+    ),
+    Mutant(
+        "the relation's rows drop one block too many past the pure power of `last`",
+        "src/ghk/groebner.py",
+        "return n if n > 1 else 0",
+        "return n + 1 if n > 1 else 0",
+        (
+            "tests/test_groebner.py::test_relation_rows_build_the_fermat_hk_basis",
+            "tests/test_groebner.py::test_relation_rows_on_dense_relations[7-7-3*x^2 + y*z + 2*y^2 + x*z]",
+            "tests/test_frobmod.py::test_hk_pinned_values",
         ),
     ),
     Mutant(
         "a pair with the relation seeds x_o^(d - i - 1) times the other record, not x_o^(d - i)",
         "src/ghk/groebner.py",
-        "alpha = (tau & _FMAX) - (m & _FMAX)",
-        "alpha = min(tau & _FMAX, self.d - 1) - min(m & _FMAX, self.d - 1)",
+        "row = self.multiple(rec, i - (m & _FMAX))",
+        "row = self.multiple(rec, min(i, self.d - 1) - min(m & _FMAX, self.d - 1))",
         (
             "tests/test_groebner.py::test_relation_rows_build_the_fermat_hk_basis",
             "tests/test_groebner.py::test_relation_rows_on_dense_relations[7-7-3*x^2 + y*z + 2*y^2 + x*z]",

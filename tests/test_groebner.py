@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghk.groebner as groebner
-from ghk.arith import EXP_CAP, PolyRing
+from ghk.arith import EXP_BITS, EXP_CAP, PolyRing
 from ghk.errors import (
     BudgetExceededError,
     GhkError,
@@ -575,7 +575,11 @@ def test_times_x_reduces_its_widest_product_exactly(p, d):
     nf = Submodule.ideal(ring, [f]).groebner().normal_form(x * g)
     assert not nf.is_zero()
     row = rows.pack(ctx.vec_to_terms(ModVector((g,))))
-    assert rows.times_x(row) == rows.pack(ctx.vec_to_terms(nf))
+    assert rows.times_x(row, 0) == rows.pack(ctx.vec_to_terms(nf))
+    # into a frame 1 or 2 blocks higher: the same product, its lowest
+    # blocks dropped, though f's substitution moves the top slice down
+    for drop in (1, 2):
+        assert rows.times_x(row, drop) == rows.times_x(row, 0) >> drop * rows.dw
 
 
 def _relation_rows_against_heap(ring, gens, f, last=None, twist=0):
@@ -609,12 +613,14 @@ def test_relation_rows_build_the_fermat_hk_basis():
     gb, _, pairs = _relation_rows_against_heap(R.ring, B.gens, R.relations[0])
     assert len(gb) == 178
     assert (len(pairs), sum(pairs)) == (352, 178)
-    # the row mask leaves the index the heap's 517 queries, each finding
-    # a divisor: no term reaches x^3, which the heap reduces without one
+    # the row mask leaves the index 284 of the heap's 517 queries, each
+    # finding a divisor: no term reaches x^3, which the heap reduces
+    # without one, and the 233 others ask only about terms that z^361
+    # divides, which the rows' frame drops
     with pytest.MonkeyPatch.context() as patch:
         counts = _counted_queries(patch, [0, 0])
         B.groebner()
-    assert counts == [517, 0]
+    assert counts == [284, 0]
 
 
 @pytest.mark.parametrize(
@@ -677,6 +683,103 @@ def test_relation_rows_build_the_heap_basis(data, p, last, twist):
     for v in probes:
         assert gb.normal_form(v) == heap.normal_form(v)
         assert gb.contains(v) == heap.contains(v)
+
+
+def _framed_against_heap(ring, gens, f, twist=0):
+    """_relation_rows_against_heap with `last` = z, and where the rows'
+    frame came from: None when no record is a pure power z^Q, else the
+    module degree of the first one and the number of records installed
+    after it at that degree."""
+    installs = []
+    real = groebner._RelationRows.add_lead
+
+    def add_lead(rows, rec):
+        installs.append((rows.deg, rec[2]))
+        real(rows, rec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner._RelationRows, "add_lead", add_lead)
+        _relation_rows_against_heap(ring, gens, f, twist=twist)
+    below_z = (1 << 2 * EXP_BITS) - 1  # the x and y fields of a monomial
+    for k, (deg, mon) in enumerate(installs):
+        if not mon & below_z:
+            return deg, sum(other == deg for other, _ in installs[k + 1 :])
+    return None
+
+
+@settings(max_examples=45, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    twist=st.integers(0, 1),
+    case=st.sampled_from(["input", "pair", "never"]),
+)
+def test_framed_rows_build_the_heap_basis(data, p, twist, case):
+    # a random f with the pure-power lead x^d, and bracket powers whose
+    # z^Q, past which the rows drop every term, is an input (the
+    # monomial brackets), may come from an S-pair (brackets of linear
+    # forms and a monomial) or never comes (brackets of forms in x and y
+    # over an f with no z^d: the point (0:0:1) lies on every generator)
+    ring = PolyRing(p, ["x", "y", "z"])
+    q = p ** data.draw(st.integers(1, 2 if p < 5 else 1))
+    d = data.draw(st.integers(2, min(4, q)))
+    coeffs = st.integers(1, p - 1)
+    mons = [m for m in monomials_of_degree(3, d) if m[0] < d and m[2] < d]
+    f = ring.from_pairs(
+        [((d, 0, 0), data.draw(coeffs))]
+        + data.draw(st.lists(st.tuples(st.sampled_from(mons), coeffs), max_size=6))
+        + ([((0, 0, d), data.draw(coeffs))] if case != "never" and data.draw(st.booleans()) else [])
+    )
+    if case == "input":
+        forms = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    else:
+        top = p - 1 if case == "pair" else 0
+        form = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), st.integers(0, top))
+        forms = data.draw(st.lists(form, min_size=1, max_size=3))
+    gens = [ring.from_pairs([((q, 0, 0), a), ((0, q, 0), b), ((0, 0, q), c)]) for a, b, c in forms]
+    if case == "pair" and data.draw(st.booleans()):
+        gens.append(ring.monomial((data.draw(st.integers(d - 1, q)), 1, 0)))
+    found = _framed_against_heap(ring, gens, f, twist)
+    if case == "input":
+        assert found is not None and found[0] == q + twist
+    elif case == "never":
+        assert found is None
+
+
+@pytest.mark.parametrize("twist", [0, 1])
+@pytest.mark.parametrize(
+    "p, f, gens, start",
+    [
+        # z^Q comes from an S-pair at a degree where no input lives, and
+        # records follow it there: the rows built at that degree keep no
+        # frame, and the next degree's drop two blocks at once
+        pytest.param(
+            3, "x^3 + 2*z^3 + y^2*z + 2*y^3 + 2*x*z^2 + x^2*y", ["x^3", "(2*y + z)^3"], (6, 1),
+            id="pair-3",
+        ),
+        pytest.param(
+            5, "2*x^2 + 3*y*z + 4*y^2 + 4*x*z", ["(3*x + 3*z)^5", "(x + y + 2*z)^5", "x^2*y"], (6, 1),
+            id="pair-5",
+        ),
+        pytest.param(
+            7, "4*x^2 + 4*z^2 + 3*y*z + 2*x*z", ["(6*x + 6*y + 6*z)^7", "(x + 2*y + 5*z)^7", "x^2*y"],
+            (8, 2), id="pair-7",
+        ),
+        # (0:0:1) lies on f, x^q and y^q, so no power of z is in the
+        # ideal, and the rows keep every term
+        pytest.param(7, "x^3 + y^3 + x*y*z", ["x^49", "y^49"], None, id="never-7"),
+        pytest.param(5, "2*x^3 + x*y*z + y^2*z + 3*x^2*y", ["x^25", "y^25"], None, id="never-5"),
+    ],
+)
+def test_where_the_frame_starts(p, f, gens, start, twist):
+    ring = PolyRing(p, ["x", "y", "z"])
+    gens = [ring.parse(g) for g in gens]
+    found = _framed_against_heap(ring, gens, ring.parse(f), twist)
+    if start is None:
+        assert found is None
+    else:
+        assert all(g.degree() < start[0] for g in gens)
+        assert found == (start[0] + twist, start[1])
 
 
 def test_every_other_basis_keeps_the_heap():
